@@ -29,7 +29,7 @@ from .construction import (
 from .modular import CrtClass
 from .pairs import explicit_pair, randomized_extend_with_stats
 from .rng import CountingRng
-from .search import ConstellationTask, SearchExhausted, next_constellation
+from .search import DEFAULT_SIEVE_LIMIT, ConstellationTask, SearchExhausted, next_constellation
 from .stateio import load_state, save_state
 
 
@@ -78,6 +78,11 @@ def _step_line(record: StepRecord) -> str:
             f"step {record.index}: target {record.target} already represented "
             f"(free)"
         )
+    if record.exhausted:
+        return (
+            f"step {record.index}: target {record.target} exhausted after "
+            f"{record.candidates} candidates in {record.seconds:.2f}s"
+        )
     return (
         f"step {record.index}: target {record.target} witness {record.witness} "
         f"after {record.candidates} candidates in {record.seconds:.2f}s"
@@ -96,6 +101,7 @@ def _report_doc(result: RunResult) -> dict:
                 "index": s.index,
                 "target": str(s.target),
                 "witness": None if s.witness is None else str(s.witness),
+                "exhausted": s.exhausted,
                 "candidates": s.candidates,
                 "seconds": round(s.seconds, 6),
             }
@@ -298,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p_search)
     p_search.add_argument("--start", type=int, default=0)
     p_search.add_argument("--budget", type=int, default=10**8)
-    p_search.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=100_000)
+    p_search.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     p_search.add_argument("--segment-size", dest="segment_size", type=int, default=1 << 16)
     p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--pp-rounds", dest="pp_rounds", type=int, default=24)

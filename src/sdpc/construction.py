@@ -41,9 +41,9 @@ from .pairs import (
 from .primes import primes_in_range, primes_up_to
 from .rng import CountingRng
 from .search import (
+    DEFAULT_SIEVE_LIMIT,
     ConstellationTask,
     PrimalityStatus,
-    SearchExhausted,
     is_prime,
     search_with_count,
 )
@@ -137,10 +137,16 @@ def compute_K(reserve: int, scan_limit: int = 8192) -> int:
 class Config:
     """Run parameters. Defaults give the reduced desk-scale engine.
 
-    budget and segment_size run higher than the standalone search
-    defaults: a step at a dozen offsets sits around 10**8.5 candidates
-    deep, and large segments amortize per-segment sieve overhead without
-    changing any result (witnesses are segmentation-independent).
+    A step's search sieves windows of segment_size candidates with the
+    primes up to sieve_limit in three tiers (sdpc.search): periodic
+    pre-sieve patterns for the small primes, one strided write per
+    distinct class for the middle ones, and scattered hits for the large
+    ones. Where some |x + d| can itself be a sieving prime, the struck
+    candidates are re-checked exactly. The default sieve_limit comes from
+    a sweep over the construction's own step plans. budget runs higher
+    than the standalone search default because a step at a dozen offsets
+    sits around 10**8.5 candidates deep. Witnesses depend on neither
+    segment_size nor sieve_limit.
     """
 
     mode: str = REDUCED
@@ -148,7 +154,7 @@ class Config:
     k_constant: int | None = None
     reserve_count: int = 2
     budget: int = 10**9
-    sieve_limit: int = 100_000
+    sieve_limit: int = DEFAULT_SIEVE_LIMIT
     segment_size: int = 1 << 20
     probable_rounds: int = 24
     seed: int = 0
@@ -542,15 +548,19 @@ def verify(state: ConstructionState) -> VerifyReport:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One turn of the run loop: a witness found, a target already
+    represented (free), or a search that exhausted its budget."""
+
     index: int
     target: int
     witness: int | None
     candidates: int
     seconds: float
+    exhausted: bool = False
 
     @property
     def free(self) -> bool:
-        return self.witness is None
+        return self.witness is None and not self.exhausted
 
 
 @dataclass
@@ -596,12 +606,9 @@ def run(
                 budget=cfg.budget,
                 sieve_limit=cfg.sieve_limit,
             )
-            try:
-                x, examined = search_with_count(
-                    task, cfg.segment_size, cfg.workers, cfg.probable_rounds
-                )
-            except SearchExhausted as exc:  # defensive; core returns None instead
-                x, examined = None, exc.examined
+            x, examined = search_with_count(
+                task, cfg.segment_size, cfg.workers, cfg.probable_rounds
+            )
             if x is None:
                 completed = False
                 diagnostic = (
@@ -609,7 +616,9 @@ def run(
                     f"candidates (start {plan.min_x}, class {plan.crt.residue} "
                     f"mod {plan.crt.modulus})"
                 )
-                steps.append(StepRecord(index, r, None, examined, perf_counter() - started))
+                steps.append(
+                    StepRecord(index, r, None, examined, perf_counter() - started, exhausted=True)
+                )
                 if on_step:
                     on_step(steps[-1])
                 break

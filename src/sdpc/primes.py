@@ -27,7 +27,7 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return tuple(int(p) for p in np.flatnonzero(sieve))
+    return tuple(np.flatnonzero(sieve).tolist())
 
 
 def primes_in_range(lo: int, hi: int) -> tuple[int, ...]:

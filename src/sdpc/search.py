@@ -1,12 +1,33 @@
 """Constellation search over a CRT progression.
 
-Candidates are x = t + k*q for k = 0, 1, 2, ... A segmented sieve knocks
-out candidates where some prime p <= sieve_limit divides x + d for an
-offset d, except when |x + d| equals p itself: that value IS the prime p
-and must not be discarded. Survivors then face real primality tests.
-The scan is strictly ordered by k, so the witness returned is the
-smallest member of the progression that works, independent of the
-segment size and of how many worker threads sieve segments.
+Candidates are x = t + k*q for k = 0, 1, 2, ... A segmented sieve strikes
+a candidate when some prime p <= sieve_limit, p not dividing q, divides
+x + d for an offset d, except when |x + d| equals p itself: that value IS
+the prime p and must not be discarded. Survivors then face real primality
+tests through is_prime. The scan is strictly ordered by k, so the witness
+returned is the smallest member of the progression that works, whatever
+the segment size, sieve limit or number of worker threads.
+
+Prime p strikes k exactly when k = k0 (mod p), k0 = -(t + d) / q mod p,
+one class per offset. Each search builds one read-only plan of these
+classes, and every segment (window of k) reuses it. The plan has three
+tiers:
+
+1. Pre-sieve patterns. The primes whose classes cover at least
+   1/PRESIEVE_DENSITY of all k are packed into groups whose product, the
+   pattern's period, stays at most PATTERN_PERIOD (and at most an eighth
+   of the longest window). Each group becomes one periodic boolean
+   pattern, false on every struck class. A window starts as a slice of
+   the first pattern and is ANDed with the others.
+2. Middle primes: one strided write per distinct (p, k0), so offsets that
+   coincide mod p share one write.
+3. Large primes, those hitting a window fewer than SCATTER_HITS times:
+   their hit positions are computed as arrays and struck in scatters.
+
+Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
+few windows at the bottom of the progression. The tiers strike blindly;
+afterwards, in those windows only, every struck k with some |x + d| a
+sieving prime is re-decided exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +41,15 @@ import numpy as np
 
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
 from .primes import CERTIFIED_LIMIT, is_prime_exact, is_probable_prime, primes_up_to
+
+
+# Chosen by a sweep over the construction's own step plans (CHANGES.md).
+DEFAULT_SIEVE_LIMIT = 400
+PRESIEVE_DENSITY = 32
+PATTERN_PERIOD = 1 << 17
+SCATTER_HITS = 32
+# Hits per indexed write, which bounds the scatter's index arrays.
+SCATTER_BATCH = 1 << 16
 
 
 class PrimalityStatus(Enum):
@@ -66,7 +96,7 @@ class ConstellationTask:
     system: TupleSystem
     start: int = 0
     budget: int = 10**8
-    sieve_limit: int = 100_000
+    sieve_limit: int = DEFAULT_SIEVE_LIMIT
     exclusions: frozenset[int] = frozenset()
 
     def __post_init__(self):
@@ -74,8 +104,8 @@ class ConstellationTask:
             raise ValueError("start must be nonnegative")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        if self.sieve_limit < 2:
-            raise ValueError("sieve_limit must be at least 2")
+        if not 2 <= self.sieve_limit < 1 << 31:
+            raise ValueError("sieve_limit must be at least 2 and below 2**31")
         object.__setattr__(self, "exclusions", frozenset(self.exclusions))
 
 
@@ -90,45 +120,180 @@ class SearchExhausted(RuntimeError):
         self.examined = examined
 
 
-def _sieve_entries(task: ConstellationTask) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Per (prime, offset): the hit class k0 mod p and any forgiven k values.
+def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
+    """n mod m for every modulus m < 2**31, exact for any Python int n:
+    Horner's rule over n's 31-bit digits keeps every product in int64."""
+    r = np.zeros_like(moduli)
+    a = abs(n)
+    for shift in range(31 * ((a.bit_length() - 1) // 31), -1, -31):
+        r = ((r << 31) | ((a >> shift) & 0x7FFFFFFF)) % moduli
+    return -r % moduli if n < 0 else r
 
-    k hits when t + k*q + d = 0 (mod p). Forgiven k are those where
-    x + d = +-p exactly, precomputed here so segments only range-check.
-    """
+
+def _inverses(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """a**-1 mod p for every prime p not dividing a, by Fermat: a**(p-2)."""
+    result = np.ones_like(a)
+    e = primes - 2
+    while e.any():
+        result = np.where(e & 1, result * a % primes, result)
+        a = a * a % primes
+        e >>= 1
+    return result
+
+
+def _hit_classes(task: ConstellationTask) -> tuple[np.ndarray, np.ndarray]:
+    """The sieving primes (p <= sieve_limit, p not dividing q) and, per
+    prime and offset, the class k0 mod p of the k where p | t + k*q + d."""
     q = task.system.crt.modulus
     t = task.system.crt.residue
-    entries = []
-    for p in primes_up_to(task.sieve_limit):
-        if q % p == 0:
-            continue
-        q_inv = pow(q % p, -1, p)
-        t_mod = t % p
-        for d in task.system.offsets:
-            k0 = (-(t_mod + d) % p) * q_inv % p
-            forgiven = []
-            for value in (p - d, -p - d):
-                num = value - t
-                if num % q == 0 and num // q >= 0:
-                    forgiven.append(num // q)
-            entries.append((p, k0, tuple(forgiven)))
-    return entries
+    limit = primes_up_to(task.sieve_limit)
+    primes = np.fromiter(limit, np.int64, len(limit))
+    q_mod = _residues(q, primes)
+    keep = q_mod != 0
+    primes = primes[keep]
+    q_inv = _inverses(q_mod[keep], primes)
+    k0 = np.empty((len(primes), len(task.system.offsets)), np.int64)
+    for i, d in enumerate(task.system.offsets):
+        k0[:, i] = -_residues(t + d, primes) % primes * q_inv % primes
+    return primes, k0
 
 
-def _sieve_window(entries, q: int, t: int, lo: int, hi: int) -> list[int]:
-    n = hi - lo
-    if n <= 0:
-        return []
-    alive = np.ones(n, dtype=bool)
-    for p, k0, forgiven in entries:
-        first = (k0 - lo) % p
-        if first >= n:
-            continue
-        saves = [(fk - lo, alive[fk - lo]) for fk in forgiven if lo <= fk < hi]
-        alive[first::p] = False
-        for j, val in saves:
-            alive[j] = val
-    return [t + (lo + int(k)) * q for k in np.flatnonzero(alive)]
+def _sieve_entries(task: ConstellationTask) -> np.ndarray:
+    """(p, k0) rows, one per sieving prime and offset, in that order;
+    perfbench checks its entry count against these."""
+    primes, k0 = _hit_classes(task)
+    return np.column_stack([np.repeat(primes, k0.shape[1]), k0.ravel()])
+
+
+def _patterns(ps: np.ndarray, ks: np.ndarray, period: int) -> list[np.ndarray]:
+    """Pre-sieve patterns over k, one period each: the primes packed
+    first-fit decreasing into groups of product <= period."""
+    classes: dict[int, list[int]] = {}
+    for p, k in zip(ps.tolist(), ks.tolist()):
+        classes.setdefault(p, []).append(k)
+    groups: list[list[int]] = []
+    for p in sorted(classes, reverse=True):
+        for g in groups:
+            if g[0] * p <= period:
+                g[0] *= p
+                g.append(p)
+                break
+        else:
+            groups.append([p, p])
+    patterns = []
+    for size, *members in groups:
+        pattern = np.ones(size, bool)
+        for p in members:
+            for k0 in classes[p]:
+                pattern[k0::p] = False
+        patterns.append(pattern)
+    return patterns
+
+
+def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
+    """Strike alive[first + i*p] for every entry and every i in range, each
+    batch of entries in one indexed write; batches bound the index arrays."""
+    n = len(alive)
+    batch = SCATTER_BATCH // SCATTER_HITS
+    for a in range(0, len(primes), batch):
+        f, p = first[a : a + batch], primes[a : a + batch]
+        count = (n - f + p - 1) // p
+        start = np.repeat(f - (np.cumsum(count) - count) * p, count)
+        alive[start + np.arange(count.sum()) * np.repeat(p, count)] = False
+
+
+class _SievePlan:
+    """One task's sieve, read-only once built; segments may share it
+    across threads. See the module docstring for the tiers."""
+
+    def __init__(self, task: ConstellationTask, span: int):
+        self.q = task.system.crt.modulus
+        self.t = task.system.crt.residue
+        self.offsets = task.system.offsets
+        self.primes, k0 = _hit_classes(task)
+        # one entry per distinct (p, k0): offsets that coincide mod p merge
+        k0 = np.sort(k0, axis=1)
+        distinct = np.ones(k0.shape, bool)
+        distinct[:, 1:] = k0[:, 1:] != k0[:, :-1]
+        ps = np.broadcast_to(self.primes[:, None], k0.shape)
+        # pre-sieved: primes striking at least 1/PRESIEVE_DENSITY of all k,
+        # in periods short enough for a window of `span` to repeat 8 times
+        period = min(PATTERN_PERIOD, span // 8)
+        dense = distinct.sum(axis=1) * PRESIEVE_DENSITY >= self.primes
+        dense &= self.primes <= period
+        pick = distinct & dense[:, None]
+        self.patterns = _patterns(ps[pick], k0[pick], period)
+        pick = distinct & ~dense[:, None]
+        self.rest_p, self.rest_k0 = ps[pick], k0[pick]
+        self.rest_primes = self.rest_p.tolist()
+        # k-ranges where some |x + d| <= sieve_limit, the only place
+        # a value can equal a sieving prime
+        limit = task.sieve_limit
+        self.zones = []
+        for d in self.offsets:
+            z_lo = max(0, -((limit + d + self.t) // self.q))
+            z_hi = (limit - d - self.t) // self.q + 1
+            if z_lo < z_hi:
+                self.zones.append((d, z_lo, z_hi))
+
+    def window(self, lo: int, hi: int) -> list[int]:
+        """Surviving x = t + k*q for k in [lo, hi), ascending."""
+        n = hi - lo
+        if n <= 0:
+            return []
+        alive = np.full(n, not self.patterns)
+        for i, pattern in enumerate(self.patterns):
+            # the window as a head, whole periods, and a tail
+            size = len(pattern)
+            s = lo % size
+            head = min(size - s, n)
+            whole = (n - head) // size
+            tail = n - head - whole * size
+            for view, part in (
+                (alive[:head], pattern[s : s + head]),
+                (alive[head : head + whole * size].reshape(whole, size), pattern),
+                (alive[n - tail :], pattern[:tail]),
+            ):
+                if i:
+                    view &= part
+                else:
+                    view[...] = part
+        if self.rest_primes:
+            first = (self.rest_k0 - _residues(lo, self.rest_p)) % self.rest_p
+            # a prime hitting the window SCATTER_HITS times or more gets
+            # a strided write, the rest are gathered into scatters
+            split = int(np.searchsorted(self.rest_p, -(-n // SCATTER_HITS)))
+            for f, p in zip(first[:split].tolist(), self.rest_primes[:split]):
+                alive[f::p] = False
+            _scatter(alive, first[split:], self.rest_p[split:])
+        self._forgive(alive, lo, hi)
+        return [self.t + (lo + k) * self.q for k in np.flatnonzero(alive).tolist()]
+
+    def _forgive(self, alive: np.ndarray, lo: int, hi: int) -> None:
+        """Re-decide, exactly, struck k in [lo, hi) where some |x + d| is
+        itself a sieving prime: that prime's strike must not count."""
+        q, t = self.q, self.t
+        recheck = []
+        for d, z_lo, z_hi in self.zones:
+            a, b = max(z_lo, lo), min(z_hi, hi)
+            if a >= b:
+                continue
+            # x + d lies in [-sieve_limit, sieve_limit]; a zone two or more
+            # candidates long has q <= 2 * sieve_limit, so this fits int64
+            step = q if b - a > 1 else 0
+            values = np.abs(t + d + a * q + step * np.arange(b - a))
+            recheck.append(np.flatnonzero(np.isin(values, self.primes)) + (a - lo))
+        if not recheck:
+            return
+        js = np.unique(np.concatenate(recheck))
+        for j in js[~alive[js]].tolist():
+            x = t + (lo + j) * q
+            alive[j] = not any(self._struck(x + d) for d in self.offsets)
+
+    def _struck(self, v: int) -> bool:
+        """Whether some sieving prime p divides v with p != |v|."""
+        below = self.primes[: np.searchsorted(self.primes, abs(v))] if v else self.primes
+        return bool((_residues(v, below) == 0).any())
 
 
 def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
@@ -140,9 +305,7 @@ def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
     """
     if lo < 0 or hi < lo:
         raise ValueError("bad segment bounds")
-    q = task.system.crt.modulus
-    t = task.system.crt.residue
-    return _sieve_window(_sieve_entries(task), q, t, lo, hi)
+    return _SievePlan(task, hi - lo).window(lo, hi)
 
 
 def _witness_ok(task: ConstellationTask, x: int, rounds: int) -> bool:
@@ -178,7 +341,7 @@ def search_with_count(
     t = task.system.crt.residue
     k_start = max(0, -((t - task.start) // q))
     k_end = k_start + task.budget
-    entries = _sieve_entries(task)
+    plan = _SievePlan(task, min(segment_size, task.budget))
 
     def finish(survivors: list[int]) -> int | None:
         for x in survivors:
@@ -197,7 +360,7 @@ def search_with_count(
 
     if workers <= 1:
         for lo, hi in windows():
-            x = finish(_sieve_window(entries, q, t, lo, hi))
+            x = finish(plan.window(lo, hi))
             if x is not None:
                 return x, (x - t) // q - k_start + 1
         return None, task.budget
@@ -213,7 +376,7 @@ def search_with_count(
                 except StopIteration:
                     exhausted_gen = True
                     break
-                pending.append(pool.submit(_sieve_window, entries, q, t, lo, hi))
+                pending.append(pool.submit(plan.window, lo, hi))
             if not pending:
                 return None, task.budget
             x = finish(pending.popleft().result())

@@ -91,6 +91,20 @@ def test_run_exhaustion_reports_and_saves_partial_state(tmp_path, capsys):
     assert load_state(state).n == 2
 
 
+def test_run_exhausted_step_is_not_reported_free(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    code = main(["run", "--target", "4", "--budget", "5", "--json-report", str(report_path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "step 4: target -7 exhausted after 5 candidates" in out
+    assert "(free)" not in out
+    steps = json.loads(report_path.read_text())["steps"]
+    assert [(s["witness"], s["candidates"], s["exhausted"]) for s in steps] == [
+        ("625", 3, False),
+        (None, 5, True),
+    ]
+
+
 def test_run_json_report(tmp_path):
     state = tmp_path / "state.json"
     report_path = tmp_path / "report.json"

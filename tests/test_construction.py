@@ -24,6 +24,7 @@ from sdpc.construction import (
     verify,
 )
 from sdpc.pairs import MINUS, PLUS
+from sdpc.search import DEFAULT_SIEVE_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +334,18 @@ def test_run_growth_invariants():
     # witnesses grow along the run
     witnesses = [s.witness for s in res.steps if not s.free]
     assert witnesses == sorted(witnesses)
+
+
+def test_witnesses_do_not_depend_on_sieve_limit():
+    # the sieve strikes only proven composites and the scan is ordered by
+    # k, so the limit may change the work but never the witness
+    runs = [run(initial_state(Config(sieve_limit=limit)), 7)
+            for limit in (50, DEFAULT_SIEVE_LIMIT, 100_000)]
+    assert all(res.completed for res in runs)
+    assert {(res.state.a, res.state.b) for res in runs} == {
+        ((1, 11, 625, 3587, 42305, 2132467, 1655127457),
+         (6, 618, 3594, 42294, 2132478, 1655127444)),
+    }
 
 
 def test_difference_table_ordering():

@@ -11,10 +11,15 @@ import pytest
 
 from sdpc.admissible import InadmissibleSystemError, TupleSystem
 from sdpc.modular import CrtClass
+from sdpc.primes import primes_up_to
 from sdpc.search import (
+    DEFAULT_SIEVE_LIMIT,
+    PRESIEVE_DENSITY,
+    SCATTER_HITS,
     ConstellationTask,
     PrimalityStatus,
     SearchExhausted,
+    _SievePlan,
     is_prime,
     next_constellation,
     search_with_count,
@@ -216,3 +221,129 @@ def test_task_validation():
         ConstellationTask(system, budget=0)
     with pytest.raises(ValueError):
         ConstellationTask(system, sieve_limit=1)
+
+
+# ---------------------------------------------------------------------------
+# the sieve against its definition
+# ---------------------------------------------------------------------------
+
+def brute_survivors(task, lo, hi):
+    """x = t + k*q, k in [lo, hi), with no prime p <= sieve_limit such
+    that p | x + d and |x + d| != p."""
+    q, t = task.system.crt.modulus, task.system.crt.residue
+    primes = primes_up_to(task.sieve_limit)
+    out = []
+    for k in range(lo, hi):
+        x = t + k * q
+        if not any(
+            (x + d) % p == 0 and abs(x + d) != p
+            for d in task.system.offsets
+            for p in primes
+        ):
+            out.append(x)
+    return out
+
+
+def admissible_task(rng, primes_of_q, offsets, limit):
+    """A task whose class t mod q keeps every t + d off 0 mod each p | q,
+    or None when the offsets cover every class mod some p | q."""
+    q = 1
+    t = 0
+    for p in primes_of_q:
+        free = [r for r in range(p) if all((r + d) % p for d in offsets)]
+        if not free:
+            return None
+        r = rng.choice(free)
+        # t := the class that is t mod q and r mod p
+        t = t + q * ((r - t) * pow(q, -1, p) % p)
+        q *= p
+    return ConstellationTask(
+        TupleSystem(CrtClass(q, t, tuple(primes_of_q)), tuple(sorted(offsets))),
+        sieve_limit=limit,
+    )
+
+
+# Limits below, across and above each tier boundary, for windows of
+# WINDOW candidates: a prime with m distinct classes is pre-sieved up to
+# PRESIEVE_DENSITY * m if it fits a period of WINDOW / 8, and the other
+# primes are scattered from WINDOW / SCATTER_HITS on.
+WINDOW = 2048
+TIER_LIMITS = (
+    2, 10, 11, WINDOW // SCATTER_HITS - 1, WINDOW // SCATTER_HITS + 1,
+    PRESIEVE_DENSITY * 3, WINDOW // 8 + 1, 1000, DEFAULT_SIEVE_LIMIT,
+)
+
+
+@pytest.mark.parametrize("limit", TIER_LIMITS)
+def test_sieve_matches_its_definition_from_zero(limit):
+    # small q and k from 0: |x + d| runs through the sieving primes, the
+    # zone where striking p at x + d = +-p would be wrong
+    rng = random.Random(limit)
+    tasks = 0
+    while tasks < 5:
+        q_primes = rng.choice(((), (2,), (2, 3), (2, 3, 5), (3,), (5, 7)))
+        offsets = {rng.randrange(-80, 81) for _ in range(rng.randrange(1, 6))}
+        task = admissible_task(rng, q_primes, offsets, limit)
+        if task is None:
+            continue
+        tasks += 1
+        assert sieve_segment(task, 0, WINDOW) == brute_survivors(task, 0, WINDOW), task
+
+
+@pytest.mark.parametrize("limit", (DEFAULT_SIEVE_LIMIT, 1000))
+def test_sieve_matches_its_definition_on_a_long_window(limit):
+    # a long window sends the primes that are not pre-sieved to strided
+    # writes up to 2**15 / SCATTER_HITS = 1024
+    rng = random.Random(limit + 2)
+    task = admissible_task(rng, (2, 3), {0, 2, 6}, limit)
+    lo = rng.randrange(10**6, 10**7)
+    hi = lo + (1 << 15)
+    assert sieve_segment(task, lo, hi) == brute_survivors(task, lo, hi)
+
+
+@pytest.mark.parametrize("limit", (13, PRESIEVE_DENSITY * 6, 4296))
+def test_sieve_matches_its_definition_above_2_63(limit):
+    rng = random.Random(limit + 1)
+    big_q = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    # q above 2**63 (53# is about 3.3e19), offsets small
+    task = admissible_task(rng, big_q, {0, 2, 6, 8}, limit)
+    assert task.system.crt.modulus > 1 << 63
+    lo = rng.randrange(1 << 70)
+    assert sieve_segment(task, lo, lo + 300) == brute_survivors(task, lo, lo + 300)
+    # offsets above 2**63; k near where x + d = +-p for the negative one
+    huge = (1 << 64) + 14
+    task = admissible_task(rng, (2, 3), {0, huge, -huge}, limit)
+    q, t = task.system.crt.modulus, task.system.crt.residue
+    lo = max(0, (huge - limit - t) // q - 50)
+    hi = lo + 2 * limit // q + 100
+    assert sieve_segment(task, lo, hi) == brute_survivors(task, lo, hi)
+
+
+def test_sieve_strikes_a_zero_value():
+    # x = 7 gives the values 0 and 3: 3 is itself a sieving prime, but 0
+    # is a multiple of every sieving prime, so 7 must not survive
+    task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (-7, -4)), sieve_limit=50)
+    assert sieve_segment(task, 0, 100) == brute_survivors(task, 0, 100)
+    assert 7 not in sieve_segment(task, 0, 100)
+
+
+def test_tier_limits_reach_every_tier():
+    rng = random.Random(99)
+    task = admissible_task(rng, (2, 3), {0}, 1000)
+    plan = _SievePlan(task, WINDOW)
+    scatter_from = WINDOW // SCATTER_HITS
+    assert plan.patterns
+    assert plan.rest_p.min() < scatter_from < plan.rest_p.max()
+    assert _SievePlan(task, 32).patterns == []  # periods would be <= 4
+
+
+def test_sieve_segments_split_anywhere_agree():
+    rng = random.Random(2718)
+    for limit in (50, PRESIEVE_DENSITY * 6, 4296):
+        task = admissible_task(rng, (2, 3), {0, 2, 6, 12, 14}, limit)
+        whole = sieve_segment(task, 0, 3000)
+        cuts = sorted(rng.sample(range(1, 3000), 7))
+        pieces = []
+        for lo, hi in zip([0] + cuts, cuts + [3000]):
+            pieces += sieve_segment(task, lo, hi)
+        assert pieces == whole

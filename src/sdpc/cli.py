@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--reserve", type=int)
     p_run.add_argument("--budget", type=int)
     p_run.add_argument("--sieve-limit", dest="sieve_limit", type=int)
-    p_run.add_argument("--segment-size", dest="segment_size", type=int)
+    p_run.add_argument("--segment-size", dest="segment_size", type=int,
+                       help="largest sieve window; windows grow to it from a small first one")
     p_run.add_argument("--workers", type=int)
     p_run.add_argument("--pp-rounds", dest="pp_rounds", type=int)
     p_run.add_argument("--state", help="state file to resume from when it exists")
@@ -305,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--start", type=int, default=0)
     p_search.add_argument("--budget", type=int, default=10**8)
     p_search.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    p_search.add_argument("--segment-size", dest="segment_size", type=int, default=1 << 16)
+    p_search.add_argument("--segment-size", dest="segment_size", type=int, default=1 << 16,
+                          help="largest sieve window; windows grow to it from a small first one")
     p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--pp-rounds", dest="pp_rounds", type=int, default=24)
     p_search.add_argument("--exclude", help="comma separated x values to skip")

@@ -137,7 +137,8 @@ def compute_K(reserve: int, scan_limit: int = 8192) -> int:
 class Config:
     """Run parameters. Defaults give the reduced desk-scale engine.
 
-    A step's search sieves windows of segment_size candidates with the
+    A step's search sieves windows of candidates that start small
+    (sdpc.search.FIRST_WINDOW) and double up to segment_size, with the
     primes up to sieve_limit in three tiers (sdpc.search): periodic
     pre-sieve patterns for the small primes, one strided write per
     distinct class for the middle ones, and scattered hits for the large

@@ -8,9 +8,15 @@ from math import gcd, isqrt
 
 import numpy as np
 
-# Witness set that makes Miller-Rabin deterministic for every n below
-# 3.3 * 10**24, which covers the certified (64-bit) range with room to spare.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin base sets, each deterministic below its bound: the smallest
+# strong pseudoprime to all of its bases. Below 3215031751 the first four
+# prime bases suffice, below 341550071728321 the first seven (Jaeschke
+# 1993), and the first twelve cover 2**64 (Sorenson and Webster 2015).
+_MR_TIERS = (
+    (3_215_031_751, (2, 3, 5, 7)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+)
 
 CERTIFIED_LIMIT = 1 << 64
 
@@ -64,7 +70,10 @@ def is_prime_exact(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    return all(_strong_probable_prime(n, b) for b in _MR_BASES)
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            break
+    return all(_strong_probable_prime(n, b) for b in bases)
 
 
 def is_probable_prime(n: int, rounds: int = 24) -> bool:

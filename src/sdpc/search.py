@@ -8,10 +8,15 @@ tests through is_prime. The scan is strictly ordered by k, so the witness
 returned is the smallest member of the progression that works, whatever
 the segment size, sieve limit or number of worker threads.
 
+A search sieves windows of k that start at FIRST_WINDOW candidates and
+double until they reach segment_size, so a witness found early costs
+about its own depth rather than a whole segment. A window's survivors
+are kept as indices and become integers x only as they are certified,
+up to the witness.
+
 Prime p strikes k exactly when k = k0 (mod p), k0 = -(t + d) / q mod p,
 one class per offset. Each search builds one read-only plan of these
-classes, and every segment (window of k) reuses it. The plan has three
-tiers:
+classes, and every window reuses it. The plan has three tiers:
 
 1. Pre-sieve patterns. The primes whose classes cover at least
    1/PRESIEVE_DENSITY of all k are packed into groups whose product, the
@@ -32,6 +37,7 @@ sieving prime is re-decided exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,6 +51,9 @@ from .primes import CERTIFIED_LIMIT, is_prime_exact, is_probable_prime, primes_u
 
 # Chosen by a sweep over the construction's own step plans (CHANGES.md).
 DEFAULT_SIEVE_LIMIT = 400
+# A search's first window, from a sweep (CHANGES.md); later windows double
+# up to segment_size.
+FIRST_WINDOW = 1 << 11
 PRESIEVE_DENSITY = 32
 PATTERN_PERIOD = 1 << 17
 SCATTER_HITS = 32
@@ -146,8 +155,9 @@ def _hit_classes(task: ConstellationTask) -> tuple[np.ndarray, np.ndarray]:
     prime and offset, the class k0 mod p of the k where p | t + k*q + d."""
     q = task.system.crt.modulus
     t = task.system.crt.residue
-    limit = primes_up_to(task.sieve_limit)
-    primes = np.fromiter(limit, np.int64, len(limit))
+    # one cached table per power of two, cut at the limit
+    table = primes_up_to(1 << (task.sieve_limit - 1).bit_length())
+    primes = np.fromiter(table, np.int64, bisect_right(table, task.sieve_limit))
     q_mod = _residues(q, primes)
     keep = q_mod != 0
     primes = primes[keep]
@@ -236,24 +246,30 @@ class _SievePlan:
             if z_lo < z_hi:
                 self.zones.append((d, z_lo, z_hi))
 
-    def window(self, lo: int, hi: int) -> list[int]:
-        """Surviving x = t + k*q for k in [lo, hi), ascending."""
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Indices j, ascending, of the surviving x = t + (lo + j)*q for
+        k in [lo, hi). Kept relative to lo: k itself may not fit int64."""
         n = hi - lo
         if n <= 0:
-            return []
+            return np.empty(0, np.int64)
         alive = np.full(n, not self.patterns)
         for i, pattern in enumerate(self.patterns):
-            # the window as a head, whole periods, and a tail
             size = len(pattern)
             s = lo % size
-            head = min(size - s, n)
-            whole = (n - head) // size
-            tail = n - head - whole * size
-            for view, part in (
-                (alive[:head], pattern[s : s + head]),
-                (alive[head : head + whole * size].reshape(whole, size), pattern),
-                (alive[n - tail :], pattern[:tail]),
-            ):
+            if s + n <= size:
+                # within one period, as a search's first windows often are
+                parts = ((alive, pattern[s : s + n]),)
+            else:
+                # the window as a head, whole periods, and a tail
+                head = size - s
+                whole = (n - head) // size
+                tail = n - head - whole * size
+                parts = (
+                    (alive[:head], pattern[s:]),
+                    (alive[head : head + whole * size].reshape(whole, size), pattern),
+                    (alive[n - tail :], pattern[:tail]),
+                )
+            for view, part in parts:
                 if i:
                     view &= part
                 else:
@@ -267,7 +283,7 @@ class _SievePlan:
                 alive[f::p] = False
             _scatter(alive, first[split:], self.rest_p[split:])
         self._forgive(alive, lo, hi)
-        return [self.t + (lo + k) * self.q for k in np.flatnonzero(alive).tolist()]
+        return np.flatnonzero(alive)
 
     def _forgive(self, alive: np.ndarray, lo: int, hi: int) -> None:
         """Re-decide, exactly, struck k in [lo, hi) where some |x + d| is
@@ -305,7 +321,8 @@ def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
     """
     if lo < 0 or hi < lo:
         raise ValueError("bad segment bounds")
-    return _SievePlan(task, hi - lo).window(lo, hi)
+    plan = _SievePlan(task, hi - lo)
+    return [plan.t + (lo + j) * plan.q for j in plan.window(lo, hi).tolist()]
 
 
 def _witness_ok(task: ConstellationTask, x: int, rounds: int) -> bool:
@@ -326,11 +343,12 @@ def search_with_count(
 ) -> tuple[int | None, int]:
     """Core scan. Returns (witness, candidates examined) or (None, budget).
 
-    The candidate count is the number of progression members considered,
-    counted before sieving, so exhaustion means exactly `budget` of them
-    were covered. Workers only parallelize segment sieving; results are
-    consumed strictly in segment order, keeping the answer bit-identical
-    to a single-threaded scan.
+    Windows of k start at FIRST_WINDOW candidates and double until they
+    reach segment_size, the largest window. The candidate count is the
+    number of progression members considered, counted before sieving, so
+    exhaustion means exactly `budget` of them were covered. Workers only
+    parallelize window sieving; results are consumed strictly in window
+    order, keeping the answer bit-identical to a single-threaded scan.
     """
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
@@ -343,8 +361,9 @@ def search_with_count(
     k_end = k_start + task.budget
     plan = _SievePlan(task, min(segment_size, task.budget))
 
-    def finish(survivors: list[int]) -> int | None:
-        for x in survivors:
+    def finish(lo: int, survivors: np.ndarray) -> int | None:
+        for j in survivors.tolist():
+            x = t + (lo + j) * q
             if x in task.exclusions:
                 continue
             if _witness_ok(task, x, rounds):
@@ -352,15 +371,15 @@ def search_with_count(
         return None
 
     def windows():
-        lo = k_start
+        lo, size = k_start, min(FIRST_WINDOW, segment_size)
         while lo < k_end:
-            hi = min(lo + segment_size, k_end)
+            hi = min(lo + size, k_end)
             yield lo, hi
-            lo = hi
+            lo, size = hi, min(2 * size, segment_size)
 
     if workers <= 1:
         for lo, hi in windows():
-            x = finish(plan.window(lo, hi))
+            x = finish(lo, plan.window(lo, hi))
             if x is not None:
                 return x, (x - t) // q - k_start + 1
         return None, task.budget
@@ -376,10 +395,11 @@ def search_with_count(
                 except StopIteration:
                     exhausted_gen = True
                     break
-                pending.append(pool.submit(plan.window, lo, hi))
+                pending.append((lo, pool.submit(plan.window, lo, hi)))
             if not pending:
                 return None, task.budget
-            x = finish(pending.popleft().result())
+            lo, future = pending.popleft()
+            x = finish(lo, future.result())
             if x is not None:
                 return x, (x - t) // q - k_start + 1
 

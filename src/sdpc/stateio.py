@@ -11,7 +11,8 @@ file, which lets callers fingerprint states by content.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .construction import Config, ConstructionState
@@ -55,39 +56,96 @@ def state_to_doc(state: ConstructionState) -> dict:
     }
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _get(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    return obj[key]
+
+
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r:.40}")
+    return value
+
+
+def _decimal(value, what: str) -> int:
+    if not isinstance(value, str) or not _DECIMAL.fullmatch(value):
+        raise ValueError(f"{what} must be a decimal string, not {value!r:.40}")
+    return int(value)
+
+
+def _items(obj, key: str, where: str, parse) -> list:
+    """obj[key], which must be a list, with every item parsed."""
+    value, what = _get(obj, key, where), f"{where} {key}"
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, not {value!r:.40}")
+    return [parse(item, what) for item in value]
+
+
+def _config(doc) -> Config:
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    # every field is an integer but mode, a string; None only where it
+    # is the default
+    defaults = {f.name: f.default for f in fields(Config)}
+    for key, value in doc.items():
+        if key not in defaults:
+            raise ValueError(f"config has an unknown field {key!r}")
+        if isinstance(defaults[key], str):
+            if not isinstance(value, str):
+                raise ValueError(f"config {key} must be a string, not {value!r:.40}")
+        elif value is not None or defaults[key] is not None:
+            _int(value, f"config {key}")
+    return Config(**doc)
+
+
+def _pair(entry, what: str) -> PrimeCompatiblePair:
+    p = _int(_get(entry, "p", what), f"{what} p")
+    where = f"pair mod {p}"
+    assigned = _get(entry, "assigned", where)
+    if not isinstance(assigned, dict) or not assigned.keys() <= _KEY_SIGN.keys():
+        raise ValueError(f"{where} assigned must map '+' or '-' to a residue")
+    return PrimeCompatiblePair(
+        p=p,
+        u=ResidueSet.from_members(p, _items(entry, "u", where, _int)),
+        v=ResidueSet.from_members(p, _items(entry, "v", where, _int)),
+        reserved=tuple(_items(entry, "reserved", where, _int)),
+        assigned=tuple(
+            (_KEY_SIGN[k], _int(w, f"{where} assigned")) for k, w in sorted(assigned.items())
+        ),
+    )
+
+
+def _ledger_row(row, what: str) -> tuple[int, int, int]:
+    r, a, b = (_decimal(_get(row, key, what), f"{what} {key}") for key in "rab")
+    if a - b != r:
+        raise ValueError(f"ledger row for {r} names a witness with difference {a - b}")
+    return r, a, b
+
+
 def doc_to_state(doc: dict) -> ConstructionState:
+    """The state a document describes. Raises ValueError for a document
+    with a missing key or a value of the wrong type, never coercing."""
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
     if doc.get("schema") != STATE_SCHEMA:
         raise ValueError(f"unsupported state schema {doc.get('schema')!r}")
     if doc.get("version") != STATE_VERSION:
         raise ValueError(f"unsupported state version {doc.get('version')!r}")
-    pairs = {}
-    for entry in doc["pairs"]:
-        p = entry["p"]
-        pairs[p] = PrimeCompatiblePair(
-            p=p,
-            u=ResidueSet.from_members(p, entry["u"]),
-            v=ResidueSet.from_members(p, entry["v"]),
-            reserved=tuple(entry["reserved"]),
-            assigned=tuple(
-                (_KEY_SIGN[k], w) for k, w in sorted(entry["assigned"].items())
-            ),
-        )
-    represented = {}
-    for row in doc["represented"]:
-        r, a, b = int(row["r"]), int(row["a"]), int(row["b"])
-        if a - b != r:
-            raise ValueError(f"ledger row for {r} names a witness with difference {a - b}")
-        represented[r] = (a, b)
+    rows = _items(doc, "represented", "state", _ledger_row)
     return ConstructionState(
-        n=doc["n"],
-        a=tuple(int(v) for v in doc["a"]),
-        b=tuple(int(v) for v in doc["b"]),
-        pairs=pairs,
-        represented=represented,
-        config=Config(**doc["config"]),
-        rng_draws=doc["rng_draws"],
+        n=_int(_get(doc, "n", "state"), "state n"),
+        a=tuple(_items(doc, "a", "state", _decimal)),
+        b=tuple(_items(doc, "b", "state", _decimal)),
+        pairs={pair.p: pair for pair in _items(doc, "pairs", "state", _pair)},
+        represented={r: (a, b) for r, a, b in rows},
+        config=_config(_get(doc, "config", "state")),
+        rng_draws=_int(_get(doc, "rng_draws", "state"), "state rng_draws"),
     )
 
 

@@ -138,6 +138,27 @@ def test_verify_detects_a_doctored_state(tmp_path, capsys):
     assert "check representation-ledger: FAIL" in out
 
 
+@pytest.mark.parametrize("damage", ("drop pairs", "string n", "fractional element"))
+def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage):
+    state = tmp_path / "state.json"
+    assert main(["run", "--target", "3", "--p-limit", "5", "--state", str(state)]) == 0
+    capsys.readouterr()
+
+    doc = json.loads(state.read_text())
+    if damage == "drop pairs":
+        del doc["pairs"]
+    elif damage == "string n":
+        doc["n"] = "4"
+    else:
+        doc["a"][1] = 11.5
+    state.write_text(json.dumps(doc))
+
+    code = main(["verify", "--state", str(state)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_search_subcommand(tmp_path, capsys):
     code = main([
         "search", "--q", "30", "--t", "25",

@@ -1,6 +1,7 @@
 """Primality and factorization layer, cross-checked against sympy."""
 
 import random
+from math import isqrt
 
 import pytest
 import sympy
@@ -51,6 +52,32 @@ def test_exact_primality_on_adversarial_values():
     assert not is_prime_exact(1)
     near_boundary = CERTIFIED_LIMIT - 59  # = 2**64 - 59, a known prime
     assert is_prime_exact(near_boundary) == sympy.isprime(near_boundary)
+
+
+# Strong pseudoprimes to every base of a smaller set: the first two are the
+# bounds of the 4- and 7-base tiers, and the third passes every prime base
+# below 37, so only the last base of the 12-base tier rejects it.
+TIER_PSEUDOPRIMES = (3215031751, 341550071728321, 3825123056546413051)
+
+
+@pytest.mark.parametrize("n", TIER_PSEUDOPRIMES)
+def test_strong_pseudoprime_at_each_tier_threshold_is_composite(n):
+    assert not sympy.isprime(n)
+    assert not is_prime_exact(n)
+
+
+def test_exact_primality_agrees_with_sympy_around_tier_thresholds():
+    # on each side of each threshold: random values, the next prime after
+    # each, and semiprimes without small factors, where Miller-Rabin decides
+    rng = random.Random(1993)
+    for threshold in TIER_PSEUDOPRIMES[:2] + (CERTIFIED_LIMIT,):
+        for side in (-1, 1):
+            for _ in range(40):
+                n = threshold + side * rng.randrange(1, 10**9)
+                p = sympy.nextprime(isqrt(n) - rng.randrange(10**4))
+                for m in (n, sympy.nextprime(n), p * sympy.nextprime(p)):
+                    if m < CERTIFIED_LIMIT:
+                        assert is_prime_exact(m) == sympy.isprime(m), m
 
 
 def test_probable_prime_above_certified_range():

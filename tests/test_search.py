@@ -14,6 +14,7 @@ from sdpc.modular import CrtClass
 from sdpc.primes import primes_up_to
 from sdpc.search import (
     DEFAULT_SIEVE_LIMIT,
+    FIRST_WINDOW,
     PRESIEVE_DENSITY,
     SCATTER_HITS,
     ConstellationTask,
@@ -224,6 +225,101 @@ def test_task_validation():
 
 
 # ---------------------------------------------------------------------------
+# growing windows
+# ---------------------------------------------------------------------------
+
+# Prime quintuplets x, x+2, x+6, x+8, x+12 in the class 0 mod 1, so k = x:
+# 55331 and 144161 are consecutive ones (checked below), so a search from
+# 144161 - (depth - 1) finds 144161 at exactly that depth, for any depth up
+# to 88830.
+QUINTUPLET = TupleSystem(CrtClass(1, 0, ()), (0, 2, 6, 8, 12))
+DEEP_WITNESS, PREVIOUS_WITNESS = 144161, 55331
+LARGEST = 1 << 16
+
+
+def window_ends(segment_size):
+    """Depths at which the windows of a search grow, while they grow."""
+    ends, end, size = [], 0, min(FIRST_WINDOW, segment_size)
+    while size < segment_size:
+        end += size
+        ends.append(end)
+        size *= 2
+    return ends
+
+
+def quintuplet_task(depth, budget=10**6):
+    return ConstellationTask(QUINTUPLET, start=DEEP_WITNESS - (depth - 1), budget=budget)
+
+
+def test_quintuplet_witnesses_are_consecutive():
+    primes = set(primes_up_to(DEEP_WITNESS + 12))
+    found = [
+        x for x in range(PREVIOUS_WITNESS, DEEP_WITNESS + 1)
+        if all(x + d in primes for d in QUINTUPLET.offsets)
+    ]
+    assert found == [PREVIOUS_WITNESS, DEEP_WITNESS]
+    assert window_ends(LARGEST)[-1] < DEEP_WITNESS - PREVIOUS_WITNESS
+
+
+@pytest.mark.parametrize(
+    "segment_size", (1, 3, FIRST_WINDOW - 1, FIRST_WINDOW, FIRST_WINDOW + 1, LARGEST)
+)
+def test_witness_and_depth_do_not_depend_on_the_window_schedule(segment_size):
+    # witnesses just before, on and just after each end of a growing window;
+    # windows of 1 or 3 never grow, so they get the first end only
+    ends = window_ends(LARGEST)[: 1 if segment_size < 4 else None]
+    for depth in sorted({1} | {e + i for e in ends for i in (-1, 0, 1)}):
+        got = search_with_count(quintuplet_task(depth), segment_size)
+        assert got == (DEEP_WITNESS, depth), (segment_size, depth)
+
+
+def test_threads_agree_across_the_growth_phase():
+    for depth in [2] + [e + i for e in window_ends(LARGEST) for i in (0, 1)]:
+        task = quintuplet_task(depth)
+        single = search_with_count(task, LARGEST, workers=1)
+        assert search_with_count(task, LARGEST, workers=7) == single == (DEEP_WITNESS, depth)
+
+
+def record_windows(monkeypatch):
+    windows = []
+    sieve = _SievePlan.window
+
+    def window(plan, lo, hi):
+        windows.append((lo, hi))
+        return sieve(plan, lo, hi)
+
+    monkeypatch.setattr(_SievePlan, "window", window)
+    return windows
+
+
+def test_exhaustion_mid_growth_covers_exactly_the_budget(monkeypatch):
+    windows = record_windows(monkeypatch)
+    budget = 5000
+    task = ConstellationTask(QUINTUPLET, start=PREVIOUS_WITNESS + 1, budget=budget)
+    assert search_with_count(task, LARGEST) == (None, budget)
+    ends = [hi for _, hi in windows]
+    assert [lo for lo, _ in windows] == [task.start] + ends[:-1]
+    assert ends[-1] - task.start == budget
+    assert ends[:-1] == [task.start + e for e in window_ends(LARGEST) if e < budget]
+    # past its growth a search keeps to windows of segment_size
+    windows.clear()
+    assert search_with_count(task, FIRST_WINDOW + 1) == (None, budget)
+    sizes = [hi - lo for lo, hi in windows]
+    assert sum(sizes) == budget and sizes[:2] == [FIRST_WINDOW, FIRST_WINDOW + 1]
+    assert max(sizes) == FIRST_WINDOW + 1
+
+
+def test_a_shallow_witness_sieves_one_first_window(monkeypatch):
+    # the witness is 100 candidates in: neither the standalone default
+    # segment nor the construction's 2**20 may be sieved whole
+    windows = record_windows(monkeypatch)
+    for segment_size in (LARGEST, 1 << 20):
+        windows.clear()
+        assert search_with_count(quintuplet_task(100), segment_size) == (DEEP_WITNESS, 100)
+        assert sum(hi - lo for lo, hi in windows) <= FIRST_WINDOW
+
+
+# ---------------------------------------------------------------------------
 # the sieve against its definition
 # ---------------------------------------------------------------------------
 
@@ -335,6 +431,26 @@ def test_tier_limits_reach_every_tier():
     assert plan.patterns
     assert plan.rest_p.min() < scatter_from < plan.rest_p.max()
     assert _SievePlan(task, 32).patterns == []  # periods would be <= 4
+
+
+def test_windows_of_a_long_plan_match_the_definition():
+    # a search's first windows are shorter than its plan's pattern periods:
+    # they lie inside one period, or straddle the end of one
+    rng = random.Random(1618)
+    for limit in (PRESIEVE_DENSITY * 6, 1000):
+        task = admissible_task(rng, (2, 3), {0, 2, 6, 12, 14}, limit)
+        plan = _SievePlan(task, 1 << 16)
+        q, t = task.system.crt.modulus, task.system.crt.residue
+        period = max(len(pattern) for pattern in plan.patterns)
+        assert period > 1000
+        for _ in range(6):
+            lo = rng.randrange(3 * period)
+            hi = lo + rng.choice((1, 37, 1000))
+            got = [t + (lo + j) * q for j in plan.window(lo, hi).tolist()]
+            assert got == brute_survivors(task, lo, hi), (limit, lo, hi)
+        for lo in (2 * period - 10, 2 * period - 9):  # ends on, one past a period
+            got = [t + (lo + j) * q for j in plan.window(lo, lo + 10).tolist()]
+            assert got == brute_survivors(task, lo, lo + 10)
 
 
 def test_sieve_segments_split_anywhere_agree():

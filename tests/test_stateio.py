@@ -97,3 +97,57 @@ def test_file_roundtrip(tmp_path):
     back = load_state(path)
     assert dumps_state(back) == path.read_text(encoding="utf-8")
     assert verify(back).ok
+
+
+# ---------------------------------------------------------------------------
+# the loader refuses malformed documents with ValueError
+# ---------------------------------------------------------------------------
+
+def test_missing_key_is_a_value_error():
+    doc = state_to_doc(small_state())
+    del doc["pairs"]
+    with pytest.raises(ValueError, match="pairs"):
+        doc_to_state(doc)
+
+
+def test_string_step_count_is_a_value_error():
+    doc = state_to_doc(small_state())
+    doc["n"] = "4"
+    with pytest.raises(ValueError, match="n must be an integer"):
+        doc_to_state(doc)
+
+
+def test_fractional_element_is_not_truncated():
+    doc = state_to_doc(small_state())
+    doc["a"][1] = 11.5
+    with pytest.raises(ValueError, match="decimal string"):
+        doc_to_state(doc)
+
+
+def _paths(value, path=()):
+    """Every (container path, key) below a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield path, key
+        if isinstance(item, (dict, list)):
+            yield from _paths(item, path + (key,))
+
+
+def test_every_key_missing_or_retyped_is_a_value_error():
+    # each field of a valid document dropped, or swapped for a value of
+    # another JSON type, either still loads or raises ValueError
+    base = state_to_doc(small_state())
+    for path, key in _paths(base):
+        for replacement in (None, 1.5, True, "4", "x", -3, [], {}, [1.5], ...):
+            doc = json.loads(json.dumps(base))
+            parent = doc
+            for step in path:
+                parent = parent[step]
+            if replacement is ...:
+                parent.pop(key) if isinstance(parent, dict) else parent.pop()
+            else:
+                parent[key] = replacement
+            try:
+                doc_to_state(doc)
+            except ValueError:
+                pass

@@ -44,6 +44,7 @@ from .search import (
     DEFAULT_SIEVE_LIMIT,
     ConstellationTask,
     PrimalityStatus,
+    check_sieve_limit,
     is_prime,
     search_with_count,
 )
@@ -171,8 +172,9 @@ class Config:
             raise ValueError("reduced mode requires p_limit >= 5")
         if self.reserve_count not in (0, 1, 2):
             raise ValueError("reserve_count must be 0, 1 or 2")
-        if min(self.budget, self.sieve_limit, self.segment_size) < 1:
+        if min(self.budget, self.segment_size) < 1:
             raise ValueError("budgets must be positive")
+        check_sieve_limit(self.sieve_limit)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 

@@ -29,6 +29,17 @@ classes, and every window reuses it. The plan has three tiers:
 3. Large primes, those hitting a window fewer than SCATTER_HITS times:
    their hit positions are computed as arrays and struck in scatters.
 
+Set-up costs a few NumPy passes per (prime, offset) entry. q is inverted
+mod every sieving prime from q's prime factors: for a factor r < 2**31,
+r**-1 = (1 + p*j) / r mod p with j = -p**-1 mod r, which is Fermat in r
+with one scalar exponent, r - 2, for all p at once; what is left of q
+(factors from 2**31 up, or a q too large to factor) is inverted prime by
+prime. Then k0 = (t mod p + d) * -q**-1 mod p for all offsets in one
+pass. Offsets d and d' share a class mod p only when p | d - d', so only
+the primes up to the offsets' spread are sorted and merged, and only those
+up to min(pattern period, PRESIEVE_DENSITY * offsets) can be pre-sieved;
+every later prime goes to tiers 2 and 3 with one entry per offset.
+
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
 afterwards, in those windows only, every struck k with some |x + d| a
@@ -37,7 +48,6 @@ sieving prime is re-decided exactly.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,7 +56,7 @@ from enum import Enum
 import numpy as np
 
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
-from .primes import CERTIFIED_LIMIT, is_prime_exact, is_probable_prime, primes_up_to
+from .primes import CERTIFIED_LIMIT, is_prime_exact, is_probable_prime, prime_factors, primes_up_to
 
 
 # Chosen by a sweep over the construction's own step plans (CHANGES.md).
@@ -98,6 +108,13 @@ def is_prime(n: int, rounds: int = 24) -> PrimalityVerdict:
     return PrimalityVerdict(n, PrimalityStatus.COMPOSITE)
 
 
+def check_sieve_limit(limit: int) -> None:
+    """Refuse a sieve limit below 2, which sieves nothing, or from 2**31
+    on, where the sieve's int64 products would overflow."""
+    if not 2 <= limit < 1 << 31:
+        raise ValueError("sieve_limit must be at least 2 and below 2**31")
+
+
 @dataclass(frozen=True)
 class ConstellationTask:
     """What to search: the system, where to start, and the budgets."""
@@ -113,8 +130,7 @@ class ConstellationTask:
             raise ValueError("start must be nonnegative")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        if not 2 <= self.sieve_limit < 1 << 31:
-            raise ValueError("sieve_limit must be at least 2 and below 2**31")
+        check_sieve_limit(self.sieve_limit)
         object.__setattr__(self, "exclusions", frozenset(self.exclusions))
 
 
@@ -139,32 +155,71 @@ def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
     return -r % moduli if n < 0 else r
 
 
-def _inverses(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """a**-1 mod p for every prime p not dividing a, by Fermat: a**(p-2)."""
-    result = np.ones_like(a)
-    e = primes - 2
-    while e.any():
-        result = np.where(e & 1, result * a % primes, result)
-        a = a * a % primes
-        e >>= 1
-    return result
+def _q_inverses(q: int, factors: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
+    """q**-1 mod p for every prime p < 2**31 not dividing q.
+
+    Per prime factor r < 2**31 of q: with j = p**-1 mod r, 1 + p*(r - j)
+    is a multiple of r, and r**-1 = (1 + p*(r - j)) / r mod p, a quotient
+    below p. j is Fermat in r, (p mod r)**(r - 2), one scalar exponent for
+    all p. The rest of q (factors from 2**31 up, or a q too large to
+    factor) is inverted prime by prime.
+    """
+    inv = np.ones_like(primes)
+    for r in factors:
+        if r >= 1 << 31:
+            continue
+        q //= r
+        # left to right over the exponent's bits
+        j = 1
+        if r > 2:
+            a = j = primes % r
+            for bit in bin(r - 2)[3:]:
+                j = j * j % r
+                if bit == "1":
+                    j = j * a % r
+        inv = inv * ((1 + primes * (r - j)) // r) % primes
+    if q > 1:
+        rest = zip(_residues(q, primes).tolist(), primes.tolist())
+        inv = inv * np.array([pow(a, -1, p) for a, p in rest], np.int64) % primes
+    return inv
+
+
+# bound -> (primes_up_to(bound), the same primes as an int64 array)
+_PRIME_ARRAYS: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+
+
+def _prime_array(bound: int) -> np.ndarray:
+    """primes_up_to(bound) as an array, converted once per table."""
+    table = primes_up_to(bound)
+    cached = _PRIME_ARRAYS.get(bound)
+    if cached is None or cached[0] is not table:
+        cached = _PRIME_ARRAYS[bound] = (table, np.array(table, np.int64))
+    return cached[1]
 
 
 def _hit_classes(task: ConstellationTask) -> tuple[np.ndarray, np.ndarray]:
     """The sieving primes (p <= sieve_limit, p not dividing q) and, per
-    prime and offset, the class k0 mod p of the k where p | t + k*q + d."""
-    q = task.system.crt.modulus
-    t = task.system.crt.residue
+    offset and prime, the class k0 mod p of the k where p | t + k*q + d:
+    one row per offset."""
+    crt = task.system.crt
+    q, offsets = crt.modulus, task.system.offsets
     # one cached table per power of two, cut at the limit
-    table = primes_up_to(1 << (task.sieve_limit - 1).bit_length())
-    primes = np.fromiter(table, np.int64, bisect_right(table, task.sieve_limit))
-    q_mod = _residues(q, primes)
-    keep = q_mod != 0
-    primes = primes[keep]
-    q_inv = _inverses(q_mod[keep], primes)
-    k0 = np.empty((len(primes), len(task.system.offsets)), np.int64)
-    for i, d in enumerate(task.system.offsets):
-        k0[:, i] = -_residues(t + d, primes) % primes * q_inv % primes
+    primes = _prime_array(1 << (task.sieve_limit - 1).bit_length())
+    primes = primes[: np.searchsorted(primes, task.sieve_limit, "right")]
+    primes = primes[_residues(q, primes) != 0]
+    factors = crt.primes
+    if factors is None:
+        factors = prime_factors(q) if q < CERTIFIED_LIMIT else ()
+    neg_inv = primes - _q_inverses(q, factors, primes)
+    # k0 = (t + d) * -q**-1 mod p. Below 2**31 an offset joins t mod p as
+    # it is; |t mod p + d| < 2**32 keeps the products in int64.
+    small = [d if abs(d) < 1 << 31 else 0 for d in offsets]
+    k0 = np.array(small, np.int64)[:, None] + _residues(crt.residue, primes)
+    for i, d in enumerate(offsets):
+        if d != small[i]:
+            k0[i] += _residues(d, primes)
+    k0 *= neg_inv
+    k0 %= primes
     return primes, k0
 
 
@@ -172,7 +227,7 @@ def _sieve_entries(task: ConstellationTask) -> np.ndarray:
     """(p, k0) rows, one per sieving prime and offset, in that order;
     perfbench checks its entry count against these."""
     primes, k0 = _hit_classes(task)
-    return np.column_stack([np.repeat(primes, k0.shape[1]), k0.ravel()])
+    return np.column_stack([np.repeat(primes, len(k0)), k0.T.ravel()])
 
 
 def _patterns(ps: np.ndarray, ks: np.ndarray, period: int) -> list[np.ndarray]:
@@ -221,21 +276,32 @@ class _SievePlan:
         self.t = task.system.crt.residue
         self.offsets = task.system.offsets
         self.primes, k0 = _hit_classes(task)
-        # one entry per distinct (p, k0): offsets that coincide mod p merge
-        k0 = np.sort(k0, axis=1)
-        distinct = np.ones(k0.shape, bool)
-        distinct[:, 1:] = k0[:, 1:] != k0[:, :-1]
-        ps = np.broadcast_to(self.primes[:, None], k0.shape)
+        m = len(self.offsets)
         # pre-sieved: primes striking at least 1/PRESIEVE_DENSITY of all k,
         # in periods short enough for a window of `span` to repeat 8 times
         period = min(PATTERN_PERIOD, span // 8)
-        dense = distinct.sum(axis=1) * PRESIEVE_DENSITY >= self.primes
-        dense &= self.primes <= period
+        # One entry per distinct (p, k0). Only the head of primes can have
+        # coinciding classes (p up to the offsets' spread) or be pre-sieved
+        # (p up to min(period, m * PRESIEVE_DENSITY)); every later prime
+        # has m distinct classes and goes to the other tiers as it is.
+        spread = max(self.offsets, default=0) - min(self.offsets, default=0)
+        bound = min(max(spread, min(period, m * PRESIEVE_DENSITY)), 1 << 62)
+        head = int(np.searchsorted(self.primes, bound, "right"))
+        head_k0 = np.sort(k0[:, :head].T, axis=1)
+        distinct = np.ones(head_k0.shape, bool)
+        distinct[:, 1:] = head_k0[:, 1:] != head_k0[:, :-1]
+        head_p = self.primes[:head]
+        dense = distinct.sum(axis=1) * PRESIEVE_DENSITY >= head_p
+        dense &= head_p <= period
+        head_p = np.broadcast_to(head_p[:, None], head_k0.shape)
         pick = distinct & dense[:, None]
-        self.patterns = _patterns(ps[pick], k0[pick], period)
+        self.patterns = _patterns(head_p[pick], head_k0[pick], period)
+        # the other tiers' entries, ascending in p, and their count per prime
         pick = distinct & ~dense[:, None]
-        self.rest_p, self.rest_k0 = ps[pick], k0[pick]
-        self.rest_primes = self.rest_p.tolist()
+        self.rest_count = np.full(len(self.primes), m)
+        self.rest_count[:head] = pick.sum(axis=1)
+        self.rest_p = np.repeat(self.primes, self.rest_count)
+        self.rest_k0 = np.concatenate((head_k0[pick], k0[:, head:].T.ravel()))
         # k-ranges where some |x + d| <= sieve_limit, the only place
         # a value can equal a sieving prime
         limit = task.sieve_limit
@@ -274,12 +340,14 @@ class _SievePlan:
                     view &= part
                 else:
                     view[...] = part
-        if self.rest_primes:
-            first = (self.rest_k0 - _residues(lo, self.rest_p)) % self.rest_p
+        if len(self.rest_p):
+            # lo mod p once per prime, then per entry k0 - lo in [0, p)
+            first = self.rest_k0 - np.repeat(_residues(lo, self.primes), self.rest_count)
+            first += self.rest_p * (first < 0)
             # a prime hitting the window SCATTER_HITS times or more gets
             # a strided write, the rest are gathered into scatters
             split = int(np.searchsorted(self.rest_p, -(-n // SCATTER_HITS)))
-            for f, p in zip(first[:split].tolist(), self.rest_primes[:split]):
+            for f, p in zip(first[:split].tolist(), self.rest_p[:split].tolist()):
                 alive[f::p] = False
             _scatter(alive, first[split:], self.rest_p[split:])
         self._forgive(alive, lo, hi)

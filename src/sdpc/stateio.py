@@ -11,6 +11,7 @@ file, which lets callers fingerprint states by content.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -56,7 +57,8 @@ def state_to_doc(state: ConstructionState) -> dict:
     }
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
+# canonical decimals only, so a load-then-save round trip is byte-identical
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _get(obj, key: str, where: str):
@@ -158,7 +160,19 @@ def loads_state(text: str) -> ConstructionState:
 
 
 def save_state(state: ConstructionState, path: str | Path) -> None:
-    Path(path).write_text(dumps_state(state), encoding="utf-8")
+    """Write the state to path atomically: a temporary file next to it is
+    written in full, then renamed over it, so a failed save leaves the
+    previous file as it was. (Not fsynced: atomic against a failing
+    process, not against a power cut.)"""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write(dumps_state(state))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_state(path: str | Path) -> ConstructionState:

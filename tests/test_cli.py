@@ -138,7 +138,9 @@ def test_verify_detects_a_doctored_state(tmp_path, capsys):
     assert "check representation-ledger: FAIL" in out
 
 
-@pytest.mark.parametrize("damage", ("drop pairs", "string n", "fractional element"))
+@pytest.mark.parametrize("damage", (
+    "drop pairs", "string n", "fractional element", "sieve limit 1", "sieve limit 2**31",
+))
 def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage):
     state = tmp_path / "state.json"
     assert main(["run", "--target", "3", "--p-limit", "5", "--state", str(state)]) == 0
@@ -149,6 +151,10 @@ def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage
         del doc["pairs"]
     elif damage == "string n":
         doc["n"] = "4"
+    elif damage.startswith("sieve limit"):
+        # a limit the sieve refuses must be refused at load, not at the
+        # first search of a later run
+        doc["config"]["sieve_limit"] = 1 if damage.endswith(" 1") else 1 << 31
     else:
         doc["a"][1] = 11.5
     state.write_text(json.dumps(doc))

@@ -106,6 +106,11 @@ def test_config_validation():
         Config(budget=0)
     with pytest.raises(ValueError):
         Config(workers=0)
+    # the sieve's own rule, as ConstellationTask applies it
+    for limit in (0, 1, 1 << 31):
+        with pytest.raises(ValueError, match="sieve_limit"):
+            Config(sieve_limit=limit)
+    Config(sieve_limit=2)
 
 
 def test_config_normalized_fills_k():

@@ -5,8 +5,10 @@ trial-divides every shifted value; the production path must return the
 same witness or the same exhaustion.
 """
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from sdpc.admissible import InadmissibleSystemError, TupleSystem
@@ -15,11 +17,13 @@ from sdpc.primes import primes_up_to
 from sdpc.search import (
     DEFAULT_SIEVE_LIMIT,
     FIRST_WINDOW,
+    PATTERN_PERIOD,
     PRESIEVE_DENSITY,
     SCATTER_HITS,
     ConstellationTask,
     PrimalityStatus,
     SearchExhausted,
+    _hit_classes,
     _SievePlan,
     is_prime,
     next_constellation,
@@ -222,6 +226,9 @@ def test_task_validation():
         ConstellationTask(system, budget=0)
     with pytest.raises(ValueError):
         ConstellationTask(system, sieve_limit=1)
+    with pytest.raises(ValueError):
+        ConstellationTask(system, sieve_limit=1 << 31)
+    ConstellationTask(system, sieve_limit=(1 << 31) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -463,3 +470,100 @@ def test_sieve_segments_split_anywhere_agree():
         for lo, hi in zip([0] + cuts, cuts + [3000]):
             pieces += sieve_segment(task, lo, hi)
         assert pieces == whole
+
+
+# ---------------------------------------------------------------------------
+# the classes a plan sieves with, against brute force
+# ---------------------------------------------------------------------------
+
+# primes just below and just above 2**31, one far above, and an offset
+# beyond int64
+BELOW_2_31, ABOVE_2_31, M61 = (1 << 31) - 1, 2_147_483_659, (1 << 61) - 1
+HUGE = (1 << 64) + 14
+# 2 * 3 * ... * 53, above 2**64: too large to factor without its primes
+PRIMORIAL_53 = math.prod(primes_up_to(53))
+
+# (the factors q carries, or None to leave them to the sieve; q; offsets)
+CLASS_CASES = (
+    ((), 1, (0, 2, 6)),
+    ((2,), 2, (-7, 1, 13)),
+    ((2, 3, 5, 7), 210, (-60, 0, 30, 150, 210)),  # coincide mod 2, 3, 5, 7
+    ((3, BELOW_2_31), 3 * BELOW_2_31, (1, 5, 11)),
+    ((2, ABOVE_2_31), 2 * ABOVE_2_31, (1, 3, 7)),
+    ((5, BELOW_2_31, ABOVE_2_31), 5 * BELOW_2_31 * ABOVE_2_31, (0, 4)),
+    ((3, M61), 3 * M61, (2, 8)),
+    (None, 6 * BELOW_2_31, (1, 7, 13)),
+    (None, 2 * M61, (1, 3)),
+    (None, 30 * ABOVE_2_31, (-1, 1)),
+    (None, PRIMORIAL_53, (0, 2)),
+    ((2, 3), 6, (1, HUGE, -HUGE, -(1 << 63), (1 << 63) - 1)),
+)
+
+
+@pytest.mark.parametrize("limit", (2, 50, 1000))
+@pytest.mark.parametrize("factors, q, offsets", CLASS_CASES)
+def test_hit_classes_match_brute_force(factors, q, offsets, limit):
+    rng = random.Random(q + limit)
+    t = rng.randrange(q)
+    task = ConstellationTask(TupleSystem(CrtClass(q, t, factors), offsets), sieve_limit=limit)
+    primes, k0 = _hit_classes(task)
+    assert primes.tolist() == [p for p in primes_up_to(limit) if q % p]
+    assert k0.shape == (len(offsets), len(primes))
+    for d, row in zip(offsets, k0.tolist()):
+        for p, k in zip(primes.tolist(), row):
+            assert 0 <= k < p and (t + k * q + d) % p == 0, (p, d, k)
+
+
+def naive_entries(task):
+    """Every distinct (p, k0) of the plan, by trying each k0 below p."""
+    q, t = task.system.crt.modulus, task.system.crt.residue
+    return {
+        (p, k)
+        for p in primes_up_to(task.sieve_limit)
+        if q % p
+        for d in task.system.offsets
+        for k in range(p)
+        if (t + k * q + d) % p == 0
+    }
+
+
+def plan_entries(plan):
+    """The (p, k0) a plan strikes, in a list: its other tiers' entries,
+    and the classes its patterns strike, read back per member prime."""
+    entries = list(zip(plan.rest_p.tolist(), plan.rest_k0.tolist()))
+    for pattern in plan.patterns:
+        for p in plan.primes.tolist():
+            # a pattern's period is the product of its primes; every one
+            # of them leaves some class free, so a class is struck by p
+            # exactly when the whole column is
+            if len(pattern) % p == 0:
+                struck = ~pattern.reshape(-1, p).any(axis=0)
+                entries += [(p, k) for k in np.flatnonzero(struck).tolist()]
+    return entries
+
+
+@pytest.mark.parametrize("offsets", (
+    {0, 2, 6, 12, 14},  # spread 14, below the pre-sieve bound
+    {0, 210, 19594},  # coincide mod 2, 3, 5, 7 and 97 * 101, spread above it
+    {-9, 21, 51, 81},  # coincide mod 2, 3 and 5
+    {0, HUGE, -HUGE},  # coincide mod every prime dividing HUGE
+))
+@pytest.mark.parametrize("span", (2048, 1 << 16))
+def test_plan_entries_are_the_distinct_classes(offsets, span):
+    rng = random.Random(len(offsets) + span)
+    for q_primes in ((), (2, 3), (11, 13)):
+        task = admissible_task(rng, q_primes, offsets, 600)
+        assert task is not None
+        plan = _SievePlan(task, span)
+        entries = plan_entries(plan)
+        assert len(entries) == len(set(entries))
+        assert set(entries) == naive_entries(task)
+        assert plan.rest_p.tolist() == sorted(plan.rest_p.tolist())
+        # the pre-sieved primes: those whose distinct classes cover at least
+        # 1/PRESIEVE_DENSITY of all k and that fit a pattern period
+        period = min(PATTERN_PERIOD, span // 8)
+        counts = {}
+        for p, _ in naive_entries(task):
+            counts[p] = counts.get(p, 0) + 1
+        dense = {p for p, c in counts.items() if c * PRESIEVE_DENSITY >= p and p <= period}
+        assert {p for p, _ in entries} - set(plan.rest_p.tolist()) == dense

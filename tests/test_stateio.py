@@ -90,6 +90,21 @@ def test_inconsistent_ledger_row_is_rejected():
         doc_to_state(doc)
 
 
+def test_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    save_state(small_state(), path)
+    before = path.read_bytes()
+
+    def broken(state):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr("sdpc.stateio.dumps_state", broken)
+    with pytest.raises(RuntimeError, match="disk full"):
+        save_state(run(initial_state(Config(p_limit=5)), 4).state, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
 def test_file_roundtrip(tmp_path):
     path = tmp_path / "state.json"
     res = run(initial_state(Config(p_limit=5)), 4)
@@ -122,6 +137,28 @@ def test_fractional_element_is_not_truncated():
     doc["a"][1] = 11.5
     with pytest.raises(ValueError, match="decimal string"):
         doc_to_state(doc)
+
+
+@pytest.mark.parametrize("text", ("011", "-0", "+11", "11 ", "1_1", "0x1", ""))
+def test_non_canonical_decimal_is_a_value_error(text):
+    # "011" would load as 11 and save again as "11": the round trip would
+    # no longer be byte-identical
+    doc = state_to_doc(small_state())
+    doc["a"][1] = text
+    with pytest.raises(ValueError, match="decimal string"):
+        doc_to_state(doc)
+    doc = state_to_doc(small_state())
+    doc["represented"][0]["r"] = text
+    with pytest.raises(ValueError, match="decimal string"):
+        doc_to_state(doc)
+
+
+def test_zero_and_negative_decimals_round_trip():
+    doc = state_to_doc(small_state())
+    doc["a"][0] = "0"
+    assert doc["represented"][0]["r"] == "-5"
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert dumps_state(loads_state(text)) == text
 
 
 def _paths(value, path=()):

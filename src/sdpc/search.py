@@ -22,12 +22,23 @@ classes, and every window reuses it. The plan has three tiers:
    1/PRESIEVE_DENSITY of all k are packed into groups whose product, the
    pattern's period, stays at most PATTERN_PERIOD (and at most an eighth
    of the longest window). Each group becomes one periodic boolean
-   pattern, false on every struck class. A window starts as a slice of
-   the first pattern and is ANDed with the others.
+   pattern, false on every struck class. They are ordered densest first
+   by the share of k they keep, prod(1 - c/p) over their primes p of c
+   classes each. A window starts as a slice of the first pattern and is
+   ANDed with the others.
 2. Middle primes: one strided write per distinct (p, k0), so offsets that
    coincide mod p share one write.
 3. Large primes, those hitting a window fewer than SCATTER_HITS times:
-   their hit positions are computed as arrays and struck in scatters.
+   their hit positions are computed as arrays and struck in scatters,
+   one indexed write for all the primes that hit at most once.
+
+With a dozen offsets the first few patterns leave almost no k alive. So
+a long window ANDs a pattern only while those before it keep at least
+1/GATHER_COST of all k; after tiers 2 and 3 it tests its few survivors j
+against all the other patterns in one indexed read of
+pattern[(lo + j) mod period]. A window gathers only when ANDing those
+patterns would pass GATHER_BYTES bytes (their count times its length);
+shorter windows AND every pattern.
 
 Set-up costs a few NumPy passes per (prime, offset) entry. q is inverted
 mod every sieving prime from q's prime factors: for a factor r < 2**31,
@@ -43,7 +54,7 @@ every later prime goes to tiers 2 and 3 with one entry per offset.
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
 afterwards, in those windows only, every struck k with some |x + d| a
-sieving prime is re-decided exactly.
+sieving prime is re-decided exactly. Such a window ANDs every pattern.
 """
 
 from __future__ import annotations
@@ -67,6 +78,11 @@ FIRST_WINDOW = 1 << 11
 PRESIEVE_DENSITY = 32
 PATTERN_PERIOD = 1 << 17
 SCATTER_HITS = 32
+# A pattern is ANDed while the denser ones keep at least 1/GATHER_COST of
+# all k; a window gathers from the rest once ANDing them would pass
+# GATHER_BYTES bytes. Both from sweeps (CHANGES.md).
+GATHER_COST = 1 << 12
+GATHER_BYTES = 1 << 18
 # Hits per indexed write, which bounds the scatter's index arrays.
 SCATTER_BATCH = 1 << 16
 
@@ -230,29 +246,45 @@ def _sieve_entries(task: ConstellationTask) -> np.ndarray:
     return np.column_stack([np.repeat(primes, len(k0)), k0.T.ravel()])
 
 
-def _patterns(ps: np.ndarray, ks: np.ndarray, period: int) -> list[np.ndarray]:
+def _patterns(
+    ps: np.ndarray, ks: np.ndarray, period: int
+) -> tuple[list[np.ndarray], np.ndarray, int]:
     """Pre-sieve patterns over k, one period each: the primes packed
-    first-fit decreasing into groups of product <= period."""
+    first-fit decreasing into groups of product <= period, densest first
+    by the share of k each keeps. Returns them as views into one array,
+    that array, and the count of the last ones, to be gathered from: a
+    pattern is ANDed while those before it keep 1/GATHER_COST of all k."""
     classes: dict[int, list[int]] = {}
     for p, k in zip(ps.tolist(), ks.tolist()):
         classes.setdefault(p, []).append(k)
-    groups: list[list[int]] = []
+    # [period, share of k kept, member primes]
+    groups: list[list] = []
     for p in sorted(classes, reverse=True):
+        keep = 1 - len(classes[p]) / p
         for g in groups:
             if g[0] * p <= period:
                 g[0] *= p
+                g[1] *= keep
                 g.append(p)
                 break
         else:
-            groups.append([p, p])
-    patterns = []
-    for size, *members in groups:
-        pattern = np.ones(size, bool)
+            groups.append([p, keep, p])
+    groups.sort(key=lambda g: g[1])
+    anded, kept = 0, 1.0
+    while anded < len(groups) and kept * GATHER_COST >= 1:
+        kept *= groups[anded][1]
+        anded += 1
+    # one allocation, which the next search's plan reuses without page faults
+    flat = np.ones(sum(g[0] for g in groups), bool)
+    patterns, start = [], 0
+    for size, _, *members in groups:
+        pattern = flat[start : start + size]
+        start += size
         for p in members:
             for k0 in classes[p]:
                 pattern[k0::p] = False
         patterns.append(pattern)
-    return patterns
+    return patterns, flat, len(groups) - anded
 
 
 def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
@@ -295,7 +327,12 @@ class _SievePlan:
         dense &= head_p <= period
         head_p = np.broadcast_to(head_p[:, None], head_k0.shape)
         pick = distinct & dense[:, None]
-        self.patterns = _patterns(head_p[pick], head_k0[pick], period)
+        self.patterns, self.flat, self.gathered = _patterns(head_p[pick], head_k0[pick], period)
+        if self.gathered:
+            # each gathered pattern's period and start in self.flat
+            sizes = np.array([len(pattern) for pattern in self.patterns], np.int64)[:, None]
+            self.gather_size = sizes[-self.gathered :]
+            self.gather_start = (np.cumsum(sizes)[:, None] - sizes)[-self.gathered :]
         # the other tiers' entries, ascending in p, and their count per prime
         pick = distinct & ~dense[:, None]
         self.rest_count = np.full(len(self.primes), m)
@@ -318,8 +355,19 @@ class _SievePlan:
         n = hi - lo
         if n <= 0:
             return np.empty(0, np.int64)
-        alive = np.full(n, not self.patterns)
-        for i, pattern in enumerate(self.patterns):
+        # gather when ANDing the sparse patterns would pass GATHER_BYTES;
+        # forgiveness re-decides struck k, so it needs the whole window
+        gathered = self.gathered
+        if gathered * n < GATHER_BYTES or any(a < hi and lo < b for _, a, b in self.zones):
+            gathered = 0
+        anded = self.patterns[: len(self.patterns) - gathered]
+        # whole 8-byte words, so a gathering window can find its few
+        # survivors a word at a time
+        words = np.zeros(-(-n // 8), np.uint64)
+        alive = words.view(bool)[:n]
+        if not anded:
+            alive[:] = True
+        for i, pattern in enumerate(anded):
             size = len(pattern)
             s = lo % size
             if s + n <= size:
@@ -345,13 +393,24 @@ class _SievePlan:
             first = self.rest_k0 - np.repeat(_residues(lo, self.primes), self.rest_count)
             first += self.rest_p * (first < 0)
             # a prime hitting the window SCATTER_HITS times or more gets
-            # a strided write, the rest are gathered into scatters
+            # a strided write, the rest are batched into scatters
             split = int(np.searchsorted(self.rest_p, -(-n // SCATTER_HITS)))
+            once = int(np.searchsorted(self.rest_p, n))
             for f, p in zip(first[:split].tolist(), self.rest_p[:split].tolist()):
                 alive[f::p] = False
-            _scatter(alive, first[split:], self.rest_p[split:])
-        self._forgive(alive, lo, hi)
-        return np.flatnonzero(alive)
+            _scatter(alive, first[split:once], self.rest_p[split:once])
+            # a prime of at least n hits the window at most once
+            first = first[once:]
+            alive[first[first < n]] = False
+        if not gathered:
+            self._forgive(alive, lo, hi)
+            return np.flatnonzero(alive)
+        live = np.flatnonzero(words != 0)
+        row, byte = np.nonzero(words[live, None].view(bool))
+        js = live[row] * 8 + byte
+        size = self.gather_size
+        pos = (js + _residues(lo, size)) % size + self.gather_start
+        return js[self.flat[pos].all(axis=0)]
 
     def _forgive(self, alive: np.ndarray, lo: int, hi: int) -> None:
         """Re-decide, exactly, struck k in [lo, hi) where some |x + d| is
@@ -420,6 +479,8 @@ def search_with_count(
     """
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     obstruction = is_admissible(task.system)
     if obstruction is not None:
         raise InadmissibleSystemError(obstruction)
@@ -445,7 +506,7 @@ def search_with_count(
             yield lo, hi
             lo, size = hi, min(2 * size, segment_size)
 
-    if workers <= 1:
+    if workers == 1:
         for lo, hi in windows():
             x = finish(lo, plan.window(lo, hi))
             if x is not None:

@@ -233,3 +233,9 @@ def test_bad_requests_exit_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "inadmissible" in captured.err
+
+    for workers in ("0", "-3"):
+        code = main(["search", "--q", "30", "--t", "25", "--offsets=-18,-8,-6", "--workers", workers])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: workers must be at least 1\n"

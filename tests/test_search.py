@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+import sdpc.search as search
 from sdpc.admissible import InadmissibleSystemError, TupleSystem
 from sdpc.modular import CrtClass
 from sdpc.primes import primes_up_to
@@ -119,6 +120,13 @@ def test_values_at_most_three_are_rejected():
         TupleSystem(CrtClass(2, 1, (2,)), (-2, 0)), start=3, budget=200
     )
     assert next_constellation(task) == naive_witness(task) == 7
+
+
+@pytest.mark.parametrize("workers", (0, -3))
+def test_workers_below_one_are_refused(workers):
+    task = ConstellationTask(TupleSystem(CrtClass(30, 25, (2, 3, 5)), (-18, -8, -6)), start=19)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        search_with_count(task, workers=workers)
 
 
 def test_thread_determinism():
@@ -470,6 +478,137 @@ def test_sieve_segments_split_anywhere_agree():
         for lo, hi in zip([0] + cuts, cuts + [3000]):
             pieces += sieve_segment(task, lo, hi)
         assert pieces == whole
+
+
+# ---------------------------------------------------------------------------
+# windows that gather their survivors from the sparse patterns
+# ---------------------------------------------------------------------------
+
+# The construction's step-9 system (target +17): 15 offsets in the class
+# 155 mod 210, searched from x = 136184770601.
+STEP_9 = TupleSystem(CrtClass(210, 155, (2, 3, 5, 7)), (
+    -68092385302, -68092385298, -1655127474, -1655127444, -2132484, -2132478,
+    -42322, -42294, -3604, -3594, -642, -618, -28, -18, -6,
+))
+STEP_9_K = 136184770601 // 210
+# the densest prime 12-tuple, for a system whose zone starts at k = 0
+TUPLE_12 = {0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42}
+
+
+def numpy_survivors(task, lo, hi):
+    """Indices j of the x = t + (lo + j)*q, k in [lo, hi), that no prime
+    p <= sieve_limit divides at any offset d unless |x + d| = p: the
+    definition, vectorized over primes and window; where some |x + d| is
+    at most sieve_limit, brute force decides."""
+    q, t = task.system.crt.modulus, task.system.crt.residue
+    limit, n = task.sieve_limit, hi - lo
+    primes = np.array(primes_up_to(limit), np.int64)[:, None]
+    j = np.arange(n)
+    alive = np.ones(n, bool)
+    for d in task.system.offsets:
+        base = np.array([(t + d + lo * q) % p for p in primes.ravel().tolist()])[:, None]
+        alive &= ~((base + j * (q % primes)) % primes == 0).any(axis=0)
+    for d in task.system.offsets:
+        for i in range(max(0, -((limit + t + d) // q) - lo), min(n, (limit - t - d) // q - lo + 1)):
+            alive[i] = bool(brute_survivors(task, lo + i, lo + i + 1))
+    return np.flatnonzero(alive)
+
+
+class FlatSpy:
+    """Stands in for a plan's array of patterns and counts the reads of a
+    gather."""
+
+    def __init__(self, flat):
+        self.flat, self.reads = flat, 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.flat[index]
+
+
+def gathers(plan, lo, hi):
+    """A window's survivors, and whether it gathered them."""
+    spy = plan.flat = FlatSpy(plan.flat)
+    try:
+        return plan.window(lo, hi), spy.reads > 0
+    finally:
+        plan.flat = spy.flat
+
+
+def all_anded(plan, lo, hi, monkeypatch):
+    """The window's survivors when every pattern is ANDed."""
+    with monkeypatch.context() as m:
+        m.setattr(search, "GATHER_BYTES", 1 << 62)
+        return plan.window(lo, hi)
+
+
+def test_a_long_step_9_window_gathers_and_a_first_window_does_not(monkeypatch):
+    task = ConstellationTask(STEP_9, start=STEP_9_K * 210 + 155)
+    plan = _SievePlan(task, 1 << 20)
+    assert 0 < plan.gathered < len(plan.patterns)
+    lo = STEP_9_K
+    got, gathered = gathers(plan, lo, lo + (1 << 20))
+    assert gathered
+    assert np.array_equal(got, all_anded(plan, lo, lo + (1 << 20), monkeypatch))
+    got, gathered = gathers(plan, lo, lo + FIRST_WINDOW)
+    assert not gathered
+    assert np.array_equal(got, numpy_survivors(task, lo, lo + FIRST_WINDOW))
+
+
+@pytest.mark.parametrize("span", (1 << 20, 1 << 15))
+def test_gathering_step_9_windows_match_the_definition(span, monkeypatch):
+    # a plan for 2**20 windows has periods of up to 2**17, so a window of
+    # 2**15 starts and ends inside one; for 2**15 windows the periods are
+    # at most 4096, and a window spans several of each
+    task = ConstellationTask(STEP_9, start=STEP_9_K * 210 + 155)
+    plan = _SievePlan(task, span)
+    rng = random.Random(span)
+    periods = [len(pattern) for pattern in plan.patterns]
+    assert (span == 1 << 20) == (max(periods) > 1 << 15)
+    n = 1 << 15
+    for lo in (STEP_9_K + rng.randrange(1 << 20), (1 << 64) + rng.randrange(1 << 20)):
+        got, gathered = gathers(plan, lo, lo + n)
+        assert gathered
+        assert np.array_equal(got, numpy_survivors(task, lo, lo + n)), lo
+        assert np.array_equal(got, all_anded(plan, lo, lo + n, monkeypatch))
+
+
+@pytest.mark.parametrize("n", (700, 1 << 14))
+def test_gathering_windows_with_every_tier_match_the_definition(n, monkeypatch):
+    # limit 1000 leaves primes to strided writes and scatters, and in a
+    # window of 700 some hit at most once; GATHER_BYTES = 1 makes windows
+    # this short gather
+    monkeypatch.setattr(search, "GATHER_BYTES", 1)
+    rng = random.Random(n)
+    task = admissible_task(rng, (2, 3, 5, 7), TUPLE_12, 1000)
+    plan = _SievePlan(task, 1 << 16)
+    assert plan.gathered
+    tiers = {
+        "strided" if p < -(-n // SCATTER_HITS) else "scattered" if p < n else "once"
+        for p in plan.rest_p.tolist()
+    }
+    assert tiers == ({"scattered", "once"} if n == 700 else {"strided", "scattered"})
+    for lo in (rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)):
+        got, gathered = gathers(plan, lo, lo + n)
+        assert gathered
+        assert np.array_equal(got, numpy_survivors(task, lo, lo + n)), lo
+
+
+def test_a_window_over_a_forgiveness_zone_ands_every_pattern():
+    # from k = 0, x + d runs through the sieving primes; the window after
+    # the zone gathers again
+    task = admissible_task(random.Random(7), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
+    plan = _SievePlan(task, 1 << 20)
+    n = 1 << 15
+    assert plan.gathered and plan.zones
+    assert 0 < max(z_hi for _, _, z_hi in plan.zones) < n
+    got, gathered = gathers(plan, 0, n)
+    assert not gathered
+    assert np.array_equal(got, numpy_survivors(task, 0, n))
+    assert got[:1].tolist() == [0]  # x = 11: every x + d is a sieving prime
+    got, gathered = gathers(plan, n, 2 * n)
+    assert gathered
+    assert np.array_equal(got, numpy_survivors(task, n, 2 * n))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ Run:  python3 demos/constellation_search.py
 
 from sdpc.admissible import TupleSystem, is_admissible
 from sdpc.modular import CrtClass
-from sdpc.search import ConstellationTask, SearchExhausted, next_constellation
+from sdpc.search import ConstellationTask, search_with_count
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
     print("2. a small search, verified by eye")
     print("-" * 55)
     task = ConstellationTask(good, start=19)
-    x = next_constellation(task)
+    x, _ = search_with_count(task)
     values = [x + d for d in good.offsets]
     print(f"  witness x = {x}, values {values}")
     print("  all three values are primes beyond 3, so x qualifies;")
@@ -42,7 +42,7 @@ def main():
     print("3. skipping a known witness")
     print("-" * 55)
     again = ConstellationTask(good, start=19, exclusions=frozenset({x}))
-    y = next_constellation(again)
+    y, _ = search_with_count(again)
     print(f"  with {x} excluded the next witness is {y}")
     print(f"  values {[y + d for d in good.offsets]}")
 
@@ -54,12 +54,12 @@ def main():
         start=10**6 + 38,
         budget=5,
     )
-    try:
-        next_constellation(rare)
+    found, examined = search_with_count(rare)
+    if found is not None:
         print("  unexpectedly found something")
-    except SearchExhausted as exc:
+    else:
         print(f"  twin search near 10^6 with a budget of 5 candidates:")
-        print(f"    exhausted after {exc.examined}")
+        print(f"    exhausted after {examined}")
     print("  the count is exact, so budgets compose across resumed runs.")
 
     print()
@@ -69,7 +69,7 @@ def main():
         TupleSystem(CrtClass(30, 11, (2, 3, 5)), (0, 2, 6)),
         start=10**10,
     )
-    z = next_constellation(deep)
+    z, _ = search_with_count(deep)
     print(f"  first x = 11 mod 30 past 10^10 with x, x+2, x+6 prime: {z}")
 
 

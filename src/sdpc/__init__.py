@@ -16,8 +16,6 @@ from .admissible import (
 from .construction import (
     ALL_CERTIFIED,
     CONTAINS_PROBABLE,
-    FAITHFUL,
-    REDUCED,
     CheckResult,
     Config,
     ConstructionState,
@@ -45,7 +43,6 @@ from .pairs import (
     capacity_bound,
     explicit_pair,
     is_prime_compatible,
-    randomized_extend,
     randomized_extend_with_stats,
 )
 from .primes import (
@@ -60,9 +57,7 @@ from .search import (
     ConstellationTask,
     PrimalityStatus,
     PrimalityVerdict,
-    SearchExhausted,
     is_prime,
-    next_constellation,
     search_with_count,
     sieve_segment,
 )
@@ -87,7 +82,6 @@ __all__ = [
     "ConstructionState",
     "CountingRng",
     "CrtClass",
-    "FAITHFUL",
     "FIXED_PRIME_DIVIDES",
     "InadmissibleSystemError",
     "MINUS",
@@ -96,12 +90,10 @@ __all__ = [
     "PrimalityStatus",
     "PrimalityVerdict",
     "PrimeCompatiblePair",
-    "REDUCED",
     "ResidueSet",
     "RunResult",
     "STATE_SCHEMA",
     "STATE_VERSION",
-    "SearchExhausted",
     "StepPlan",
     "StepRecord",
     "TupleSystem",
@@ -126,12 +118,10 @@ __all__ = [
     "load_state",
     "loads_state",
     "mod_inverse",
-    "next_constellation",
     "plan_step",
     "prime_factors",
     "primes_in_range",
     "primes_up_to",
-    "randomized_extend",
     "randomized_extend_with_stats",
     "run",
     "save_state",

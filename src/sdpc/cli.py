@@ -29,7 +29,7 @@ from .construction import (
 from .modular import CrtClass
 from .pairs import explicit_pair, randomized_extend_with_stats
 from .rng import CountingRng
-from .search import DEFAULT_SIEVE_LIMIT, ConstellationTask, SearchExhausted, next_constellation
+from .search import DEFAULT_SIEVE_LIMIT, ConstellationTask, search_with_count
 from .stateio import load_state, save_state
 
 
@@ -45,14 +45,10 @@ def _int_list(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 _CONFIG_FLAGS = (
-    ("mode", "mode"),
     ("p_limit", "p_limit"),
-    ("seed", "seed"),
-    ("reserve", "reserve_count"),
     ("budget", "budget"),
     ("sieve_limit", "sieve_limit"),
     ("segment_size", "segment_size"),
-    ("workers", "workers"),
     ("pp_rounds", "probable_rounds"),
 )
 
@@ -65,8 +61,6 @@ def _effective_config(args: argparse.Namespace, base: Config | None) -> Config:
     }
     if base is None:
         return Config(**overrides)
-    if "mode" in overrides and overrides["mode"] != base.mode:
-        raise ValueError("cannot change mode on a resumed state")
     if "p_limit" in overrides and overrides["p_limit"] != base.p_limit:
         raise ValueError("cannot change p_limit on a resumed state")
     return replace(base, **overrides)
@@ -219,10 +213,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         sieve_limit=args.sieve_limit,
         exclusions=frozenset(_int_list(args.exclude)) if args.exclude else frozenset(),
     )
-    try:
-        x = next_constellation(task, args.segment_size, args.workers, args.pp_rounds)
-    except SearchExhausted as exc:
-        print(f"exhausted after {exc.examined} candidates", file=sys.stderr)
+    x, examined = search_with_count(task, args.segment_size, args.pp_rounds)
+    if x is None:
+        print(f"exhausted after {examined} candidates", file=sys.stderr)
         return 2
     print(x)
     return 0
@@ -268,15 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = subs.add_parser("run", help="extend a construction to a coverage target")
     p_run.add_argument("--target", type=int, required=True, help="cover the first N signed primes")
-    p_run.add_argument("--mode", choices=("reduced", "faithful"))
     p_run.add_argument("--p-limit", dest="p_limit", type=int)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--reserve", type=int)
     p_run.add_argument("--budget", type=int)
     p_run.add_argument("--sieve-limit", dest="sieve_limit", type=int)
     p_run.add_argument("--segment-size", dest="segment_size", type=int,
                        help="largest sieve window; windows grow to it from a small first one")
-    p_run.add_argument("--workers", type=int)
     p_run.add_argument("--pp-rounds", dest="pp_rounds", type=int)
     p_run.add_argument("--state", help="state file to resume from when it exists")
     p_run.add_argument("--out", help="where to write the final state (defaults to --state)")
@@ -308,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     p_search.add_argument("--segment-size", dest="segment_size", type=int, default=1 << 16,
                           help="largest sieve window; windows grow to it from a small first one")
-    p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--pp-rounds", dest="pp_rounds", type=int, default=24)
     p_search.add_argument("--exclude", help="comma separated x values to skip")
     p_search.set_defaults(func=_cmd_search)
@@ -324,7 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a malformed request, after printing its
+        # usage message; here 2 means a negative outcome (--help exits 0)
+        if exc.code != 2:
+            raise
+        return 1
     try:
         return args.func(args)
     except InadmissibleSystemError as exc:

@@ -12,34 +12,26 @@ prime. Compatible residue pairs (U_p, V_p) pin x modulo small primes so
 the new differences dodge small divisors; a constellation search does
 the rest.
 
-Managed primes come in two policies. The faithful policy manages every
-prime below a constant K chosen so the capacity bound never fails; the
-CRT modulus then has thousands of digits and no witness is reachable,
-so the policy exists for bookkeeping and small-scale unit exercise. The
-reduced policy (default) manages only the primes below p_limit and
-instead checks each planned step for local admissibility, which is what
-makes desk-scale runs actually finish.
+The managed primes are those up to p_limit, and each planned step is
+checked for local admissibility, which is what makes desk-scale runs
+finish. The paper instead manages every prime below a constant K chosen
+so the capacity bound never fails; the CRT modulus then has thousands of
+digits and no witness is reachable, so of that policy only its lemmas
+are kept: check_bound and compute_K here, capacity_bound and
+randomized_extend_with_stats in sdpc.pairs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable
 
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
 from .modular import CrtClass, ResidueSet, crt_combine
-from .pairs import (
-    MINUS,
-    PLUS,
-    PrimeCompatiblePair,
-    explicit_pair,
-    is_prime_compatible,
-    randomized_extend_with_stats,
-)
+from .pairs import MINUS, PLUS, PrimeCompatiblePair, explicit_pair, is_prime_compatible
 from .primes import primes_in_range, primes_up_to
-from .rng import CountingRng
 from .search import (
     DEFAULT_SIEVE_LIMIT,
     ConstellationTask,
@@ -48,9 +40,6 @@ from .search import (
     is_prime,
     search_with_count,
 )
-
-REDUCED = "reduced"
-FAITHFUL = "faithful"
 
 ALL_CERTIFIED = "all-certified"
 CONTAINS_PROBABLE = "contains-probable-primes"
@@ -136,7 +125,13 @@ def compute_K(reserve: int, scan_limit: int = 8192) -> int:
 
 @dataclass(frozen=True)
 class Config:
-    """Run parameters. Defaults give the reduced desk-scale engine.
+    """Run parameters. Defaults give the desk-scale engine.
+
+    The managed primes are those up to and including p_limit. The
+    inclusive end is load-bearing: an offset list longer than an
+    unmanaged prime can cover all of its residue classes and strand the
+    whole construction, and p_limit = 7 with 7 managed is what keeps the
+    default run alive past a dozen offsets.
 
     A step's search sieves windows of candidates that start small
     (sdpc.search.FIRST_WINDOW) and double up to segment_size, with the
@@ -151,40 +146,21 @@ class Config:
     segment_size nor sieve_limit.
     """
 
-    mode: str = REDUCED
     p_limit: int = 7
-    k_constant: int | None = None
-    reserve_count: int = 2
     budget: int = 10**9
     sieve_limit: int = DEFAULT_SIEVE_LIMIT
     segment_size: int = 1 << 20
     probable_rounds: int = 24
-    seed: int = 0
-    workers: int = 1
-    retry_cap: int = 10_000
-    k_scan_limit: int = 8192
 
     def __post_init__(self):
-        if self.mode not in (REDUCED, FAITHFUL):
-            raise ValueError(f"unknown mode {self.mode!r}")
         # 2, 3 and 5 anchor the seed sets; p_limit = 5 is the bare minimum.
-        if self.mode == REDUCED and self.p_limit < 5:
-            raise ValueError("reduced mode requires p_limit >= 5")
-        if self.reserve_count not in (0, 1, 2):
-            raise ValueError("reserve_count must be 0, 1 or 2")
+        if self.p_limit < 5:
+            raise ValueError("p_limit must be at least 5")
         if min(self.budget, self.segment_size) < 1:
             raise ValueError("budgets must be positive")
         check_sieve_limit(self.sieve_limit)
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-
-    def normalized(self) -> "Config":
-        """Fill in the computed K constant for the faithful policy."""
-        if self.mode == FAITHFUL and self.k_constant is None:
-            return replace(
-                self, k_constant=compute_K(self.reserve_count, self.k_scan_limit)
-            )
-        return self
+        if self.probable_rounds < 1:
+            raise ValueError("probable_rounds must be at least 1")
 
 
 @dataclass
@@ -193,9 +169,7 @@ class ConstructionState:
 
     a and b are the sorted element tuples; pairs maps each managed prime
     to its compatible pair; represented maps each signed prime difference
-    r to its witness pair (a, b) with a - b = r. rng_draws counts how
-    many words of the seeded stream have been consumed, which together
-    with config.seed pins all future randomness.
+    r to its witness pair (a, b) with a - b = r.
     """
 
     n: int
@@ -204,23 +178,6 @@ class ConstructionState:
     pairs: dict[int, PrimeCompatiblePair]
     represented: dict[int, tuple[int, int]]
     config: Config
-    rng_draws: int = 0
-
-
-def _managed_limit(config: Config, next_target_abs: int) -> int:
-    """Largest prime the state must manage before its next step.
-
-    Reduced policy manages primes up to and including p_limit; the
-    inclusive end is load-bearing, since an offset list longer than an
-    unmanaged prime can cover all of its residue classes and strand the
-    whole construction, and p_limit = 7 with 7 managed is what keeps the
-    default desk-scale run alive past a dozen offsets. Faithful policy
-    manages everything up to max(K, |next target|), inclusive for the
-    same reason once targets outgrow K.
-    """
-    if config.mode == REDUCED:
-        return config.p_limit
-    return max(config.k_constant, next_target_abs)
 
 
 def initial_state(config: Config) -> ConstructionState:
@@ -232,14 +189,12 @@ def initial_state(config: Config) -> ConstructionState:
     single common residue 1 occupied by the seed elements themselves,
     which is exactly what lets 5 and -5 share the element 6.
     """
-    config = config.normalized()
     pairs = {
         2: PrimeCompatiblePair(2, ResidueSet.from_members(2, (1,)), ResidueSet.from_members(2, (0,))),
         3: PrimeCompatiblePair(3, ResidueSet.from_members(3, (1, 2)), ResidueSet.from_members(3, (0,))),
         5: PrimeCompatiblePair(5, ResidueSet.from_members(5, (0, 1, 2)), ResidueSet.from_members(5, (1, 3, 4))),
     }
-    limit = _managed_limit(config, abs(signed_primes(3)))
-    for p in primes_in_range(7, limit + 1):
+    for p in primes_in_range(7, config.p_limit + 1):
         pairs[p] = explicit_pair(p)
     return ConstructionState(
         n=2,
@@ -290,8 +245,8 @@ def plan_step(state: ConstructionState, target: int) -> StepPlan | None:
     whose partner v = u - target lands in V_p \\ U_p (one exists because
     the pair is compatible). For a managed p = |target| the step must
     instead consume an unused reserved residue of that pair. The returned
-    system is checked for admissibility; a violation is an error either
-    way, though the faithful policy cannot actually produce one.
+    system is checked for admissibility, and a violation raises
+    InadmissibleSystemError.
     """
     if target in state.represented:
         return None
@@ -395,29 +350,15 @@ def apply_step(state: ConstructionState, plan: StepPlan, x: int) -> Construction
 
 
 def extend_pairs(state: ConstructionState) -> ConstructionState:
-    """Create pairs for primes that just entered the managed range.
+    """Create pairs for primes that just entered the managed range: the
+    identity, returning state itself.
 
-    Reduced policy: nothing is ever added. Faithful policy: primes p in
-    [max(K, |r_n|), max(K, |r_{n+1}|)) get a randomized pair whose common
-    core holds the residues of every current element plus the configured
-    reserves; the capacity bound holds by the choice of K.
+    The managed primes are fixed at those up to p_limit, so no prime
+    enters between steps. (In the paper, primes entering the range get a
+    randomized pair, pairs.randomized_extend_with_stats, around the
+    residues of the current elements.)
     """
-    cfg = state.config
-    if cfg.mode == REDUCED:
-        return state
-    lo = max(cfg.k_constant, abs(signed_primes(state.n)))
-    hi = _managed_limit(cfg, abs(signed_primes(state.n + 1)))
-    fresh = [p for p in primes_in_range(lo, hi + 1) if p not in state.pairs]
-    if not fresh:
-        return state
-    pairs = dict(state.pairs)
-    rng = CountingRng(cfg.seed, state.rng_draws)
-    for p in fresh:
-        core = ResidueSet.from_members(p, {v % p for v in state.a + state.b})
-        pairs[p], _ = randomized_extend_with_stats(
-            core, p, cfg.reserve_count, rng, cfg.retry_cap
-        )
-    return replace(state, pairs=pairs, rng_draws=rng.draws)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +540,7 @@ def run(
         r = signed_primes(index)
         started = perf_counter()
         if r in state.represented:
-            state = extend_pairs(replace(state, n=index))
+            state = replace(state, n=index)
             record = StepRecord(index, r, None, 0, perf_counter() - started)
         else:
             plan = plan_step(state, r)
@@ -609,9 +550,7 @@ def run(
                 budget=cfg.budget,
                 sieve_limit=cfg.sieve_limit,
             )
-            x, examined = search_with_count(
-                task, cfg.segment_size, cfg.workers, cfg.probable_rounds
-            )
+            x, examined = search_with_count(task, cfg.segment_size, cfg.probable_rounds)
             if x is None:
                 completed = False
                 diagnostic = (
@@ -625,7 +564,7 @@ def run(
                 if on_step:
                     on_step(steps[-1])
                 break
-            state = extend_pairs(apply_step(state, plan, x))
+            state = apply_step(state, plan, x)
             record = StepRecord(index, r, x, examined, perf_counter() - started)
         steps.append(record)
         if on_step:

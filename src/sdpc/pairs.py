@@ -11,12 +11,12 @@ is what keeps new differences free of small prime factors.
 
 Two constructions are provided. `explicit_pair` is a closed-form pair
 with a two-element intersection, valid for every prime p >= 7, carrying
-the residues of 1 and 11 in U and of 6 in V. `randomized_extend` grows a
-prescribed common core W to a full compatible pair by coin-flipping the
-remaining residues into U or V, retrying until the cover property holds;
-a counting argument makes each attempt succeed with probability at least
-1 - p*(3/4)^((p-1)/2 - |W|), so under the capacity bound below the retry
-loop terminates quickly.
+the residues of 1 and 11 in U and of 6 in V. `randomized_extend_with_stats`
+grows a prescribed common core W to a full compatible pair by
+coin-flipping the remaining residues into U or V, retrying until the
+cover property holds; a counting argument makes each attempt succeed
+with probability at least 1 - p*(3/4)^((p-1)/2 - |W|), so under the
+capacity bound below the retry loop terminates quickly.
 """
 
 from __future__ import annotations
@@ -192,7 +192,13 @@ def randomized_extend_with_stats(
     rng: CountingRng,
     retry_cap: int = 10_000,
 ) -> tuple[PrimeCompatiblePair, int]:
-    """randomized_extend, also reporting how many assignments were tried."""
+    """Grow W to a compatible pair with U & V = W plus fresh reserves;
+    returns the pair and the number of assignments tried.
+
+    Requires |W| + reserve_count <= capacity_bound(p). Deterministic for
+    a given rng position; retries draw fresh assignment bits but keep the
+    reserves fixed.
+    """
     if not isinstance(w, ResidueSet):
         w = ResidueSet.from_members(p, w)
     if w.modulus != p:
@@ -235,19 +241,3 @@ def randomized_extend_with_stats(
         f"no compatible assignment mod {p} within the retry cap of {retry_cap}"
     )
 
-
-def randomized_extend(
-    w: ResidueSet,
-    p: int,
-    reserve_count: int,
-    rng: CountingRng,
-    retry_cap: int = 10_000,
-) -> PrimeCompatiblePair:
-    """Grow W to a compatible pair with U & V = W plus fresh reserves.
-
-    Requires |W| + reserve_count <= capacity_bound(p). Deterministic for
-    a given rng position; retries draw fresh assignment bits but keep the
-    reserves fixed.
-    """
-    pair, _ = randomized_extend_with_stats(w, p, reserve_count, rng, retry_cap)
-    return pair

@@ -6,7 +6,7 @@ x + d for an offset d, except when |x + d| equals p itself: that value IS
 the prime p and must not be discarded. Survivors then face real primality
 tests through is_prime. The scan is strictly ordered by k, so the witness
 returned is the smallest member of the progression that works, whatever
-the segment size, sieve limit or number of worker threads.
+the segment size or sieve limit.
 
 A search sieves windows of k that start at FIRST_WINDOW candidates and
 double until they reach segment_size, so a witness found early costs
@@ -59,8 +59,6 @@ sieving prime is re-decided exactly. Such a window ANDs every pattern.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -148,17 +146,6 @@ class ConstellationTask:
             raise ValueError("budget must be at least 1")
         check_sieve_limit(self.sieve_limit)
         object.__setattr__(self, "exclusions", frozenset(self.exclusions))
-
-
-class SearchExhausted(RuntimeError):
-    """The candidate budget ran out before a witness appeared.
-
-    Says nothing about existence: a witness may lie beyond the budget.
-    """
-
-    def __init__(self, examined: int):
-        super().__init__(f"search exhausted after examining {examined} candidates")
-        self.examined = examined
 
 
 def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
@@ -300,8 +287,8 @@ def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
 
 
 class _SievePlan:
-    """One task's sieve, read-only once built; segments may share it
-    across threads. See the module docstring for the tiers."""
+    """One task's sieve, read-only once built; every window of the
+    search reuses it. See the module docstring for the tiers."""
 
     def __init__(self, task: ConstellationTask, span: int):
         self.q = task.system.crt.modulus
@@ -465,22 +452,24 @@ def _witness_ok(task: ConstellationTask, x: int, rounds: int) -> bool:
 def search_with_count(
     task: ConstellationTask,
     segment_size: int = 1 << 16,
-    workers: int = 1,
     rounds: int = 24,
 ) -> tuple[int | None, int]:
-    """Core scan. Returns (witness, candidates examined) or (None, budget).
+    """Smallest x >= start in the class with every |x + d| prime and > 3.
+
+    Returns (witness, candidates examined), or (None, budget) once
+    `budget` candidates have been examined without a witness; that says
+    nothing about existence, since a witness may lie beyond the budget.
+    Raises InadmissibleSystemError for a doomed system.
 
     Windows of k start at FIRST_WINDOW candidates and double until they
     reach segment_size, the largest window. The candidate count is the
     number of progression members considered, counted before sieving, so
-    exhaustion means exactly `budget` of them were covered. Workers only
-    parallelize window sieving; results are consumed strictly in window
-    order, keeping the answer bit-identical to a single-threaded scan.
+    exhaustion means exactly `budget` of them were covered.
     """
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
     obstruction = is_admissible(task.system)
     if obstruction is not None:
         raise InadmissibleSystemError(obstruction)
@@ -489,62 +478,12 @@ def search_with_count(
     k_start = max(0, -((t - task.start) // q))
     k_end = k_start + task.budget
     plan = _SievePlan(task, min(segment_size, task.budget))
-
-    def finish(lo: int, survivors: np.ndarray) -> int | None:
-        for j in survivors.tolist():
+    lo, size = k_start, min(FIRST_WINDOW, segment_size)
+    while lo < k_end:
+        hi = min(lo + size, k_end)
+        for j in plan.window(lo, hi).tolist():
             x = t + (lo + j) * q
-            if x in task.exclusions:
-                continue
-            if _witness_ok(task, x, rounds):
-                return x
-        return None
-
-    def windows():
-        lo, size = k_start, min(FIRST_WINDOW, segment_size)
-        while lo < k_end:
-            hi = min(lo + size, k_end)
-            yield lo, hi
-            lo, size = hi, min(2 * size, segment_size)
-
-    if workers == 1:
-        for lo, hi in windows():
-            x = finish(lo, plan.window(lo, hi))
-            if x is not None:
-                return x, (x - t) // q - k_start + 1
-        return None, task.budget
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        gen = windows()
-        exhausted_gen = False
-        while True:
-            while not exhausted_gen and len(pending) <= workers:
-                try:
-                    lo, hi = next(gen)
-                except StopIteration:
-                    exhausted_gen = True
-                    break
-                pending.append((lo, pool.submit(plan.window, lo, hi)))
-            if not pending:
-                return None, task.budget
-            lo, future = pending.popleft()
-            x = finish(lo, future.result())
-            if x is not None:
-                return x, (x - t) // q - k_start + 1
-
-
-def next_constellation(
-    task: ConstellationTask,
-    segment_size: int = 1 << 16,
-    workers: int = 1,
-    rounds: int = 24,
-) -> int:
-    """Smallest x >= start in the class with every |x + d| prime and > 3.
-
-    Raises InadmissibleSystemError for a doomed system and SearchExhausted
-    once `budget` candidates have been examined without a witness.
-    """
-    x, examined = search_with_count(task, segment_size, workers, rounds)
-    if x is None:
-        raise SearchExhausted(examined)
-    return x
+            if x not in task.exclusions and _witness_ok(task, x, rounds):
+                return x, lo + j - k_start + 1
+        lo, size = hi, min(2 * size, segment_size)
+    return None, task.budget

@@ -21,7 +21,7 @@ from .modular import ResidueSet
 from .pairs import MINUS, PLUS, PrimeCompatiblePair
 
 STATE_SCHEMA = "sdpc-state"
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 _SIGN_KEY = {PLUS: "+", MINUS: "-"}
 _KEY_SIGN = {"+": PLUS, "-": MINUS}
@@ -53,7 +53,6 @@ def state_to_doc(state: ConstructionState) -> dict:
         "pairs": pairs,
         "represented": represented,
         "config": asdict(state.config),
-        "rng_draws": state.rng_draws,
     }
 
 
@@ -90,20 +89,14 @@ def _items(obj, key: str, where: str, parse) -> list:
 
 
 def _config(doc) -> Config:
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    # every field is an integer but mode, a string; None only where it
-    # is the default
-    defaults = {f.name: f.default for f in fields(Config)}
-    for key, value in doc.items():
-        if key not in defaults:
-            raise ValueError(f"config has an unknown field {key!r}")
-        if isinstance(defaults[key], str):
-            if not isinstance(value, str):
-                raise ValueError(f"config {key} must be a string, not {value!r:.40}")
-        elif value is not None or defaults[key] is not None:
-            _int(value, f"config {key}")
-    return Config(**doc)
+    # every field present and an integer: a default filled in here would
+    # make the next save differ from the file
+    names = [f.name for f in fields(Config)]
+    values = {key: _int(_get(doc, key, "config"), f"config {key}") for key in names}
+    unknown = sorted(doc.keys() - values.keys())
+    if unknown:
+        raise ValueError(f"config has an unknown field {unknown[0]!r}")
+    return Config(**values)
 
 
 def _pair(entry, what: str) -> PrimeCompatiblePair:
@@ -147,7 +140,6 @@ def doc_to_state(doc: dict) -> ConstructionState:
         pairs={pair.p: pair for pair in _items(doc, "pairs", "state", _pair)},
         represented={r: (a, b) for r, a, b in rows},
         config=_config(_get(doc, "config", "state")),
-        rng_draws=_int(_get(doc, "rng_draws", "state"), "state rng_draws"),
     )
 
 

@@ -154,7 +154,8 @@ def test_criterion_4_admissibility_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# 5. search equals naive scanning, hits the known witness, threads agree
+# 5. search equals naive scanning, hits the known witness, and does not
+#    depend on the window schedule
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_search_oracle_and_determinism():
@@ -171,10 +172,8 @@ def test_criterion_5_search_oracle_and_determinism():
     got, _ = search_with_count(anchor)
     ok = ok and got == 25
     for task in tasks[:10] + [anchor]:
-        single, _ = search_with_count(task, workers=1)
-        multi, _ = search_with_count(task, workers=8)
-        ok = ok and single == multi
-    conclude(5, "search oracle and thread determinism", ok, perf_counter() - t0, 60)
+        ok = ok and search_with_count(task, segment_size=128) == search_with_count(task)
+    conclude(5, "search oracle and window-schedule determinism", ok, perf_counter() - t0, 60)
 
 
 # ---------------------------------------------------------------------------

@@ -234,8 +234,27 @@ def test_bad_requests_exit_one(tmp_path, capsys):
     assert code == 1
     assert "inadmissible" in captured.err
 
-    for workers in ("0", "-3"):
-        code = main(["search", "--q", "30", "--t", "25", "--offsets=-18,-8,-6", "--workers", workers])
+    for rounds in ("0", "-3"):
+        code = main(["search", "--q", "30", "--t", "25", "--offsets=-18,-8,-6", "--pp-rounds", rounds])
         err = capsys.readouterr().err
         assert code == 1
-        assert err == "error: workers must be at least 1\n"
+        assert err == "error: rounds must be at least 1\n"
+        code = main(["run", "--target", "3", "--pp-rounds", rounds, "--out", str(tmp_path / "s.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: probable_rounds must be at least 1\n"
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["run", "--target", "3", "--workers", "2"], "unrecognized arguments: --workers"),
+    (["run", "--target", "x"], "invalid int value: 'x'"),
+    (["search", "--q", "30", "--t", "25"], "the following arguments are required: --offsets"),
+    (["export", "--state", "s.json", "--format", "xml"], "invalid choice: 'xml'"),
+), ids=("unknown-flag", "bad-int", "missing-flag", "bad-choice"))
+def test_usage_errors_exit_one(capsys, argv, message):
+    # 2 is kept for negative outcomes, so a malformed request is not
+    # mistaken for an exhausted budget
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sdpc") and message in err

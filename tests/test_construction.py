@@ -8,8 +8,6 @@ import pytest
 
 from sdpc.construction import (
     ALL_CERTIFIED,
-    FAITHFUL,
-    REDUCED,
     Config,
     apply_step,
     check_bound,
@@ -97,28 +95,17 @@ def test_compute_K_scan_limit_too_small():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        Config(mode="eager")
-    with pytest.raises(ValueError):
         Config(p_limit=4)
     with pytest.raises(ValueError):
-        Config(reserve_count=3)
-    with pytest.raises(ValueError):
         Config(budget=0)
-    with pytest.raises(ValueError):
-        Config(workers=0)
+    for rounds in (0, -4):
+        with pytest.raises(ValueError, match="probable_rounds must be at least 1"):
+            Config(probable_rounds=rounds)
     # the sieve's own rule, as ConstellationTask applies it
     for limit in (0, 1, 1 << 31):
         with pytest.raises(ValueError, match="sieve_limit"):
             Config(sieve_limit=limit)
     Config(sieve_limit=2)
-
-
-def test_config_normalized_fills_k():
-    cfg = Config(mode=FAITHFUL).normalized()
-    assert cfg.k_constant == compute_K(2)
-    # an explicit constant survives normalization
-    assert Config(mode=FAITHFUL, k_constant=40).normalized().k_constant == 40
-    assert Config().normalized().k_constant is None
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +149,6 @@ def test_verify_flags_tampering():
     cooked[23] = (29, 6)
     report = verify(replace(st, represented=cooked))
     assert "representation-ledger" in {c.name for c in report.failures()}
-
-
-def test_faithful_seed_manages_up_to_k():
-    st = initial_state(Config(mode=FAITHFUL, k_constant=40))
-    assert sorted(st.pairs) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    assert verify(st).ok
 
 
 # ---------------------------------------------------------------------------
@@ -264,26 +245,6 @@ def test_apply_step_consumes_reserve():
 def test_extend_pairs_reduced_never_adds():
     st = initial_state(Config(p_limit=7))
     assert extend_pairs(st) is st
-
-
-def test_extend_pairs_faithful_adds_at_the_frontier():
-    # an artificially small K makes the frontier reachable in a test:
-    # at n = 20 the next target is 41, one past the managed limit 40
-    cfg = Config(mode=FAITHFUL, k_constant=40)
-    st = replace(initial_state(cfg), n=20)
-    out = extend_pairs(st)
-    assert sorted(set(out.pairs) - set(st.pairs)) == [41]
-    assert out.rng_draws > 0
-    pair = out.pairs[41]
-    assert len(pair.reserved) == 2
-    core = {v % 41 for v in st.a + st.b}
-    for w in core:
-        assert w in pair.u and w in pair.v
-    # the seeded stream makes the extension replayable
-    again = extend_pairs(st)
-    assert again.pairs[41].u.mask == pair.u.mask
-    assert again.pairs[41].v.mask == pair.v.mask
-    assert again.rng_draws == out.rng_draws
 
 
 # ---------------------------------------------------------------------------

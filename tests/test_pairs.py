@@ -17,7 +17,6 @@ from sdpc.pairs import (
     capacity_bound,
     explicit_pair,
     is_prime_compatible,
-    randomized_extend,
     randomized_extend_with_stats,
 )
 from sdpc.rng import CountingRng
@@ -113,7 +112,7 @@ def test_capacity_bound_arithmetic():
 
 def test_randomized_extend_postconditions():
     rng = CountingRng(1)
-    pair = randomized_extend(ResidueSet.from_members(103, (0,)), 103, 2, rng)
+    pair, _ = randomized_extend_with_stats(ResidueSet.from_members(103, (0,)), 103, 2, rng)
     common = set(pair.u) & set(pair.v)
     assert 0 in common
     assert common == {0} | set(pair.reserved)
@@ -128,19 +127,19 @@ def test_randomized_extend_postconditions():
 
 def test_randomized_extend_reproducible_from_seed():
     w = ResidueSet.from_members(101, tuple(range(0, 40, 2)))
-    a = randomized_extend(w, 101, 2, CountingRng(9))
-    b = randomized_extend(w, 101, 2, CountingRng(9))
+    a, _ = randomized_extend_with_stats(w, 101, 2, CountingRng(9))
+    b, _ = randomized_extend_with_stats(w, 101, 2, CountingRng(9))
     assert a == b
-    c = randomized_extend(w, 101, 2, CountingRng(10))
+    c, _ = randomized_extend_with_stats(w, 101, 2, CountingRng(10))
     assert c != a  # overwhelmingly likely under any healthy draw scheme
 
 
 def test_randomized_extend_capacity_errors():
     w40 = ResidueSet.from_members(101, tuple(range(40)))
     with pytest.raises(ValueError, match="W too large"):
-        randomized_extend(w40, 101, 0, CountingRng(0))
+        randomized_extend_with_stats(w40, 101, 0, CountingRng(0))
     with pytest.raises(ValueError, match="W too large"):
-        randomized_extend(ResidueSet.from_members(7, (0,)), 7, 0, CountingRng(0))
+        randomized_extend_with_stats(ResidueSet.from_members(7, (0,)), 7, 0, CountingRng(0))
 
 
 def test_randomized_extend_accepts_plain_iterables():

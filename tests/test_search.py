@@ -23,11 +23,9 @@ from sdpc.search import (
     SCATTER_HITS,
     ConstellationTask,
     PrimalityStatus,
-    SearchExhausted,
     _hit_classes,
     _SievePlan,
     is_prime,
-    next_constellation,
     search_with_count,
     sieve_segment,
 )
@@ -96,7 +94,7 @@ def test_quoted_first_step_anchor():
     task = ConstellationTask(
         TupleSystem(CrtClass(30, 25, (2, 3, 5)), (-18, -8, -6)), start=19
     )
-    assert next_constellation(task) == 25
+    assert search_with_count(task)[0] == 25
 
 
 def test_forgiveness_keeps_small_prime_values_alive():
@@ -105,12 +103,12 @@ def test_forgiveness_keeps_small_prime_values_alive():
     task = ConstellationTask(
         TupleSystem(CrtClass(2, 1, (2,)), (0, 2, 6)), start=4, budget=50
     )
-    assert next_constellation(task) == 5
+    assert search_with_count(task)[0] == 5
     # negative side: value -7 must survive the mod-7 pass
     task2 = ConstellationTask(
         TupleSystem(CrtClass(2, 1, (2,)), (-12,)), start=5, budget=50
     )
-    assert next_constellation(task2) == naive_witness(task2) == 5
+    assert search_with_count(task2)[0] == naive_witness(task2) == 5
 
 
 def test_values_at_most_three_are_rejected():
@@ -119,23 +117,14 @@ def test_values_at_most_three_are_rejected():
     task = ConstellationTask(
         TupleSystem(CrtClass(2, 1, (2,)), (-2, 0)), start=3, budget=200
     )
-    assert next_constellation(task) == naive_witness(task) == 7
+    assert search_with_count(task)[0] == naive_witness(task) == 7
 
 
-@pytest.mark.parametrize("workers", (0, -3))
-def test_workers_below_one_are_refused(workers):
+@pytest.mark.parametrize("rounds", (0, -3))
+def test_rounds_below_one_are_refused(rounds):
     task = ConstellationTask(TupleSystem(CrtClass(30, 25, (2, 3, 5)), (-18, -8, -6)), start=19)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        search_with_count(task, workers=workers)
-
-
-def test_thread_determinism():
-    rng = random.Random(777)
-    for _ in range(8):
-        task = small_task(rng)
-        single, _ = search_with_count(task, segment_size=128, workers=1)
-        multi, _ = search_with_count(task, segment_size=128, workers=7)
-        assert single == multi
+    with pytest.raises(ValueError, match="rounds must be at least 1"):
+        search_with_count(task, rounds=rounds)
 
 
 def test_budget_counts_candidates_not_survivors():
@@ -157,20 +146,18 @@ def test_exhaustion_raises_with_count():
         start=1000038, budget=5,
     )
     assert naive_witness(task) is None
-    with pytest.raises(SearchExhausted) as info:
-        next_constellation(task)
-    assert info.value.examined == 5
+    assert search_with_count(task) == (None, 5)
 
 
 def test_exclusions_skip_named_witnesses():
     base = ConstellationTask(
         TupleSystem(CrtClass(30, 25, (2, 3, 5)), (-18, -8, -6)), start=19
     )
-    first = next_constellation(base)
+    first, _ = search_with_count(base)
     skipped = ConstellationTask(
         base.system, start=19, exclusions=frozenset({first})
     )
-    second = next_constellation(skipped)
+    second, _ = search_with_count(skipped)
     assert second > first
     assert second == naive_witness(
         ConstellationTask(base.system, start=19, budget=10**5,
@@ -181,7 +168,7 @@ def test_exclusions_skip_named_witnesses():
 def test_inadmissible_task_is_an_error_not_exhaustion():
     task = ConstellationTask(TupleSystem(CrtClass(2, 1, (2,)), (0, 2, 4)))
     with pytest.raises(InadmissibleSystemError) as info:
-        next_constellation(task)
+        search_with_count(task)
     assert info.value.obstruction.p == 3
 
 
@@ -286,13 +273,6 @@ def test_witness_and_depth_do_not_depend_on_the_window_schedule(segment_size):
     for depth in sorted({1} | {e + i for e in ends for i in (-1, 0, 1)}):
         got = search_with_count(quintuplet_task(depth), segment_size)
         assert got == (DEEP_WITNESS, depth), (segment_size, depth)
-
-
-def test_threads_agree_across_the_growth_phase():
-    for depth in [2] + [e + i for e in window_ends(LARGEST) for i in (0, 1)]:
-        task = quintuplet_task(depth)
-        single = search_with_count(task, LARGEST, workers=1)
-        assert search_with_count(task, LARGEST, workers=7) == single == (DEEP_WITNESS, depth)
 
 
 def record_windows(monkeypatch):

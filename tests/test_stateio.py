@@ -36,7 +36,6 @@ def test_roundtrip_preserves_state_fields():
     assert back.a == st.a and back.b == st.b
     assert back.represented == st.represented
     assert back.config == st.config
-    assert back.rng_draws == st.rng_draws
     assert sorted(back.pairs) == sorted(st.pairs)
     for p in st.pairs:
         assert back.pairs[p].u.mask == st.pairs[p].u.mask
@@ -79,6 +78,13 @@ def test_schema_and_version_rejection():
     wrong = dict(doc, version=99)
     with pytest.raises(ValueError, match="version"):
         doc_to_state(wrong)
+    # a version-1 document, with the random stream and the faithful
+    # policy's fields, is refused, not read in part
+    config = dict(doc["config"], mode="reduced", k_constant=None, reserve_count=2,
+                  seed=0, workers=1, retry_cap=10_000, k_scan_limit=8192)
+    old = dict(doc, version=1, config=config, rng_draws=0)
+    with pytest.raises(ValueError, match="unsupported state version 1"):
+        doc_to_state(old)
     with pytest.raises(ValueError):
         doc_to_state(["not", "an", "object"])
 
@@ -122,6 +128,17 @@ def test_missing_key_is_a_value_error():
     doc = state_to_doc(small_state())
     del doc["pairs"]
     with pytest.raises(ValueError, match="pairs"):
+        doc_to_state(doc)
+
+
+@pytest.mark.parametrize("drop", ("all", "budget"))
+def test_config_fields_are_never_filled_from_defaults(drop):
+    doc = state_to_doc(small_state())
+    if drop == "all":
+        doc["config"] = {}
+    else:
+        del doc["config"][drop]
+    with pytest.raises(ValueError, match="config has no"):
         doc_to_state(doc)
 
 

@@ -46,21 +46,15 @@ from .pairs import (
     randomized_extend_with_stats,
 )
 from .primes import (
+    PrimalityStatus,
+    is_prime,
     is_prime_exact,
-    is_probable_prime,
     prime_factors,
     primes_in_range,
     primes_up_to,
 )
 from .rng import CountingRng
-from .search import (
-    ConstellationTask,
-    PrimalityStatus,
-    PrimalityVerdict,
-    is_prime,
-    search_with_count,
-    sieve_segment,
-)
+from .search import ConstellationTask, search_with_count, sieve_segment
 from .stateio import (
     STATE_SCHEMA,
     STATE_VERSION,
@@ -88,7 +82,6 @@ __all__ = [
     "Obstruction",
     "PLUS",
     "PrimalityStatus",
-    "PrimalityVerdict",
     "PrimeCompatiblePair",
     "ResidueSet",
     "RunResult",
@@ -113,7 +106,6 @@ __all__ = [
     "is_prime",
     "is_prime_compatible",
     "is_prime_exact",
-    "is_probable_prime",
     "linear_map_set",
     "load_state",
     "loads_state",

@@ -60,27 +60,20 @@ class InadmissibleSystemError(ValueError):
         self.obstruction = obstruction
 
 
-def is_admissible(system: TupleSystem, q_factors=None) -> Obstruction | None:
+def is_admissible(system: TupleSystem) -> Obstruction | None:
     """None when admissible, else the smallest obstructing prime.
 
-    The factorization of q is taken from the supplied q_factors, falling
-    back to the factor list the CrtClass carries; a bare q below 2**64 is
-    factored directly, anything larger without factors is an error.
+    The factorization of q is the factor list the CrtClass carries; a
+    bare q below 2**64 is factored directly, anything larger without
+    factors is an error.
     """
     q = system.crt.modulus
     t = system.crt.residue
-    factors = q_factors if q_factors is not None else system.crt.primes
+    factors = system.crt.primes
     if factors is None:
         if q >= CERTIFIED_LIMIT:
             raise ValueError("explicit factor list required for q >= 2**64")
         factors = prime_factors(q)
-    else:
-        factors = tuple(factors)
-        prod = 1
-        for p in factors:
-            prod *= p
-        if len(set(factors)) != len(factors) or prod != q:
-            raise ValueError("factor list does not multiply to q")
     m = len(system.offsets)
     for p in sorted(set(factors) | set(primes_up_to(m))):
         if q % p == 0:

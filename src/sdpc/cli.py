@@ -44,20 +44,14 @@ def _int_list(text: str) -> list[int]:
 # run
 # ---------------------------------------------------------------------------
 
-_CONFIG_FLAGS = (
-    ("p_limit", "p_limit"),
-    ("budget", "budget"),
-    ("sieve_limit", "sieve_limit"),
-    ("segment_size", "segment_size"),
-    ("pp_rounds", "probable_rounds"),
-)
+_CONFIG_FLAGS = ("p_limit", "budget", "sieve_limit", "segment_size")
 
 
 def _effective_config(args: argparse.Namespace, base: Config | None) -> Config:
     overrides = {
-        field: getattr(args, flag)
-        for flag, field in _CONFIG_FLAGS
-        if getattr(args, flag) is not None
+        field: getattr(args, field)
+        for field in _CONFIG_FLAGS
+        if getattr(args, field) is not None
     }
     if base is None:
         return Config(**overrides)
@@ -167,12 +161,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_pair(args: argparse.Namespace) -> int:
     if args.random:
-        rng = CountingRng(args.seed)
+        rng = CountingRng(args.seed or 0)
         pair, attempts = randomized_extend_with_stats(
-            frozenset(_int_list(args.w)), args.p, args.reserve, rng
+            frozenset(_int_list(args.w or "")), args.p, args.reserve or 0, rng
         )
         print(f"found on attempt {attempts}")
     else:
+        unused = [flag for flag in ("w", "reserve", "seed") if getattr(args, flag) is not None]
+        if unused:
+            raise ValueError(f"--{unused[0]} needs --random")
         pair = explicit_pair(args.p)
     print(f"p = {pair.p}")
     print("U =", " ".join(str(v) for v in pair.u))
@@ -213,7 +210,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         sieve_limit=args.sieve_limit,
         exclusions=frozenset(_int_list(args.exclude)) if args.exclude else frozenset(),
     )
-    x, examined = search_with_count(task, args.segment_size, args.pp_rounds)
+    x, examined = search_with_count(task, args.segment_size)
     if x is None:
         print(f"exhausted after {examined} candidates", file=sys.stderr)
         return 2
@@ -266,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sieve-limit", dest="sieve_limit", type=int)
     p_run.add_argument("--segment-size", dest="segment_size", type=int,
                        help="largest sieve window; windows grow to it from a small first one")
-    p_run.add_argument("--pp-rounds", dest="pp_rounds", type=int)
     p_run.add_argument("--state", help="state file to resume from when it exists")
     p_run.add_argument("--out", help="where to write the final state (defaults to --state)")
     p_run.add_argument("--json-report", dest="json_report", help="write a machine readable run report")
@@ -278,12 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pair = subs.add_parser("pair", help="build a compatible residue pair for one prime")
     p_pair.add_argument("--p", type=int, required=True)
-    style = p_pair.add_mutually_exclusive_group()
-    style.add_argument("--explicit", action="store_true", help="closed form pair (default)")
-    style.add_argument("--random", action="store_true", help="randomized pair around a core")
-    p_pair.add_argument("--w", default="", help="comma separated core residues for --random")
-    p_pair.add_argument("--reserve", type=int, default=0, help="extra reserved residues for --random")
-    p_pair.add_argument("--seed", type=int, default=0)
+    p_pair.add_argument("--random", action="store_true",
+                        help="randomized pair around a core (default: the closed form pair)")
+    p_pair.add_argument("--w", help="comma separated core residues for --random (default none)")
+    p_pair.add_argument("--reserve", type=int, help="extra reserved residues for --random (default 0)")
+    p_pair.add_argument("--seed", type=int, help="seed for --random (default 0)")
     p_pair.set_defaults(func=_cmd_pair)
 
     p_adm = subs.add_parser("admissible", help="test a residue class plus offsets for obstructions")
@@ -297,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT)
     p_search.add_argument("--segment-size", dest="segment_size", type=int, default=1 << 16,
                           help="largest sieve window; windows grow to it from a small first one")
-    p_search.add_argument("--pp-rounds", dest="pp_rounds", type=int, default=24)
     p_search.add_argument("--exclude", help="comma separated x values to skip")
     p_search.set_defaults(func=_cmd_search)
 

@@ -31,15 +31,8 @@ from typing import Callable
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
 from .modular import CrtClass, ResidueSet, crt_combine
 from .pairs import MINUS, PLUS, PrimeCompatiblePair, explicit_pair, is_prime_compatible
-from .primes import primes_in_range, primes_up_to
-from .search import (
-    DEFAULT_SIEVE_LIMIT,
-    ConstellationTask,
-    PrimalityStatus,
-    check_sieve_limit,
-    is_prime,
-    search_with_count,
-)
+from .primes import PrimalityStatus, is_prime, primes_in_range, primes_up_to
+from .search import DEFAULT_SIEVE_LIMIT, ConstellationTask, check_sieve_limit, search_with_count
 
 ALL_CERTIFIED = "all-certified"
 CONTAINS_PROBABLE = "contains-probable-primes"
@@ -133,16 +126,10 @@ class Config:
     whole construction, and p_limit = 7 with 7 managed is what keeps the
     default run alive past a dozen offsets.
 
-    A step's search sieves windows of candidates that start small
-    (sdpc.search.FIRST_WINDOW) and double up to segment_size, with the
-    primes up to sieve_limit in three tiers (sdpc.search): periodic
-    pre-sieve patterns for the small primes, one strided write per
-    distinct class for the middle ones, and scattered hits for the large
-    ones. Where some |x + d| can itself be a sieving prime, the struck
-    candidates are re-checked exactly. The default sieve_limit comes from
-    a sweep over the construction's own step plans. budget runs higher
-    than the standalone search default because a step at a dozen offsets
-    sits around 10**8.5 candidates deep. Witnesses depend on neither
+    budget, sieve_limit and segment_size bound and shape a step's search;
+    sdpc.search describes how they are used. budget runs higher than the
+    standalone search default because a step at a dozen offsets sits
+    around 10**8.5 candidates deep. Witnesses depend on neither
     segment_size nor sieve_limit.
     """
 
@@ -150,7 +137,6 @@ class Config:
     budget: int = 10**9
     sieve_limit: int = DEFAULT_SIEVE_LIMIT
     segment_size: int = 1 << 20
-    probable_rounds: int = 24
 
     def __post_init__(self):
         # 2, 3 and 5 anchor the seed sets; p_limit = 5 is the bare minimum.
@@ -159,8 +145,6 @@ class Config:
         if min(self.budget, self.segment_size) < 1:
             raise ValueError("budgets must be positive")
         check_sieve_limit(self.sieve_limit)
-        if self.probable_rounds < 1:
-            raise ValueError("probable_rounds must be at least 1")
 
 
 @dataclass
@@ -330,7 +314,7 @@ def apply_step(state: ConstructionState, plan: StepPlan, x: int) -> Construction
     for diff in fresh:
         if diff in state.represented:
             raise ValueError(f"coincidence: difference {diff} already represented")
-        if abs(diff) <= 3 or not is_prime(diff, state.config.probable_rounds).accepted:
+        if abs(diff) <= 3 or not is_prime(diff).accepted:
             raise ValueError(f"coincidence: new difference {diff} is not a prime above 3")
 
     pairs = dict(state.pairs)
@@ -388,17 +372,16 @@ class VerifyReport:
 
 def verify(state: ConstructionState) -> VerifyReport:
     """Re-derive every claimed property of the state from scratch."""
-    rounds = state.config.probable_rounds
     checks: list[CheckResult] = []
 
     diffs = [(aa - bb, aa, bb) for aa in state.a for bb in state.b]
     bad = []
     probable = 0
     for d, aa, bb in diffs:
-        verdict = is_prime(d, rounds)
+        verdict = is_prime(d)
         if abs(d) <= 3 or not verdict.accepted:
             bad.append(d)
-        elif verdict.status is PrimalityStatus.PROBABLE:
+        elif verdict is PrimalityStatus.PROBABLE:
             probable += 1
     checks.append(
         CheckResult(
@@ -550,7 +533,7 @@ def run(
                 budget=cfg.budget,
                 sieve_limit=cfg.sieve_limit,
             )
-            x, examined = search_with_count(task, cfg.segment_size, cfg.probable_rounds)
+            x, examined = search_with_count(task, cfg.segment_size)
             if x is None:
                 completed = False
                 diagnostic = (

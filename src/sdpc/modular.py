@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .primes import is_prime_int
+from .primes import is_prime
 
 
 @lru_cache(maxsize=4096)
 def _checked_prime(p: int) -> bool:
-    return p >= 2 and is_prime_int(p)
+    return p >= 2 and is_prime(p).accepted
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Prime plumbing: sieves, exact 64-bit primality, probable-prime tests, factoring."""
+"""Prime plumbing: sieves, exact 64-bit primality, signed primality verdicts, factoring."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -21,6 +22,9 @@ _MR_TIERS = (
 CERTIFIED_LIMIT = 1 << 64
 
 _SMALL_TRIAL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# From 2**64 on: strong tests to the first 24 primes, a fixed set, so a
+# probable-prime verdict is the same in every run.
+_PROBABLE_BASES = _SMALL_TRIAL + (53, 59, 61, 67, 71, 73, 79, 83, 89)
 
 
 @lru_cache(maxsize=64)
@@ -76,31 +80,32 @@ def is_prime_exact(n: int) -> bool:
     return all(_strong_probable_prime(n, b) for b in bases)
 
 
-def is_probable_prime(n: int, rounds: int = 24) -> bool:
-    """Miller-Rabin against the first `rounds` prime bases.
+class PrimalityStatus(Enum):
+    CERTIFIED = "certified-prime"
+    PROBABLE = "probable-prime"
+    COMPOSITE = "composite"
+    UNIT_OR_SMALL = "unit-or-small"
 
-    Exact below 2**64; above that the verdict is probabilistic but
-    deterministic for a given round count, which keeps runs replayable.
+    @property
+    def accepted(self) -> bool:
+        return self in (PrimalityStatus.CERTIFIED, PrimalityStatus.PROBABLE)
+
+
+def is_prime(n: int) -> PrimalityStatus:
+    """Primality of |n| for a signed integer.
+
+    Certified (deterministic) below 2**64. From 2**64 on, trial division
+    by the primes to 47 and strong tests to the first 24 prime bases give
+    a probable-prime verdict.
     """
-    if n < CERTIFIED_LIMIT:
-        return is_prime_exact(n)
-    for p in _SMALL_TRIAL:
-        if n % p == 0:
-            return False
-    bound = max(rounds, 1)
-    bases = primes_up_to(200)[:bound]
-    if len(bases) < bound:
-        # first `bound` primes past the cached table
-        extra = bound
-        while len(bases) < bound:
-            extra *= 2
-            bases = primes_up_to(extra * 20)[:bound]
-    return all(_strong_probable_prime(n, b) for b in bases)
-
-
-def is_prime_int(n: int, rounds: int = 24) -> bool:
-    """Boolean primality of |n|; exact below 2**64, probable above."""
-    return is_probable_prime(abs(n), rounds)
+    v = abs(n)
+    if v <= 1:
+        return PrimalityStatus.UNIT_OR_SMALL
+    if v < CERTIFIED_LIMIT:
+        return PrimalityStatus.CERTIFIED if is_prime_exact(v) else PrimalityStatus.COMPOSITE
+    if all(v % p for p in _SMALL_TRIAL) and all(_strong_probable_prime(v, b) for b in _PROBABLE_BASES):
+        return PrimalityStatus.PROBABLE
+    return PrimalityStatus.COMPOSITE
 
 
 def _brent_rho(n: int) -> int:

@@ -1,4 +1,4 @@
-"""Replayable seeded randomness with an explicit draw counter."""
+"""Seeded randomness that draws whole 32-bit words."""
 
 from __future__ import annotations
 
@@ -6,26 +6,17 @@ import random
 
 
 class CountingRng:
-    """Deterministic random source whose position is just (seed, draws).
+    """Deterministic random source over a seeded Mersenne Twister stream.
 
-    Every draw consumes exactly one 32-bit word from a seeded Mersenne
-    Twister stream, so a generator can be reconstructed mid-stream by
-    replaying `draws` words. randrange() uses top-bits rejection sampling,
-    which keeps the word count a pure function of the seed and the call
-    sequence.
+    Every draw consumes exactly one 32-bit word of the stream. randrange()
+    uses top-bits rejection sampling, so the words consumed, and with them
+    every result, are a pure function of the seed and the call sequence.
     """
 
-    def __init__(self, seed: int, draws: int = 0):
-        if draws < 0:
-            raise ValueError("draw counter must be nonnegative")
-        self.seed = seed
-        self.draws = 0
+    def __init__(self, seed: int):
         self._rand = random.Random(seed)
-        for _ in range(draws):
-            self._word()
 
     def _word(self) -> int:
-        self.draws += 1
         return self._rand.getrandbits(32)
 
     def bit(self) -> int:

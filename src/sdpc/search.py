@@ -60,12 +60,11 @@ sieving prime is re-decided exactly. Such a window ANDs every pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
-from .primes import CERTIFIED_LIMIT, is_prime_exact, is_probable_prime, prime_factors, primes_up_to
+from .primes import CERTIFIED_LIMIT, is_prime, prime_factors, primes_up_to
 
 
 # Chosen by a sweep over the construction's own step plans (CHANGES.md).
@@ -83,43 +82,6 @@ GATHER_COST = 1 << 12
 GATHER_BYTES = 1 << 18
 # Hits per indexed write, which bounds the scatter's index arrays.
 SCATTER_BATCH = 1 << 16
-
-
-class PrimalityStatus(Enum):
-    CERTIFIED = "certified-prime"
-    PROBABLE = "probable-prime"
-    COMPOSITE = "composite"
-    UNIT_OR_SMALL = "unit-or-small"
-
-
-@dataclass(frozen=True)
-class PrimalityVerdict:
-    value: int
-    status: PrimalityStatus
-    rounds: int | None = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.status in (PrimalityStatus.CERTIFIED, PrimalityStatus.PROBABLE)
-
-
-def is_prime(n: int, rounds: int = 24) -> PrimalityVerdict:
-    """Primality verdict for a signed integer; the sign is ignored.
-
-    |n| below 2**64 gets a deterministic (certified) answer; above that
-    the verdict is probable-prime with the given round count.
-    """
-    v = abs(n)
-    if v <= 1:
-        return PrimalityVerdict(n, PrimalityStatus.UNIT_OR_SMALL)
-    if v < CERTIFIED_LIMIT:
-        ok = is_prime_exact(v)
-        return PrimalityVerdict(
-            n, PrimalityStatus.CERTIFIED if ok else PrimalityStatus.COMPOSITE
-        )
-    if is_probable_prime(v, rounds):
-        return PrimalityVerdict(n, PrimalityStatus.PROBABLE, rounds=rounds)
-    return PrimalityVerdict(n, PrimalityStatus.COMPOSITE)
 
 
 def check_sieve_limit(limit: int) -> None:
@@ -439,12 +401,12 @@ def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
     return [plan.t + (lo + j) * plan.q for j in plan.window(lo, hi).tolist()]
 
 
-def _witness_ok(task: ConstellationTask, x: int, rounds: int) -> bool:
+def _witness_ok(task: ConstellationTask, x: int) -> bool:
     for d in task.system.offsets:
         value = x + d
         if abs(value) <= 3:
             return False
-        if not is_prime(value, rounds).accepted:
+        if not is_prime(value).accepted:
             return False
     return True
 
@@ -452,7 +414,6 @@ def _witness_ok(task: ConstellationTask, x: int, rounds: int) -> bool:
 def search_with_count(
     task: ConstellationTask,
     segment_size: int = 1 << 16,
-    rounds: int = 24,
 ) -> tuple[int | None, int]:
     """Smallest x >= start in the class with every |x + d| prime and > 3.
 
@@ -468,8 +429,6 @@ def search_with_count(
     """
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
     obstruction = is_admissible(task.system)
     if obstruction is not None:
         raise InadmissibleSystemError(obstruction)
@@ -483,7 +442,7 @@ def search_with_count(
         hi = min(lo + size, k_end)
         for j in plan.window(lo, hi).tolist():
             x = t + (lo + j) * q
-            if x not in task.exclusions and _witness_ok(task, x, rounds):
+            if x not in task.exclusions and _witness_ok(task, x):
                 return x, lo + j - k_start + 1
         lo, size = hi, min(2 * size, segment_size)
     return None, task.budget

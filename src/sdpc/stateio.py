@@ -21,7 +21,7 @@ from .modular import ResidueSet
 from .pairs import MINUS, PLUS, PrimeCompatiblePair
 
 STATE_SCHEMA = "sdpc-state"
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 _SIGN_KEY = {PLUS: "+", MINUS: "-"}
 _KEY_SIGN = {"+": PLUS, "-": MINUS}
@@ -123,22 +123,36 @@ def _ledger_row(row, what: str) -> tuple[int, int, int]:
     return r, a, b
 
 
+def _unique(entries, what: str) -> dict:
+    """A dict of (key, value) entries that refuses a repeated key: with
+    the later entry winning, a re-save would differ from the file."""
+    out = {}
+    for key, value in entries:
+        if key in out:
+            raise ValueError(f"state lists {what} {key} twice")
+        out[key] = value
+    return out
+
+
 def doc_to_state(doc: dict) -> ConstructionState:
     """The state a document describes. Raises ValueError for a document
-    with a missing key or a value of the wrong type, never coercing."""
+    with a missing key, a value of the wrong type or a repeated pair or
+    ledger row, never coercing."""
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
     if doc.get("schema") != STATE_SCHEMA:
         raise ValueError(f"unsupported state schema {doc.get('schema')!r}")
     if doc.get("version") != STATE_VERSION:
         raise ValueError(f"unsupported state version {doc.get('version')!r}")
-    rows = _items(doc, "represented", "state", _ledger_row)
     return ConstructionState(
         n=_int(_get(doc, "n", "state"), "state n"),
         a=tuple(_items(doc, "a", "state", _decimal)),
         b=tuple(_items(doc, "b", "state", _decimal)),
-        pairs={pair.p: pair for pair in _items(doc, "pairs", "state", _pair)},
-        represented={r: (a, b) for r, a, b in rows},
+        pairs=_unique(((pair.p, pair) for pair in _items(doc, "pairs", "state", _pair)), "the pair mod"),
+        represented=_unique(
+            ((r, (a, b)) for r, a, b in _items(doc, "represented", "state", _ledger_row)),
+            "the ledger row for",
+        ),
         config=_config(_get(doc, "config", "state")),
     )
 

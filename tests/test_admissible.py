@@ -81,13 +81,13 @@ def test_factor_source_chain():
     # the twin class 5 mod 6 is clean: t and t+2 avoid 0 mod 2 and mod 3
     # factors provided on the class itself
     assert is_admissible(TupleSystem(CrtClass(6, 5, (2, 3)), (0, 2))) is None
-    # factors passed as an argument
-    assert is_admissible(TupleSystem(CrtClass(6, 5), (0, 2)), q_factors=(2, 3)) is None
+    # in any order
+    assert is_admissible(TupleSystem(CrtClass(6, 5, (3, 2)), (0, 2))) is None
     # factors derived internally for machine-scale q
     assert is_admissible(TupleSystem(CrtClass(6, 5), (0, 2))) is None
     # wrong factor list is rejected
-    with pytest.raises(ValueError):
-        is_admissible(TupleSystem(CrtClass(6, 5), (0, 2)), q_factors=(2,))
+    with pytest.raises(ValueError, match="product"):
+        CrtClass(6, 5, (2,))
 
 
 def test_huge_modulus_requires_explicit_factors():
@@ -98,7 +98,8 @@ def test_huge_modulus_requires_explicit_factors():
     system = TupleSystem(CrtClass(q, q - 1), (0, 2))
     with pytest.raises(ValueError, match="factor"):
         is_admissible(system)
-    assert is_admissible(system, q_factors=primes_up_to(200)) is None
+    system = TupleSystem(CrtClass(q, q - 1, primes_up_to(200)), (0, 2))
+    assert is_admissible(system) is None
 
 
 def test_offsets_must_be_distinct():

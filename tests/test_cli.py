@@ -140,6 +140,7 @@ def test_verify_detects_a_doctored_state(tmp_path, capsys):
 
 @pytest.mark.parametrize("damage", (
     "drop pairs", "string n", "fractional element", "sieve limit 1", "sieve limit 2**31",
+    "repeated pair", "repeated ledger row",
 ))
 def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage):
     state = tmp_path / "state.json"
@@ -155,6 +156,12 @@ def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage
         # a limit the sieve refuses must be refused at load, not at the
         # first search of a later run
         doc["config"]["sieve_limit"] = 1 if damage.endswith(" 1") else 1 << 31
+    elif damage == "repeated pair":
+        # the same prime with another pair: the later one would win
+        pair = next(e for e in doc["pairs"] if e["p"] == 5)
+        doc["pairs"].append(dict(pair, assigned={}))
+    elif damage == "repeated ledger row":
+        doc["represented"].append(dict(next(r for r in doc["represented"] if r["r"] == "5")))
     else:
         doc["a"][1] = 11.5
     state.write_text(json.dumps(doc))
@@ -220,6 +227,28 @@ def test_pair_subcommand(capsys):
     assert "reserved =" in out
 
 
+@pytest.mark.parametrize("flags, named", (
+    (["--w", "0,1"], "--w"),
+    (["--reserve", "2"], "--reserve"),
+    (["--seed", "7"], "--seed"),
+    (["--seed", "7", "--w", "0,1", "--reserve", "2"], "--w"),
+), ids=("w", "reserve", "seed", "all"))
+def test_pair_refuses_random_flags_without_random(capsys, flags, named):
+    # these only steer --random; without it they would be silently ignored
+    assert main(["pair", "--p", "101", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named} needs --random\n"
+
+
+def test_pair_random_defaults(capsys):
+    # no core, no reserve and seed 0 when the flags are left out
+    assert main(["pair", "--p", "103", "--random"]) == 0
+    bare = capsys.readouterr().out
+    assert main(["pair", "--p", "103", "--random", "--w=", "--reserve", "0", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == bare
+
+
 def test_bad_requests_exit_one(tmp_path, capsys):
     assert main(["run", "--target", "-1", "--p-limit", "5"]) == 1
     assert "error" in capsys.readouterr().err
@@ -234,16 +263,6 @@ def test_bad_requests_exit_one(tmp_path, capsys):
     assert code == 1
     assert "inadmissible" in captured.err
 
-    for rounds in ("0", "-3"):
-        code = main(["search", "--q", "30", "--t", "25", "--offsets=-18,-8,-6", "--pp-rounds", rounds])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err == "error: rounds must be at least 1\n"
-        code = main(["run", "--target", "3", "--pp-rounds", rounds, "--out", str(tmp_path / "s.json")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err == "error: probable_rounds must be at least 1\n"
-    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", (
@@ -251,7 +270,12 @@ def test_bad_requests_exit_one(tmp_path, capsys):
     (["run", "--target", "x"], "invalid int value: 'x'"),
     (["search", "--q", "30", "--t", "25"], "the following arguments are required: --offsets"),
     (["export", "--state", "s.json", "--format", "xml"], "invalid choice: 'xml'"),
-), ids=("unknown-flag", "bad-int", "missing-flag", "bad-choice"))
+    (["run", "--target", "3", "--pp-rounds", "24"], "unrecognized arguments: --pp-rounds"),
+    (["search", "--q", "30", "--t", "25", "--offsets=-18,-8,-6", "--pp-rounds", "24"],
+     "unrecognized arguments: --pp-rounds"),
+    (["pair", "--p", "7", "--explicit"], "unrecognized arguments: --explicit"),
+), ids=("unknown-flag", "bad-int", "missing-flag", "bad-choice", "run-pp-rounds", "search-pp-rounds",
+        "pair-explicit"))
 def test_usage_errors_exit_one(capsys, argv, message):
     # 2 is kept for negative outcomes, so a malformed request is not
     # mistaken for an exhausted budget

@@ -8,8 +8,9 @@ import sympy
 
 from sdpc.primes import (
     CERTIFIED_LIMIT,
+    PrimalityStatus,
+    is_prime,
     is_prime_exact,
-    is_probable_prime,
     prime_factors,
     primes_in_range,
     primes_up_to,
@@ -82,10 +83,34 @@ def test_exact_primality_agrees_with_sympy_around_tier_thresholds():
 
 def test_probable_prime_above_certified_range():
     p = sympy.nextprime(CERTIFIED_LIMIT)
-    assert is_probable_prime(p)
-    assert not is_probable_prime(p + 1)
-    # below the boundary the answer is exact regardless of rounds
-    assert is_probable_prime(2**61 - 1, rounds=1)
+    assert is_prime(p).accepted
+    assert not is_prime(p + 1).accepted
+    # below the boundary the answer is exact, and certified
+    assert is_prime(2**61 - 1) is PrimalityStatus.CERTIFIED
+
+
+def test_signed_verdict_agrees_with_sympy_across_the_certified_limit():
+    # random values, the next prime after each, and semiprimes without
+    # small factors, on both sides of 2**64 and further out, with either
+    # sign; only values below 2**64 are certified
+    rng = random.Random(2064)
+    values = []
+    for side in (-1, 1):
+        for _ in range(40):
+            n = CERTIFIED_LIMIT + side * rng.randrange(1, 10**12)
+            p = sympy.nextprime(isqrt(n) - rng.randrange(10**4))
+            values += [n, sympy.nextprime(n), p * sympy.nextprime(p)]
+    for bits in (65, 89, 128):
+        for _ in range(20):
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            p = sympy.nextprime(rng.getrandbits(bits // 2))
+            values += [n, sympy.nextprime(n), p * sympy.nextprime(p)]
+    for m in values:
+        prime = sympy.isprime(m)
+        for n in (m, -m):
+            verdict = is_prime(n)
+            assert verdict.accepted == prime, n
+            assert (verdict is PrimalityStatus.CERTIFIED) == (prime and m < CERTIFIED_LIMIT), n
 
 
 def test_prime_factors_distinct_sorted():

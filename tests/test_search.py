@@ -14,7 +14,7 @@ import pytest
 import sdpc.search as search
 from sdpc.admissible import InadmissibleSystemError, TupleSystem
 from sdpc.modular import CrtClass
-from sdpc.primes import primes_up_to
+from sdpc.primes import PrimalityStatus, primes_up_to
 from sdpc.search import (
     DEFAULT_SIEVE_LIMIT,
     FIRST_WINDOW,
@@ -22,7 +22,6 @@ from sdpc.search import (
     PRESIEVE_DENSITY,
     SCATTER_HITS,
     ConstellationTask,
-    PrimalityStatus,
     _hit_classes,
     _SievePlan,
     is_prime,
@@ -120,13 +119,6 @@ def test_values_at_most_three_are_rejected():
     assert search_with_count(task)[0] == naive_witness(task) == 7
 
 
-@pytest.mark.parametrize("rounds", (0, -3))
-def test_rounds_below_one_are_refused(rounds):
-    task = ConstellationTask(TupleSystem(CrtClass(30, 25, (2, 3, 5)), (-18, -8, -6)), start=19)
-    with pytest.raises(ValueError, match="rounds must be at least 1"):
-        search_with_count(task, rounds=rounds)
-
-
 def test_budget_counts_candidates_not_survivors():
     # candidates 1 and 31: the first is rejected (value 1 too small)
     # yet still consumes budget, so the witness arrives at count 2
@@ -199,16 +191,15 @@ def test_sieve_survivors_below_limit_squared_are_prime():
 
 
 def test_primality_verdict_statuses():
-    assert is_prime(97).status is PrimalityStatus.CERTIFIED
-    assert is_prime(-97).status is PrimalityStatus.CERTIFIED
-    assert is_prime(91).status is PrimalityStatus.COMPOSITE
-    assert is_prime(1).status is PrimalityStatus.UNIT_OR_SMALL
-    assert is_prime(0).status is PrimalityStatus.UNIT_OR_SMALL
-    assert is_prime(-1).status is PrimalityStatus.UNIT_OR_SMALL
+    assert is_prime(97) is PrimalityStatus.CERTIFIED
+    assert is_prime(-97) is PrimalityStatus.CERTIFIED
+    assert is_prime(91) is PrimalityStatus.COMPOSITE
+    assert is_prime(1) is PrimalityStatus.UNIT_OR_SMALL
+    assert is_prime(0) is PrimalityStatus.UNIT_OR_SMALL
+    assert is_prime(-1) is PrimalityStatus.UNIT_OR_SMALL
     big = 2**89 - 1  # Mersenne prime, beyond the certified range
-    verdict = is_prime(big, rounds=16)
-    assert verdict.status is PrimalityStatus.PROBABLE
-    assert verdict.rounds == 16
+    verdict = is_prime(big)
+    assert verdict is PrimalityStatus.PROBABLE
     assert verdict.accepted
     assert not is_prime(2**89 - 3).accepted
 

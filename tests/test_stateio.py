@@ -85,8 +85,27 @@ def test_schema_and_version_rejection():
     old = dict(doc, version=1, config=config, rng_draws=0)
     with pytest.raises(ValueError, match="unsupported state version 1"):
         doc_to_state(old)
+    # a version-2 document, which still stores the round count
+    old = dict(doc, version=2, config=dict(doc["config"], probable_rounds=24))
+    with pytest.raises(ValueError, match="unsupported state version 2"):
+        doc_to_state(old)
     with pytest.raises(ValueError):
         doc_to_state(["not", "an", "object"])
+
+
+def test_repeated_pair_is_rejected():
+    # with the later entry winning, verify would pass and a re-save differ
+    doc = state_to_doc(small_state())
+    doc["pairs"].append(dict(next(e for e in doc["pairs"] if e["p"] == 5)))
+    with pytest.raises(ValueError, match="pair mod 5 twice"):
+        doc_to_state(doc)
+
+
+def test_repeated_ledger_row_is_rejected():
+    doc = state_to_doc(small_state())
+    doc["represented"].append(dict(next(r for r in doc["represented"] if r["r"] == "5")))
+    with pytest.raises(ValueError, match="ledger row for 5 twice"):
+        doc_to_state(doc)
 
 
 def test_inconsistent_ledger_row_is_rejected():

@@ -44,7 +44,7 @@ def _int_list(text: str) -> list[int]:
 # run
 # ---------------------------------------------------------------------------
 
-_CONFIG_FLAGS = ("p_limit", "budget", "sieve_limit", "segment_size")
+_CONFIG_FLAGS = ("p_limit", "budget")
 
 
 def _effective_config(args: argparse.Namespace, base: Config | None) -> Config:
@@ -210,7 +210,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         sieve_limit=args.sieve_limit,
         exclusions=frozenset(_int_list(args.exclude)) if args.exclude else frozenset(),
     )
-    x, examined = search_with_count(task, args.segment_size)
+    x, examined = search_with_count(task)
     if x is None:
         print(f"exhausted after {examined} candidates", file=sys.stderr)
         return 2
@@ -260,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--target", type=int, required=True, help="cover the first N signed primes")
     p_run.add_argument("--p-limit", dest="p_limit", type=int)
     p_run.add_argument("--budget", type=int)
-    p_run.add_argument("--sieve-limit", dest="sieve_limit", type=int)
-    p_run.add_argument("--segment-size", dest="segment_size", type=int,
-                       help="largest sieve window; windows grow to it from a small first one")
     p_run.add_argument("--state", help="state file to resume from when it exists")
     p_run.add_argument("--out", help="where to write the final state (defaults to --state)")
     p_run.add_argument("--json-report", dest="json_report", help="write a machine readable run report")
@@ -290,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--start", type=int, default=0)
     p_search.add_argument("--budget", type=int, default=10**8)
     p_search.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    p_search.add_argument("--segment-size", dest="segment_size", type=int, default=1 << 16,
-                          help="largest sieve window; windows grow to it from a small first one")
     p_search.add_argument("--exclude", help="comma separated x values to skip")
     p_search.set_defaults(func=_cmd_search)
 

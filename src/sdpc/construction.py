@@ -32,10 +32,12 @@ from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
 from .modular import CrtClass, ResidueSet, crt_combine
 from .pairs import MINUS, PLUS, PrimeCompatiblePair, explicit_pair, is_prime_compatible
 from .primes import PrimalityStatus, is_prime, primes_in_range, primes_up_to
-from .search import DEFAULT_SIEVE_LIMIT, ConstellationTask, check_sieve_limit, search_with_count
+from .search import ConstellationTask, search_with_count
 
 ALL_CERTIFIED = "all-certified"
 CONTAINS_PROBABLE = "contains-probable-primes"
+# A step's largest sieve window. Windows grow to it from search.FIRST_WINDOW.
+LARGEST_WINDOW = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +128,22 @@ class Config:
     whole construction, and p_limit = 7 with 7 managed is what keeps the
     default run alive past a dozen offsets.
 
-    budget, sieve_limit and segment_size bound and shape a step's search;
-    sdpc.search describes how they are used. budget runs higher than the
-    standalone search default because a step at a dozen offsets sits
-    around 10**8.5 candidates deep. Witnesses depend on neither
-    segment_size nor sieve_limit.
+    budget is the most candidates a step's search may examine. It runs
+    higher than the standalone search default because a step at a dozen
+    offsets sits around 10**8.5 candidates deep. Each step searches with
+    the sieve's default limit in windows of up to LARGEST_WINDOW; neither
+    changes a witness, so neither is a setting.
     """
 
     p_limit: int = 7
     budget: int = 10**9
-    sieve_limit: int = DEFAULT_SIEVE_LIMIT
-    segment_size: int = 1 << 20
 
     def __post_init__(self):
         # 2, 3 and 5 anchor the seed sets; p_limit = 5 is the bare minimum.
         if self.p_limit < 5:
             raise ValueError("p_limit must be at least 5")
-        if min(self.budget, self.segment_size) < 1:
-            raise ValueError("budgets must be positive")
-        check_sieve_limit(self.sieve_limit)
+        if self.budget < 1:
+            raise ValueError("budget must be positive")
 
 
 @dataclass
@@ -508,12 +507,17 @@ def run(
 
     Each loop turn handles the next index: a target already represented
     (a by-product of an earlier witness) is recorded as a free step,
-    anything else is planned, searched and applied. Every turn ends with
-    a full verification; budget exhaustion stops the loop and hands back
-    the last good state, flagged via `completed` and `diagnostic`.
+    anything else is planned, searched and applied. The state is verified
+    in full before the first turn, where a failure raises ValueError, and
+    after every turn; budget exhaustion stops the loop and hands back the
+    last good state, flagged via `completed` and `diagnostic`.
     """
     if target < 0:
         raise ValueError("target must be nonnegative")
+    report = verify(state)
+    if not report.ok:
+        names = [c.name for c in report.failures()]
+        raise ValueError(f"the state to extend fails verification: {names}")
     cfg = state.config
     steps: list[StepRecord] = []
     completed = True
@@ -528,12 +532,9 @@ def run(
         else:
             plan = plan_step(state, r)
             task = ConstellationTask(
-                TupleSystem(plan.crt, plan.offsets),
-                start=plan.min_x,
-                budget=cfg.budget,
-                sieve_limit=cfg.sieve_limit,
+                TupleSystem(plan.crt, plan.offsets), start=plan.min_x, budget=cfg.budget
             )
-            x, examined = search_with_count(task, cfg.segment_size)
+            x, examined = search_with_count(task, LARGEST_WINDOW)
             if x is None:
                 completed = False
                 diagnostic = (
@@ -541,22 +542,19 @@ def run(
                     f"candidates (start {plan.min_x}, class {plan.crt.residue} "
                     f"mod {plan.crt.modulus})"
                 )
-                steps.append(
-                    StepRecord(index, r, None, examined, perf_counter() - started, exhausted=True)
-                )
-                if on_step:
-                    on_step(steps[-1])
-                break
-            state = apply_step(state, plan, x)
-            record = StepRecord(index, r, x, examined, perf_counter() - started)
+            else:
+                state = apply_step(state, plan, x)
+            record = StepRecord(index, r, x, examined, perf_counter() - started, exhausted=x is None)
         steps.append(record)
         if on_step:
             on_step(record)
-        after = verify(state)
-        if not after.ok:
-            names = [c.name for c in after.failures()]
+        if not completed:
+            break
+        report = verify(state)
+        if not report.ok:
+            names = [c.name for c in report.failures()]
             raise RuntimeError(f"verification failed after step {index}: {names}")
-    return RunResult(state, steps, completed, diagnostic, verify(state))
+    return RunResult(state, steps, completed, diagnostic, report)
 
 
 def difference_table(state: ConstructionState) -> list[tuple[int, int, int]]:

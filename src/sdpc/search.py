@@ -33,12 +33,11 @@ classes, and every window reuses it. The plan has three tiers:
    one indexed write for all the primes that hit at most once.
 
 With a dozen offsets the first few patterns leave almost no k alive. So
-a long window ANDs a pattern only while those before it keep at least
+a window ANDs a pattern only while those before it keep at least
 1/GATHER_COST of all k; after tiers 2 and 3 it tests its few survivors j
 against all the other patterns in one indexed read of
-pattern[(lo + j) mod period]. A window gathers only when ANDing those
-patterns would pass GATHER_BYTES bytes (their count times its length);
-shorter windows AND every pattern.
+pattern[(lo + j) mod period]. Every window of such a plan gathers, the
+shortest and those over a forgiveness zone too.
 
 Set-up costs a few NumPy passes per (prime, offset) entry. q is inverted
 mod every sieving prime from q's prime factors: for a factor r < 2**31,
@@ -53,8 +52,8 @@ every later prime goes to tiers 2 and 3 with one entry per offset.
 
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
-afterwards, in those windows only, every struck k with some |x + d| a
-sieving prime is re-decided exactly. Such a window ANDs every pattern.
+afterwards, in those windows only, every k missing from the survivors
+with some |x + d| a sieving prime is re-decided exactly.
 """
 
 from __future__ import annotations
@@ -76,19 +75,10 @@ PRESIEVE_DENSITY = 32
 PATTERN_PERIOD = 1 << 17
 SCATTER_HITS = 32
 # A pattern is ANDed while the denser ones keep at least 1/GATHER_COST of
-# all k; a window gathers from the rest once ANDing them would pass
-# GATHER_BYTES bytes. Both from sweeps (CHANGES.md).
+# all k; windows gather from the rest. From a sweep (CHANGES.md).
 GATHER_COST = 1 << 12
-GATHER_BYTES = 1 << 18
 # Hits per indexed write, which bounds the scatter's index arrays.
 SCATTER_BATCH = 1 << 16
-
-
-def check_sieve_limit(limit: int) -> None:
-    """Refuse a sieve limit below 2, which sieves nothing, or from 2**31
-    on, where the sieve's int64 products would overflow."""
-    if not 2 <= limit < 1 << 31:
-        raise ValueError("sieve_limit must be at least 2 and below 2**31")
 
 
 @dataclass(frozen=True)
@@ -106,7 +96,10 @@ class ConstellationTask:
             raise ValueError("start must be nonnegative")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        check_sieve_limit(self.sieve_limit)
+        # below 2 nothing is sieved; from 2**31 on the sieve's int64
+        # products would overflow
+        if not 2 <= self.sieve_limit < 1 << 31:
+            raise ValueError("sieve_limit must be at least 2 and below 2**31")
         object.__setattr__(self, "exclusions", frozenset(self.exclusions))
 
 
@@ -304,12 +297,7 @@ class _SievePlan:
         n = hi - lo
         if n <= 0:
             return np.empty(0, np.int64)
-        # gather when ANDing the sparse patterns would pass GATHER_BYTES;
-        # forgiveness re-decides struck k, so it needs the whole window
-        gathered = self.gathered
-        if gathered * n < GATHER_BYTES or any(a < hi and lo < b for _, a, b in self.zones):
-            gathered = 0
-        anded = self.patterns[: len(self.patterns) - gathered]
+        anded = self.patterns[: len(self.patterns) - self.gathered]
         # whole 8-byte words, so a gathering window can find its few
         # survivors a word at a time
         words = np.zeros(-(-n // 8), np.uint64)
@@ -351,19 +339,21 @@ class _SievePlan:
             # a prime of at least n hits the window at most once
             first = first[once:]
             alive[first[first < n]] = False
-        if not gathered:
-            self._forgive(alive, lo, hi)
-            return np.flatnonzero(alive)
-        live = np.flatnonzero(words != 0)
-        row, byte = np.nonzero(words[live, None].view(bool))
-        js = live[row] * 8 + byte
-        size = self.gather_size
-        pos = (js + _residues(lo, size)) % size + self.gather_start
-        return js[self.flat[pos].all(axis=0)]
+        if self.gathered:
+            live = np.flatnonzero(words != 0)
+            row, byte = np.nonzero(words[live, None].view(bool))
+            js = live[row] * 8 + byte
+            size = self.gather_size
+            pos = (js + _residues(lo, size)) % size + self.gather_start
+            js = js[self.flat[pos].all(axis=0)]
+        else:
+            js = np.flatnonzero(alive)
+        return self._forgive(js, lo, hi)
 
-    def _forgive(self, alive: np.ndarray, lo: int, hi: int) -> None:
-        """Re-decide, exactly, struck k in [lo, hi) where some |x + d| is
-        itself a sieving prime: that prime's strike must not count."""
+    def _forgive(self, js: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The survivors js with, re-decided exactly, the struck k in
+        [lo, hi) where some |x + d| is itself a sieving prime: that
+        prime's strike must not count."""
         q, t = self.q, self.t
         recheck = []
         for d, z_lo, z_hi in self.zones:
@@ -376,11 +366,14 @@ class _SievePlan:
             values = np.abs(t + d + a * q + step * np.arange(b - a))
             recheck.append(np.flatnonzero(np.isin(values, self.primes)) + (a - lo))
         if not recheck:
-            return
-        js = np.unique(np.concatenate(recheck))
-        for j in js[~alive[js]].tolist():
+            return js
+        alive = np.zeros(hi - lo, bool)
+        alive[js] = True
+        zone = np.unique(np.concatenate(recheck))
+        for j in zone[~alive[zone]].tolist():
             x = t + (lo + j) * q
             alive[j] = not any(self._struck(x + d) for d in self.offsets)
+        return np.flatnonzero(alive)
 
     def _struck(self, v: int) -> bool:
         """Whether some sieving prime p divides v with p != |v|."""

@@ -5,7 +5,8 @@ indent, one trailing newline. Unbounded integers (set elements, the
 difference ledger) travel as decimal strings so non-Python consumers
 aren't tripped by bigints; residues and other machine-scale fields stay
 native. Saving the result of a load is byte-identical to the original
-file, which lets callers fingerprint states by content.
+file, which lets callers fingerprint states by content; the loader
+refuses a document that a save would not write back, whitespace aside.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .modular import ResidueSet
 from .pairs import MINUS, PLUS, PrimeCompatiblePair
 
 STATE_SCHEMA = "sdpc-state"
-STATE_VERSION = 3
+STATE_VERSION = 4
 
 _SIGN_KEY = {PLUS: "+", MINUS: "-"}
 _KEY_SIGN = {"+": PLUS, "-": MINUS}
@@ -92,11 +93,7 @@ def _config(doc) -> Config:
     # every field present and an integer: a default filled in here would
     # make the next save differ from the file
     names = [f.name for f in fields(Config)]
-    values = {key: _int(_get(doc, key, "config"), f"config {key}") for key in names}
-    unknown = sorted(doc.keys() - values.keys())
-    if unknown:
-        raise ValueError(f"config has an unknown field {unknown[0]!r}")
-    return Config(**values)
+    return Config(**{key: _int(_get(doc, key, "config"), f"config {key}") for key in names})
 
 
 def _pair(entry, what: str) -> PrimeCompatiblePair:
@@ -134,20 +131,28 @@ def _unique(entries, what: str) -> dict:
     return out
 
 
+def _increasing(values: list, what: str) -> tuple:
+    """values as a tuple, refused unless strictly increasing, as a state's are."""
+    if any(u >= v for u, v in zip(values, values[1:])):
+        raise ValueError(f"{what} must be strictly increasing")
+    return tuple(values)
+
+
 def doc_to_state(doc: dict) -> ConstructionState:
     """The state a document describes. Raises ValueError for a document
-    with a missing key, a value of the wrong type or a repeated pair or
-    ledger row, never coercing."""
+    with a missing key, a value of the wrong type, an element list out of
+    order, a repeated pair or ledger row, or anything else a save of the
+    state would not write as it stands: never coercing."""
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
     if doc.get("schema") != STATE_SCHEMA:
         raise ValueError(f"unsupported state schema {doc.get('schema')!r}")
-    if doc.get("version") != STATE_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != STATE_VERSION:
         raise ValueError(f"unsupported state version {doc.get('version')!r}")
-    return ConstructionState(
+    state = ConstructionState(
         n=_int(_get(doc, "n", "state"), "state n"),
-        a=tuple(_items(doc, "a", "state", _decimal)),
-        b=tuple(_items(doc, "b", "state", _decimal)),
+        a=_increasing(_items(doc, "a", "state", _decimal), "state a"),
+        b=_increasing(_items(doc, "b", "state", _decimal), "state b"),
         pairs=_unique(((pair.p, pair) for pair in _items(doc, "pairs", "state", _pair)), "the pair mod"),
         represented=_unique(
             ((r, (a, b)) for r, a, b in _items(doc, "represented", "state", _ledger_row)),
@@ -155,6 +160,13 @@ def doc_to_state(doc: dict) -> ConstructionState:
         ),
         config=_config(_get(doc, "config", "state")),
     )
+    # an unknown key or another order would be lost or changed by the next
+    # save (the parsers above already refuse 4.0 or true for an integer)
+    saved = state_to_doc(state)
+    for key in sorted(doc):
+        if key not in saved or doc[key] != saved[key]:
+            raise ValueError(f"state {key} differs from its saved form")
+    return state
 
 
 def dumps_state(state: ConstructionState) -> str:

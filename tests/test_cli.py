@@ -74,7 +74,7 @@ def test_run_resume_refuses_structural_changes(tmp_path, capsys):
     assert code == 1
     assert "cannot change p_limit" in err
 
-    # tuning knobs may change freely on resume
+    # the budget, the one other setting, may change on resume
     assert main(["run", "--target", "4", "--state", str(state), "--budget", "500000"]) == 0
 
 
@@ -139,8 +139,8 @@ def test_verify_detects_a_doctored_state(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", (
-    "drop pairs", "string n", "fractional element", "sieve limit 1", "sieve limit 2**31",
-    "repeated pair", "repeated ledger row",
+    "drop pairs", "string n", "fractional element", "reversed a", "stale config field",
+    "repeated pair", "repeated ledger row", "version 3",
 ))
 def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage):
     state = tmp_path / "state.json"
@@ -152,10 +152,14 @@ def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage
         del doc["pairs"]
     elif damage == "string n":
         doc["n"] = "4"
-    elif damage.startswith("sieve limit"):
-        # a limit the sieve refuses must be refused at load, not at the
-        # first search of a later run
-        doc["config"]["sieve_limit"] = 1 if damage.endswith(" 1") else 1 << 31
+    elif damage == "reversed a":
+        # verify would pass, and the next step would sort A silently
+        doc["a"].reverse()
+    elif damage == "stale config field":
+        # a setting the state no longer has is refused, not ignored
+        doc["config"]["sieve_limit"] = 400
+    elif damage == "version 3":
+        doc.update(version=3, config=dict(doc["config"], sieve_limit=400, segment_size=1 << 20))
     elif damage == "repeated pair":
         # the same prime with another pair: the later one would win
         pair = next(e for e in doc["pairs"] if e["p"] == 5)
@@ -170,6 +174,30 @@ def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    if damage == "version 3":
+        assert err == "error: unsupported state version 3\n"
+        assert main(["run", "--target", "4", "--state", str(state)]) == 1
+        assert capsys.readouterr().err == err
+
+
+def test_run_refuses_a_state_that_fails_verification(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert main(["run", "--target", "4", "--state", str(state)]) == 0
+    capsys.readouterr()
+    doc = json.loads(state.read_text())
+    doc["a"][1] = "13"
+    state.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    before = state.read_bytes()
+    report = tmp_path / "report.json"
+
+    code = main(["run", "--target", "6", "--state", str(state), "--json-report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "differences-prime" in captured.err
+    # nothing searched, nothing written
+    assert "step " not in captured.out
+    assert state.read_bytes() == before and not report.exists()
 
 
 def test_search_subcommand(tmp_path, capsys):
@@ -274,8 +302,12 @@ def test_bad_requests_exit_one(tmp_path, capsys):
     (["search", "--q", "30", "--t", "25", "--offsets=-18,-8,-6", "--pp-rounds", "24"],
      "unrecognized arguments: --pp-rounds"),
     (["pair", "--p", "7", "--explicit"], "unrecognized arguments: --explicit"),
+    (["run", "--target", "3", "--sieve-limit", "400"], "unrecognized arguments: --sieve-limit"),
+    (["run", "--target", "3", "--segment-size", "1024"], "unrecognized arguments: --segment-size"),
+    (["search", "--q", "30", "--t", "25", "--offsets=-18,-8,-6", "--segment-size", "1024"],
+     "unrecognized arguments: --segment-size"),
 ), ids=("unknown-flag", "bad-int", "missing-flag", "bad-choice", "run-pp-rounds", "search-pp-rounds",
-        "pair-explicit"))
+        "pair-explicit", "run-sieve-limit", "run-segment-size", "search-segment-size"))
 def test_usage_errors_exit_one(capsys, argv, message):
     # 2 is kept for negative outcomes, so a malformed request is not
     # mistaken for an exhausted budget

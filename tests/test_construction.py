@@ -6,8 +6,10 @@ from dataclasses import fields, replace
 
 import pytest
 
+from sdpc.admissible import TupleSystem
 from sdpc.construction import (
     ALL_CERTIFIED,
+    LARGEST_WINDOW,
     Config,
     apply_step,
     check_bound,
@@ -22,7 +24,7 @@ from sdpc.construction import (
     verify,
 )
 from sdpc.pairs import MINUS, PLUS
-from sdpc.search import DEFAULT_SIEVE_LIMIT
+from sdpc.search import DEFAULT_SIEVE_LIMIT, ConstellationTask, search_with_count
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +96,11 @@ def test_compute_K_scan_limit_too_small():
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    assert [f.name for f in fields(Config)] == ["p_limit", "budget", "sieve_limit", "segment_size"]
+    assert [f.name for f in fields(Config)] == ["p_limit", "budget"]
     with pytest.raises(ValueError):
         Config(p_limit=4)
     with pytest.raises(ValueError):
         Config(budget=0)
-    # the sieve's own rule, as ConstellationTask applies it
-    for limit in (0, 1, 1 << 31):
-        with pytest.raises(ValueError, match="sieve_limit"):
-            Config(sieve_limit=limit)
-    Config(sieve_limit=2)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +299,24 @@ def test_run_growth_invariants():
 
 def test_witnesses_do_not_depend_on_sieve_limit():
     # the sieve strikes only proven composites and the scan is ordered by
-    # k, so the limit may change the work but never the witness
-    runs = [run(initial_state(Config(sieve_limit=limit)), 7)
-            for limit in (50, DEFAULT_SIEVE_LIMIT, 100_000)]
-    assert all(res.completed for res in runs)
-    assert {(res.state.a, res.state.b) for res in runs} == {
-        ((1, 11, 625, 3587, 42305, 2132467, 1655127457),
-         (6, 618, 3594, 42294, 2132478, 1655127444)),
-    }
+    # k, so the limit may change the work but never the witness or its
+    # depth: each step plan of the coverage-7 run, searched at three limits
+    state = initial_state(Config())
+    for coverage in range(3, 8):
+        plan = plan_step(state, signed_primes(coverage))
+        res = run(state, coverage)
+        (step,) = res.steps
+        system = TupleSystem(plan.crt, plan.offsets)
+        for limit in (50, DEFAULT_SIEVE_LIMIT, 100_000):
+            task = ConstellationTask(
+                system, start=plan.min_x, budget=state.config.budget, sieve_limit=limit
+            )
+            assert search_with_count(task, LARGEST_WINDOW) == (step.witness, step.candidates)
+        state = res.state
+    assert (state.a, state.b) == (
+        (1, 11, 625, 3587, 42305, 2132467, 1655127457),
+        (6, 618, 3594, 42294, 2132478, 1655127444),
+    )
 
 
 def test_difference_table_ordering():

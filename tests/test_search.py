@@ -11,7 +11,6 @@ import random
 import numpy as np
 import pytest
 
-import sdpc.search as search
 from sdpc.admissible import InadmissibleSystemError, TupleSystem
 from sdpc.modular import CrtClass
 from sdpc.primes import PrimalityStatus, primes_up_to
@@ -509,11 +508,11 @@ def gathers(plan, lo, hi):
 def all_anded(plan, lo, hi, monkeypatch):
     """The window's survivors when every pattern is ANDed."""
     with monkeypatch.context() as m:
-        m.setattr(search, "GATHER_BYTES", 1 << 62)
+        m.setattr(plan, "gathered", 0)
         return plan.window(lo, hi)
 
 
-def test_a_long_step_9_window_gathers_and_a_first_window_does_not(monkeypatch):
+def test_long_and_first_step_9_windows_both_gather(monkeypatch):
     task = ConstellationTask(STEP_9, start=STEP_9_K * 210 + 155)
     plan = _SievePlan(task, 1 << 20)
     assert 0 < plan.gathered < len(plan.patterns)
@@ -522,8 +521,9 @@ def test_a_long_step_9_window_gathers_and_a_first_window_does_not(monkeypatch):
     assert gathered
     assert np.array_equal(got, all_anded(plan, lo, lo + (1 << 20), monkeypatch))
     got, gathered = gathers(plan, lo, lo + FIRST_WINDOW)
-    assert not gathered
+    assert gathered
     assert np.array_equal(got, numpy_survivors(task, lo, lo + FIRST_WINDOW))
+    assert np.array_equal(got, all_anded(plan, lo, lo + FIRST_WINDOW, monkeypatch))
 
 
 @pytest.mark.parametrize("span", (1 << 20, 1 << 15))
@@ -545,11 +545,9 @@ def test_gathering_step_9_windows_match_the_definition(span, monkeypatch):
 
 
 @pytest.mark.parametrize("n", (700, 1 << 14))
-def test_gathering_windows_with_every_tier_match_the_definition(n, monkeypatch):
+def test_gathering_windows_with_every_tier_match_the_definition(n):
     # limit 1000 leaves primes to strided writes and scatters, and in a
-    # window of 700 some hit at most once; GATHER_BYTES = 1 makes windows
-    # this short gather
-    monkeypatch.setattr(search, "GATHER_BYTES", 1)
+    # window of 700 some hit at most once
     rng = random.Random(n)
     task = admissible_task(rng, (2, 3, 5, 7), TUPLE_12, 1000)
     plan = _SievePlan(task, 1 << 16)
@@ -565,16 +563,17 @@ def test_gathering_windows_with_every_tier_match_the_definition(n, monkeypatch):
         assert np.array_equal(got, numpy_survivors(task, lo, lo + n)), lo
 
 
-def test_a_window_over_a_forgiveness_zone_ands_every_pattern():
-    # from k = 0, x + d runs through the sieving primes; the window after
-    # the zone gathers again
+def test_a_window_over_a_forgiveness_zone_gathers():
+    # from k = 0, x + d runs through the sieving primes: the window
+    # gathers and re-decides the zone's struck k on its survivors; the
+    # window after the zone gathers too
     task = admissible_task(random.Random(7), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
     plan = _SievePlan(task, 1 << 20)
     n = 1 << 15
     assert plan.gathered and plan.zones
     assert 0 < max(z_hi for _, _, z_hi in plan.zones) < n
     got, gathered = gathers(plan, 0, n)
-    assert not gathered
+    assert gathered
     assert np.array_equal(got, numpy_survivors(task, 0, n))
     assert got[:1].tolist() == [0]  # x = 11: every x + d is a sieving prime
     got, gathered = gathers(plan, n, 2 * n)

@@ -1,6 +1,7 @@
 """Round-trip and format tests for state persistence."""
 
 import json
+import random
 
 import pytest
 
@@ -88,6 +89,10 @@ def test_schema_and_version_rejection():
     # a version-2 document, which still stores the round count
     old = dict(doc, version=2, config=dict(doc["config"], probable_rounds=24))
     with pytest.raises(ValueError, match="unsupported state version 2"):
+        doc_to_state(old)
+    # a version-3 document, which still stores the sieve settings
+    old = dict(doc, version=3, config=dict(doc["config"], sieve_limit=400, segment_size=1 << 20))
+    with pytest.raises(ValueError, match="unsupported state version 3"):
         doc_to_state(old)
     with pytest.raises(ValueError):
         doc_to_state(["not", "an", "object"])
@@ -224,3 +229,90 @@ def test_every_key_missing_or_retyped_is_a_value_error():
                 doc_to_state(doc)
             except ValueError:
                 pass
+
+
+def test_element_lists_out_of_order_are_rejected():
+    # sorted tuples are what a state holds: a reversed A would load, pass
+    # verify and be sorted silently by the next step
+    doc = state_to_doc(run(initial_state(Config()), 5).state)
+    doc["a"].reverse()
+    with pytest.raises(ValueError, match="state a must be strictly increasing"):
+        doc_to_state(doc)
+    doc = state_to_doc(run(initial_state(Config()), 5).state)
+    doc["b"].insert(1, doc["b"][1])
+    with pytest.raises(ValueError, match="state b must be strictly increasing"):
+        doc_to_state(doc)
+
+
+def _containers(value):
+    """value and every list or object inside it."""
+    yield value
+    for item in value.values() if isinstance(value, dict) else value:
+        if isinstance(item, (dict, list)):
+            yield from _containers(item)
+
+
+def _retyped(rng, value):
+    """A value of another JSON type, or a near miss of the same one."""
+    near = [None, True, 1.5, "x", -3, 0, 2**70, [], {}, [1], {"p": 5}]
+    if isinstance(value, int) and not isinstance(value, bool):
+        near += [float(value), str(value), -value, value + 1]
+    elif isinstance(value, str) and value.lstrip("-").isdigit():
+        near += [int(value), "0" + value, value + " ", str(int(value) + 1)]
+    return rng.choice(near)
+
+
+def _mutate(rng, doc, names):
+    """Drop, duplicate, retype or reorder one key or list item somewhere
+    in doc, or swap two list elements, or repeat one over another."""
+    box = rng.choice(list(_containers(doc)))
+    keys = list(box) if isinstance(box, dict) else list(range(len(box)))
+    if not keys:
+        if isinstance(box, dict):
+            box[rng.choice(names)] = _retyped(rng, None)
+        else:
+            box.append(_retyped(rng, None))
+        return
+    key, other = rng.choice(keys), rng.choice(keys)
+    edit = rng.choice(("drop", "duplicate", "retype", "reorder", "swap", "repeat"))
+    copy = json.loads(json.dumps(box[key]))
+    if edit == "drop":
+        del box[key]
+    elif edit == "retype":
+        box[key] = _retyped(rng, box[key])
+    elif isinstance(box, dict):
+        if edit == "duplicate":
+            box[rng.choice(names)] = copy
+        else:
+            box[key], box[other] = box[other], box[key]
+    elif edit == "duplicate":
+        box.insert(rng.randrange(len(box) + 1), copy)
+    elif edit == "reorder":
+        rng.shuffle(box)
+    elif edit == "swap":
+        box[key], box[other] = box[other], box[key]
+    else:
+        box[other] = copy
+
+
+def test_mutated_documents_load_canonically_or_raise_value_error():
+    # a seeded mutation loop over a valid document: every mutant either
+    # loads to a state with A and B strictly increasing whose save is the
+    # mutant itself, byte for byte, or raises ValueError
+    base = state_to_doc(run(initial_state(Config()), 6).state)
+    names = sorted({key for box in _containers(base) if isinstance(box, dict) for key in box})
+    rng = random.Random(2024)
+    loaded = 0
+    for _ in range(1000):
+        doc = json.loads(json.dumps(base))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, doc, names)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        try:
+            state = loads_state(text)
+        except ValueError:
+            continue
+        loaded += 1
+        assert all(u < v for xs in (state.a, state.b) for u, v in zip(xs, xs[1:])), text
+        assert dumps_state(state) == text, text
+    assert loaded

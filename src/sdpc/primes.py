@@ -65,6 +65,17 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
+def may_be_prime(n: int) -> bool:
+    """False only when |n| is not prime: even and above 2, below 2, or
+    failing a base-2 strong probable-prime test. One modular
+    exponentiation, so that the values of a candidate can all be screened
+    before is_prime decides any of them."""
+    v = abs(n)
+    if v < 4:
+        return v > 1
+    return v % 2 == 1 and _strong_probable_prime(v, 2)
+
+
 def is_prime_exact(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2**64."""
     if n < 2:

@@ -18,37 +18,30 @@ Prime p strikes k exactly when k = k0 (mod p), k0 = -(t + d) / q mod p,
 one class per offset. Each search builds one read-only plan of these
 classes, and every window reuses it. The plan has three tiers:
 
-1. Pre-sieve patterns. The primes whose classes cover at least
-   1/PRESIEVE_DENSITY of all k are packed into groups whose product, the
-   pattern's period, stays at most PATTERN_PERIOD (and at most an eighth
-   of the longest window). Each group becomes one periodic boolean
-   pattern, false on every struck class. They are ordered densest first
-   by the share of k they keep, prod(1 - c/p) over their primes p of c
-   classes each. A window starts as a slice of the first pattern and is
-   ANDed with the others.
+1. Pre-sieved primes, whose classes cover at least 1/PRESIEVE_DENSITY of
+   all k, each with a table of 8 periods, true on the classes it leaves
+   alive. They are packed into groups of product (period) at most
+   PATTERN_PERIOD and an eighth of the longest window, densest first by
+   the share of k kept, prod(1 - c/p) over primes p of c classes. While
+   the groups before it keep 1/GATHER_COST of all k, a group is ANDed:
+   its pattern is 8 periods packed little-endian into `period` bytes (bit
+   b of byte i for k = 8i + b), its primes' packed tables tiled and ANDed.
+   A window starts on a multiple of 8, so it slices each pattern at a
+   whole byte and ANDs n/8 bytes. The later groups are not built: a window
+   tests its few survivors j on their primes' tables at (lo + j) mod p.
 2. Middle primes: one strided write per distinct (p, k0), so offsets that
    coincide mod p share one write.
 3. Large primes, those hitting a window fewer than SCATTER_HITS times:
    their hit positions are computed as arrays and struck in scatters,
    one indexed write for all the primes that hit at most once.
 
-With a dozen offsets the first few patterns leave almost no k alive. So
-a window ANDs a pattern only while those before it keep at least
-1/GATHER_COST of all k; after tiers 2 and 3 it tests its few survivors j
-against all the other patterns in one indexed read of
-pattern[(lo + j) mod period]. Every window of such a plan gathers, the
-shortest and those over a forgiveness zone too.
+Without tier 2 and 3 entries a window finds its survivors in the nonzero
+64-bit words of the ANDed bits; else it unpacks them once, to strike on.
 
-Set-up costs a few NumPy passes per (prime, offset) entry. q is inverted
-mod every sieving prime from q's prime factors: for a factor r < 2**31,
-r**-1 = (1 + p*j) / r mod p with j = -p**-1 mod r, which is Fermat in r
-with one scalar exponent, r - 2, for all p at once; what is left of q
-(factors from 2**31 up, or a q too large to factor) is inverted prime by
-prime. Then k0 = (t mod p + d) * -q**-1 mod p for all offsets in one
-pass. Offsets d and d' share a class mod p only when p | d - d', so only
-the primes up to the offsets' spread are sorted and merged, and only those
-up to min(pattern period, PRESIEVE_DENSITY * offsets) can be pre-sieved;
-every later prime goes to tiers 2 and 3 with one entry per offset.
+Set-up costs a few NumPy passes per (prime, offset) entry (q is inverted
+by _q_inverses). Offsets d and d' share a class mod p only when p | d - d',
+so only the primes up to the offsets' spread are sorted and merged, and
+only those up to min(period, PRESIEVE_DENSITY * offsets) are pre-sieved.
 
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
@@ -63,16 +56,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
-from .primes import CERTIFIED_LIMIT, is_prime, prime_factors, primes_up_to
+from .primes import CERTIFIED_LIMIT, is_prime, may_be_prime, prime_factors, primes_up_to
 
 
 # Chosen by a sweep over the construction's own step plans (CHANGES.md).
 DEFAULT_SIEVE_LIMIT = 400
-# A search's first window, from a sweep (CHANGES.md); later windows double
-# up to segment_size.
+# A search's first window, from a sweep (CHANGES.md); later ones double.
 FIRST_WINDOW = 1 << 11
 PRESIEVE_DENSITY = 32
-PATTERN_PERIOD = 1 << 17
+PATTERN_PERIOD = 1 << 16
 SCATTER_HITS = 32
 # A pattern is ANDed while the denser ones keep at least 1/GATHER_COST of
 # all k; windows gather from the rest. From a sweep (CHANGES.md).
@@ -188,45 +180,46 @@ def _sieve_entries(task: ConstellationTask) -> np.ndarray:
     return np.column_stack([np.repeat(primes, len(k0)), k0.T.ravel()])
 
 
-def _patterns(
-    ps: np.ndarray, ks: np.ndarray, period: int
-) -> tuple[list[np.ndarray], np.ndarray, int]:
-    """Pre-sieve patterns over k, one period each: the primes packed
-    first-fit decreasing into groups of product <= period, densest first
-    by the share of k each keeps. Returns them as views into one array,
-    that array, and the count of the last ones, to be gathered from: a
-    pattern is ANDed while those before it keep 1/GATHER_COST of all k."""
-    classes: dict[int, list[int]] = {}
-    for p, k in zip(ps.tolist(), ks.tolist()):
-        classes.setdefault(p, []).append(k)
-    # [period, share of k kept, member primes]
+def _groups(ps: list[int], counts: list[int], period: int) -> tuple[list, int]:
+    """Groups (product, member indices ascending) of the pre-sieved primes
+    ps, of counts[i] classes each, and how many are ANDed (module docstring)."""
+    # [product, share of k kept, member indices]
     groups: list[list] = []
-    for p in sorted(classes, reverse=True):
-        keep = 1 - len(classes[p]) / p
+    for i in reversed(range(len(ps))):
+        p, keep, limit = ps[i], 1 - counts[i] / ps[i], period // ps[i]
         for g in groups:
-            if g[0] * p <= period:
+            if g[0] <= limit:
                 g[0] *= p
                 g[1] *= keep
-                g.append(p)
+                g.append(i)
                 break
         else:
-            groups.append([p, keep, p])
+            groups.append([p, keep, i])
     groups.sort(key=lambda g: g[1])
     anded, kept = 0, 1.0
     while anded < len(groups) and kept * GATHER_COST >= 1:
         kept *= groups[anded][1]
         anded += 1
-    # one allocation, which the next search's plan reuses without page faults
-    flat = np.ones(sum(g[0] for g in groups), bool)
-    patterns, start = [], 0
-    for size, _, *members in groups:
-        pattern = flat[start : start + size]
-        start += size
-        for p in members:
-            for k0 in classes[p]:
-                pattern[k0::p] = False
-        patterns.append(pattern)
-    return patterns, flat, len(groups) - anded
+    return [(g[0], g[:1:-1]) for g in groups], anded
+
+
+def _periodic_and(rows: list[np.ndarray], pattern: np.ndarray) -> np.ndarray:
+    """pattern, filled with byte i = AND of row[i mod len(row)] over rows of
+    coprime lengths whose product is its length, ascending: widest last."""
+    n = len(rows[0])
+    for i, row in enumerate(rows[1:]):
+        # the AND so far (at first, the first row) tiled len(row) times
+        part = pattern[: n * len(row)].reshape(len(row), n)
+        if i:
+            part[1:] = part[0]
+        else:
+            part[...] = rows[0]
+        part.shape = (n, len(row))
+        part &= row
+        n *= len(row)
+    if len(rows) == 1:
+        pattern[...] = rows[0]
+    return pattern
 
 
 def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
@@ -265,22 +258,33 @@ class _SievePlan:
         distinct = np.ones(head_k0.shape, bool)
         distinct[:, 1:] = head_k0[:, 1:] != head_k0[:, :-1]
         head_p = self.primes[:head]
-        dense = distinct.sum(axis=1) * PRESIEVE_DENSITY >= head_p
-        dense &= head_p <= period
-        head_p = np.broadcast_to(head_p[:, None], head_k0.shape)
-        pick = distinct & dense[:, None]
-        self.patterns, self.flat, self.gathered = _patterns(head_p[pick], head_k0[pick], period)
-        if self.gathered:
-            # each gathered pattern's period and start in self.flat
-            sizes = np.array([len(pattern) for pattern in self.patterns], np.int64)[:, None]
-            self.gather_size = sizes[-self.gathered :]
-            self.gather_start = (np.cumsum(sizes)[:, None] - sizes)[-self.gathered :]
+        counts = distinct.sum(axis=1)
+        dense = (counts * PRESIEVE_DENSITY >= head_p) & (head_p <= period)
+        # tables true where a pre-sieved prime leaves k alive, 8 periods each
+        pre = head_p[dense]
+        at = pre.cumsum() - pre
+        self.good = np.ones(8 * int(pre.sum()), bool)
+        self.good[(8 * at + pre * np.arange(8)[:, None])[..., None] + head_k0[dense]] = False
+        # packed, prime i's row of p bytes holds k = 8j ... 8j + 7 in byte j
+        packed = np.packbits(self.good, bitorder="little")
+        ps = pre.tolist()
+        rows = [packed[a : a + p] for a, p in zip(at.tolist(), ps)]
+        groups, anded = _groups(ps, counts[dense].tolist(), period)
+        # one allocation, which the next search's plan reuses without page faults
+        flat = np.empty(sum(size for size, _ in groups[:anded]), np.uint8)
+        self.patterns = []
+        for size, members in groups[:anded]:
+            self.patterns.append(_periodic_and([rows[i] for i in members], flat[:size]))
+            flat = flat[size:]
+        # the gathered primes' tables; no primes is a slice, cheaper than []
+        gathered = [i for _, members in groups[anded:] for i in members] or slice(0)
+        self.gather_p, self.gather_at = pre[gathered, None], 8 * at[gathered, None]
         # the other tiers' entries, ascending in p, and their count per prime
         pick = distinct & ~dense[:, None]
         self.rest_count = np.full(len(self.primes), m)
         self.rest_count[:head] = pick.sum(axis=1)
         self.rest_p = np.repeat(self.primes, self.rest_count)
-        self.rest_k0 = np.concatenate((head_k0[pick], k0[:, head:].T.ravel()))
+        self.rest_k0 = np.concatenate((head_k0[pick], k0[:, head:].T), axis=None)
         # k-ranges where some |x + d| <= sieve_limit, the only place
         # a value can equal a sieving prime
         limit = task.sieve_limit
@@ -297,35 +301,33 @@ class _SievePlan:
         n = hi - lo
         if n <= 0:
             return np.empty(0, np.int64)
-        anded = self.patterns[: len(self.patterns) - self.gathered]
-        # whole 8-byte words, so a gathering window can find its few
-        # survivors a word at a time
-        words = np.zeros(-(-n // 8), np.uint64)
-        alive = words.view(bool)[:n]
-        if not anded:
-            alive[:] = True
-        for i, pattern in enumerate(anded):
+        # bits from k = lo - off on, a multiple of 8, so that every pattern
+        # is sliced at a whole byte; in whole 8-byte words for the word scan
+        off = lo % 8
+        words = np.zeros(-(-(off + n) // 64), np.uint64)
+        packed = words.view(np.uint8)[: -(-(off + n) // 8)]
+        packed[:] = 255
+        for pattern in self.patterns:
             size = len(pattern)
-            s = lo % size
-            if s + n <= size:
+            s = (lo >> 3) % size
+            nb = len(packed)
+            if s + nb <= size:
                 # within one period, as a search's first windows often are
-                parts = ((alive, pattern[s : s + n]),)
+                parts = ((packed, pattern[s : s + nb]),)
             else:
                 # the window as a head, whole periods, and a tail
                 head = size - s
-                whole = (n - head) // size
-                tail = n - head - whole * size
+                whole = (nb - head) // size
+                tail = nb - head - whole * size
                 parts = (
-                    (alive[:head], pattern[s:]),
-                    (alive[head : head + whole * size].reshape(whole, size), pattern),
-                    (alive[n - tail :], pattern[:tail]),
+                    (packed[:head], pattern[s:]),
+                    (packed[head : head + whole * size].reshape(whole, size), pattern),
+                    (packed[nb - tail :], pattern[:tail]),
                 )
             for view, part in parts:
-                if i:
-                    view &= part
-                else:
-                    view[...] = part
+                view &= part
         if len(self.rest_p):
+            alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
             # lo mod p once per prime, then per entry k0 - lo in [0, p)
             first = self.rest_k0 - np.repeat(_residues(lo, self.primes), self.rest_count)
             first += self.rest_p * (first < 0)
@@ -339,15 +341,16 @@ class _SievePlan:
             # a prime of at least n hits the window at most once
             first = first[once:]
             alive[first[first < n]] = False
-        if self.gathered:
-            live = np.flatnonzero(words != 0)
-            row, byte = np.nonzero(words[live, None].view(bool))
-            js = live[row] * 8 + byte
-            size = self.gather_size
-            pos = (js + _residues(lo, size)) % size + self.gather_start
-            js = js[self.flat[pos].all(axis=0)]
-        else:
             js = np.flatnonzero(alive)
+        else:
+            # the set bits of the nonzero words
+            live = np.flatnonzero(words != 0)
+            bit = np.flatnonzero(np.unpackbits(words[live].view(np.uint8), bitorder="little"))
+            js = live[bit >> 6] * 64 + (bit & 63) - off
+            js = js[(js >= 0) & (js < n)]
+        if len(self.gather_p):
+            at = (js + _residues(lo, self.gather_p)) % self.gather_p + self.gather_at
+            js = js[self.good[at].all(axis=0)]
         return self._forgive(js, lo, hi)
 
     def _forgive(self, js: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -395,13 +398,10 @@ def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
 
 
 def _witness_ok(task: ConstellationTask, x: int) -> bool:
-    for d in task.system.offsets:
-        value = x + d
-        if abs(value) <= 3:
-            return False
-        if not is_prime(value).accepted:
-            return False
-    return True
+    # a base-2 test screens every value, as most survivors fail it on one
+    values = [x + d for d in task.system.offsets]
+    screened = all(abs(v) > 3 and may_be_prime(v) for v in values)
+    return screened and all(is_prime(v).accepted for v in values)
 
 
 def search_with_count(

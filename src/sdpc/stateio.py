@@ -96,9 +96,19 @@ def _config(doc) -> Config:
     return Config(**{key: _int(_get(doc, key, "config"), f"config {key}") for key in names})
 
 
-def _pair(entry, what: str) -> PrimeCompatiblePair:
+def _pair(entry, what: str, p_limit: int) -> PrimeCompatiblePair:
     p = _int(_get(entry, "p", what), f"{what} p")
     where = f"pair mod {p}"
+    # before any mask is built: a set mod p is a p-bit integer
+    if p > p_limit:
+        raise ValueError(f"{where} is above config p_limit {p_limit}")
+
+    def residue(value, field: str) -> int:
+        w = _int(value, field)
+        if not 0 <= w < p:
+            raise ValueError(f"{field} residue {w} is out of range for p = {p}")
+        return w
+
     assigned = _get(entry, "assigned", where)
     if not isinstance(assigned, dict) or not assigned.keys() <= _KEY_SIGN.keys():
         raise ValueError(f"{where} assigned must map '+' or '-' to a residue")
@@ -106,9 +116,9 @@ def _pair(entry, what: str) -> PrimeCompatiblePair:
         p=p,
         u=ResidueSet.from_members(p, _items(entry, "u", where, _int)),
         v=ResidueSet.from_members(p, _items(entry, "v", where, _int)),
-        reserved=tuple(_items(entry, "reserved", where, _int)),
+        reserved=tuple(_items(entry, "reserved", where, residue)),
         assigned=tuple(
-            (_KEY_SIGN[k], _int(w, f"{where} assigned")) for k, w in sorted(assigned.items())
+            (_KEY_SIGN[k], residue(w, f"{where} assigned")) for k, w in sorted(assigned.items())
         ),
     )
 
@@ -149,16 +159,18 @@ def doc_to_state(doc: dict) -> ConstructionState:
         raise ValueError(f"unsupported state schema {doc.get('schema')!r}")
     if type(doc.get("version")) is not int or doc["version"] != STATE_VERSION:
         raise ValueError(f"unsupported state version {doc.get('version')!r}")
+    config = _config(_get(doc, "config", "state"))
+    pairs = _items(doc, "pairs", "state", lambda entry, what: _pair(entry, what, config.p_limit))
     state = ConstructionState(
         n=_int(_get(doc, "n", "state"), "state n"),
         a=_increasing(_items(doc, "a", "state", _decimal), "state a"),
         b=_increasing(_items(doc, "b", "state", _decimal), "state b"),
-        pairs=_unique(((pair.p, pair) for pair in _items(doc, "pairs", "state", _pair)), "the pair mod"),
+        pairs=_unique(((pair.p, pair) for pair in pairs), "the pair mod"),
         represented=_unique(
             ((r, (a, b)) for r, a, b in _items(doc, "represented", "state", _ledger_row)),
             "the ledger row for",
         ),
-        config=_config(_get(doc, "config", "state")),
+        config=config,
     )
     # an unknown key or another order would be lost or changed by the next
     # save (the parsers above already refuse 4.0 or true for an integer)

@@ -140,7 +140,8 @@ def test_verify_detects_a_doctored_state(tmp_path, capsys):
 
 @pytest.mark.parametrize("damage", (
     "drop pairs", "string n", "fractional element", "reversed a", "stale config field",
-    "repeated pair", "repeated ledger row", "version 3",
+    "repeated pair", "repeated ledger row", "version 3", "pair above p_limit",
+    "negative reserve",
 ))
 def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage):
     state = tmp_path / "state.json"
@@ -164,6 +165,11 @@ def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage
         # the same prime with another pair: the later one would win
         pair = next(e for e in doc["pairs"] if e["p"] == 5)
         doc["pairs"].append(dict(pair, assigned={}))
+    elif damage == "pair above p_limit":
+        # a set mod 2**61 - 1 would be a 2**61-bit mask
+        next(e for e in doc["pairs"] if e["p"] == 5)["p"] = (1 << 61) - 1
+    elif damage == "negative reserve":
+        next(e for e in doc["pairs"] if e["p"] == 5)["reserved"] = [-3]
     elif damage == "repeated ledger row":
         doc["represented"].append(dict(next(r for r in doc["represented"] if r["r"] == "5")))
     else:
@@ -174,6 +180,10 @@ def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    if damage == "pair above p_limit":
+        assert err == f"error: pair mod {(1 << 61) - 1} is above config p_limit 5\n"
+    if damage == "negative reserve":
+        assert err == "error: pair mod 5 reserved residue -3 is out of range for p = 5\n"
     if damage == "version 3":
         assert err == "error: unsupported state version 3\n"
         assert main(["run", "--target", "4", "--state", str(state)]) == 1

@@ -11,6 +11,7 @@ from sdpc.primes import (
     PrimalityStatus,
     is_prime,
     is_prime_exact,
+    may_be_prime,
     prime_factors,
     primes_in_range,
     primes_up_to,
@@ -111,6 +112,26 @@ def test_signed_verdict_agrees_with_sympy_across_the_certified_limit():
             verdict = is_prime(n)
             assert verdict.accepted == prime, n
             assert (verdict is PrimalityStatus.CERTIFIED) == (prime and m < CERTIFIED_LIMIT), n
+
+
+def test_prescreen_never_rejects_a_prime():
+    # primes of either sign below and above 2**64, the small values and
+    # the even ones; the screen may pass a composite, never fail a prime
+    rng = random.Random(1750)
+    primes = list(sympy.primerange(2, 2000))
+    for bits in (20, 40, 63, 64, 65, 89, 128):
+        primes += [sympy.nextprime(rng.getrandbits(bits)) for _ in range(40)]
+    primes += [sympy.prevprime(CERTIFIED_LIMIT), sympy.nextprime(CERTIFIED_LIMIT)]
+    for p in primes:
+        assert may_be_prime(p) and may_be_prime(-p), p
+    for n in range(-3, 4):
+        assert may_be_prime(n) == sympy.isprime(abs(n)), n
+    for n in (4, 6, 100, 2**64, 2**64 + 2, 2**89):
+        assert not may_be_prime(n) and not may_be_prime(-n), n
+    # composites it screens out, and base-2 strong pseudoprimes it cannot:
+    # 2047 = 23 * 89 and the Fermat number 2**64 + 1
+    assert not any(may_be_prime(n) for n in (9, 91, 561, 1105, (2**61 - 1) * (2**31 - 1)))
+    assert may_be_prime(2047) and may_be_prime(2**64 + 1)
 
 
 def test_prime_factors_distinct_sorted():

@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from sdpc import search
 from sdpc.admissible import InadmissibleSystemError, TupleSystem
 from sdpc.modular import CrtClass
 from sdpc.primes import PrimalityStatus, primes_up_to
@@ -484,46 +485,48 @@ def numpy_survivors(task, lo, hi):
     return np.flatnonzero(alive)
 
 
-class FlatSpy:
-    """Stands in for a plan's array of patterns and counts the reads of a
+class TableSpy:
+    """Stands in for a plan's per-prime tables and counts the reads of a
     gather."""
 
-    def __init__(self, flat):
-        self.flat, self.reads = flat, 0
+    def __init__(self, good):
+        self.good, self.reads = good, 0
 
     def __getitem__(self, index):
         self.reads += 1
-        return self.flat[index]
+        return self.good[index]
 
 
 def gathers(plan, lo, hi):
     """A window's survivors, and whether it gathered them."""
-    spy = plan.flat = FlatSpy(plan.flat)
+    spy = plan.good = TableSpy(plan.good)
     try:
         return plan.window(lo, hi), spy.reads > 0
     finally:
-        plan.flat = spy.flat
+        plan.good = spy.good
 
 
-def all_anded(plan, lo, hi, monkeypatch):
-    """The window's survivors when every pattern is ANDed."""
+def all_anded(task, span, lo, hi, monkeypatch):
+    """The window's survivors from a plan that ANDs every group."""
     with monkeypatch.context() as m:
-        m.setattr(plan, "gathered", 0)
-        return plan.window(lo, hi)
+        m.setattr(search, "GATHER_COST", 1 << 62)
+        plan = _SievePlan(task, span)
+    assert len(plan.gather_p) == 0
+    return plan.window(lo, hi)
 
 
 def test_long_and_first_step_9_windows_both_gather(monkeypatch):
     task = ConstellationTask(STEP_9, start=STEP_9_K * 210 + 155)
     plan = _SievePlan(task, 1 << 20)
-    assert 0 < plan.gathered < len(plan.patterns)
+    assert plan.patterns and len(plan.gather_p)
     lo = STEP_9_K
     got, gathered = gathers(plan, lo, lo + (1 << 20))
     assert gathered
-    assert np.array_equal(got, all_anded(plan, lo, lo + (1 << 20), monkeypatch))
+    assert np.array_equal(got, all_anded(task, 1 << 20, lo, lo + (1 << 20), monkeypatch))
     got, gathered = gathers(plan, lo, lo + FIRST_WINDOW)
     assert gathered
     assert np.array_equal(got, numpy_survivors(task, lo, lo + FIRST_WINDOW))
-    assert np.array_equal(got, all_anded(plan, lo, lo + FIRST_WINDOW, monkeypatch))
+    assert np.array_equal(got, all_anded(task, 1 << 20, lo, lo + FIRST_WINDOW, monkeypatch))
 
 
 @pytest.mark.parametrize("span", (1 << 20, 1 << 15))
@@ -541,7 +544,7 @@ def test_gathering_step_9_windows_match_the_definition(span, monkeypatch):
         got, gathered = gathers(plan, lo, lo + n)
         assert gathered
         assert np.array_equal(got, numpy_survivors(task, lo, lo + n)), lo
-        assert np.array_equal(got, all_anded(plan, lo, lo + n, monkeypatch))
+        assert np.array_equal(got, all_anded(task, span, lo, lo + n, monkeypatch))
 
 
 @pytest.mark.parametrize("n", (700, 1 << 14))
@@ -551,7 +554,7 @@ def test_gathering_windows_with_every_tier_match_the_definition(n):
     rng = random.Random(n)
     task = admissible_task(rng, (2, 3, 5, 7), TUPLE_12, 1000)
     plan = _SievePlan(task, 1 << 16)
-    assert plan.gathered
+    assert len(plan.gather_p)
     tiers = {
         "strided" if p < -(-n // SCATTER_HITS) else "scattered" if p < n else "once"
         for p in plan.rest_p.tolist()
@@ -570,7 +573,7 @@ def test_a_window_over_a_forgiveness_zone_gathers():
     task = admissible_task(random.Random(7), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
     plan = _SievePlan(task, 1 << 20)
     n = 1 << 15
-    assert plan.gathered and plan.zones
+    assert len(plan.gather_p) and plan.zones
     assert 0 < max(z_hi for _, _, z_hi in plan.zones) < n
     got, gathered = gathers(plan, 0, n)
     assert gathered
@@ -579,6 +582,33 @@ def test_a_window_over_a_forgiveness_zone_gathers():
     got, gathered = gathers(plan, n, 2 * n)
     assert gathered
     assert np.array_equal(got, numpy_survivors(task, n, 2 * n))
+
+
+@pytest.mark.parametrize("gather_cost", (search.GATHER_COST, 2))
+@pytest.mark.parametrize("limit", (31, 1000))
+def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, monkeypatch):
+    # A window works from the multiple of 8 at or below lo and drops the
+    # bits before lo and from hi on: every lo mod 64 and every length up
+    # to 130, across the end of a pattern's bytes (k = 40 * period), over
+    # the forgiveness zone at k = 0 and above 2**63. With one offset, limit 31 pre-sieves every prime
+    # and scans words, 1000 leaves strided and scattered primes to strike
+    # on bytes; with a gather cost of 2 the plan gathers all but its
+    # densest groups.
+    monkeypatch.setattr(search, "GATHER_COST", gather_cost)
+    task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (0,)), sieve_limit=limit)
+    plan = _SievePlan(task, 1 << 16)
+    assert (len(plan.rest_p) > 0) == (limit == 1000)
+    assert (len(plan.gather_p) > 0) == (gather_cost == 2)
+    period = max(len(pattern) for pattern in plan.patterns)
+    crossing = 8 * period * 5 - 70
+    some = (1, 8, 9, 64, 130)
+    for base in (crossing, 0, (1 << 63) + 4321):
+        want = numpy_survivors(task, base, base + 64 + 130)
+        for r in range(64):
+            # every length at the crossing, spread over the 64 offsets
+            for n in range(1 + r % 4, 131, 4) if base == crossing else some:
+                got = plan.window(base + r, base + r + n)
+                assert np.array_equal(got, want[(want >= r) & (want < r + n)] - r), (base, r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +668,21 @@ def naive_entries(task):
 
 def plan_entries(plan):
     """The (p, k0) a plan strikes, in a list: its other tiers' entries,
-    and the classes its patterns strike, read back per member prime."""
+    the classes its ANDed patterns strike, read back per member prime, and
+    the classes its gathered primes' tables strike."""
     entries = list(zip(plan.rest_p.tolist(), plan.rest_k0.tolist()))
     for pattern in plan.patterns:
+        # one period of k, from the first of the 8 packed into the bytes
+        alive = np.unpackbits(pattern, bitorder="little")[: len(pattern)]
         for p in plan.primes.tolist():
             # a pattern's period is the product of its primes; every one
             # of them leaves some class free, so a class is struck by p
             # exactly when the whole column is
             if len(pattern) % p == 0:
-                struck = ~pattern.reshape(-1, p).any(axis=0)
+                struck = ~alive.reshape(-1, p).any(axis=0)
                 entries += [(p, k) for k in np.flatnonzero(struck).tolist()]
+    for p, at in zip(plan.gather_p.ravel().tolist(), plan.gather_at.ravel().tolist()):
+        entries += [(p, k) for k in np.flatnonzero(~plan.good[at : at + p]).tolist()]
     return entries
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sdpc import stateio
 from sdpc.construction import Config, apply_step, initial_state, plan_step, run, verify
 from sdpc.stateio import (
     STATE_SCHEMA,
@@ -229,6 +230,30 @@ def test_every_key_missing_or_retyped_is_a_value_error():
                 doc_to_state(doc)
             except ValueError:
                 pass
+
+
+def test_a_pair_above_p_limit_is_refused_before_any_mask(monkeypatch):
+    # a set mod p is a p-bit mask, so a pair mod 2**61 - 1 must be refused
+    # before one is built
+    doc = state_to_doc(run(initial_state(Config()), 4).state)
+    next(e for e in doc["pairs"] if e["p"] == 7)["p"] = (1 << 61) - 1
+    built = []
+    monkeypatch.setattr(stateio.ResidueSet, "__post_init__", lambda s: built.append(s.modulus))
+    with pytest.raises(ValueError, match=rf"pair mod {(1 << 61) - 1} is above config p_limit 7"):
+        doc_to_state(doc)
+    assert (1 << 61) - 1 not in built
+
+
+@pytest.mark.parametrize("field, value", (
+    ("reserved", [-3]), ("reserved", [7]), ("assigned", {"+": -1}), ("assigned", {"-": 7}),
+))
+def test_out_of_range_reserves_are_refused_by_pair_and_field(field, value):
+    doc = state_to_doc(run(initial_state(Config()), 4).state)
+    next(e for e in doc["pairs"] if e["p"] == 7)[field] = value
+    bad = value[0] if field == "reserved" else next(iter(value.values()))
+    message = rf"^pair mod 7 {field} residue {bad} is out of range for p = 7$"
+    with pytest.raises(ValueError, match=message):
+        doc_to_state(doc)
 
 
 def test_element_lists_out_of_order_are_rejected():

@@ -38,6 +38,8 @@ ALL_CERTIFIED = "all-certified"
 CONTAINS_PROBABLE = "contains-probable-primes"
 # A step's largest sieve window. Windows grow to it from search.FIRST_WINDOW.
 LARGEST_WINDOW = 1 << 20
+# The largest p_limit (Config).
+MAX_P_LIMIT = 1 << 10
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +128,12 @@ class Config:
     inclusive end is load-bearing: an offset list longer than an
     unmanaged prime can cover all of its residue classes and strand the
     whole construction, and p_limit = 7 with 7 managed is what keeps the
-    default run alive past a dozen offsets.
+    default run alive past a dozen offsets. p_limit is at most
+    MAX_P_LIMIT = 1024: every managed prime gets a pair, two p-bit masks
+    that a state file lists residue by residue, so p_limit sets the size
+    of the seed state. Up to 1024 that is 172 pairs in about 1 MB, built
+    in a tenth of a second; 4096 would take 14.5 MB, and a state file
+    naming p_limit 2**62 could ask for a mask of 2**61 bits.
 
     budget is the most candidates a step's search may examine. It runs
     higher than the standalone search default because a step at a dozen
@@ -142,6 +149,8 @@ class Config:
         # 2, 3 and 5 anchor the seed sets; p_limit = 5 is the bare minimum.
         if self.p_limit < 5:
             raise ValueError("p_limit must be at least 5")
+        if self.p_limit > MAX_P_LIMIT:
+            raise ValueError(f"p_limit must be at most {MAX_P_LIMIT}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
 

@@ -15,20 +15,24 @@ are kept as indices and become integers x only as they are certified,
 up to the witness.
 
 Prime p strikes k exactly when k = k0 (mod p), k0 = -(t + d) / q mod p,
-one class per offset. Each search builds one read-only plan of these
-classes, and every window reuses it. The plan has three tiers:
+one class per offset. Each search builds a read-only plan of these
+classes, and its windows reuse it. The plan has three tiers:
 
-1. Pre-sieved primes, whose classes cover at least 1/PRESIEVE_DENSITY of
-   all k, each with a table of 8 periods, true on the classes it leaves
-   alive. They are packed into groups of product (period) at most
-   PATTERN_PERIOD and an eighth of the longest window, densest first by
-   the share of k kept, prod(1 - c/p) over primes p of c classes. While
-   the groups before it keep 1/GATHER_COST of all k, a group is ANDed:
-   its pattern is 8 periods packed little-endian into `period` bytes (bit
-   b of byte i for k = 8i + b), its primes' packed tables tiled and ANDed.
-   A window starts on a multiple of 8, so it slices each pattern at a
-   whole byte and ANDs n/8 bytes. The later groups are not built: a window
-   tests its few survivors j on their primes' tables at (lo + j) mod p.
+1. Tabled primes, each with a table of 8 periods, true on the classes it
+   leaves alive. The pre-sieved ones, whose classes cover at least
+   1/PRESIEVE_DENSITY of all k, are packed into groups of product
+   (period) at most PATTERN_PERIOD and an eighth of the longest window,
+   densest first by the share of k kept, prod(1 - c/p) over primes p of
+   c classes. While the groups before it keep 1/GATHER_COST of all k, a
+   group is ANDed: its pattern is 8 periods packed little-endian into
+   `period` bytes (bit b of byte i for k = 8i + b), its primes' packed
+   tables tiled and ANDed. A window starts on a multiple of 8, so it
+   slices each pattern at a whole byte and ANDs n/8 bytes. The later
+   groups are not built: their primes are gathered, a window testing its
+   few survivors j on their tables at (lo + j) mod p, densest groups
+   first. With more survivors than primes it gathers in two stages: the
+   first thins the survivors that the second then reads, split where the
+   reads are fewest.
 2. Middle primes: one strided write per distinct (p, k0), so offsets that
    coincide mod p share one write.
 3. Large primes, those hitting a window fewer than SCATTER_HITS times:
@@ -37,11 +41,20 @@ classes, and every window reuses it. The plan has three tiers:
 
 Without tier 2 and 3 entries a window finds its survivors in the nonzero
 64-bit words of the ANDed bits; else it unpacks them once, to strike on.
+That byte path costs every window a pass over n bytes, whatever its
+entries. So once a search's windows reach segment_size, it rebuilds its
+plan widened, if the plan gathers: every sieving prime is then tabled
+and gathered, and the byte path drops out. This needs each prime to fit
+a period and all tables to take at most segment_size bytes, what one
+window unpacks, so a sieve limit in the thousands never widens. Shorter
+windows keep the narrow plan: a search that ends early should not pay
+for a second one.
 
 Set-up costs a few NumPy passes per (prime, offset) entry (q is inverted
 by _q_inverses). Offsets d and d' share a class mod p only when p | d - d',
 so only the primes up to the offsets' spread are sorted and merged, and
-only those up to min(period, PRESIEVE_DENSITY * offsets) are pre-sieved.
+only those up to min(period, PRESIEVE_DENSITY * offsets), or all in a
+widened plan, are tabled.
 
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
@@ -222,6 +235,15 @@ def _periodic_and(rows: list[np.ndarray], pattern: np.ndarray) -> np.ndarray:
     return pattern
 
 
+def _first_stage(keep: list[float]) -> int:
+    """How many of the gathered primes, keeping shares `keep` of all k, a
+    window tests first: those s read every survivor, the rest only what
+    the first s keep, s + (R - s) * prod(keep[:s]) reads per survivor.
+    The s with the fewest."""
+    s = np.arange(len(keep) + 1)
+    return int(np.argmin(s + (len(keep) - s) * np.cumprod([1.0] + keep)))
+
+
 def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
     """Strike alive[first + i*p] for every entry and every i in range, each
     batch of entries in one indexed write; batches bound the index arrays."""
@@ -238,7 +260,7 @@ class _SievePlan:
     """One task's sieve, read-only once built; every window of the
     search reuses it. See the module docstring for the tiers."""
 
-    def __init__(self, task: ConstellationTask, span: int):
+    def __init__(self, task: ConstellationTask, span: int, wide: bool = False):
         self.q = task.system.crt.modulus
         self.t = task.system.crt.residue
         self.offsets = task.system.offsets
@@ -248,52 +270,72 @@ class _SievePlan:
         # in periods short enough for a window of `span` to repeat 8 times
         period = min(PATTERN_PERIOD, span // 8)
         # One entry per distinct (p, k0). Only the head of primes can have
-        # coinciding classes (p up to the offsets' spread) or be pre-sieved
-        # (p up to min(period, m * PRESIEVE_DENSITY)); every later prime
-        # has m distinct classes and goes to the other tiers as it is.
+        # coinciding classes (p up to the offsets' spread) or be tabled
+        # (p up to min(period, m * PRESIEVE_DENSITY), or every prime in a
+        # wide plan); every later prime has m distinct classes and goes to
+        # the other tiers as it is.
         spread = max(self.offsets, default=0) - min(self.offsets, default=0)
         bound = min(max(spread, min(period, m * PRESIEVE_DENSITY)), 1 << 62)
-        head = int(np.searchsorted(self.primes, bound, "right"))
+        head = len(self.primes) if wide else int(np.searchsorted(self.primes, bound, "right"))
         head_k0 = np.sort(k0[:, :head].T, axis=1)
         distinct = np.ones(head_k0.shape, bool)
         distinct[:, 1:] = head_k0[:, 1:] != head_k0[:, :-1]
         head_p = self.primes[:head]
         counts = distinct.sum(axis=1)
         dense = (counts * PRESIEVE_DENSITY >= head_p) & (head_p <= period)
-        # tables true where a pre-sieved prime leaves k alive, 8 periods each
-        pre = head_p[dense]
+        ps = head_p[dense].tolist()
+        groups, anded = _groups(ps, counts[dense].tolist(), period)
+        # A wide plan gathers the primes it adds, which pays only where the
+        # ANDed groups keep under 1/GATHER_COST of all k: where it gathers.
+        # Each must fit a period, and their tables, 8 bytes per unit of p,
+        # take at most the bytes a window of `span` unpacks on the byte path.
+        fits = anded < len(groups) and self.primes[-1] <= period
+        fits = fits and 8 * int(self.primes.sum()) <= span
+        self.wide = wide and fits
+        # tables true where a tabled prime leaves k alive, 8 periods each:
+        # the pre-sieved primes, then in a wide plan every other prime
+        order = np.argsort(~dense, kind="stable") if self.wide else dense
+        pre = head_p[order]
         at = pre.cumsum() - pre
         self.good = np.ones(8 * int(pre.sum()), bool)
-        self.good[(8 * at + pre * np.arange(8)[:, None])[..., None] + head_k0[dense]] = False
+        self.good[(8 * at + pre * np.arange(8)[:, None])[..., None] + head_k0[order]] = False
         # packed, prime i's row of p bytes holds k = 8j ... 8j + 7 in byte j
         packed = np.packbits(self.good, bitorder="little")
-        ps = pre.tolist()
         rows = [packed[a : a + p] for a, p in zip(at.tolist(), ps)]
-        groups, anded = _groups(ps, counts[dense].tolist(), period)
         # one allocation, which the next search's plan reuses without page faults
         flat = np.empty(sum(size for size, _ in groups[:anded]), np.uint8)
         self.patterns = []
         for size, members in groups[:anded]:
             self.patterns.append(_periodic_and([rows[i] for i in members], flat[:size]))
             flat = flat[size:]
-        # the gathered primes' tables; no primes is a slice, cheaper than []
-        gathered = [i for _, members in groups[anded:] for i in members] or slice(0)
+        # the gathered primes, densest groups first, then those a wide plan
+        # adds, tested in two stages
+        gathered = [i for _, members in groups[anded:] for i in members]
+        gathered += range(len(ps), len(pre))
+        self.first_stage = 0
+        if gathered:
+            keep = (1 - counts[order] / pre).tolist()
+            self.first_stage = _first_stage([keep[i] for i in gathered])
+        gathered = gathered or slice(0)  # no primes: a slice is cheaper than []
         self.gather_p, self.gather_at = pre[gathered, None], 8 * at[gathered, None]
         # the other tiers' entries, ascending in p, and their count per prime
-        pick = distinct & ~dense[:, None]
+        pick = distinct & ~(dense | self.wide)[:, None]
         self.rest_count = np.full(len(self.primes), m)
         self.rest_count[:head] = pick.sum(axis=1)
         self.rest_p = np.repeat(self.primes, self.rest_count)
         self.rest_k0 = np.concatenate((head_k0[pick], k0[:, head:].T), axis=None)
-        # k-ranges where some |x + d| <= sieve_limit, the only place
-        # a value can equal a sieving prime
+        # whether a wide plan would leave out this plan's byte path
+        self.widens = fits and not self.wide and len(self.rest_p) > 0
+        # k-ranges where some |x + d| <= sieve_limit, the only place a value
+        # can equal a sieving prime; with no sieving primes nothing is struck
         limit = task.sieve_limit
-        self.zones = []
+        self.zones, self.zones_end = [], 0
         for d in self.offsets:
             z_lo = max(0, -((limit + d + self.t) // self.q))
             z_hi = (limit - d - self.t) // self.q + 1
-            if z_lo < z_hi:
+            if z_lo < z_hi and len(self.primes):
                 self.zones.append((d, z_lo, z_hi))
+                self.zones_end = max(self.zones_end, z_hi)
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Indices j, ascending, of the surviving x = t + (lo + j)*q for
@@ -345,18 +387,25 @@ class _SievePlan:
         else:
             # the set bits of the nonzero words
             live = np.flatnonzero(words != 0)
-            bit = np.flatnonzero(np.unpackbits(words[live].view(np.uint8), bitorder="little"))
+            bit = np.unpackbits(words[live].view(np.uint8), bitorder="little").view(bool)
+            bit = np.flatnonzero(bit)
             js = live[bit >> 6] * 64 + (bit & 63) - off
             js = js[(js >= 0) & (js < n)]
         if len(self.gather_p):
-            at = (js + _residues(lo, self.gather_p)) % self.gather_p + self.gather_at
-            js = js[self.good[at].all(axis=0)]
+            r = _residues(lo, self.gather_p)
+            # two stages pay once the survivors outnumber the primes
+            cuts = (0, self.first_stage, None) if len(js) > len(r) else (0, None)
+            for a, b in zip(cuts, cuts[1:]):
+                at = (js + r[a:b]) % self.gather_p[a:b] + self.gather_at[a:b]
+                js = js[self.good[at].all(axis=0)]
         return self._forgive(js, lo, hi)
 
     def _forgive(self, js: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The survivors js with, re-decided exactly, the struck k in
         [lo, hi) where some |x + d| is itself a sieving prime: that
         prime's strike must not count."""
+        if lo >= self.zones_end:
+            return js
         q, t = self.q, self.t
         recheck = []
         for d, z_lo, z_hi in self.zones:
@@ -367,7 +416,8 @@ class _SievePlan:
             # candidates long has q <= 2 * sieve_limit, so this fits int64
             step = q if b - a > 1 else 0
             values = np.abs(t + d + a * q + step * np.arange(b - a))
-            recheck.append(np.flatnonzero(np.isin(values, self.primes)) + (a - lo))
+            sieving = self.primes.take(self.primes.searchsorted(values), mode="clip") == values
+            recheck.append(np.flatnonzero(sieving) + (a - lo))
         if not recheck:
             return js
         alive = np.zeros(hi - lo, bool)
@@ -416,9 +466,10 @@ def search_with_count(
     Raises InadmissibleSystemError for a doomed system.
 
     Windows of k start at FIRST_WINDOW candidates and double until they
-    reach segment_size, the largest window. The candidate count is the
-    number of progression members considered, counted before sieving, so
-    exhaustion means exactly `budget` of them were covered.
+    reach segment_size, the largest window, where the plan may widen
+    (module docstring). The candidate count is the number of progression
+    members considered, counted before sieving, so exhaustion means
+    exactly `budget` of them were covered.
     """
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
@@ -429,10 +480,14 @@ def search_with_count(
     t = task.system.crt.residue
     k_start = max(0, -((t - task.start) // q))
     k_end = k_start + task.budget
-    plan = _SievePlan(task, min(segment_size, task.budget))
+    span = min(segment_size, task.budget)
+    plan = None
     lo, size = k_start, min(FIRST_WINDOW, segment_size)
     while lo < k_end:
         hi = min(lo + size, k_end)
+        # the windows of segment_size get a widened plan, if it differs
+        if plan is None or plan.widens and size == segment_size:
+            plan = _SievePlan(task, span, wide=size == segment_size)
         for j in plan.window(lo, hi).tolist():
             x = t + (lo + j) * q
             if x not in task.exclusions and _witness_ok(task, x):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sdpc.cli import main
+from sdpc.construction import MAX_P_LIMIT
 from sdpc.stateio import load_state
 
 
@@ -141,7 +142,7 @@ def test_verify_detects_a_doctored_state(tmp_path, capsys):
 @pytest.mark.parametrize("damage", (
     "drop pairs", "string n", "fractional element", "reversed a", "stale config field",
     "repeated pair", "repeated ledger row", "version 3", "pair above p_limit",
-    "negative reserve",
+    "negative reserve", "p_limit above its bound",
 ))
 def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage):
     state = tmp_path / "state.json"
@@ -168,6 +169,10 @@ def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage
     elif damage == "pair above p_limit":
         # a set mod 2**61 - 1 would be a 2**61-bit mask
         next(e for e in doc["pairs"] if e["p"] == 5)["p"] = (1 << 61) - 1
+    elif damage == "p_limit above its bound":
+        # a pair mod 2**61 - 1 under a p_limit that admits it
+        doc["config"]["p_limit"] = 1 << 62
+        next(e for e in doc["pairs"] if e["p"] == 5)["p"] = (1 << 61) - 1
     elif damage == "negative reserve":
         next(e for e in doc["pairs"] if e["p"] == 5)["reserved"] = [-3]
     elif damage == "repeated ledger row":
@@ -182,6 +187,8 @@ def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage
     assert err.startswith("error: ") and err.count("\n") == 1
     if damage == "pair above p_limit":
         assert err == f"error: pair mod {(1 << 61) - 1} is above config p_limit 5\n"
+    if damage == "p_limit above its bound":
+        assert err == f"error: p_limit must be at most {MAX_P_LIMIT}\n"
     if damage == "negative reserve":
         assert err == "error: pair mod 5 reserved residue -3 is out of range for p = 5\n"
     if damage == "version 3":
@@ -290,6 +297,9 @@ def test_pair_random_defaults(capsys):
 def test_bad_requests_exit_one(tmp_path, capsys):
     assert main(["run", "--target", "-1", "--p-limit", "5"]) == 1
     assert "error" in capsys.readouterr().err
+    # the bound the state loader applies too
+    assert main(["run", "--target", "3", "--p-limit", str(MAX_P_LIMIT + 1)]) == 1
+    assert capsys.readouterr().err == f"error: p_limit must be at most {MAX_P_LIMIT}\n"
 
     missing = tmp_path / "nope.json"
     assert main(["verify", "--state", str(missing)]) == 1

@@ -10,6 +10,7 @@ from sdpc.admissible import TupleSystem
 from sdpc.construction import (
     ALL_CERTIFIED,
     LARGEST_WINDOW,
+    MAX_P_LIMIT,
     Config,
     apply_step,
     check_bound,
@@ -24,6 +25,7 @@ from sdpc.construction import (
     verify,
 )
 from sdpc.pairs import MINUS, PLUS
+from sdpc import search
 from sdpc.search import DEFAULT_SIEVE_LIMIT, ConstellationTask, search_with_count
 
 
@@ -99,6 +101,9 @@ def test_config_validation():
     assert [f.name for f in fields(Config)] == ["p_limit", "budget"]
     with pytest.raises(ValueError):
         Config(p_limit=4)
+    assert Config(p_limit=MAX_P_LIMIT).p_limit == MAX_P_LIMIT
+    with pytest.raises(ValueError, match=f"p_limit must be at most {MAX_P_LIMIT}"):
+        Config(p_limit=MAX_P_LIMIT + 1)
     with pytest.raises(ValueError):
         Config(budget=0)
 
@@ -317,6 +322,63 @@ def test_witnesses_do_not_depend_on_sieve_limit():
         (1, 11, 625, 3587, 42305, 2132467, 1655127457),
         (6, 618, 3594, 42294, 2132478, 1655127444),
     )
+
+
+# The default run's witnesses after the seed, for targets 7 to -13.
+PINNED_WITNESSES = (625, 3587, 42305, 2132467, 1655127457, 68092385285)
+
+
+def step_tasks():
+    """(target, task) of each search of the default run to coverage 9,
+    replayed through the pinned witnesses; the last, +17, is not found."""
+    state = initial_state(Config())
+    tasks = []
+    for coverage, x in zip(range(3, 10), PINNED_WITNESSES + (None,)):
+        plan = plan_step(state, signed_primes(coverage))
+        system = TupleSystem(plan.crt, plan.offsets)
+        tasks.append((plan.target, ConstellationTask(system, plan.min_x, state.config.budget)))
+        if x is not None:
+            state = apply_step(state, plan, x)
+    return tasks
+
+
+def test_widening_changes_no_witness_or_depth(monkeypatch):
+    # each search of the coverage-8 run as run() makes it, with the plan
+    # of its windows of LARGEST_WINDOW widened and not; +-13 widen
+    built = []
+
+    class Recorded(search._SievePlan):
+        def __init__(self, task, span, wide=False):
+            super().__init__(task, span, wide)
+            built.append(self.wide)
+
+    class Narrow(search._SievePlan):
+        def __init__(self, task, span, wide=False):
+            super().__init__(task, span)
+
+    for target, task in step_tasks()[:-1]:
+        built.clear()
+        monkeypatch.setattr(search, "_SievePlan", Recorded)
+        got = search_with_count(task, LARGEST_WINDOW)
+        assert any(built) == (abs(target) == 13), target
+        monkeypatch.setattr(search, "_SievePlan", Narrow)
+        assert search_with_count(task, LARGEST_WINDOW) == got, target
+
+
+def test_long_windows_of_the_gathering_steps_leave_the_byte_path():
+    # a plan for windows of LARGEST_WINDOW that gathers, widened, has no
+    # strided or scattered entries left; one that ANDs every group keeps
+    # them, as gathering behind those ANDs would read too many survivors
+    widens = set()
+    for target, task in step_tasks():
+        narrow = search._SievePlan(task, LARGEST_WINDOW)
+        wide = search._SievePlan(task, LARGEST_WINDOW, wide=True)
+        gathers = len(narrow.gather_p) > 0
+        assert gathers == (abs(target) >= 13)
+        assert wide.wide == gathers and (len(wide.rest_p) == 0) == gathers
+        if narrow.widens:
+            widens.add(target)
+    assert widens == {13, -13}
 
 
 def test_difference_table_ordering():

@@ -584,6 +584,22 @@ def test_a_window_over_a_forgiveness_zone_gathers():
     assert np.array_equal(got, numpy_survivors(task, n, 2 * n))
 
 
+def test_a_gather_in_two_stages_matches_the_definition(monkeypatch):
+    # with a gather cost of 2 only the densest group is ANDed, so a long
+    # window brings more survivors than primes to its gather, which then
+    # reads the tables in two stages: the first `first_stage` primes, then the
+    # rest on what those keep
+    monkeypatch.setattr(search, "GATHER_COST", 2)
+    task = admissible_task(random.Random(3), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
+    lo, n = (1 << 63) + 12345, 1 << 14
+    for wide in (False, True):
+        plan = _SievePlan(task, 1 << 20, wide)
+        assert plan.wide == wide and 0 < plan.first_stage < len(plan.gather_p)
+        spy = plan.good = TableSpy(plan.good)
+        assert np.array_equal(plan.window(lo, lo + n), numpy_survivors(task, lo, lo + n))
+        assert spy.reads == 2
+
+
 @pytest.mark.parametrize("gather_cost", (search.GATHER_COST, 2))
 @pytest.mark.parametrize("limit", (31, 1000))
 def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, monkeypatch):
@@ -593,22 +609,27 @@ def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, mo
     # the forgiveness zone at k = 0 and above 2**63. With one offset, limit 31 pre-sieves every prime
     # and scans words, 1000 leaves strided and scattered primes to strike
     # on bytes; with a gather cost of 2 the plan gathers all but its
-    # densest groups.
+    # densest groups. The wide plan for windows of 2**20 widens where it
+    # gathers: it tables every prime, gathers limit 1000's other primes
+    # too and scans words.
     monkeypatch.setattr(search, "GATHER_COST", gather_cost)
     task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (0,)), sieve_limit=limit)
-    plan = _SievePlan(task, 1 << 16)
-    assert (len(plan.rest_p) > 0) == (limit == 1000)
-    assert (len(plan.gather_p) > 0) == (gather_cost == 2)
-    period = max(len(pattern) for pattern in plan.patterns)
-    crossing = 8 * period * 5 - 70
-    some = (1, 8, 9, 64, 130)
-    for base in (crossing, 0, (1 << 63) + 4321):
-        want = numpy_survivors(task, base, base + 64 + 130)
-        for r in range(64):
-            # every length at the crossing, spread over the 64 offsets
-            for n in range(1 + r % 4, 131, 4) if base == crossing else some:
-                got = plan.window(base + r, base + r + n)
-                assert np.array_equal(got, want[(want >= r) & (want < r + n)] - r), (base, r, n)
+    for wide in (False, True):
+        plan = _SievePlan(task, 1 << 20 if wide else 1 << 16, wide)
+        assert plan.wide == (wide and gather_cost == 2)
+        assert (len(plan.rest_p) > 0) == (limit == 1000 and not plan.wide)
+        assert (len(plan.gather_p) > 0) == (gather_cost == 2)
+        period = max(len(pattern) for pattern in plan.patterns)
+        crossing = 8 * period * 5 - 70
+        some = (1, 8, 9, 64, 130)
+        for base in (crossing, 0, (1 << 63) + 4321):
+            want = numpy_survivors(task, base, base + 64 + 130)
+            for r in range(64):
+                # every length at the crossing, spread over the 64 offsets
+                for n in range(1 + r % 4, 131, 4) if base == crossing else some:
+                    got = plan.window(base + r, base + r + n)
+                    want_n = want[(want >= r) & (want < r + n)] - r
+                    assert np.array_equal(got, want_n), (wide, base, r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +714,7 @@ def plan_entries(plan):
     {0, HUGE, -HUGE},  # coincide mod every prime dividing HUGE
 ))
 @pytest.mark.parametrize("span", (2048, 1 << 16))
-def test_plan_entries_are_the_distinct_classes(offsets, span):
+def test_plan_entries_are_the_distinct_classes(offsets, span, monkeypatch):
     rng = random.Random(len(offsets) + span)
     for q_primes in ((), (2, 3), (11, 13)):
         task = admissible_task(rng, q_primes, offsets, 600)
@@ -711,3 +732,11 @@ def test_plan_entries_are_the_distinct_classes(offsets, span):
             counts[p] = counts.get(p, 0) + 1
         dense = {p for p, c in counts.items() if c * PRESIEVE_DENSITY >= p and p <= period}
         assert {p for p, _ in entries} - set(plan.rest_p.tolist()) == dense
+        # widened for windows of 2**20, which needs a plan that gathers, as
+        # these do with a gather cost of 2: every prime tabled
+        with monkeypatch.context() as m:
+            m.setattr(search, "GATHER_COST", 2)
+            wide = _SievePlan(task, 1 << 20, wide=True)
+        assert wide.wide and len(wide.rest_p) == 0
+        entries = plan_entries(wide)
+        assert len(entries) == len(set(entries)) and set(entries) == naive_entries(task)

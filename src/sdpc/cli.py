@@ -183,7 +183,7 @@ def _cmd_pair(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_system(q: int, t: int, offsets: list[int], q_factors: list[int] | None) -> TupleSystem:
-    crt = CrtClass(q, t % q, tuple(q_factors) if q_factors else None)
+    crt = CrtClass(q, t % q if q > 0 else t, tuple(q_factors) if q_factors else None)
     return TupleSystem(crt, tuple(sorted(offsets)))
 
 

@@ -42,19 +42,18 @@ classes, and its windows reuse it. The plan has three tiers:
 Without tier 2 and 3 entries a window finds its survivors in the nonzero
 64-bit words of the ANDed bits; else it unpacks them once, to strike on.
 That byte path costs every window a pass over n bytes, whatever its
-entries. So once a search's windows reach segment_size, it rebuilds its
-plan widened, if the plan gathers: every sieving prime is then tabled
-and gathered, and the byte path drops out. This needs each prime to fit
-a period and all tables to take at most segment_size bytes, what one
-window unpacks, so a sieve limit in the thousands never widens. Shorter
-windows keep the narrow plan: a search that ends early should not pay
-for a second one.
+entries. So a plan that gathers is wide if it can be: every sieving
+prime is tabled and gathered, and the byte path drops out. This needs
+each prime to fit a period and all tables to take at most the span's
+bytes, what its longest window unpacks, so a sieve limit in the
+thousands never widens. A search builds one plan and runs every window
+on it.
 
 Set-up costs a few NumPy passes per (prime, offset) entry (q is inverted
 by _q_inverses). Offsets d and d' share a class mod p only when p | d - d',
 so only the primes up to the offsets' spread are sorted and merged, and
-only those up to min(period, PRESIEVE_DENSITY * offsets), or all in a
-widened plan, are tabled.
+only those up to min(period, PRESIEVE_DENSITY * offsets) pre-sieved; a
+wide plan appends the later primes' tables from their unsorted classes.
 
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
@@ -260,7 +259,7 @@ class _SievePlan:
     """One task's sieve, read-only once built; every window of the
     search reuses it. See the module docstring for the tiers."""
 
-    def __init__(self, task: ConstellationTask, span: int, wide: bool = False):
+    def __init__(self, task: ConstellationTask, span: int):
         self.q = task.system.crt.modulus
         self.t = task.system.crt.residue
         self.offsets = task.system.offsets
@@ -270,13 +269,12 @@ class _SievePlan:
         # in periods short enough for a window of `span` to repeat 8 times
         period = min(PATTERN_PERIOD, span // 8)
         # One entry per distinct (p, k0). Only the head of primes can have
-        # coinciding classes (p up to the offsets' spread) or be tabled
-        # (p up to min(period, m * PRESIEVE_DENSITY), or every prime in a
-        # wide plan); every later prime has m distinct classes and goes to
-        # the other tiers as it is.
+        # coinciding classes (p up to the offsets' spread) or be pre-sieved
+        # (p up to min(period, m * PRESIEVE_DENSITY)); every later prime has
+        # m distinct classes and is tabled or goes to the other tiers as it is.
         spread = max(self.offsets, default=0) - min(self.offsets, default=0)
         bound = min(max(spread, min(period, m * PRESIEVE_DENSITY)), 1 << 62)
-        head = len(self.primes) if wide else int(np.searchsorted(self.primes, bound, "right"))
+        head = int(np.searchsorted(self.primes, bound, "right"))
         head_k0 = np.sort(k0[:, :head].T, axis=1)
         distinct = np.ones(head_k0.shape, bool)
         distinct[:, 1:] = head_k0[:, 1:] != head_k0[:, :-1]
@@ -285,20 +283,25 @@ class _SievePlan:
         dense = (counts * PRESIEVE_DENSITY >= head_p) & (head_p <= period)
         ps = head_p[dense].tolist()
         groups, anded = _groups(ps, counts[dense].tolist(), period)
-        # A wide plan gathers the primes it adds, which pays only where the
-        # ANDed groups keep under 1/GATHER_COST of all k: where it gathers.
-        # Each must fit a period, and their tables, 8 bytes per unit of p,
-        # take at most the bytes a window of `span` unpacks on the byte path.
-        fits = anded < len(groups) and self.primes[-1] <= period
-        fits = fits and 8 * int(self.primes.sum()) <= span
-        self.wide = wide and fits
+        # A wide plan tables and gathers every prime, which pays only where
+        # the ANDed groups keep under 1/GATHER_COST of all k: where it
+        # gathers. Each must fit a period, and their tables, 8 bytes per
+        # unit of p, take at most the bytes a window of `span` unpacks on
+        # the byte path.
+        self.wide = anded < len(groups) and self.primes[-1] <= period
+        self.wide = self.wide and 8 * int(self.primes.sum()) <= span
         # tables true where a tabled prime leaves k alive, 8 periods each:
-        # the pre-sieved primes, then in a wide plan every other prime
+        # the pre-sieved primes, then in a wide plan the head's others and
+        # the later primes, whose classes need no sort
         order = np.argsort(~dense, kind="stable") if self.wide else dense
-        pre = head_p[order]
+        pre, classes, kept = head_p[order], head_k0[order], counts[order]
+        if self.wide:
+            pre = np.concatenate((pre, self.primes[head:]))
+            classes = np.concatenate((classes, k0[:, head:].T))
+            kept = np.concatenate((kept, np.full(len(self.primes) - head, m)))
         at = pre.cumsum() - pre
         self.good = np.ones(8 * int(pre.sum()), bool)
-        self.good[(8 * at + pre * np.arange(8)[:, None])[..., None] + head_k0[order]] = False
+        self.good[(8 * at + pre * np.arange(8)[:, None])[..., None] + classes] = False
         # packed, prime i's row of p bytes holds k = 8j ... 8j + 7 in byte j
         packed = np.packbits(self.good, bitorder="little")
         rows = [packed[a : a + p] for a, p in zip(at.tolist(), ps)]
@@ -314,18 +317,19 @@ class _SievePlan:
         gathered += range(len(ps), len(pre))
         self.first_stage = 0
         if gathered:
-            keep = (1 - counts[order] / pre).tolist()
+            keep = (1 - kept / pre).tolist()
             self.first_stage = _first_stage([keep[i] for i in gathered])
         gathered = gathered or slice(0)  # no primes: a slice is cheaper than []
         self.gather_p, self.gather_at = pre[gathered, None], 8 * at[gathered, None]
-        # the other tiers' entries, ascending in p, and their count per prime
+        # the other tiers' entries, ascending in p, and their count per
+        # prime: none in a wide plan
         pick = distinct & ~(dense | self.wide)[:, None]
-        self.rest_count = np.full(len(self.primes), m)
+        self.rest_count = np.full(len(self.primes), 0 if self.wide else m)
         self.rest_count[:head] = pick.sum(axis=1)
         self.rest_p = np.repeat(self.primes, self.rest_count)
-        self.rest_k0 = np.concatenate((head_k0[pick], k0[:, head:].T), axis=None)
-        # whether a wide plan would leave out this plan's byte path
-        self.widens = fits and not self.wide and len(self.rest_p) > 0
+        self.rest_k0 = head_k0[pick]
+        if not self.wide:
+            self.rest_k0 = np.concatenate((self.rest_k0, k0[:, head:].T), axis=None)
         # k-ranges where some |x + d| <= sieve_limit, the only place a value
         # can equal a sieving prime; with no sieving primes nothing is struck
         limit = task.sieve_limit
@@ -466,8 +470,8 @@ def search_with_count(
     Raises InadmissibleSystemError for a doomed system.
 
     Windows of k start at FIRST_WINDOW candidates and double until they
-    reach segment_size, the largest window, where the plan may widen
-    (module docstring). The candidate count is the number of progression
+    reach segment_size; one plan, built for that span (module docstring),
+    sieves them all. The candidate count is the number of progression
     members considered, counted before sieving, so exhaustion means
     exactly `budget` of them were covered.
     """
@@ -480,14 +484,10 @@ def search_with_count(
     t = task.system.crt.residue
     k_start = max(0, -((t - task.start) // q))
     k_end = k_start + task.budget
-    span = min(segment_size, task.budget)
-    plan = None
+    plan = _SievePlan(task, min(segment_size, task.budget))
     lo, size = k_start, min(FIRST_WINDOW, segment_size)
     while lo < k_end:
         hi = min(lo + size, k_end)
-        # the windows of segment_size get a widened plan, if it differs
-        if plan is None or plan.widens and size == segment_size:
-            plan = _SievePlan(task, span, wide=size == segment_size)
         for j in plan.window(lo, hi).tolist():
             x = t + (lo + j) * q
             if x not in task.exclusions and _witness_ok(task, x):

@@ -311,6 +311,10 @@ def test_bad_requests_exit_one(tmp_path, capsys):
     assert code == 1
     assert "inadmissible" in captured.err
 
+    # a modulus below 1 is refused before t is reduced by it
+    for command in ("admissible", "search"):
+        assert main([command, "--q", "0", "--t", "1", "--offsets", "0"]) == 1
+        assert capsys.readouterr().err == "error: modulus must be positive\n"
 
 
 @pytest.mark.parametrize("argv, message", (

@@ -26,7 +26,7 @@ from sdpc.construction import (
 )
 from sdpc.pairs import MINUS, PLUS
 from sdpc import search
-from sdpc.search import DEFAULT_SIEVE_LIMIT, ConstellationTask, search_with_count
+from sdpc.search import DEFAULT_SIEVE_LIMIT, FIRST_WINDOW, ConstellationTask, search_with_count
 
 
 # ---------------------------------------------------------------------------
@@ -342,43 +342,71 @@ def step_tasks():
     return tasks
 
 
-def test_widening_changes_no_witness_or_depth(monkeypatch):
-    # each search of the coverage-8 run as run() makes it, with the plan
-    # of its windows of LARGEST_WINDOW widened and not; +-13 widen
-    built = []
+def record_plans(monkeypatch):
+    """The plans that searches build from now on, in order, each with the
+    lengths of the windows sieved on it."""
+    plans = []
 
     class Recorded(search._SievePlan):
-        def __init__(self, task, span, wide=False):
-            super().__init__(task, span, wide)
-            built.append(self.wide)
-
-    class Narrow(search._SievePlan):
-        def __init__(self, task, span, wide=False):
+        def __init__(self, task, span):
             super().__init__(task, span)
+            self.windows = []
+            plans.append(self)
 
+        def window(self, lo, hi):
+            self.windows.append(hi - lo)
+            return super().window(lo, hi)
+
+    monkeypatch.setattr(search, "_SievePlan", Recorded)
+    return plans
+
+
+def test_each_search_builds_one_plan(monkeypatch):
+    # every search of the coverage-8 run sieves all its windows on the one
+    # plan it builds first; the +-13 plans are wide from their first
+    # window of FIRST_WINDOW on: they gather there and have no strided or
+    # scattered entries
+    plans = record_plans(monkeypatch)
     for target, task in step_tasks()[:-1]:
-        built.clear()
-        monkeypatch.setattr(search, "_SievePlan", Recorded)
+        plans.clear()
+        search_with_count(task, LARGEST_WINDOW)
+        assert len(plans) == 1, target
+        plan = plans[0]
+        assert plan.windows[0] == FIRST_WINDOW
+        if abs(target) == 13:
+            assert max(plan.windows) == LARGEST_WINDOW
+            assert len(plan.gather_p) and len(plan.rest_p) == 0, target
+
+
+def test_widening_changes_no_witness_or_depth(monkeypatch):
+    # each search of the coverage-8 run as run() makes it, in windows of up
+    # to LARGEST_WINDOW, where the +-13 plans widen, and of up to 2**16,
+    # where no plan's tables fit: the same witness and depth
+    plans = record_plans(monkeypatch)
+    for target, task in step_tasks()[:-1]:
+        plans.clear()
         got = search_with_count(task, LARGEST_WINDOW)
-        assert any(built) == (abs(target) == 13), target
-        monkeypatch.setattr(search, "_SievePlan", Narrow)
-        assert search_with_count(task, LARGEST_WINDOW) == got, target
+        assert search_with_count(task, 1 << 16) == got, target
+        assert [plan.wide for plan in plans] == [abs(target) == 13, False], target
 
 
 def test_long_windows_of_the_gathering_steps_leave_the_byte_path():
-    # a plan for windows of LARGEST_WINDOW that gathers, widened, has no
+    # a plan for windows of LARGEST_WINDOW that gathers is wide: it has no
     # strided or scattered entries left; one that ANDs every group keeps
-    # them, as gathering behind those ANDs would read too many survivors
-    widens = set()
+    # them, as gathering behind those ANDs would read too many survivors.
+    # For windows of 2**16 no plan widens, and only +17 has no such
+    # entries, so widening changes the +-13 plans alone.
+    changed = set()
     for target, task in step_tasks():
-        narrow = search._SievePlan(task, LARGEST_WINDOW)
-        wide = search._SievePlan(task, LARGEST_WINDOW, wide=True)
-        gathers = len(narrow.gather_p) > 0
+        plan = search._SievePlan(task, LARGEST_WINDOW)
+        gathers = len(plan.gather_p) > 0
         assert gathers == (abs(target) >= 13)
-        assert wide.wide == gathers and (len(wide.rest_p) == 0) == gathers
-        if narrow.widens:
-            widens.add(target)
-    assert widens == {13, -13}
+        assert plan.wide == gathers and (len(plan.rest_p) == 0) == gathers
+        narrow = search._SievePlan(task, 1 << 16)
+        assert not narrow.wide
+        if plan.wide and len(narrow.rest_p):
+            changed.add(target)
+    assert changed == {13, -13}
 
 
 def test_difference_table_ordering():

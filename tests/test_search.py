@@ -592,9 +592,11 @@ def test_a_gather_in_two_stages_matches_the_definition(monkeypatch):
     monkeypatch.setattr(search, "GATHER_COST", 2)
     task = admissible_task(random.Random(3), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
     lo, n = (1 << 63) + 12345, 1 << 14
-    for wide in (False, True):
-        plan = _SievePlan(task, 1 << 20, wide)
-        assert plan.wide == wide and 0 < plan.first_stage < len(plan.gather_p)
+    # the tables of the primes up to 400 take about 111 KB: a plan for
+    # windows of 2**20 is wide, one for 2**16 is not
+    for span in (1 << 16, 1 << 20):
+        plan = _SievePlan(task, span)
+        assert plan.wide == (span == 1 << 20) and 0 < plan.first_stage < len(plan.gather_p)
         spy = plan.good = TableSpy(plan.good)
         assert np.array_equal(plan.window(lo, lo + n), numpy_survivors(task, lo, lo + n))
         assert spy.reads == 2
@@ -609,14 +611,16 @@ def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, mo
     # the forgiveness zone at k = 0 and above 2**63. With one offset, limit 31 pre-sieves every prime
     # and scans words, 1000 leaves strided and scattered primes to strike
     # on bytes; with a gather cost of 2 the plan gathers all but its
-    # densest groups. The wide plan for windows of 2**20 widens where it
-    # gathers: it tables every prime, gathers limit 1000's other primes
-    # too and scans words.
+    # densest groups. A plan widens where it gathers and its tables, 8
+    # bytes per unit of p, fit the span: limit 31's at both spans, limit
+    # 1000's (609 KB) for windows of 2**20 only. A wide plan tables every
+    # prime, gathers limit 1000's other primes too and scans words.
     monkeypatch.setattr(search, "GATHER_COST", gather_cost)
     task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (0,)), sieve_limit=limit)
-    for wide in (False, True):
-        plan = _SievePlan(task, 1 << 20 if wide else 1 << 16, wide)
-        assert plan.wide == (wide and gather_cost == 2)
+    for span in (1 << 16, 1 << 20):
+        plan = _SievePlan(task, span)
+        fits = 8 * sum(primes_up_to(limit)) <= span
+        assert plan.wide == (gather_cost == 2 and fits)
         assert (len(plan.rest_p) > 0) == (limit == 1000 and not plan.wide)
         assert (len(plan.gather_p) > 0) == (gather_cost == 2)
         period = max(len(pattern) for pattern in plan.patterns)
@@ -629,7 +633,7 @@ def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, mo
                 for n in range(1 + r % 4, 131, 4) if base == crossing else some:
                     got = plan.window(base + r, base + r + n)
                     want_n = want[(want >= r) & (want < r + n)] - r
-                    assert np.array_equal(got, want_n), (wide, base, r, n)
+                    assert np.array_equal(got, want_n), (span, base, r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -732,11 +736,13 @@ def test_plan_entries_are_the_distinct_classes(offsets, span, monkeypatch):
             counts[p] = counts.get(p, 0) + 1
         dense = {p for p, c in counts.items() if c * PRESIEVE_DENSITY >= p and p <= period}
         assert {p for p, _ in entries} - set(plan.rest_p.tolist()) == dense
-        # widened for windows of 2**20, which needs a plan that gathers, as
-        # these do with a gather cost of 2: every prime tabled
+        # narrow at these spans, where the tables of the primes up to 600
+        # do not fit; wide for windows of 2**20, which needs a plan that
+        # gathers, as these do with a gather cost of 2: every prime tabled
+        assert not plan.wide
         with monkeypatch.context() as m:
             m.setattr(search, "GATHER_COST", 2)
-            wide = _SievePlan(task, 1 << 20, wide=True)
-        assert wide.wide and len(wide.rest_p) == 0
+            wide = _SievePlan(task, 1 << 20)
+        assert wide.wide and len(wide.rest_p) == len(wide.rest_k0) == 0
         entries = plan_entries(wide)
         assert len(entries) == len(set(entries)) and set(entries) == naive_entries(task)

@@ -29,7 +29,7 @@ from .construction import (
 from .modular import CrtClass
 from .pairs import explicit_pair, randomized_extend_with_stats
 from .rng import CountingRng
-from .search import DEFAULT_SIEVE_LIMIT, ConstellationTask, search_with_count
+from .search import DEFAULT_SIEVE_LIMIT, DEPTH_PER_PRIME, ConstellationTask, search_with_count
 from .stateio import load_state, save_state
 
 
@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_flags(p_search)
     p_search.add_argument("--start", type=int, default=0)
     p_search.add_argument("--budget", type=int, default=10**8)
-    p_search.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT)
+    p_search.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT,
+                          help=f"largest sieving prime, used once a search is {DEPTH_PER_PRIME} x that many candidates deep")
     p_search.add_argument("--exclude", help="comma separated x values to skip")
     p_search.set_defaults(func=_cmd_search)
 

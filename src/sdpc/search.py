@@ -14,9 +14,18 @@ about its own depth rather than a whole segment. A window's survivors
 are kept as indices and become integers x only as they are certified,
 up to the witness.
 
+Its sieving primes grow with its depth: the window ending hi candidates
+in sieves with those up to hi / DEPTH_PER_PRIME, and at least with those
+the plan sorts or pre-sieves (below). So sieve_limit is the largest
+sieving prime, reached DEPTH_PER_PRIME * sieve_limit candidates in. A
+prime above the window length strikes at most one candidate per offset
+there, so a shallow search need not pay for the classes of every prime
+up to the limit. Fewer primes only keep more survivors, which
+certification decides, so the witness and count stay the same.
+
 Prime p strikes k exactly when k = k0 (mod p), k0 = -(t + d) / q mod p,
-one class per offset. Each search builds a read-only plan of these
-classes, and its windows reuse it. The plan has three tiers:
+one class per offset. Each search builds a plan of these classes, and
+its windows reuse it. The plan has three tiers:
 
 1. Tabled primes, each with a table of 8 periods, true on the classes it
    leaves alive. The pre-sieved ones, whose classes cover at least
@@ -54,11 +63,13 @@ by _q_inverses). Offsets d and d' share a class mod p only when p | d - d',
 so only the primes up to the offsets' spread are sorted and merged, and
 only those up to min(period, PRESIEVE_DENSITY * offsets) pre-sieved; a
 wide plan appends the later primes' tables from their unsorted classes.
+So growing only appends tier 2 and 3 entries past the head, and a wide
+plan, which tables every prime up to the limit, holds them all at once.
 
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
 afterwards, in those windows only, every k missing from the survivors
-with some |x + d| a sieving prime is re-decided exactly.
+with some |x + d| a sieving prime held is re-decided exactly.
 """
 
 from __future__ import annotations
@@ -75,6 +86,9 @@ from .primes import CERTIFIED_LIMIT, is_prime, may_be_prime, prime_factors, prim
 DEFAULT_SIEVE_LIMIT = 400
 # A search's first window, from a sweep (CHANGES.md); later ones double.
 FIRST_WINDOW = 1 << 11
+# A search sieves with the primes up to its depth / DEPTH_PER_PRIME, the
+# end of the window it has reached; from a sweep (CHANGES.md).
+DEPTH_PER_PRIME = 4
 PRESIEVE_DENSITY = 32
 PATTERN_PERIOD = 1 << 16
 SCATTER_HITS = 32
@@ -87,7 +101,11 @@ SCATTER_BATCH = 1 << 16
 
 @dataclass(frozen=True)
 class ConstellationTask:
-    """What to search: the system, where to start, and the budgets."""
+    """What to search: the system, where to start, and the budgets.
+
+    sieve_limit bounds the sieving primes; a search reaches it once it is
+    DEPTH_PER_PRIME * sieve_limit candidates deep (module docstring).
+    """
 
     system: TupleSystem
     start: int = 0
@@ -159,16 +177,23 @@ def _prime_array(bound: int) -> np.ndarray:
     return cached[1]
 
 
-def _hit_classes(task: ConstellationTask) -> tuple[np.ndarray, np.ndarray]:
-    """The sieving primes (p <= sieve_limit, p not dividing q) and, per
-    offset and prime, the class k0 mod p of the k where p | t + k*q + d:
-    one row per offset."""
+def _sieving_primes(q: int, lo: int, hi: int) -> np.ndarray:
+    """The primes p in [lo, hi] that do not divide q."""
+    # one cached table per power of two, cut at hi
+    primes = _prime_array(1 << (hi - 1).bit_length())
+    primes = primes[np.searchsorted(primes, lo) : np.searchsorted(primes, hi, "right")]
+    return primes[_residues(q, primes) != 0]
+
+
+def _hit_classes(
+    task: ConstellationTask, lo: int = 2, hi: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sieving primes p in [lo, hi] (hi the sieve limit by default, p
+    not dividing q) and, per offset and prime, the class k0 mod p of the k
+    where p | t + k*q + d: one row per offset."""
     crt = task.system.crt
     q, offsets = crt.modulus, task.system.offsets
-    # one cached table per power of two, cut at the limit
-    primes = _prime_array(1 << (task.sieve_limit - 1).bit_length())
-    primes = primes[: np.searchsorted(primes, task.sieve_limit, "right")]
-    primes = primes[_residues(q, primes) != 0]
+    primes = _sieving_primes(q, lo, task.sieve_limit if hi is None else hi)
     factors = crt.primes
     if factors is None:
         factors = prime_factors(q) if q < CERTIFIED_LIMIT else ()
@@ -256,14 +281,17 @@ def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
 
 
 class _SievePlan:
-    """One task's sieve, read-only once built; every window of the
-    search reuses it. See the module docstring for the tiers."""
+    """One task's sieve; every window of the search reuses it. It holds
+    the sieving primes up to `bound`, at least its head (by default, up to
+    the sieve limit), and grow() appends later ones. See the module
+    docstring for the tiers."""
 
-    def __init__(self, task: ConstellationTask, span: int):
+    def __init__(self, task: ConstellationTask, span: int, bound: int | None = None):
+        self.task = task
         self.q = task.system.crt.modulus
         self.t = task.system.crt.residue
         self.offsets = task.system.offsets
-        self.primes, k0 = _hit_classes(task)
+        self.limit = task.sieve_limit
         m = len(self.offsets)
         # pre-sieved: primes striking at least 1/PRESIEVE_DENSITY of all k,
         # in periods short enough for a window of `span` to repeat 8 times
@@ -273,8 +301,10 @@ class _SievePlan:
         # (p up to min(period, m * PRESIEVE_DENSITY)); every later prime has
         # m distinct classes and is tabled or goes to the other tiers as it is.
         spread = max(self.offsets, default=0) - min(self.offsets, default=0)
-        bound = min(max(spread, min(period, m * PRESIEVE_DENSITY)), 1 << 62)
-        head = int(np.searchsorted(self.primes, bound, "right"))
+        head_bound = min(max(spread, min(period, m * PRESIEVE_DENSITY)), self.limit)
+        self.bound = self.limit if bound is None else min(max(bound, head_bound), self.limit)
+        self.primes, k0 = _hit_classes(task, hi=self.bound)
+        head = int(np.searchsorted(self.primes, head_bound, "right"))
         head_k0 = np.sort(k0[:, :head].T, axis=1)
         distinct = np.ones(head_k0.shape, bool)
         distinct[:, 1:] = head_k0[:, 1:] != head_k0[:, :-1]
@@ -283,13 +313,18 @@ class _SievePlan:
         dense = (counts * PRESIEVE_DENSITY >= head_p) & (head_p <= period)
         ps = head_p[dense].tolist()
         groups, anded = _groups(ps, counts[dense].tolist(), period)
-        # A wide plan tables and gathers every prime, which pays only where
-        # the ANDed groups keep under 1/GATHER_COST of all k: where it
-        # gathers. Each must fit a period, and their tables, 8 bytes per
-        # unit of p, take at most the bytes a window of `span` unpacks on
-        # the byte path.
-        self.wide = anded < len(groups) and self.primes[-1] <= period
-        self.wide = self.wide and 8 * int(self.primes.sum()) <= span
+        # A wide plan tables and gathers every prime up to the limit, which
+        # pays only where the ANDed groups keep under 1/GATHER_COST of all
+        # k: where it gathers. Each must fit a period, and their tables, 8
+        # bytes per unit of p, take at most the bytes a window of `span`
+        # unpacks on the byte path. It holds them all from the start.
+        self.wide = anded < len(groups)
+        if self.wide:
+            every = self.primes if self.bound == self.limit else _sieving_primes(self.q, 2, self.limit)
+            self.wide = every[-1] <= period and 8 * int(every.sum()) <= span
+        if self.wide and self.bound < self.limit:
+            self.bound = self.limit
+            self.primes, k0 = _hit_classes(task)
         # tables true where a tabled prime leaves k alive, 8 periods each:
         # the pre-sieved primes, then in a wide plan the head's others and
         # the later primes, whose classes need no sort
@@ -331,15 +366,29 @@ class _SievePlan:
         if not self.wide:
             self.rest_k0 = np.concatenate((self.rest_k0, k0[:, head:].T), axis=None)
         # k-ranges where some |x + d| <= sieve_limit, the only place a value
-        # can equal a sieving prime; with no sieving primes nothing is struck
-        limit = task.sieve_limit
+        # can equal a sieving prime
         self.zones, self.zones_end = [], 0
         for d in self.offsets:
-            z_lo = max(0, -((limit + d + self.t) // self.q))
-            z_hi = (limit - d - self.t) // self.q + 1
-            if z_lo < z_hi and len(self.primes):
+            z_lo = max(0, -((self.limit + d + self.t) // self.q))
+            z_hi = (self.limit - d - self.t) // self.q + 1
+            if z_lo < z_hi:
                 self.zones.append((d, z_lo, z_hi))
                 self.zones_end = max(self.zones_end, z_hi)
+
+    def grow(self, bound: int) -> None:
+        """Hold every sieving prime up to min(bound, sieve_limit). The new
+        ones lie past the head and join the other tiers in ascending p; a
+        wide plan holds them all already."""
+        bound = min(bound, self.limit)
+        if bound <= self.bound:
+            return
+        primes, k0 = _hit_classes(self.task, self.bound + 1, bound)
+        m = len(k0)
+        self.primes = np.concatenate((self.primes, primes))
+        self.rest_count = np.concatenate((self.rest_count, np.full(len(primes), m)))
+        self.rest_p = np.concatenate((self.rest_p, np.repeat(primes, m)))
+        self.rest_k0 = np.concatenate((self.rest_k0, k0.T), axis=None)
+        self.bound = bound
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Indices j, ascending, of the surviving x = t + (lo + j)*q for
@@ -406,9 +455,9 @@ class _SievePlan:
 
     def _forgive(self, js: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The survivors js with, re-decided exactly, the struck k in
-        [lo, hi) where some |x + d| is itself a sieving prime: that
-        prime's strike must not count."""
-        if lo >= self.zones_end:
+        [lo, hi) where some |x + d| is itself a sieving prime held: that
+        prime's strike must not count. With none held nothing is struck."""
+        if lo >= self.zones_end or not len(self.primes):
             return js
         q, t = self.q, self.t
         recheck = []
@@ -471,7 +520,9 @@ def search_with_count(
 
     Windows of k start at FIRST_WINDOW candidates and double until they
     reach segment_size; one plan, built for that span (module docstring),
-    sieves them all. The candidate count is the number of progression
+    sieves them all. Before each window it grows to the sieving primes up
+    to the window's end, in candidates from the start, / DEPTH_PER_PRIME.
+    The candidate count is the number of progression
     members considered, counted before sieving, so exhaustion means
     exactly `budget` of them were covered.
     """
@@ -484,10 +535,12 @@ def search_with_count(
     t = task.system.crt.residue
     k_start = max(0, -((t - task.start) // q))
     k_end = k_start + task.budget
-    plan = _SievePlan(task, min(segment_size, task.budget))
     lo, size = k_start, min(FIRST_WINDOW, segment_size)
+    bound = min(size, task.budget) // DEPTH_PER_PRIME
+    plan = _SievePlan(task, min(segment_size, task.budget), bound)
     while lo < k_end:
         hi = min(lo + size, k_end)
+        plan.grow((hi - k_start) // DEPTH_PER_PRIME)
         for j in plan.window(lo, hi).tolist():
             x = t + (lo + j) * q
             if x not in task.exclusions and _witness_ok(task, x):

@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from sdpc.admissible import TupleSystem
@@ -348,8 +349,8 @@ def record_plans(monkeypatch):
     plans = []
 
     class Recorded(search._SievePlan):
-        def __init__(self, task, span):
-            super().__init__(task, span)
+        def __init__(self, task, span, *bound):
+            super().__init__(task, span, *bound)
             self.windows = []
             plans.append(self)
 
@@ -376,6 +377,34 @@ def test_each_search_builds_one_plan(monkeypatch):
         if abs(target) == 13:
             assert max(plan.windows) == LARGEST_WINDOW
             assert len(plan.gather_p) and len(plan.rest_p) == 0, target
+
+
+def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
+    # a search's first window sieves with the primes up to
+    # FIRST_WINDOW // DEPTH_PER_PRIME, at least the default limit: so the
+    # plan each search of the run builds is, array for array, the plan for
+    # LARGEST_WINDOW at that limit, and stays so through the search. Step 9
+    # (+17) searches four of its longest windows.
+    assert FIRST_WINDOW // search.DEPTH_PER_PRIME >= DEFAULT_SIEVE_LIMIT
+    plan_at_limit = search._SievePlan
+    plans = record_plans(monkeypatch)
+    for target, task in step_tasks():
+        if target == 17:
+            task = replace(task, budget=4 * LARGEST_WINDOW)
+        plans.clear()
+        search_with_count(task, LARGEST_WINDOW)
+        (plan,) = plans
+        full = plan_at_limit(task, LARGEST_WINDOW)
+        assert plan.bound == full.bound == DEFAULT_SIEVE_LIMIT
+        for name, value in vars(full).items():
+            got = getattr(plan, name)
+            if name == "patterns":
+                assert len(got) == len(value), target
+                assert all(np.array_equal(a, b) for a, b in zip(got, value)), target
+            elif isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and np.array_equal(got, value), (target, name)
+            else:
+                assert got == value, (target, name)
 
 
 def test_widening_changes_no_witness_or_depth(monkeypatch):

@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 
 from sdpc import search
 from sdpc.admissible import InadmissibleSystemError, TupleSystem
@@ -17,6 +18,7 @@ from sdpc.modular import CrtClass
 from sdpc.primes import PrimalityStatus, primes_up_to
 from sdpc.search import (
     DEFAULT_SIEVE_LIMIT,
+    DEPTH_PER_PRIME,
     FIRST_WINDOW,
     PATTERN_PERIOD,
     PRESIEVE_DENSITY,
@@ -746,3 +748,80 @@ def test_plan_entries_are_the_distinct_classes(offsets, span, monkeypatch):
         assert wide.wide and len(wide.rest_p) == len(wide.rest_k0) == 0
         entries = plan_entries(wide)
         assert len(entries) == len(set(entries)) and set(entries) == naive_entries(task)
+
+
+# ---------------------------------------------------------------------------
+# a plan whose sieving primes grow with the search's depth
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("gather_cost", (search.GATHER_COST, 2))
+@pytest.mark.parametrize("limit", (600, 5000, 100_000))
+def test_a_plan_grown_range_by_range_equals_one_built_at_the_limit(limit, gather_cost, monkeypatch):
+    # with a gather cost of 2 the plans gather, and those whose tables fit
+    # the span (limit 600 at 2**20) are wide: they hold every prime from
+    # the start and never grow
+    monkeypatch.setattr(search, "GATHER_COST", gather_cost)
+    rng = random.Random(limit + gather_cost)
+    for span in (1 << 11, 1 << 16, 1 << 20):
+        task = None
+        while task is None:
+            q_primes = rng.choice(((), (2, 3), (2, 3, 5, 7), (11, 13)))
+            offsets = {rng.randrange(-300, 301) for _ in range(rng.randrange(1, 13))}
+            task = admissible_task(rng, q_primes, offsets, limit)
+        q = task.system.crt.modulus
+        full = _SievePlan(task, span)
+        plan = _SievePlan(task, span, rng.randrange(limit // 4))
+        assert plan.wide == full.wide == (gather_cost == 2 and limit == 600 and span == 1 << 20)
+        while plan.bound < limit:
+            assert plan.primes.tolist() == [p for p in primes_up_to(plan.bound) if q % p]
+            plan.grow(plan.bound + rng.randrange(1, limit // 3))
+        assert plan.bound == full.bound == limit
+        for name in ("primes", "rest_p", "rest_k0", "rest_count"):
+            grown, built = getattr(plan, name), getattr(full, name)
+            assert grown.dtype == built.dtype and np.array_equal(grown, built), (span, name)
+
+
+# (E, z, x): with q = 1 and start 0 (so k = x), the offsets e - (x + z)
+# for e in E put the first witness at x, whose values -(z - e) are primes
+# above the bounds of the windows before x's and not above the bound of
+# x's own (no larger z up to x + z has every z - e prime). Only a plan
+# grown that far strikes x there, and only forgiveness keeps it alive.
+GROWN_ZONE_CASES = (
+    ((0, 2, 6, 18, 20), 829, FIRST_WINDOW),  # the bound grows past z at 2048
+    ((0, 2, 6, 18, 20), 829, 4000),
+    ((0, 2, 6, 8, 32), 1879, 14335),  # at 6144
+    ((0, 2, 8, 26, 32), 7549, 20000),  # at 14336
+)
+
+
+@pytest.mark.parametrize("pattern, z, x", GROWN_ZONE_CASES)
+def test_searches_from_zero_through_grown_primes_match_a_naive_scan(pattern, z, x, monkeypatch):
+    bounds = []
+    sieve = _SievePlan.window
+
+    def window(plan, lo, hi):
+        bounds.append((hi, plan.bound))
+        return sieve(plan, lo, hi)
+
+    monkeypatch.setattr(_SievePlan, "window", window)
+    system = TupleSystem(CrtClass(1, 0, ()), tuple(e - x - z for e in pattern))
+    witness = next(
+        k for k in range(10**5)
+        if all(abs(k + d) > 3 and sympy.isprime(abs(k + d)) for d in system.offsets)
+    )
+    depth = witness + 1
+    assert witness == x
+    # x's window [before, held) is the first whose bound reaches z, and
+    # the bound before it is below every value
+    ends = window_ends(LARGEST)
+    held = min(e for e in ends if e // DEPTH_PER_PRIME >= z)
+    before = ([0] + ends)[ends.index(held)]
+    assert before <= x < held and before // DEPTH_PER_PRIME < z - pattern[-1]
+    # budgets ending before, at and after each growth step and the witness
+    for budget in sorted({e + i for e in ends[: ends.index(held) + 1] + [depth] for i in (-1, 0, 1)}):
+        task = ConstellationTask(system, budget=budget, sieve_limit=100_000)
+        want = (witness, depth) if budget >= depth else (None, budget)
+        bounds.clear()
+        assert search_with_count(task) == want, (pattern, x, budget)
+        # every window sieves with the primes up to its end / DEPTH_PER_PRIME
+        assert all(bound == hi // DEPTH_PER_PRIME for hi, bound in bounds), budget

@@ -41,7 +41,10 @@ its windows reuse it. The plan has three tiers:
    few survivors j on their tables at (lo + j) mod p, densest groups
    first. With more survivors than primes it gathers in two stages: the
    first thins the survivors that the second then reads, split where the
-   reads are fewest.
+   reads are fewest. This tier costs about its patterns' bytes to build,
+   which short windows do not repay: a plan that is not wide builds it
+   in place at its first window longer than PRESIEVE_AFTER, and until
+   then strikes the pre-sieved primes' classes in tiers 2 and 3.
 2. Middle primes: one strided write per distinct (p, k0), so offsets that
    coincide mod p share one write.
 3. Large primes, those hitting a window fewer than SCATTER_HITS times:
@@ -59,12 +62,14 @@ thousands never widens. A search builds one plan and runs every window
 on it.
 
 Set-up costs a few NumPy passes per (prime, offset) entry (q is inverted
-by _q_inverses). Offsets d and d' share a class mod p only when p | d - d',
-so only the primes up to the offsets' spread are sorted and merged, and
-only those up to min(period, PRESIEVE_DENSITY * offsets) pre-sieved; a
-wide plan appends the later primes' tables from their unsorted classes.
-So growing only appends tier 2 and 3 entries past the head, and a wide
-plan, which tables every prime up to the limit, holds them all at once.
+by _q_inverses, once per q and prime range in a run). Offsets d and d'
+share a class mod p only when p | d - d', so only the primes up to the
+offsets' spread are sorted and merged, and only those up to min(period,
+PRESIEVE_DENSITY * offsets) pre-sieved; a wide plan appends the later
+primes' tables from their unsorted classes.
+So growing only appends tier 2 and 3 entries past the head, before or
+after the pre-sieve, and a wide plan, which tables every prime up to the
+limit, holds them all at once and is built whole.
 
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
@@ -75,6 +80,7 @@ with some |x + d| a sieving prime held is re-decided exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +96,9 @@ FIRST_WINDOW = 1 << 11
 # end of the window it has reached; from a sweep (CHANGES.md).
 DEPTH_PER_PRIME = 4
 PRESIEVE_DENSITY = 32
+# A plan that is not wide pre-sieves from its first window longer than
+# this; from a sweep (CHANGES.md).
+PRESIEVE_AFTER = 1 << 14
 PATTERN_PERIOD = 1 << 16
 SCATTER_HITS = 32
 # A pattern is ANDed while the denser ones keep at least 1/GATHER_COST of
@@ -177,12 +186,22 @@ def _prime_array(bound: int) -> np.ndarray:
     return cached[1]
 
 
-def _sieving_primes(q: int, lo: int, hi: int) -> np.ndarray:
-    """The primes p in [lo, hi] that do not divide q."""
+@lru_cache(maxsize=64)
+def _sieving_primes(
+    q: int, factors: tuple[int, ...] | None, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p in [lo, hi] that do not divide q (whose prime factors
+    are `factors`, or None) and -q**-1 mod each; read-only, as every plan
+    of a construction shares them."""
     # one cached table per power of two, cut at hi
     primes = _prime_array(1 << (hi - 1).bit_length())
     primes = primes[np.searchsorted(primes, lo) : np.searchsorted(primes, hi, "right")]
-    return primes[_residues(q, primes) != 0]
+    primes = primes[_residues(q, primes) != 0]
+    if factors is None:
+        factors = prime_factors(q) if q < CERTIFIED_LIMIT else ()
+    neg_inv = primes - _q_inverses(q, factors, primes)
+    primes.flags.writeable = neg_inv.flags.writeable = False
+    return primes, neg_inv
 
 
 def _hit_classes(
@@ -191,13 +210,9 @@ def _hit_classes(
     """The sieving primes p in [lo, hi] (hi the sieve limit by default, p
     not dividing q) and, per offset and prime, the class k0 mod p of the k
     where p | t + k*q + d: one row per offset."""
-    crt = task.system.crt
-    q, offsets = crt.modulus, task.system.offsets
-    primes = _sieving_primes(q, lo, task.sieve_limit if hi is None else hi)
-    factors = crt.primes
-    if factors is None:
-        factors = prime_factors(q) if q < CERTIFIED_LIMIT else ()
-    neg_inv = primes - _q_inverses(q, factors, primes)
+    crt, offsets = task.system.crt, task.system.offsets
+    hi = task.sieve_limit if hi is None else hi
+    primes, neg_inv = _sieving_primes(crt.modulus, crt.primes, lo, hi)
     # k0 = (t + d) * -q**-1 mod p. Below 2**31 an offset joins t mod p as
     # it is; |t mod p + d| < 2**32 keeps the products in int64.
     small = [d if abs(d) < 1 << 31 else 0 for d in offsets]
@@ -217,9 +232,12 @@ def _sieve_entries(task: ConstellationTask) -> np.ndarray:
     return np.column_stack([np.repeat(primes, len(k0)), k0.T.ravel()])
 
 
-def _groups(ps: list[int], counts: list[int], period: int) -> tuple[list, int]:
-    """Groups (product, member indices ascending) of the pre-sieved primes
-    ps, of counts[i] classes each, and how many are ANDed (module docstring)."""
+def _groups(head_p: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.ndarray, list, int]:
+    """Which head primes head_p, of counts[i] distinct classes each, are
+    pre-sieved; their groups (product, member indices among them ascending);
+    and how many groups are ANDed (module docstring)."""
+    dense = (counts * PRESIEVE_DENSITY >= head_p) & (head_p <= period)
+    ps, counts = head_p[dense].tolist(), counts[dense].tolist()
     # [product, share of k kept, member indices]
     groups: list[list] = []
     for i in reversed(range(len(ps))):
@@ -237,7 +255,7 @@ def _groups(ps: list[int], counts: list[int], period: int) -> tuple[list, int]:
     while anded < len(groups) and kept * GATHER_COST >= 1:
         kept *= groups[anded][1]
         anded += 1
-    return [(g[0], g[:1:-1]) for g in groups], anded
+    return dense, [(g[0], g[:1:-1]) for g in groups], anded
 
 
 def _periodic_and(rows: list[np.ndarray], pattern: np.ndarray) -> np.ndarray:
@@ -283,8 +301,10 @@ def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
 class _SievePlan:
     """One task's sieve; every window of the search reuses it. It holds
     the sieving primes up to `bound`, at least its head (by default, up to
-    the sieve limit), and grow() appends later ones. See the module
-    docstring for the tiers."""
+    the sieve limit), and grow() appends later ones. A wide plan is built
+    whole. Any other strikes its pre-sieved primes with the other tiers
+    until a window longer than PRESIEVE_AFTER builds the tabled tier in
+    place (_presieve). See the module docstring for the tiers."""
 
     def __init__(self, task: ConstellationTask, span: int, bound: int | None = None):
         self.task = task
@@ -295,7 +315,7 @@ class _SievePlan:
         m = len(self.offsets)
         # pre-sieved: primes striking at least 1/PRESIEVE_DENSITY of all k,
         # in periods short enough for a window of `span` to repeat 8 times
-        period = min(PATTERN_PERIOD, span // 8)
+        self.period = period = min(PATTERN_PERIOD, span // 8)
         # One entry per distinct (p, k0). Only the head of primes can have
         # coinciding classes (p up to the offsets' spread) or be pre-sieved
         # (p up to min(period, m * PRESIEVE_DENSITY)); every later prime has
@@ -305,35 +325,65 @@ class _SievePlan:
         self.bound = self.limit if bound is None else min(max(bound, head_bound), self.limit)
         self.primes, k0 = _hit_classes(task, hi=self.bound)
         head = int(np.searchsorted(self.primes, head_bound, "right"))
-        head_k0 = np.sort(k0[:, :head].T, axis=1)
-        distinct = np.ones(head_k0.shape, bool)
-        distinct[:, 1:] = head_k0[:, 1:] != head_k0[:, :-1]
-        head_p = self.primes[:head]
+        self.head_k0 = np.sort(k0[:, :head].T, axis=1)
+        distinct = np.ones(self.head_k0.shape, bool)
+        distinct[:, 1:] = self.head_k0[:, 1:] != self.head_k0[:, :-1]
         counts = distinct.sum(axis=1)
-        dense = (counts * PRESIEVE_DENSITY >= head_p) & (head_p <= period)
-        ps = head_p[dense].tolist()
-        groups, anded = _groups(ps, counts[dense].tolist(), period)
         # A wide plan tables and gathers every prime up to the limit, which
         # pays only where the ANDed groups keep under 1/GATHER_COST of all
         # k: where it gathers. Each must fit a period, and their tables, 8
         # bytes per unit of p, take at most the bytes a window of `span`
-        # unpacks on the byte path. It holds them all from the start.
-        self.wide = anded < len(groups)
-        if self.wide:
-            every = self.primes if self.bound == self.limit else _sieving_primes(self.q, 2, self.limit)
-            self.wide = every[-1] <= period and 8 * int(every.sum()) <= span
+        # unpacks on the byte path. That is tested first, on the held
+        # primes and then on all; only then are the groups formed here.
+        def fits(ps: np.ndarray) -> bool:
+            return ps.max(initial=0) <= period and 8 * int(ps.sum()) <= span
+
+        every = self.primes
+        if self.bound < self.limit and fits(every):
+            every = _sieving_primes(self.q, task.system.crt.primes, 2, self.limit)[0]
+        grouping = _groups(self.primes[:head], counts, period) if fits(every) else None
+        self.wide = grouping is not None and grouping[2] < len(grouping[1])
+        # a wide plan holds them all from the start and is built whole
         if self.wide and self.bound < self.limit:
             self.bound = self.limit
             self.primes, k0 = _hit_classes(task)
+        # the other tiers' entries, ascending in p, and their count per
+        # prime; until _presieve, the pre-sieved primes' too, at the front
+        self.rest_count = np.full(len(self.primes), m)
+        self.rest_count[:head] = counts
+        self.rest_p = np.repeat(self.primes, self.rest_count)
+        self.rest_k0 = np.concatenate((self.head_k0[distinct], k0[:, head:].T), axis=None)
+        self.patterns, self.gather_p, self.good = [], (), None
+        # k-ranges where some |x + d| <= sieve_limit, the only place a value
+        # can equal a sieving prime
+        self.zones, self.zones_end = [], 0
+        for d in self.offsets:
+            z_lo = max(0, -((self.limit + d + self.t) // self.q))
+            z_hi = (self.limit - d - self.t) // self.q + 1
+            if z_lo < z_hi:
+                self.zones.append((d, z_lo, z_hi))
+                self.zones_end = max(self.zones_end, z_hi)
+        if self.wide:
+            self._presieve(grouping)
+
+    def _presieve(self, grouping: tuple | None = None) -> None:
+        """Build the tabled tier (module docstring): the tables, the ANDed
+        patterns and the gathered primes. Their entries leave the other
+        tiers; in a wide plan, which tables every prime, all entries do."""
+        m, head_p = len(self.offsets), self.primes[: len(self.head_k0)]
+        counts = self.rest_count[: len(head_p)]
+        dense, groups, anded = grouping or _groups(head_p, counts, self.period)
+        ps = head_p[dense].tolist()
         # tables true where a tabled prime leaves k alive, 8 periods each:
         # the pre-sieved primes, then in a wide plan the head's others and
         # the later primes, whose classes need no sort
         order = np.argsort(~dense, kind="stable") if self.wide else dense
-        pre, classes, kept = head_p[order], head_k0[order], counts[order]
+        pre, classes, kept = head_p[order], self.head_k0[order], counts[order]
+        head_entries = int(counts.sum())
         if self.wide:
-            pre = np.concatenate((pre, self.primes[head:]))
-            classes = np.concatenate((classes, k0[:, head:].T))
-            kept = np.concatenate((kept, np.full(len(self.primes) - head, m)))
+            pre = np.concatenate((pre, self.primes[len(head_p) :]))
+            classes = np.concatenate((classes, self.rest_k0[head_entries:].reshape(-1, m)))
+            kept = np.concatenate((kept, np.full(len(pre) - len(head_p), m)))
         at = pre.cumsum() - pre
         self.good = np.ones(8 * int(pre.sum()), bool)
         self.good[(8 * at + pre * np.arange(8)[:, None])[..., None] + classes] = False
@@ -356,24 +406,14 @@ class _SievePlan:
             self.first_stage = _first_stage([keep[i] for i in gathered])
         gathered = gathered or slice(0)  # no primes: a slice is cheaper than []
         self.gather_p, self.gather_at = pre[gathered, None], 8 * at[gathered, None]
-        # the other tiers' entries, ascending in p, and their count per
-        # prime: none in a wide plan
-        pick = distinct & ~(dense | self.wide)[:, None]
-        self.rest_count = np.full(len(self.primes), 0 if self.wide else m)
-        self.rest_count[:head] = pick.sum(axis=1)
+        if self.wide:
+            self.rest_count[:] = 0
+            self.rest_k0 = self.rest_k0[:0]
+        else:
+            head_rest = self.rest_k0[:head_entries][np.repeat(~dense, counts)]
+            self.rest_count[: len(head_p)] = counts * ~dense
+            self.rest_k0 = np.concatenate((head_rest, self.rest_k0[head_entries:]))
         self.rest_p = np.repeat(self.primes, self.rest_count)
-        self.rest_k0 = head_k0[pick]
-        if not self.wide:
-            self.rest_k0 = np.concatenate((self.rest_k0, k0[:, head:].T), axis=None)
-        # k-ranges where some |x + d| <= sieve_limit, the only place a value
-        # can equal a sieving prime
-        self.zones, self.zones_end = [], 0
-        for d in self.offsets:
-            z_lo = max(0, -((self.limit + d + self.t) // self.q))
-            z_hi = (self.limit - d - self.t) // self.q + 1
-            if z_lo < z_hi:
-                self.zones.append((d, z_lo, z_hi))
-                self.zones_end = max(self.zones_end, z_hi)
 
     def grow(self, bound: int) -> None:
         """Hold every sieving prime up to min(bound, sieve_limit). The new
@@ -396,6 +436,8 @@ class _SievePlan:
         n = hi - lo
         if n <= 0:
             return np.empty(0, np.int64)
+        if self.good is None and n > PRESIEVE_AFTER:
+            self._presieve()
         # bits from k = lo - off on, a multiple of 8, so that every pattern
         # is sliced at a whole byte; in whole 8-byte words for the word scan
         off = lo % 8

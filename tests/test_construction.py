@@ -382,9 +382,11 @@ def test_each_search_builds_one_plan(monkeypatch):
 def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
     # a search's first window sieves with the primes up to
     # FIRST_WINDOW // DEPTH_PER_PRIME, at least the default limit: so the
-    # plan each search of the run builds is, array for array, the plan for
-    # LARGEST_WINDOW at that limit, and stays so through the search. Step 9
-    # (+17) searches four of its longest windows.
+    # plan each search of the run builds holds the primes of the plan for
+    # LARGEST_WINDOW at that limit through the search, and once both have
+    # pre-sieved, is that plan array for array. A plan pre-sieves at its
+    # first window longer than PRESIEVE_AFTER, or from the start if wide.
+    # Step 9 (+17) searches four of its longest windows.
     assert FIRST_WINDOW // search.DEPTH_PER_PRIME >= DEFAULT_SIEVE_LIMIT
     plan_at_limit = search._SievePlan
     plans = record_plans(monkeypatch)
@@ -396,6 +398,11 @@ def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
         (plan,) = plans
         full = plan_at_limit(task, LARGEST_WINDOW)
         assert plan.bound == full.bound == DEFAULT_SIEVE_LIMIT
+        assert np.array_equal(plan.primes, full.primes), target
+        assert (plan.good is not None) == (plan.wide or max(plan.windows) > search.PRESIEVE_AFTER)
+        for each in (plan, full):
+            if each.good is None:
+                each._presieve()
         for name, value in vars(full).items():
             got = getattr(plan, name)
             if name == "patterns":
@@ -432,6 +439,7 @@ def test_long_windows_of_the_gathering_steps_leave_the_byte_path():
         assert gathers == (abs(target) >= 13)
         assert plan.wide == gathers and (len(plan.rest_p) == 0) == gathers
         narrow = search._SievePlan(task, 1 << 16)
+        narrow._presieve()
         assert not narrow.wide
         if plan.wide and len(narrow.rest_p):
             changed.add(target)

@@ -7,6 +7,7 @@ same witness or the same exhaustion.
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sdpc.search import (
     DEPTH_PER_PRIME,
     FIRST_WINDOW,
     PATTERN_PERIOD,
+    PRESIEVE_AFTER,
     PRESIEVE_DENSITY,
     SCATTER_HITS,
     ConstellationTask,
@@ -347,6 +349,14 @@ def admissible_task(rng, primes_of_q, offsets, limit):
     )
 
 
+def presieved(plan):
+    """The plan with its tabled tier built, as its first window longer than
+    PRESIEVE_AFTER builds it; a wide plan has it from the start."""
+    if plan.good is None:
+        plan._presieve()
+    return plan
+
+
 # Limits below, across and above each tier boundary, for windows of
 # WINDOW candidates: a prime with m distinct classes is pre-sieved up to
 # PRESIEVE_DENSITY * m if it fits a period of WINDOW / 8, and the other
@@ -414,11 +424,11 @@ def test_sieve_strikes_a_zero_value():
 def test_tier_limits_reach_every_tier():
     rng = random.Random(99)
     task = admissible_task(rng, (2, 3), {0}, 1000)
-    plan = _SievePlan(task, WINDOW)
+    plan = presieved(_SievePlan(task, WINDOW))
     scatter_from = WINDOW // SCATTER_HITS
     assert plan.patterns
     assert plan.rest_p.min() < scatter_from < plan.rest_p.max()
-    assert _SievePlan(task, 32).patterns == []  # periods would be <= 4
+    assert presieved(_SievePlan(task, 32)).patterns == []  # periods would be <= 4
 
 
 def test_windows_of_a_long_plan_match_the_definition():
@@ -427,7 +437,7 @@ def test_windows_of_a_long_plan_match_the_definition():
     rng = random.Random(1618)
     for limit in (PRESIEVE_DENSITY * 6, 1000):
         task = admissible_task(rng, (2, 3), {0, 2, 6, 12, 14}, limit)
-        plan = _SievePlan(task, 1 << 16)
+        plan = presieved(_SievePlan(task, 1 << 16))
         q, t = task.system.crt.modulus, task.system.crt.residue
         period = max(len(pattern) for pattern in plan.patterns)
         assert period > 1000
@@ -481,9 +491,13 @@ def numpy_survivors(task, lo, hi):
     for d in task.system.offsets:
         base = np.array([(t + d + lo * q) % p for p in primes.ravel().tolist()])[:, None]
         alive &= ~((base + j * (q % primes)) % primes == 0).any(axis=0)
-    for d in task.system.offsets:
-        for i in range(max(0, -((limit + t + d) // q) - lo), min(n, (limit - t - d) // q - lo + 1)):
-            alive[i] = bool(brute_survivors(task, lo + i, lo + i + 1))
+    zone = {
+        i
+        for d in task.system.offsets
+        for i in range(max(0, -((limit + t + d) // q) - lo), min(n, (limit - t - d) // q - lo + 1))
+    }
+    for i in zone:
+        alive[i] = bool(brute_survivors(task, lo + i, lo + i + 1))
     return np.flatnonzero(alive)
 
 
@@ -537,7 +551,7 @@ def test_gathering_step_9_windows_match_the_definition(span, monkeypatch):
     # 2**15 starts and ends inside one; for 2**15 windows the periods are
     # at most 4096, and a window spans several of each
     task = ConstellationTask(STEP_9, start=STEP_9_K * 210 + 155)
-    plan = _SievePlan(task, span)
+    plan = presieved(_SievePlan(task, span))
     rng = random.Random(span)
     periods = [len(pattern) for pattern in plan.patterns]
     assert (span == 1 << 20) == (max(periods) > 1 << 15)
@@ -555,7 +569,7 @@ def test_gathering_windows_with_every_tier_match_the_definition(n):
     # window of 700 some hit at most once
     rng = random.Random(n)
     task = admissible_task(rng, (2, 3, 5, 7), TUPLE_12, 1000)
-    plan = _SievePlan(task, 1 << 16)
+    plan = presieved(_SievePlan(task, 1 << 16))
     assert len(plan.gather_p)
     tiers = {
         "strided" if p < -(-n // SCATTER_HITS) else "scattered" if p < n else "once"
@@ -597,7 +611,7 @@ def test_a_gather_in_two_stages_matches_the_definition(monkeypatch):
     # the tables of the primes up to 400 take about 111 KB: a plan for
     # windows of 2**20 is wide, one for 2**16 is not
     for span in (1 << 16, 1 << 20):
-        plan = _SievePlan(task, span)
+        plan = presieved(_SievePlan(task, span))
         assert plan.wide == (span == 1 << 20) and 0 < plan.first_stage < len(plan.gather_p)
         spy = plan.good = TableSpy(plan.good)
         assert np.array_equal(plan.window(lo, lo + n), numpy_survivors(task, lo, lo + n))
@@ -620,7 +634,7 @@ def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, mo
     monkeypatch.setattr(search, "GATHER_COST", gather_cost)
     task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (0,)), sieve_limit=limit)
     for span in (1 << 16, 1 << 20):
-        plan = _SievePlan(task, span)
+        plan = presieved(_SievePlan(task, span))
         fits = 8 * sum(primes_up_to(limit)) <= span
         assert plan.wide == (gather_cost == 2 and fits)
         assert (len(plan.rest_p) > 0) == (limit == 1000 and not plan.wide)
@@ -726,10 +740,12 @@ def test_plan_entries_are_the_distinct_classes(offsets, span, monkeypatch):
         task = admissible_task(rng, q_primes, offsets, 600)
         assert task is not None
         plan = _SievePlan(task, span)
-        entries = plan_entries(plan)
-        assert len(entries) == len(set(entries))
-        assert set(entries) == naive_entries(task)
-        assert plan.rest_p.tolist() == sorted(plan.rest_p.tolist())
+        # before its pre-sieve and after it
+        for plan in (plan, presieved(plan)):
+            entries = plan_entries(plan)
+            assert len(entries) == len(set(entries))
+            assert set(entries) == naive_entries(task)
+            assert plan.rest_p.tolist() == sorted(plan.rest_p.tolist())
         # the pre-sieved primes: those whose distinct classes cover at least
         # 1/PRESIEVE_DENSITY of all k and that fit a pattern period
         period = min(PATTERN_PERIOD, span // 8)
@@ -781,6 +797,50 @@ def test_a_plan_grown_range_by_range_equals_one_built_at_the_limit(limit, gather
             assert grown.dtype == built.dtype and np.array_equal(grown, built), (span, name)
 
 
+@pytest.mark.parametrize("limit", (100, 1000, 10_000, 100_000))
+def test_windows_on_both_sides_of_the_presieve_and_a_grow_match_the_definition(limit):
+    # short windows of one plan before its pre-sieve, after a grow, after
+    # the long window that pre-sieves it and after a second grow, each
+    # against sieve_segment and the definition at the primes held; the long
+    # window against short sieve_segment pieces, which never pre-sieve.
+    # Windows from k = 0, inside the forgiveness zone, at random and
+    # above 2**63.
+    # A wide plan is built whole, so a system whose plan would be is drawn
+    # again.
+    rng = random.Random(limit + 5)
+    n = 40
+    for _ in range(3):
+        plan = None
+        while plan is None or plan.wide:
+            q_primes = rng.choice(((), (2,), (2, 3), (2, 3, 5), (2, 3, 5, 7)))
+            offsets = {rng.randrange(-60, 61) for _ in range(rng.randrange(2, 8))}
+            task = admissible_task(rng, q_primes, offsets, limit)
+            plan = task and _SievePlan(task, 1 << 16, limit // 8)
+        q, t = task.system.crt.modulus, task.system.crt.residue
+        far = [rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)]
+
+        def check(presieved):
+            held = replace(task, sieve_limit=plan.bound)
+            assert (plan.good is not None) == presieved
+            # some |x + d| is a held prime near k = plan.bound / 2q
+            for lo in [0, plan.bound // (2 * q)] + far:
+                got = plan.window(lo, lo + n)
+                assert np.array_equal(got, numpy_survivors(held, lo, lo + n)), (lo, plan.bound)
+                assert [t + (lo + j) * q for j in got.tolist()] == sieve_segment(held, lo, lo + n)
+
+        check(False)
+        plan.grow(limit // 2)
+        check(False)
+        lo = rng.choice(far)
+        hi = lo + PRESIEVE_AFTER + 1
+        got = [t + (lo + j) * q for j in plan.window(lo, hi).tolist()]
+        held = replace(task, sieve_limit=plan.bound)
+        assert got == [x for a in range(lo, hi, 4096) for x in sieve_segment(held, a, min(a + 4096, hi))]
+        check(True)
+        plan.grow(limit)
+        check(True)
+
+
 # (E, z, x): with q = 1 and start 0 (so k = x), the offsets e - (x + z)
 # for e in E put the first witness at x, whose values -(z - e) are primes
 # above the bounds of the windows before x's and not above the bound of
@@ -825,3 +885,53 @@ def test_searches_from_zero_through_grown_primes_match_a_naive_scan(pattern, z, 
         assert search_with_count(task) == want, (pattern, x, budget)
         # every window sieves with the primes up to its end / DEPTH_PER_PRIME
         assert all(bound == hi // DEPTH_PER_PRIME for hi, bound in bounds), budget
+
+
+# The construction's -11 system. 45395827 is its first witness after
+# 15612787, 141824 candidates on, so a search from 45395827 - (depth - 1) * 210
+# finds it at that depth, for any depth up to 141824.
+MINUS_11 = TupleSystem(
+    CrtClass(210, 127, (2, 3, 5, 7)), (-42294, -3594, -3576, -618, -614, -6, 0, 10)
+)
+MINUS_11_WITNESS, MINUS_11_GAP = 45395827, 141824
+
+
+def sympy_scan(system, start, count):
+    """(x, depth) of the first of `count` class members from start whose
+    |x + d| are all primes above 3: small factors screened, sympy decides."""
+    q, t = system.crt.modulus, system.crt.residue
+    xs = t + (max(0, -((t - start) // q)) + np.arange(count)) * q
+    keep = np.ones(count, bool)
+    for d in system.offsets:
+        v = np.abs(xs + d)
+        keep &= v > 3
+        for p in primes_up_to(50):
+            keep &= (v % p != 0) | (v == p)
+    for i in np.flatnonzero(keep).tolist():
+        if all(sympy.isprime(abs(int(xs[i]) + d)) for d in system.offsets):
+            return int(xs[i]), i + 1
+    return None, count
+
+
+@pytest.mark.parametrize("depth", (20000, 30720, 30721, 50000, 63488, 63489, MINUS_11_GAP))
+def test_witnesses_around_the_first_presieved_window_match_a_sympy_scan(depth, monkeypatch):
+    # windows of up to 2**16 end at 30720 and 63488 candidates; the window
+    # between them is the first longer than PRESIEVE_AFTER, which builds
+    # the plan's pre-sieve: witnesses before it, in it and after it
+    ends = window_ends(LARGEST)
+    assert ends[3:5] == [30720, 63488] and ends[4] - ends[3] > PRESIEVE_AFTER >= ends[3] - ends[2]
+    windows = []
+    sieve = _SievePlan.window
+
+    def window(plan, lo, hi):
+        got = sieve(plan, lo, hi)
+        windows.append((hi - lo, plan.good is not None))
+        return got
+
+    monkeypatch.setattr(_SievePlan, "window", window)
+    start = MINUS_11_WITNESS - (depth - 1) * 210
+    assert sympy_scan(MINUS_11, start, depth) == (MINUS_11_WITNESS, depth)
+    task = ConstellationTask(MINUS_11, start=start)
+    assert search_with_count(task, LARGEST) == (MINUS_11_WITNESS, depth)
+    assert [presieved for _, presieved in windows] == [n > PRESIEVE_AFTER for n, _ in windows]
+    assert windows[-1][1] == (depth > ends[3])

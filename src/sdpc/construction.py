@@ -36,7 +36,8 @@ from .search import ConstellationTask, search_with_count
 
 ALL_CERTIFIED = "all-certified"
 CONTAINS_PROBABLE = "contains-probable-primes"
-# A step's largest sieve window. Windows grow to it from search.FIRST_WINDOW.
+# A step's segment_size: windows grow to it from search.FIRST_WINDOW, or on
+# a wide plan, whose windows are packed bits, to 8 times it (2**23 in 1 MB).
 LARGEST_WINDOW = 1 << 20
 # The largest p_limit (Config).
 MAX_P_LIMIT = 1 << 10
@@ -138,8 +139,9 @@ class Config:
     budget is the most candidates a step's search may examine. It runs
     higher than the standalone search default because a step at a dozen
     offsets sits around 10**8.5 candidates deep. Each step searches with
-    the sieve's default limit in windows of up to LARGEST_WINDOW; neither
-    changes a witness, so neither is a setting.
+    the sieve's default limit in windows of up to LARGEST_WINDOW bytes
+    (8 * LARGEST_WINDOW candidates on a wide plan, LARGEST_WINDOW on any
+    other); neither changes a witness, so neither is a setting.
     """
 
     p_limit: int = 7

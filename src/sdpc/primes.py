@@ -9,13 +9,20 @@ from math import gcd, isqrt
 
 import numpy as np
 
-# Miller-Rabin base sets, each deterministic below its bound: the smallest
-# strong pseudoprime to all of its bases. Below 3215031751 the first four
-# prime bases suffice, below 341550071728321 the first seven (Jaeschke
-# 1993), and the first twelve cover 2**64 (Sorenson and Webster 2015).
+# Miller-Rabin base sets, the first k prime bases, each deterministic below
+# its bound: the smallest strong pseudoprime to all of them. The bounds for
+# k = 1 to 7 are Jaeschke's (Math. Comp. 61, 1993) and for k = 9 Jiang and
+# Deng's (Math. Comp. 83, 2014); the first twelve cover 2**64 (Sorenson and
+# Webster 2015). 8 bases would end where 7 do, as would 10 or 11 where 9 do.
 _MR_TIERS = (
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
     (3_215_031_751, (2, 3, 5, 7)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 

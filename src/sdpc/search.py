@@ -10,9 +10,12 @@ the segment size or sieve limit.
 
 A search sieves windows of k that start at FIRST_WINDOW candidates and
 double until they reach segment_size, so a witness found early costs
-about its own depth rather than a whole segment. A window's survivors
-are kept as indices and become integers x only as they are certified,
-up to the witness.
+about its own depth rather than a whole segment. A window is measured in
+the bytes it touches: a wide plan's (below) stays packed, 8 candidates to
+a byte, so its windows run from 8 * FIRST_WINDOW to 8 * segment_size.
+Every window's packed bits are one module buffer, grown to the longest
+window and reused. A window's survivors are kept as indices and become
+integers x only as they are certified, up to the witness.
 
 Its sieving primes grow with its depth: the window ending hi candidates
 in sieves with those up to hi / DEPTH_PER_PRIME, and at least with those
@@ -30,7 +33,7 @@ its windows reuse it. The plan has three tiers:
 1. Tabled primes, each with a table of 8 periods, true on the classes it
    leaves alive. The pre-sieved ones, whose classes cover at least
    1/PRESIEVE_DENSITY of all k, are packed into groups of product
-   (period) at most PATTERN_PERIOD and an eighth of the longest window,
+   (period) at most PATTERN_PERIOD and an eighth of the plan's span,
    densest first by the share of k kept, prod(1 - c/p) over primes p of
    c classes. While the groups before it keep 1/GATHER_COST of all k, a
    group is ANDed: its pattern is 8 periods packed little-endian into
@@ -57,8 +60,8 @@ That byte path costs every window a pass over n bytes, whatever its
 entries. So a plan that gathers is wide if it can be: every sieving
 prime is tabled and gathered, and the byte path drops out. This needs
 each prime to fit a period and all tables to take at most the span's
-bytes, what its longest window unpacks, so a sieve limit in the
-thousands never widens. A search builds one plan and runs every window
+bytes, what a byte-path window of the span unpacks, so a sieve limit in
+the thousands never widens. A search builds one plan and runs every window
 on it.
 
 Set-up costs a few NumPy passes per (prime, offset) entry (q is inverted
@@ -298,6 +301,18 @@ def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
         alive[start + np.arange(count.sum()) * np.repeat(p, count)] = False
 
 
+_words = np.empty(0, np.uint64)
+
+
+def _packed_words(size: int) -> np.ndarray:
+    """The first `size` words of one buffer that every window reuses,
+    grown to the longest window: a fresh one would page-fault each time."""
+    global _words
+    if len(_words) < size:
+        _words = np.empty(size, np.uint64)
+    return _words[:size]
+
+
 class _SievePlan:
     """One task's sieve; every window of the search reuses it. It holds
     the sieving primes up to `bound`, at least its head (by default, up to
@@ -439,11 +454,15 @@ class _SievePlan:
         if self.good is None and n > PRESIEVE_AFTER:
             self._presieve()
         # bits from k = lo - off on, a multiple of 8, so that every pattern
-        # is sliced at a whole byte; in whole 8-byte words for the word scan
+        # is sliced at a whole byte; in whole 8-byte words for the word
+        # scan, with the bits outside [lo, hi) clear
         off = lo % 8
-        words = np.zeros(-(-(off + n) // 64), np.uint64)
+        words = _packed_words(-(-(off + n) // 64))
+        words[-1] = 0
         packed = words.view(np.uint8)[: -(-(off + n) // 8)]
         packed[:] = 255
+        packed[0] = 255 << off & 255
+        packed[-1] &= 255 >> (-(off + n) % 8)
         for pattern in self.patterns:
             size = len(pattern)
             s = (lo >> 3) % size
@@ -485,7 +504,6 @@ class _SievePlan:
             bit = np.unpackbits(words[live].view(np.uint8), bitorder="little").view(bool)
             bit = np.flatnonzero(bit)
             js = live[bit >> 6] * 64 + (bit & 63) - off
-            js = js[(js >= 0) & (js < n)]
         if len(self.gather_p):
             r = _residues(lo, self.gather_p)
             # two stages pay once the survivors outnumber the primes
@@ -502,7 +520,8 @@ class _SievePlan:
         if lo >= self.zones_end or not len(self.primes):
             return js
         q, t = self.q, self.t
-        recheck = []
+        # the k in the window where some |x + d| is a sieving prime held
+        recheck = np.zeros(hi - lo, bool)
         for d, z_lo, z_hi in self.zones:
             a, b = max(z_lo, lo), min(z_hi, hi)
             if a >= b:
@@ -512,13 +531,10 @@ class _SievePlan:
             step = q if b - a > 1 else 0
             values = np.abs(t + d + a * q + step * np.arange(b - a))
             sieving = self.primes.take(self.primes.searchsorted(values), mode="clip") == values
-            recheck.append(np.flatnonzero(sieving) + (a - lo))
-        if not recheck:
-            return js
+            recheck[a - lo : b - lo] |= sieving
         alive = np.zeros(hi - lo, bool)
         alive[js] = True
-        zone = np.unique(np.concatenate(recheck))
-        for j in zone[~alive[zone]].tolist():
+        for j in np.flatnonzero(recheck & ~alive).tolist():
             x = t + (lo + j) * q
             alive[j] = not any(self._struck(x + d) for d in self.offsets)
         return np.flatnonzero(alive)
@@ -562,11 +578,13 @@ def search_with_count(
 
     Windows of k start at FIRST_WINDOW candidates and double until they
     reach segment_size; one plan, built for that span (module docstring),
-    sieves them all. Before each window it grows to the sieving primes up
-    to the window's end, in candidates from the start, / DEPTH_PER_PRIME.
-    The candidate count is the number of progression
-    members considered, counted before sieving, so exhaustion means
-    exactly `budget` of them were covered.
+    sieves them all. If the plan is wide, its windows are packed bits and
+    8 times as long, from 8 * FIRST_WINDOW to 8 * segment_size, so that
+    segment_size bounds the bytes of a window either way. Before each
+    window the plan grows to the sieving primes up to the window's end, in
+    candidates from the start, / DEPTH_PER_PRIME. The candidate count is
+    the number of progression members considered, counted before sieving,
+    so exhaustion means exactly `budget` of them were covered.
     """
     if segment_size < 1:
         raise ValueError("segment_size must be positive")
@@ -580,6 +598,10 @@ def search_with_count(
     lo, size = k_start, min(FIRST_WINDOW, segment_size)
     bound = min(size, task.budget) // DEPTH_PER_PRIME
     plan = _SievePlan(task, min(segment_size, task.budget), bound)
+    # a wide plan's window is packed bits, so it runs 8 times as long for
+    # the bytes a byte-path window touches
+    scale = 8 if plan.wide else 1
+    size, largest = scale * size, scale * segment_size
     while lo < k_end:
         hi = min(lo + size, k_end)
         plan.grow((hi - k_start) // DEPTH_PER_PRIME)
@@ -587,5 +609,5 @@ def search_with_count(
             x = t + (lo + j) * q
             if x not in task.exclusions and _witness_ok(task, x):
                 return x, lo + j - k_start + 1
-        lo, size = hi, min(2 * size, segment_size)
+        lo, size = hi, min(2 * size, largest)
     return None, task.budget

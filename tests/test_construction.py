@@ -1,12 +1,16 @@
 """Tests for the step-by-step difference-set construction engine."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import sdpc
 from sdpc.admissible import TupleSystem
 from sdpc.construction import (
     ALL_CERTIFIED,
@@ -303,6 +307,23 @@ def test_run_growth_invariants():
     assert witnesses == sorted(witnesses)
 
 
+def test_a_run_does_not_import_numpy_ma():
+    # numpy.ma is a slow import (np.unique loads it lazily in numpy 2.4),
+    # which a fresh process's first run would pay; so only a new process
+    # shows it
+    src = os.path.dirname(os.path.dirname(sdpc.__file__))
+    code = (
+        "import sys\n"
+        "from sdpc.construction import Config, initial_state, run\n"
+        "assert run(initial_state(Config()), 7).completed\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_witnesses_do_not_depend_on_sieve_limit():
     # the sieve strikes only proven composites and the scan is ordered by
     # k, so the limit may change the work but never the witness or its
@@ -365,17 +386,23 @@ def record_plans(monkeypatch):
 def test_each_search_builds_one_plan(monkeypatch):
     # every search of the coverage-8 run sieves all its windows on the one
     # plan it builds first; the +-13 plans are wide from their first
-    # window of FIRST_WINDOW on: they gather there and have no strided or
-    # scattered entries
+    # window on: they gather there and have no strided or scattered
+    # entries, and their windows are 8 times as long, from 8 * FIRST_WINDOW
+    # to 8 * LARGEST_WINDOW. Windows double until one holds the witness.
     plans = record_plans(monkeypatch)
     for target, task in step_tasks()[:-1]:
         plans.clear()
-        search_with_count(task, LARGEST_WINDOW)
+        _, depth = search_with_count(task, LARGEST_WINDOW)
         assert len(plans) == 1, target
         plan = plans[0]
-        assert plan.windows[0] == FIRST_WINDOW
-        if abs(target) == 13:
-            assert max(plan.windows) == LARGEST_WINDOW
+        assert plan.wide == (abs(target) == 13), target
+        scale = 8 if plan.wide else 1
+        size, expected = scale * FIRST_WINDOW, []
+        while sum(expected) < depth:
+            expected.append(size)
+            size = min(2 * size, scale * LARGEST_WINDOW)
+        assert plan.windows == expected, target
+        if plan.wide:
             assert len(plan.gather_p) and len(plan.rest_p) == 0, target
 
 

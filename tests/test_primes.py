@@ -5,8 +5,10 @@ from math import isqrt
 
 import pytest
 import sympy
+from sympy.ntheory.primetest import mr
 
 from sdpc.primes import (
+    _MR_TIERS,
     CERTIFIED_LIMIT,
     PrimalityStatus,
     is_prime,
@@ -66,6 +68,39 @@ TIER_PSEUDOPRIMES = (3215031751, 341550071728321, 3825123056546413051)
 def test_strong_pseudoprime_at_each_tier_threshold_is_composite(n):
     assert not sympy.isprime(n)
     assert not is_prime_exact(n)
+
+
+# The smallest strong pseudoprime to all of the first k prime bases, by k:
+# Jaeschke (Math. Comp. 61, 1993) for k <= 8, Jiang and Deng (Math. Comp.
+# 83, 2014) for k = 9 to 11. Each ends the tier of the first k bases.
+SMALLEST_PSEUDOPRIMES = {
+    1: 2_047,
+    2: 1_373_653,
+    3: 25_326_001,
+    4: 3_215_031_751,
+    5: 2_152_302_898_747,
+    6: 3_474_749_660_383,
+    7: 341_550_071_728_321,
+    9: 3_825_123_056_546_413_051,
+}
+
+
+def test_each_tier_ends_at_the_smallest_pseudoprime_to_its_bases():
+    tiers = [(bound, list(sympy.primerange(2, sympy.prime(k) + 1)))
+             for k, bound in SMALLEST_PSEUDOPRIMES.items()]
+    assert list(_MR_TIERS) == [(b, tuple(bases)) for b, bases in tiers] + [
+        (CERTIFIED_LIMIT, tuple(sympy.primerange(2, 38)))
+    ]
+    for bound, bases in tiers:
+        assert not sympy.isprime(bound)
+        assert mr(bound, bases), bound
+
+
+@pytest.mark.parametrize("bound", SMALLEST_PSEUDOPRIMES.values())
+def test_exact_primality_agrees_with_sympy_next_to_each_tier_bound(bound):
+    # the bound is odd, so these are the odd n within 1,000 of it
+    for n in range(bound - 1000, bound + 1001, 2):
+        assert is_prime(n).accepted == sympy.isprime(n), n
 
 
 def test_exact_primality_agrees_with_sympy_around_tier_thresholds():

@@ -234,10 +234,11 @@ DEEP_WITNESS, PREVIOUS_WITNESS = 144161, 55331
 LARGEST = 1 << 16
 
 
-def window_ends(segment_size):
-    """Depths at which the windows of a search grow, while they grow."""
-    ends, end, size = [], 0, min(FIRST_WINDOW, segment_size)
-    while size < segment_size:
+def window_ends(segment_size, scale=1):
+    """Depths at which the windows of a search grow, while they grow; a
+    wide plan's windows are scale = 8 times as long."""
+    ends, end, size = [], 0, scale * min(FIRST_WINDOW, segment_size)
+    while size < scale * segment_size:
         end += size
         ends.append(end)
         size *= 2
@@ -301,12 +302,124 @@ def test_exhaustion_mid_growth_covers_exactly_the_budget(monkeypatch):
 
 def test_a_shallow_witness_sieves_one_first_window(monkeypatch):
     # the witness is 100 candidates in: neither the standalone default
-    # segment nor the construction's 2**20 may be sieved whole
+    # segment nor the construction's 2**20 may be sieved whole, only the
+    # first window, 8 times as long where the plan is wide
     windows = record_windows(monkeypatch)
-    for segment_size in (LARGEST, 1 << 20):
+    task = quintuplet_task(100)
+    for segment_size, first in ((LARGEST, FIRST_WINDOW), (1 << 20, 8 * FIRST_WINDOW)):
         windows.clear()
-        assert search_with_count(quintuplet_task(100), segment_size) == (DEEP_WITNESS, 100)
-        assert sum(hi - lo for lo, hi in windows) <= FIRST_WINDOW
+        assert search_with_count(task, segment_size) == (DEEP_WITNESS, 100)
+        assert windows == [(task.start, task.start + first)], segment_size
+
+
+# ---------------------------------------------------------------------------
+# the windows of a wide plan
+# ---------------------------------------------------------------------------
+
+# The construction's step-9 system (target +17): 15 offsets in the class
+# 155 mod 210, searched from x = 136184770601.
+STEP_9 = TupleSystem(CrtClass(210, 155, (2, 3, 5, 7)), (
+    -68092385302, -68092385298, -1655127474, -1655127444, -2132484, -2132478,
+    -42322, -42294, -3604, -3594, -642, -618, -28, -18, -6,
+))
+STEP_9_K = 136184770601 // 210
+
+# The construction's step-8 system (target -13): its witness is the first
+# of its class from x = 3310254909, 308,486,336 candidates deep, so a search
+# from STEP_8_WITNESS - (depth - 1) * 210 finds it at exactly that depth.
+STEP_8 = TupleSystem(CrtClass(210, 155, (2, 3, 5, 7)), (
+    -1655127444, -2132478, -2132454, -42294, -42292, -3594, -3574, -618, -612, -6, 2, 12,
+))
+STEP_8_WITNESS = 68092385285
+WIDE = 1 << 20
+
+
+def step_8_task(depth):
+    return ConstellationTask(STEP_8, start=STEP_8_WITNESS - (depth - 1) * 210, budget=10**9)
+
+
+def step_9_task(budget=10**9):
+    # no witness for about 5.3e13 candidates: every search exhausts
+    return ConstellationTask(STEP_9, start=STEP_9_K * 210 + 155, budget=budget)
+
+
+def test_the_wide_examples_are_wide():
+    for task in (quintuplet_task(1), step_8_task(1), step_9_task()):
+        assert _SievePlan(task, WIDE).wide
+        assert not _SievePlan(task, LARGEST).wide
+
+
+def test_a_wide_plan_sieves_windows_8_times_as_long(monkeypatch):
+    # from 8 * FIRST_WINDOW, doubling to 8 * segment_size, then steady
+    windows = record_windows(monkeypatch)
+    ends = window_ends(WIDE, 8)
+    budget = ends[-1] + 3 * 8 * WIDE + 5000
+    task = step_9_task(budget)
+    assert search_with_count(task, WIDE) == (None, budget)
+    sizes = [hi - lo for lo, hi in windows]
+    assert sizes[0] == 8 * FIRST_WINDOW and max(sizes) == 8 * WIDE
+    assert sizes == [8 * FIRST_WINDOW << i for i in range(len(ends))] + [8 * WIDE] * 3 + [5000]
+
+
+def test_wide_witnesses_around_each_growth_end_match_the_byte_path():
+    # the witness and depth just before, on and just after each end of a
+    # growing wide window, against windows of up to 2**16 on the byte path
+    for end in window_ends(WIDE, 8):
+        for depth in (end - 1, end, end + 1):
+            task = step_8_task(depth)
+            got = search_with_count(task, WIDE)
+            assert got == search_with_count(task, LARGEST) == (STEP_8_WITNESS, depth), depth
+    for depth in (1, 8 * FIRST_WINDOW, 8 * FIRST_WINDOW + 1, 3 * 8 * FIRST_WINDOW + 1):
+        task = quintuplet_task(depth)
+        assert search_with_count(task, WIDE) == search_with_count(task, LARGEST), depth
+
+
+# from a budget of about 111,000 on, 8 tables of each step-9 sieving prime
+# fit the plan's span, min(WIDE, budget), and the plan is wide
+@pytest.mark.parametrize("budget", (200_000, window_ends(WIDE, 8)[3], window_ends(WIDE, 8)[-1] + 1))
+def test_wide_exhaustion_mid_growth_covers_exactly_the_budget(budget, monkeypatch):
+    windows = record_windows(monkeypatch)
+    task = step_9_task(budget)
+    assert search_with_count(task, WIDE) == (None, budget)
+    ends = [hi for _, hi in windows]
+    assert [lo for lo, _ in windows] == [STEP_9_K] + ends[:-1]
+    assert ends == [STEP_9_K + e for e in window_ends(WIDE, 8) if e < budget] + [STEP_9_K + budget]
+
+
+@pytest.mark.parametrize("lo", (STEP_9_K + 12345, (1 << 64) + 3))
+def test_one_longest_wide_window_equals_its_2_20_pieces(lo):
+    plan = _SievePlan(step_9_task(), WIDE)
+    whole = plan.window(lo, lo + 8 * WIDE)
+    pieces = [plan.window(lo + a, lo + a + WIDE) + a for a in range(0, 8 * WIDE, WIDE)]
+    assert len(whole) and np.array_equal(whole, np.concatenate(pieces))
+
+
+def test_interleaved_wide_and_byte_path_windows_match_fresh_plans(monkeypatch):
+    # the two plans share one packed buffer, which each window leaves with
+    # every bit outside it clear; the long wide window comes first, so the
+    # shorter ones after it start from its leftover bits
+    wide, narrow = _SievePlan(step_9_task(), WIDE), _SievePlan(quintuplet_task(1), LARGEST)
+    assert wide.wide and not narrow.wide and len(narrow.rest_p)
+    lo = STEP_9_K + 3
+    windows = [
+        (wide, lo, lo + 8 * WIDE),
+        (narrow, 1001, 1001 + LARGEST),
+        (wide, lo + 5, lo + 5 + 1000),
+        (narrow, 7, 7 + FIRST_WINDOW),
+        (wide, lo + 1, lo + 1 + WIDE + 13),
+        (narrow, 100_005, 100_105),
+        (wide, lo, lo + 1),
+    ]
+    expected = []
+    for plan, a, b in windows:
+        monkeypatch.setattr(search, "_words", np.empty(0, np.uint64))
+        expected.append(_SievePlan(plan.task, LARGEST if plan is narrow else WIDE).window(a, b))
+    for (plan, a, b), want in zip(windows, expected):
+        assert np.array_equal(plan.window(a, b), want), (a, b)
+        off, n = a % 8, b - a
+        words = search._words[: -(-(off + n) // 64)]
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        assert not bits[:off].any() and not bits[off + n :].any(), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +580,6 @@ def test_sieve_segments_split_anywhere_agree():
 # windows that gather their survivors from the sparse patterns
 # ---------------------------------------------------------------------------
 
-# The construction's step-9 system (target +17): 15 offsets in the class
-# 155 mod 210, searched from x = 136184770601.
-STEP_9 = TupleSystem(CrtClass(210, 155, (2, 3, 5, 7)), (
-    -68092385302, -68092385298, -1655127474, -1655127444, -2132484, -2132478,
-    -42322, -42294, -3604, -3594, -642, -618, -28, -18, -6,
-))
-STEP_9_K = 136184770601 // 210
 # the densest prime 12-tuple, for a system whose zone starts at k = 0
 TUPLE_12 = {0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42}
 

@@ -18,8 +18,8 @@ window and reused. A window's survivors are kept as indices and become
 integers x only as they are certified, up to the witness.
 
 Its sieving primes grow with its depth: the window ending hi candidates
-in sieves with those up to hi / DEPTH_PER_PRIME, and at least with those
-the plan sorts or pre-sieves (below). So sieve_limit is the largest
+in sieves with those up to hi / DEPTH_PER_PRIME, and at least with the
+plan's head, those it can pre-sieve (below). So sieve_limit is the largest
 sieving prime, reached DEPTH_PER_PRIME * sieve_limit candidates in. A
 prime above the window length strikes at most one candidate per offset
 there, so a shallow search need not pay for the classes of every prime
@@ -48,8 +48,8 @@ its windows reuse it. The plan has three tiers:
    which short windows do not repay: a plan that is not wide builds it
    in place at its first window longer than PRESIEVE_AFTER, and until
    then strikes the pre-sieved primes' classes in tiers 2 and 3.
-2. Middle primes: one strided write per distinct (p, k0), so offsets that
-   coincide mod p share one write.
+2. Middle primes: one strided write per (p, k0) entry; in the head,
+   offsets that coincide mod p share one.
 3. Large primes, those hitting a window fewer than SCATTER_HITS times:
    their hit positions are computed as arrays and struck in scatters,
    one indexed write for all the primes that hit at most once.
@@ -64,15 +64,15 @@ bytes, what a byte-path window of the span unpacks, so a sieve limit in
 the thousands never widens. A search builds one plan and runs every window
 on it.
 
-Set-up costs a few NumPy passes per (prime, offset) entry (q is inverted
-by _q_inverses, once per q and prime range in a run). Offsets d and d'
-share a class mod p only when p | d - d', so only the primes up to the
-offsets' spread are sorted and merged, and only those up to min(period,
-PRESIEVE_DENSITY * offsets) pre-sieved; a wide plan appends the later
-primes' tables from their unsorted classes.
-So growing only appends tier 2 and 3 entries past the head, before or
-after the pre-sieve, and a wide plan, which tables every prime up to the
-limit, holds them all at once and is built whole.
+Set-up costs a few NumPy passes per (prime, offset) entry; q is inverted
+prime by prime in _sieving_primes, once per q and prime range in a run.
+Only the plan's head, the primes up to min(period, PRESIEVE_DENSITY *
+offsets), can be pre-sieved, so only its classes are sorted and merged.
+A later prime keeps its m classes as they are: offsets that coincide mod
+it strike twice, which is harmless. So growing only appends tier 2 and 3
+entries past the head, before or after the pre-sieve, and a wide plan,
+which tables every prime up to the limit, appends the later primes'
+tables from their unsorted classes and is built whole.
 
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
@@ -82,13 +82,15 @@ with some |x + d| a sieving prime held is re-decided exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, isqrt
 
 import numpy as np
 
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
-from .primes import CERTIFIED_LIMIT, is_prime, may_be_prime, prime_factors, primes_up_to
+from .primes import is_prime, may_be_prime, primes_up_to
 
 
 # Chosen by a sweep over the construction's own step plans (CHANGES.md).
@@ -147,62 +149,17 @@ def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
     return -r % moduli if n < 0 else r
 
 
-def _q_inverses(q: int, factors: tuple[int, ...], primes: np.ndarray) -> np.ndarray:
-    """q**-1 mod p for every prime p < 2**31 not dividing q.
-
-    Per prime factor r < 2**31 of q: with j = p**-1 mod r, 1 + p*(r - j)
-    is a multiple of r, and r**-1 = (1 + p*(r - j)) / r mod p, a quotient
-    below p. j is Fermat in r, (p mod r)**(r - 2), one scalar exponent for
-    all p. The rest of q (factors from 2**31 up, or a q too large to
-    factor) is inverted prime by prime.
-    """
-    inv = np.ones_like(primes)
-    for r in factors:
-        if r >= 1 << 31:
-            continue
-        q //= r
-        # left to right over the exponent's bits
-        j = 1
-        if r > 2:
-            a = j = primes % r
-            for bit in bin(r - 2)[3:]:
-                j = j * j % r
-                if bit == "1":
-                    j = j * a % r
-        inv = inv * ((1 + primes * (r - j)) // r) % primes
-    if q > 1:
-        rest = zip(_residues(q, primes).tolist(), primes.tolist())
-        inv = inv * np.array([pow(a, -1, p) for a, p in rest], np.int64) % primes
-    return inv
-
-
-# bound -> (primes_up_to(bound), the same primes as an int64 array)
-_PRIME_ARRAYS: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
-
-
-def _prime_array(bound: int) -> np.ndarray:
-    """primes_up_to(bound) as an array, converted once per table."""
-    table = primes_up_to(bound)
-    cached = _PRIME_ARRAYS.get(bound)
-    if cached is None or cached[0] is not table:
-        cached = _PRIME_ARRAYS[bound] = (table, np.array(table, np.int64))
-    return cached[1]
-
-
 @lru_cache(maxsize=64)
-def _sieving_primes(
-    q: int, factors: tuple[int, ...] | None, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The primes p in [lo, hi] that do not divide q (whose prime factors
-    are `factors`, or None) and -q**-1 mod each; read-only, as every plan
-    of a construction shares them."""
-    # one cached table per power of two, cut at hi
-    primes = _prime_array(1 << (hi - 1).bit_length())
-    primes = primes[np.searchsorted(primes, lo) : np.searchsorted(primes, hi, "right")]
-    primes = primes[_residues(q, primes) != 0]
-    if factors is None:
-        factors = prime_factors(q) if q < CERTIFIED_LIMIT else ()
-    neg_inv = primes - _q_inverses(q, factors, primes)
+def _sieving_primes(q: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p in [lo, hi] that do not divide q and -q**-1 mod each;
+    read-only, as every plan of a construction shares them. The one place
+    q is inverted: prime by prime, from q mod p."""
+    # one cached table per power of two, cut to [lo, hi]
+    table = primes_up_to(1 << (hi - 1).bit_length())
+    primes = np.array(table[bisect_left(table, lo) : bisect_right(table, hi)], np.int64)
+    a = _residues(q, primes)
+    primes, a = primes[a != 0], a[a != 0]
+    neg_inv = np.array([p - pow(r, -1, p) for r, p in zip(a.tolist(), primes.tolist())], np.int64)
     primes.flags.writeable = neg_inv.flags.writeable = False
     return primes, neg_inv
 
@@ -215,7 +172,7 @@ def _hit_classes(
     where p | t + k*q + d: one row per offset."""
     crt, offsets = task.system.crt, task.system.offsets
     hi = task.sieve_limit if hi is None else hi
-    primes, neg_inv = _sieving_primes(crt.modulus, crt.primes, lo, hi)
+    primes, neg_inv = _sieving_primes(crt.modulus, lo, hi)
     # k0 = (t + d) * -q**-1 mod p. Below 2**31 an offset joins t mod p as
     # it is; |t mod p + d| < 2**32 keeps the products in int64.
     small = [d if abs(d) < 1 << 31 else 0 for d in offsets]
@@ -331,12 +288,9 @@ class _SievePlan:
         # pre-sieved: primes striking at least 1/PRESIEVE_DENSITY of all k,
         # in periods short enough for a window of `span` to repeat 8 times
         self.period = period = min(PATTERN_PERIOD, span // 8)
-        # One entry per distinct (p, k0). Only the head of primes can have
-        # coinciding classes (p up to the offsets' spread) or be pre-sieved
-        # (p up to min(period, m * PRESIEVE_DENSITY)); every later prime has
-        # m distinct classes and is tabled or goes to the other tiers as it is.
-        spread = max(self.offsets, default=0) - min(self.offsets, default=0)
-        head_bound = min(max(spread, min(period, m * PRESIEVE_DENSITY)), self.limit)
+        # Only the head, the primes that can be pre-sieved, is merged to one
+        # entry per distinct (p, k0); every later prime keeps its m classes.
+        head_bound = min(period, m * PRESIEVE_DENSITY, self.limit)
         self.bound = self.limit if bound is None else min(max(bound, head_bound), self.limit)
         self.primes, k0 = _hit_classes(task, hi=self.bound)
         head = int(np.searchsorted(self.primes, head_bound, "right"))
@@ -355,7 +309,7 @@ class _SievePlan:
 
         every = self.primes
         if self.bound < self.limit and fits(every):
-            every = _sieving_primes(self.q, task.system.crt.primes, 2, self.limit)[0]
+            every = _sieving_primes(self.q, 2, self.limit)[0]
         grouping = _groups(self.primes[:head], counts, period) if fits(every) else None
         self.wide = grouping is not None and grouping[2] < len(grouping[1])
         # a wide plan holds them all from the start and is built whole
@@ -540,9 +494,13 @@ class _SievePlan:
         return np.flatnonzero(alive)
 
     def _struck(self, v: int) -> bool:
-        """Whether some sieving prime p divides v with p != |v|."""
-        below = self.primes[: np.searchsorted(self.primes, abs(v))] if v else self.primes
-        return bool((_residues(v, below) == 0).any())
+        """Whether some sieving prime p divides v with p != |v|. For v
+        coprime to q the held primes up to isqrt|v| decide: a held p above
+        it leaves in v / p a prime factor below p, which does not divide q
+        and so is held too."""
+        top = isqrt(abs(v)) if gcd(v, self.q) == 1 else abs(v) - 1
+        held = self.primes[: np.searchsorted(self.primes, top, "right")] if v else self.primes
+        return bool((_residues(v, held) == 0).any())
 
 
 def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:

@@ -283,6 +283,19 @@ def record_windows(monkeypatch):
     return windows
 
 
+def record_bounds(monkeypatch):
+    """(hi, plan.bound) of every window [lo, hi) a search sieves."""
+    bounds = []
+    sieve = _SievePlan.window
+
+    def window(plan, lo, hi):
+        bounds.append((hi, plan.bound))
+        return sieve(plan, lo, hi)
+
+    monkeypatch.setattr(_SievePlan, "window", window)
+    return bounds
+
+
 def test_exhaustion_mid_growth_covers_exactly_the_budget(monkeypatch):
     windows = record_windows(monkeypatch)
     budget = 5000
@@ -427,10 +440,10 @@ def test_interleaved_wide_and_byte_path_windows_match_fresh_plans(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def brute_survivors(task, lo, hi):
-    """x = t + k*q, k in [lo, hi), with no prime p <= sieve_limit such
-    that p | x + d and |x + d| != p."""
+    """x = t + k*q, k in [lo, hi), with no prime p <= sieve_limit, p not
+    dividing q, such that p | x + d and |x + d| != p."""
     q, t = task.system.crt.modulus, task.system.crt.residue
-    primes = primes_up_to(task.sieve_limit)
+    primes = [p for p in primes_up_to(task.sieve_limit) if q % p]
     out = []
     for k in range(lo, hi):
         x = t + k * q
@@ -532,6 +545,43 @@ def test_sieve_strikes_a_zero_value():
     task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (-7, -4)), sieve_limit=50)
     assert sieve_segment(task, 0, 100) == brute_survivors(task, 0, 100)
     assert 7 not in sieve_segment(task, 0, 100)
+
+
+def test_a_held_prime_above_the_root_strikes_beside_a_factor_of_q():
+    # x + 3 = 2m for m in [97, 106]: 2 divides q and is not held, so where
+    # m is a prime above isqrt(x + 3) only m itself strikes. The system is
+    # inadmissible (x + 3 is always even), which sieve_segment accepts.
+    task = ConstellationTask(TupleSystem(CrtClass(2, 1, (2,)), (0, 3)), sieve_limit=250)
+    assert sieve_segment(task, 95, 105) == brute_survivors(task, 95, 105) == []
+
+
+@pytest.mark.parametrize("q", (1, 2, 6, 35))
+def test_struck_matches_its_definition(q):
+    # held bounds below and above isqrt|v|, which is at most 54 here
+    for limit in (7, 40, 60, 3000):
+        task = ConstellationTask(TupleSystem(CrtClass(q, 1 % q), (0,)), sieve_limit=limit)
+        plan = _SievePlan(task, 1 << 16)
+        held = np.array([p for p in primes_up_to(limit) if q % p])
+        for v in range(-3000, 3001):
+            want = bool(((v % held == 0) & (held != abs(v))).any())
+            assert plan._struck(v) == want, (q, limit, v)
+
+
+def test_sieve_matches_its_definition_over_the_zone_of_random_systems():
+    # from k = 0 the values x + d run through the sieving primes and their
+    # negatives; t is any class mod q, so some systems are inadmissible and
+    # some values share a factor with q
+    rng = random.Random(4242)
+    for _ in range(150):
+        q = rng.choice((1, 2, 3, 6, 10, 30))
+        factors = tuple(p for p in (2, 3, 5) if q % p == 0)
+        offsets = tuple(sorted(rng.sample(range(-40, 41), rng.randrange(1, 5))))
+        limit = rng.choice((5, 30, 100, 250))
+        task = ConstellationTask(
+            TupleSystem(CrtClass(q, rng.randrange(q), factors), offsets), sieve_limit=limit
+        )
+        hi = (limit + 40) // q + 2  # past every k where some |x + d| <= limit
+        assert sieve_segment(task, 0, hi) == brute_survivors(task, 0, hi), task
 
 
 def test_tier_limits_reach_every_tier():
@@ -769,7 +819,7 @@ HUGE = (1 << 64) + 14
 # 2 * 3 * ... * 53, above 2**64: too large to factor without its primes
 PRIMORIAL_53 = math.prod(primes_up_to(53))
 
-# (the factors q carries, or None to leave them to the sieve; q; offsets)
+# (the factors q carries, or None; q; offsets): the sieve never factors q
 CLASS_CASES = (
     ((), 1, (0, 2, 6)),
     ((2,), 2, (-7, 1, 13)),
@@ -782,6 +832,7 @@ CLASS_CASES = (
     (None, 2 * M61, (1, 3)),
     (None, 30 * ABOVE_2_31, (-1, 1)),
     (None, PRIMORIAL_53, (0, 2)),
+    (None, ABOVE_2_31 * 2_147_483_693, (0, 2)),  # two primes above 2**31, q below 2**64
     ((2, 3), 6, (1, HUGE, -HUGE, -(1 << 63), (1 << 63) - 1)),
 )
 
@@ -811,6 +862,17 @@ def naive_entries(task):
         for k in range(p)
         if (t + k * q + d) % p == 0
     }
+
+
+def offset_entries(task):
+    """(p, k0) per sieving prime and offset, coinciding classes repeated."""
+    q, t = task.system.crt.modulus, task.system.crt.residue
+    return [
+        (p, -(t + d) * pow(q, -1, p) % p)
+        for p in primes_up_to(task.sieve_limit)
+        if q % p
+        for d in task.system.offsets
+    ]
 
 
 def plan_entries(plan):
@@ -846,15 +908,20 @@ def test_plan_entries_are_the_distinct_classes(offsets, span, monkeypatch):
         task = admissible_task(rng, q_primes, offsets, 600)
         assert task is not None
         plan = _SievePlan(task, span)
+        # distinct up to the head bound, where the primes can be pre-sieved;
+        # above it each prime strikes its classes per offset
+        period = min(PATTERN_PERIOD, span // 8)
+        head = min(period, len(offsets) * PRESIEVE_DENSITY)
+        every = offset_entries(task)
+        want = sorted({e for e in every if e[0] <= head}) + [e for e in every if e[0] > head]
         # before its pre-sieve and after it
         for plan in (plan, presieved(plan)):
             entries = plan_entries(plan)
-            assert len(entries) == len(set(entries))
+            assert sorted(entries) == sorted(want)
             assert set(entries) == naive_entries(task)
             assert plan.rest_p.tolist() == sorted(plan.rest_p.tolist())
         # the pre-sieved primes: those whose distinct classes cover at least
         # 1/PRESIEVE_DENSITY of all k and that fit a pattern period
-        period = min(PATTERN_PERIOD, span // 8)
         counts = {}
         for p, _ in naive_entries(task):
             counts[p] = counts.get(p, 0) + 1
@@ -879,9 +946,9 @@ def test_plan_entries_are_the_distinct_classes(offsets, span, monkeypatch):
 @pytest.mark.parametrize("gather_cost", (search.GATHER_COST, 2))
 @pytest.mark.parametrize("limit", (600, 5000, 100_000))
 def test_a_plan_grown_range_by_range_equals_one_built_at_the_limit(limit, gather_cost, monkeypatch):
-    # with a gather cost of 2 the plans gather, and those whose tables fit
-    # the span (limit 600 at 2**20) are wide: they hold every prime from
-    # the start and never grow
+    # a plan that gathers is wide where every prime fits a period and the
+    # tables, 8 bytes per unit of p, fit the span (only limit 600 at 2**20):
+    # it holds every prime from the start and never grows
     monkeypatch.setattr(search, "GATHER_COST", gather_cost)
     rng = random.Random(limit + gather_cost)
     for span in (1 << 11, 1 << 16, 1 << 20):
@@ -890,10 +957,15 @@ def test_a_plan_grown_range_by_range_equals_one_built_at_the_limit(limit, gather
             q_primes = rng.choice(((), (2, 3), (2, 3, 5, 7), (11, 13)))
             offsets = {rng.randrange(-300, 301) for _ in range(rng.randrange(1, 13))}
             task = admissible_task(rng, q_primes, offsets, limit)
-        q = task.system.crt.modulus
+        q, t = task.system.crt.modulus, task.system.crt.residue
         full = _SievePlan(task, span)
         plan = _SievePlan(task, span, rng.randrange(limit // 4))
-        assert plan.wide == full.wide == (gather_cost == 2 and limit == 600 and span == 1 << 20)
+        period = min(PATTERN_PERIOD, span // 8)
+        ps = np.array([p for p in primes_up_to(limit) if q % p])
+        counts = np.array([len({(t + d) % p for d in task.system.offsets}) for p in ps.tolist()])
+        _, groups, anded = search._groups(ps, counts, period)
+        fits = ps.max() <= period and 8 * ps.sum() <= span
+        assert plan.wide == full.wide == (fits and anded < len(groups))
         while plan.bound < limit:
             assert plan.primes.tolist() == [p for p in primes_up_to(plan.bound) if q % p]
             plan.grow(plan.bound + rng.randrange(1, limit // 3))
@@ -962,14 +1034,7 @@ GROWN_ZONE_CASES = (
 
 @pytest.mark.parametrize("pattern, z, x", GROWN_ZONE_CASES)
 def test_searches_from_zero_through_grown_primes_match_a_naive_scan(pattern, z, x, monkeypatch):
-    bounds = []
-    sieve = _SievePlan.window
-
-    def window(plan, lo, hi):
-        bounds.append((hi, plan.bound))
-        return sieve(plan, lo, hi)
-
-    monkeypatch.setattr(_SievePlan, "window", window)
+    bounds = record_bounds(monkeypatch)
     system = TupleSystem(CrtClass(1, 0, ()), tuple(e - x - z for e in pattern))
     witness = next(
         k for k in range(10**5)
@@ -1041,3 +1106,15 @@ def test_witnesses_around_the_first_presieved_window_match_a_sympy_scan(depth, m
     assert search_with_count(task, LARGEST) == (MINUS_11_WITNESS, depth)
     assert [presieved for _, presieved in windows] == [n > PRESIEVE_AFTER for n, _ in windows]
     assert windows[-1][1] == (depth > ends[3])
+
+
+def test_a_wide_spread_search_holds_only_the_primes_of_its_depth(monkeypatch):
+    # the quintuplet 55331 with a far offset, 55331 - 70914 = -15583 prime.
+    # The offsets' spread of 70,926 does not bound the plan's head: every
+    # window sieves with the primes up to its end / DEPTH_PER_PRIME.
+    bounds = record_bounds(monkeypatch)
+    system = TupleSystem(CrtClass(1, 0, ()), (-70914, 0, 2, 6, 8, 12))
+    assert sympy_scan(system, 0, 10**5) == (PREVIOUS_WITNESS, PREVIOUS_WITNESS + 1)
+    task = ConstellationTask(system, sieve_limit=100_000)
+    assert search_with_count(task) == (PREVIOUS_WITNESS, PREVIOUS_WITNESS + 1)
+    assert bounds and all(bound == hi // DEPTH_PER_PRIME for hi, bound in bounds), bounds

@@ -832,8 +832,8 @@ CLASS_CASES = (
     (None, 2 * M61, (1, 3)),
     (None, 30 * ABOVE_2_31, (-1, 1)),
     (None, PRIMORIAL_53, (0, 2)),
-    (None, ABOVE_2_31 * 2_147_483_693, (0, 2)),  # two primes above 2**31, q below 2**64
     ((2, 3), 6, (1, HUGE, -HUGE, -(1 << 63), (1 << 63) - 1)),
+    (None, ABOVE_2_31 * 2_147_483_693, (0, 2)),  # two primes above 2**31, q below 2**64
 )
 
 

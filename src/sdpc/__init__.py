@@ -54,7 +54,6 @@ from .primes import (
     primes_up_to,
 )
 from .rng import CountingRng
-from .search import ConstellationTask, search_with_count, sieve_segment
 from .stateio import (
     STATE_SCHEMA,
     STATE_VERSION,
@@ -65,6 +64,18 @@ from .stateio import (
 )
 
 __version__ = "0.1.0"
+
+# served from sdpc.search on first use, so that NumPy loads only where a
+# search runs
+_SEARCH_NAMES = ("ConstellationTask", "search_with_count", "sieve_segment")
+
+
+def __getattr__(name: str):
+    if name in _SEARCH_NAMES:
+        from . import search
+
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ALL_CERTIFIED",

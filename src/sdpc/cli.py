@@ -29,7 +29,6 @@ from .construction import (
 from .modular import CrtClass
 from .pairs import explicit_pair, randomized_extend_with_stats
 from .rng import CountingRng
-from .search import DEFAULT_SIEVE_LIMIT, DEPTH_PER_PRIME, ConstellationTask, search_with_count
 from .stateio import load_state, save_state
 
 
@@ -202,6 +201,8 @@ def _cmd_admissible(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .search import ConstellationTask, search_with_count
+
     system = _build_system(args.q, args.t, _int_list(args.offsets), args.q_factors and _int_list(args.q_factors))
     task = ConstellationTask(
         system,
@@ -242,66 +243,73 @@ def _cmd_export(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_system_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--q", type=int, required=True, help="modulus of the residue class")
-    sub.add_argument("--t", type=int, required=True, help="residue of the class")
-    sub.add_argument("--offsets", required=True, help="comma separated offsets")
-    sub.add_argument("--q-factors", help="comma separated prime factors of q")
+# name: (help, handler)
+_COMMANDS = {
+    "run": ("extend a construction to a coverage target", _cmd_run),
+    "verify": ("re-check every property of a saved state", _cmd_verify),
+    "pair": ("build a compatible residue pair for one prime", _cmd_pair),
+    "admissible": ("test a residue class plus offsets for obstructions", _cmd_admissible),
+    "search": ("find x in the class with all x + offset prime", _cmd_search),
+    "export": ("dump the difference table of a saved state", _cmd_export),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
+    if command == "run":
+        sub.add_argument("--target", type=int, required=True, help="cover the first N signed primes")
+        sub.add_argument("--p-limit", dest="p_limit", type=int)
+        sub.add_argument("--budget", type=int)
+        sub.add_argument("--state", help="state file to resume from when it exists")
+        sub.add_argument("--out", help="where to write the final state (defaults to --state)")
+        sub.add_argument("--json-report", dest="json_report", help="write a machine readable run report")
+    elif command in ("verify", "export"):
+        sub.add_argument("--state", required=True)
+        if command == "export":
+            sub.add_argument("--format", choices=("json", "csv"), default="json")
+            sub.add_argument("--out")
+    elif command == "pair":
+        sub.add_argument("--p", type=int, required=True)
+        sub.add_argument("--random", action="store_true",
+                         help="randomized pair around a core (default: the closed form pair)")
+        sub.add_argument("--w", help="comma separated core residues for --random (default none)")
+        sub.add_argument("--reserve", type=int, help="extra reserved residues for --random (default 0)")
+        sub.add_argument("--seed", type=int, help="seed for --random (default 0)")
+    else:  # admissible and search: a class and offsets
+        sub.add_argument("--q", type=int, required=True, help="modulus of the residue class")
+        sub.add_argument("--t", type=int, required=True, help="residue of the class")
+        sub.add_argument("--offsets", required=True, help="comma separated offsets")
+        sub.add_argument("--q-factors", help="comma separated prime factors of q")
+    if command == "search":
+        from .search import DEFAULT_SIEVE_LIMIT, DEPTH_PER_PRIME
+
+        sub.add_argument("--start", type=int, default=0)
+        sub.add_argument("--budget", type=int, default=10**8)
+        sub.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT,
+                         help=f"largest sieving prime, used once a search is {DEPTH_PER_PRIME} x that many candidates deep")
+        sub.add_argument("--exclude", help="comma separated x values to skip")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The sdpc parser. Every subcommand is registered, but only the one
+    named `command` gets its flags, as one invocation parses only one;
+    with no command, every subcommand gets them."""
     parser = argparse.ArgumentParser(
         prog="sdpc",
         description="construct set pairs whose differences are distinct signed primes",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_run = subs.add_parser("run", help="extend a construction to a coverage target")
-    p_run.add_argument("--target", type=int, required=True, help="cover the first N signed primes")
-    p_run.add_argument("--p-limit", dest="p_limit", type=int)
-    p_run.add_argument("--budget", type=int)
-    p_run.add_argument("--state", help="state file to resume from when it exists")
-    p_run.add_argument("--out", help="where to write the final state (defaults to --state)")
-    p_run.add_argument("--json-report", dest="json_report", help="write a machine readable run report")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_verify = subs.add_parser("verify", help="re-check every property of a saved state")
-    p_verify.add_argument("--state", required=True)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_pair = subs.add_parser("pair", help="build a compatible residue pair for one prime")
-    p_pair.add_argument("--p", type=int, required=True)
-    p_pair.add_argument("--random", action="store_true",
-                        help="randomized pair around a core (default: the closed form pair)")
-    p_pair.add_argument("--w", help="comma separated core residues for --random (default none)")
-    p_pair.add_argument("--reserve", type=int, help="extra reserved residues for --random (default 0)")
-    p_pair.add_argument("--seed", type=int, help="seed for --random (default 0)")
-    p_pair.set_defaults(func=_cmd_pair)
-
-    p_adm = subs.add_parser("admissible", help="test a residue class plus offsets for obstructions")
-    _add_system_flags(p_adm)
-    p_adm.set_defaults(func=_cmd_admissible)
-
-    p_search = subs.add_parser("search", help="find x in the class with all x + offset prime")
-    _add_system_flags(p_search)
-    p_search.add_argument("--start", type=int, default=0)
-    p_search.add_argument("--budget", type=int, default=10**8)
-    p_search.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT,
-                          help=f"largest sieving prime, used once a search is {DEPTH_PER_PRIME} x that many candidates deep")
-    p_search.add_argument("--exclude", help="comma separated x values to skip")
-    p_search.set_defaults(func=_cmd_search)
-
-    p_export = subs.add_parser("export", help="dump the difference table of a saved state")
-    p_export.add_argument("--state", required=True)
-    p_export.add_argument("--format", choices=("json", "csv"), default="json")
-    p_export.add_argument("--out")
-    p_export.set_defaults(func=_cmd_export)
-
+    for name, (help_text, handler) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(func=handler)
+        if command in (None, name):
+            _add_flags(sub, name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only -h may come before the subcommand, so it is the first word naming one
+    parser = build_parser(next((word for word in argv if word in _COMMANDS), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -26,13 +26,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
 from .modular import CrtClass, ResidueSet, crt_combine
 from .pairs import MINUS, PLUS, PrimeCompatiblePair, explicit_pair, is_prime_compatible
 from .primes import PrimalityStatus, is_prime, primes_in_range, primes_up_to
-from .search import ConstellationTask, search_with_count
+
+if TYPE_CHECKING:
+    from .search import ConstellationTask
 
 ALL_CERTIFIED = "all-certified"
 CONTAINS_PROBABLE = "contains-probable-primes"
@@ -483,6 +485,14 @@ def verify(state: ConstructionState) -> VerifyReport:
 # the run loop
 # ---------------------------------------------------------------------------
 
+# sdpc.search, and with it NumPy, loads at a process's first search, so
+# planning, applying and verify run without NumPy. run() looks this name
+# up at call time, so it may be replaced to watch the searches.
+def search_with_count(task: ConstellationTask, segment_size: int) -> tuple[int | None, int]:
+    from .search import search_with_count as search
+    return search(task, segment_size)
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """One turn of the run loop: a witness found, a target already
@@ -541,6 +551,8 @@ def run(
             state = replace(state, n=index)
             record = StepRecord(index, r, None, 0, perf_counter() - started)
         else:
+            from .search import ConstellationTask
+
             plan = plan_step(state, r)
             task = ConstellationTask(
                 TupleSystem(plan.crt, plan.offsets), start=plan.min_x, budget=cfg.budget

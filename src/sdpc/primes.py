@@ -5,9 +5,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
-
-import numpy as np
 
 # Miller-Rabin base sets, the first k prime bases, each deterministic below
 # its bound: the smallest strong pseudoprime to all of them. The bounds for
@@ -39,12 +38,16 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     """All primes p <= limit, ascending."""
     if limit < 2:
         return ()
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[0:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return tuple(np.flatnonzero(sieve).tolist())
+    # odd numbers only: byte i stands for 2i + 1
+    n = (limit + 1) // 2
+    sieve = bytearray([1]) * n
+    sieve[0] = 0
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes((n - 1 - start) // p + 1)
+    return (2, *compress(range(1, limit + 1, 2), sieve))
 
 
 def primes_in_range(lo: int, hi: int) -> tuple[int, ...]:
@@ -83,19 +86,25 @@ def may_be_prime(n: int) -> bool:
     return v % 2 == 1 and _strong_probable_prime(v, 2)
 
 
-def is_prime_exact(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2**64."""
-    if n < 2:
-        return False
+def _passes_tests(n: int, skip: int) -> bool:
+    """Whether n >= 2 passes trial division by the primes to 47 and the
+    strong tests to its base set, after the set's first `skip` bases:
+    its tier below 2**64, the first 24 primes from there on."""
     for p in _SMALL_TRIAL:
         if n == p:
             return True
         if n % p == 0:
             return False
-    for bound, bases in _MR_TIERS:
-        if n < bound:
-            break
-    return all(_strong_probable_prime(n, b) for b in bases)
+    if n < CERTIFIED_LIMIT:
+        bases = next(bases for bound, bases in _MR_TIERS if n < bound)
+    else:
+        bases = _PROBABLE_BASES
+    return all(_strong_probable_prime(n, b) for b in bases[skip:])
+
+
+def is_prime_exact(n: int) -> bool:
+    """Deterministic primality for 0 <= n < 2**64."""
+    return n >= 2 and _passes_tests(n, 0)
 
 
 class PrimalityStatus(Enum):
@@ -109,21 +118,21 @@ class PrimalityStatus(Enum):
         return self in (PrimalityStatus.CERTIFIED, PrimalityStatus.PROBABLE)
 
 
-def is_prime(n: int) -> PrimalityStatus:
+def is_prime(n: int, *, _screened: bool = False) -> PrimalityStatus:
     """Primality of |n| for a signed integer.
 
     Certified (deterministic) below 2**64. From 2**64 on, trial division
     by the primes to 47 and strong tests to the first 24 prime bases give
-    a probable-prime verdict.
+    a probable-prime verdict. _screened, for the search only, says that
+    may_be_prime(n) held, so base 2, which leads every base set, has
+    passed and is not run again.
     """
     v = abs(n)
     if v <= 1:
         return PrimalityStatus.UNIT_OR_SMALL
-    if v < CERTIFIED_LIMIT:
-        return PrimalityStatus.CERTIFIED if is_prime_exact(v) else PrimalityStatus.COMPOSITE
-    if all(v % p for p in _SMALL_TRIAL) and all(_strong_probable_prime(v, b) for b in _PROBABLE_BASES):
-        return PrimalityStatus.PROBABLE
-    return PrimalityStatus.COMPOSITE
+    if not _passes_tests(v, 1 if _screened else 0):
+        return PrimalityStatus.COMPOSITE
+    return PrimalityStatus.CERTIFIED if v < CERTIFIED_LIMIT else PrimalityStatus.PROBABLE
 
 
 def _brent_rho(n: int) -> int:

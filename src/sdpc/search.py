@@ -517,10 +517,11 @@ def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
 
 
 def _witness_ok(task: ConstellationTask, x: int) -> bool:
-    # a base-2 test screens every value, as most survivors fail it on one
+    # a base-2 test screens every value, as most survivors fail it on one;
+    # certifying then starts from the second base
     values = [x + d for d in task.system.offsets]
     screened = all(abs(v) > 3 and may_be_prime(v) for v in values)
-    return screened and all(is_prime(v).accepted for v in values)
+    return screened and all(is_prime(v, _screened=True).accepted for v in values)
 
 
 def search_with_count(

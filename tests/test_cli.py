@@ -1,10 +1,14 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from sdpc.cli import main
+import sdpc
+from sdpc.cli import build_parser, main
 from sdpc.construction import MAX_P_LIMIT
 from sdpc.stateio import load_state
 
@@ -338,3 +342,83 @@ def test_usage_errors_exit_one(capsys, argv, message):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: sdpc") and message in err
+
+
+@pytest.mark.parametrize("command", ("", "run", "verify", "pair", "admissible", "search", "export"))
+def test_help_is_the_text_of_the_parser_with_every_flag(monkeypatch, capsys, command):
+    # main builds only the named subcommand's flags; its help must not
+    # show it, so it is the text of the parser built whole
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit) as whole:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr().out
+    with pytest.raises(SystemExit) as lazy:
+        main(argv)
+    assert lazy.value.code == whole.value.code == 0
+    assert capsys.readouterr().out == expected
+
+
+NUMPY_FREE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+def loaded(step):
+    if "numpy" in sys.modules:
+        raise SystemExit(f"numpy loaded by {step}")
+
+import sdpc, sdpc.cli
+loaded("import sdpc, sdpc.cli")
+
+state = sdpc.initial_state(sdpc.Config())
+for x in (625, 3587, 42305, 2132467, 1655127457, 68092385285):
+    plan = sdpc.plan_step(state, sdpc.signed_primes(state.n + 1))
+    state = sdpc.apply_step(state, plan, x)
+report = sdpc.verify(state)
+assert report.ok and report.coverage == 8, report
+path = Path(sys.argv[1])
+sdpc.save_state(state, path)
+assert sdpc.load_state(path) == state
+loaded("planning, applying, verify and state I/O to coverage 8")
+
+for argv in (
+    ["verify", "--state", str(path)],
+    ["export", "--state", str(path), "--format", "csv"],
+    ["pair", "--p", "11"],
+    ["admissible", "--q", "30", "--t", "25", "--offsets=-18,-8,-6"],
+):
+    with redirect_stdout(io.StringIO()):
+        assert sdpc.cli.main(argv) == 0, argv
+    loaded(" ".join(argv[:1]))
+
+# the search names load sdpc.search on first use, and find the step-3
+# witness 625 of the coverage-8 state above
+plan = sdpc.plan_step(sdpc.initial_state(sdpc.Config()), 7)
+task = sdpc.ConstellationTask(sdpc.TupleSystem(plan.crt, plan.offsets), start=plan.min_x)
+assert sdpc.search_with_count(task)[0] == 625
+assert 625 in sdpc.sieve_segment(task, 0, (625 - plan.min_x) // plan.crt.modulus + 1)
+print("ok")
+"""
+
+
+def test_state_verify_and_the_cli_outside_search_load_no_numpy(tmp_path):
+    # NumPy loads at a process's first search, so only a new process shows it
+    src = os.path.dirname(os.path.dirname(sdpc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE, str(tmp_path / "state.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.strip() == "ok"
+
+
+def test_star_import_serves_the_search_names():
+    names: dict = {}
+    exec("from sdpc import *", names)
+    assert set(sdpc.__all__) <= set(names)
+    assert names["search_with_count"] is sdpc.search.search_with_count
+    assert names["ConstellationTask"] is sdpc.search.ConstellationTask
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        sdpc.no_such_name

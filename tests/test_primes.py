@@ -3,6 +3,7 @@
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
 import sympy
 from sympy.ntheory.primetest import mr
@@ -28,6 +29,31 @@ def test_sieve_small_window_exact():
 
 def test_sieve_matches_sympy_up_to_10000():
     assert list(primes_up_to(10_000)) == list(sympy.primerange(2, 10_001))
+
+
+def numpy_primes(limit):
+    # the oracle: a plain sieve of Eratosthenes over every integer
+    sieve = np.ones(max(limit + 1, 2), bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve[: limit + 1]).tolist()
+
+
+SIEVE_LIMITS = sorted(
+    {0, 1, 2, 3, 4, 9, 25, 10**5}
+    | {2**k + e for k in range(1, 21) for e in (-1, 0, 1)}
+)
+
+
+def test_sieve_matches_a_numpy_sieve_at_every_edge():
+    # around every power of two to 2**20, the tables a search fetches,
+    # and at the squares and small limits where the odd-only sieve turns
+    for limit in SIEVE_LIMITS:
+        got = primes_up_to(limit)
+        assert type(got) is tuple and all(type(p) is int for p in got), limit
+        assert list(got) == numpy_primes(limit), limit
 
 
 def test_primes_in_range_is_half_open():
@@ -167,6 +193,23 @@ def test_prescreen_never_rejects_a_prime():
     # 2047 = 23 * 89 and the Fermat number 2**64 + 1
     assert not any(may_be_prime(n) for n in (9, 91, 561, 1105, (2**61 - 1) * (2**31 - 1)))
     assert may_be_prime(2047) and may_be_prime(2**64 + 1)
+
+
+def test_a_screened_verdict_equals_the_full_one():
+    # is_prime(n, _screened=True) skips base 2, which may_be_prime ran:
+    # primes and composites on both sides of 2**64, small values and the
+    # base-2 strong pseudoprimes, which a later base must still reject
+    rng = random.Random(1751)
+    values = list(range(2, 1000))
+    for bits in (11, 20, 31, 40, 63, 64, 65, 89):
+        values += [rng.getrandbits(bits) | 1 for _ in range(100)]
+        values += [sympy.nextprime(rng.getrandbits(bits)) for _ in range(10)]
+    values += [2047, 3277, 4033, 4681, 8321, 3215031751, 2**64 + 1]
+    screened = [v for v in values if may_be_prime(v)]
+    assert sum(not sympy.isprime(v) for v in screened) >= 7
+    for v in screened:
+        for n in (v, -v):
+            assert is_prime(n, _screened=True) is is_prime(n), n
 
 
 def test_prime_factors_distinct_sorted():

@@ -362,6 +362,23 @@ def test_the_wide_examples_are_wide():
         assert not _SievePlan(task, LARGEST).wide
 
 
+def test_certifying_a_screened_witness_runs_base_2_once(monkeypatch):
+    # the step-8 witness's 12 values, each below 2.15e12: the base-2
+    # screen, then the certifying bases 3, 5, 7 and 11 of its tier
+    from sdpc import primes
+
+    bases = []
+    strong = primes._strong_probable_prime
+
+    def counted(n, base):
+        bases.append(base)
+        return strong(n, base)
+
+    monkeypatch.setattr(primes, "_strong_probable_prime", counted)
+    assert search._witness_ok(step_8_task(1), STEP_8_WITNESS)
+    assert len(bases) == 60 and bases.count(2) == 12
+
+
 def test_a_wide_plan_sieves_windows_8_times_as_long(monkeypatch):
     # from 8 * FIRST_WINDOW, doubling to 8 * segment_size, then steady
     windows = record_windows(monkeypatch)

@@ -10,7 +10,6 @@ request itself was bad.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +28,7 @@ from .construction import (
 from .modular import CrtClass
 from .pairs import explicit_pair, randomized_extend_with_stats
 from .rng import CountingRng
-from .stateio import load_state, save_state
+from .stateio import dumps_json, load_state, save_state
 
 
 def _int_list(text: str) -> list[int]:
@@ -122,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"state written to {out_path}")
     if args.json_report:
         Path(args.json_report).write_text(
-            json.dumps(_report_doc(result), indent=2, sort_keys=True) + "\n",
+            dumps_json(_report_doc(result)) + "\n",
             encoding="utf-8",
         )
 
@@ -231,7 +230,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
     else:
         doc = [{"a": str(a), "b": str(b), "diff": str(d)} for a, b, d in rows]
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = dumps_json(doc) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -290,28 +289,32 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The sdpc parser. Every subcommand is registered, but only the one
-    named `command` gets its flags, as one invocation parses only one;
-    with no command, every subcommand gets them."""
+    """The sdpc parser with every subcommand, or with only `command`, as
+    one invocation parses only one: a subcommand's flags, help and errors
+    are the same in both."""
     parser = argparse.ArgumentParser(
         prog="sdpc",
         description="construct set pairs whose differences are distinct signed primes",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        sub.set_defaults(func=handler)
         if command in (None, name):
+            sub = subs.add_parser(name, help=help_text)
+            sub.set_defaults(func=handler)
             _add_flags(sub, name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # only -h may come before the subcommand, so it is the first word naming one
-    parser = build_parser(next((word for word in argv if word in _COMMANDS), ""))
     try:
-        args = parser.parse_args(argv)
+        args = rest = None
+        if argv and argv[0] in _COMMANDS:
+            args, rest = build_parser(argv[0]).parse_known_args(argv)
+        if args is None or rest:
+            # help before the command, no command, an unknown one or a
+            # word left over: the whole parser's usage names every command
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a malformed request, after printing its
         # usage message; here 2 means a negative outcome (--help exits 0)

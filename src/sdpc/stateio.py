@@ -15,6 +15,7 @@ import json
 import os
 import re
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .construction import Config, ConstructionState
@@ -181,8 +182,27 @@ def doc_to_state(doc: dict) -> ConstructionState:
     return state
 
 
+def dumps_json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
+    dicts with string keys, lists and JSON scalars; the strings and ints,
+    its bulk, are written by C code, not json's pure-Python indenter."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is list and value:
+        items = [dumps_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict and value:
+        items = [_quote(key) + ": " + dumps_json(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(value)  # floats, bools, None, and empty lists and dicts
+
+
 def dumps_state(state: ConstructionState) -> str:
-    return json.dumps(state_to_doc(state), indent=2, sort_keys=True) + "\n"
+    return dumps_json(state_to_doc(state)) + "\n"
 
 
 def loads_state(text: str) -> ConstructionState:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -357,6 +358,66 @@ def test_help_is_the_text_of_the_parser_with_every_flag(monkeypatch, capsys, com
         main(argv)
     assert lazy.value.code == whole.value.code == 0
     assert capsys.readouterr().out == expected
+
+
+def _canonical(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_report_and_export_are_written_as_json_dumps_writes_them(tmp_path, capsys):
+    state, report = tmp_path / "state.json", tmp_path / "report.json"
+    assert main(["run", "--target", "5", "--state", str(state), "--json-report", str(report)]) == 0
+    assert _canonical(report.read_text()) == report.read_text()
+    # an exhausted run's report has a witness of None and a diagnostic
+    assert main(["run", "--target", "6", "--budget", "10", "--state", str(state),
+                 "--json-report", str(report)]) == 2
+    assert json.loads(report.read_text())["steps"][0]["witness"] is None
+    assert _canonical(report.read_text()) == report.read_text()
+    capsys.readouterr()
+    assert main(["export", "--state", str(state)]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)) == 20 and _canonical(out) == out
+
+
+@pytest.mark.parametrize("columns", ("30", "80", "200"))
+@pytest.mark.parametrize("argv", (
+    [], ["--help"], ["bogus"], ["-h", "run"],
+    *([command, "--help"] for command in ("run", "verify", "pair", "admissible", "search", "export")),
+    ["run", "--target", "3", "--workers", "2"], ["run", "--target", "x"], ["run", "--target", "3", "extra"],
+    ["search", "--q", "30"], ["export", "--state", "s.json", "--format", "xml"],
+), ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_as_the_whole_parser(monkeypatch, capsys, argv, columns):
+    # main parses a named command with that command's parser alone; its
+    # help and usage errors must be the whole parser's, at any width
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as whole:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == (1 if whole.value.code == 2 else whole.value.code)
+    assert capsys.readouterr() == expected
+
+
+def test_main_builds_the_whole_parser_only_for_an_error(monkeypatch, tmp_path, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    state = tmp_path / "state.json"
+    assert main(["run", "--target", "3", "--p-limit", "5", "--state", str(state)]) == 0
+    assert main(["verify", "--state", str(state)]) == 0
+    assert built == ["run", "verify"]
+    built.clear()
+    assert main(["run", "--target", "3", "extra"]) == 1
+    assert built == ["run", "run", "verify", "pair", "admissible", "search", "export"]
+    assert "unrecognized arguments: extra" in capsys.readouterr().err
 
 
 NUMPY_FREE = """

@@ -11,6 +11,7 @@ from sdpc.stateio import (
     STATE_SCHEMA,
     STATE_VERSION,
     doc_to_state,
+    dumps_json,
     dumps_state,
     load_state,
     loads_state,
@@ -70,6 +71,34 @@ def test_document_shape():
     text = dumps_state(small_state())
     assert text.endswith("\n")
     assert json.loads(text) == doc
+
+
+def test_states_at_every_coverage_are_written_as_json_dumps_writes_them():
+    state = initial_state(Config())
+    for target in range(9):
+        state = run(state, target).state
+        text = json.dumps(state_to_doc(state), indent=2, sort_keys=True) + "\n"
+        assert dumps_state(state) == text, target
+    assert state.n == 8
+
+
+@pytest.mark.parametrize("doc", (
+    {},
+    [],
+    {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}]},
+    [[], {}, [[], [{}]]],
+    {"k\u00e9y \"q\" \n\t\x00\x1f \u2603 \U0001f600": "v\u00e9 \"q\" \\ \r\x7f \u2028 \U0001f600"},
+    ["\u00e9", "\"", "\\", "\b\f", "\x01", "", "/"],
+    {"z": 1, "a": -1, "M": 0, "\u00e9": 10**40, "-": -(10**40) + 1},
+    [True, False, None, 1e-07, 0.1 + 0.2, -0.0, 1e300, 2.5, float("inf")],
+    {"deep": {"er": [{"x": [1, "2", None, True, {"y": 0.5}]}]}},
+    "alone",
+    -7,
+    None,
+), ids=("empty-dict", "empty-list", "nested-empty-in-dict", "nested-empty-in-list", "escapes-in-key-and-value",
+        "escapes-in-list", "ints", "floats-bools-none", "deep", "bare-str", "bare-int", "bare-none"))
+def test_dumps_json_writes_what_json_dumps_writes(doc):
+    assert dumps_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_schema_and_version_rejection():

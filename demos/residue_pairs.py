@@ -10,6 +10,8 @@ the new elements on a (u, v) combination realizing the class you want.
 Run:  python3 demos/residue_pairs.py
 """
 
+import random
+
 from sdpc.modular import ResidueSet
 from sdpc.pairs import (
     capacity_bound,
@@ -17,7 +19,6 @@ from sdpc.pairs import (
     is_prime_compatible,
     randomized_extend_with_stats,
 )
-from sdpc.rng import CountingRng
 
 
 def show_pair(pair):
@@ -68,13 +69,13 @@ def main():
     print("4. randomized extension around a prescribed core")
     print("-" * 55)
     core = frozenset(range(0, 40, 2))
-    pair, attempts = randomized_extend_with_stats(core, 101, 2, CountingRng(7))
+    pair, attempts = randomized_extend_with_stats(core, 101, 2, random.Random(7))
     print(f"  core of {len(core)} residues pushed into both sides of a")
     print(f"  pair mod 101, two reserves set aside, found on attempt {attempts}")
     print(f"  reserves: {pair.reserved}")
     got = is_prime_compatible(pair.u, pair.v)
     print(f"  compatible: {got}")
-    print("  the coin flips come from a counted, seeded stream, so the")
+    print("  the coin flips come from a seeded stream, so the")
     print("  same seed always rebuilds the same pair.")
 
 

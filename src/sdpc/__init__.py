@@ -53,7 +53,6 @@ from .primes import (
     primes_in_range,
     primes_up_to,
 )
-from .rng import CountingRng
 from .stateio import (
     STATE_SCHEMA,
     STATE_VERSION,
@@ -85,7 +84,6 @@ __all__ = [
     "Config",
     "ConstellationTask",
     "ConstructionState",
-    "CountingRng",
     "CrtClass",
     "FIXED_PRIME_DIVIDES",
     "InadmissibleSystemError",

@@ -10,6 +10,7 @@ request itself was bad.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +28,6 @@ from .construction import (
 )
 from .modular import CrtClass
 from .pairs import explicit_pair, randomized_extend_with_stats
-from .rng import CountingRng
 from .stateio import dumps_json, load_state, save_state
 
 
@@ -159,7 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_pair(args: argparse.Namespace) -> int:
     if args.random:
-        rng = CountingRng(args.seed or 0)
+        rng = random.Random(args.seed or 0)
         pair, attempts = randomized_extend_with_stats(
             frozenset(_int_list(args.w or "")), args.p, args.reserve or 0, rng
         )

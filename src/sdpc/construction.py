@@ -38,9 +38,6 @@ if TYPE_CHECKING:
 
 ALL_CERTIFIED = "all-certified"
 CONTAINS_PROBABLE = "contains-probable-primes"
-# A step's segment_size: windows grow to it from search.FIRST_WINDOW, or on
-# a wide plan, whose windows are packed bits, to 8 times it (2**23 in 1 MB).
-LARGEST_WINDOW = 1 << 20
 # The largest p_limit (Config).
 MAX_P_LIMIT = 1 << 10
 
@@ -140,10 +137,10 @@ class Config:
 
     budget is the most candidates a step's search may examine. It runs
     higher than the standalone search default because a step at a dozen
-    offsets sits around 10**8.5 candidates deep. Each step searches with
-    the sieve's default limit in windows of up to LARGEST_WINDOW bytes
-    (8 * LARGEST_WINDOW candidates on a wide plan, LARGEST_WINDOW on any
-    other); neither changes a witness, so neither is a setting.
+    offsets sits around 10**8.5 candidates deep. Each step searches as
+    every search does, with the sieve's default limit and in the windows
+    of sdpc.search, whose largest touches search.LARGEST_WINDOW bytes;
+    neither changes a witness, so neither is a setting.
     """
 
     p_limit: int = 7
@@ -488,9 +485,9 @@ def verify(state: ConstructionState) -> VerifyReport:
 # sdpc.search, and with it NumPy, loads at a process's first search, so
 # planning, applying and verify run without NumPy. run() looks this name
 # up at call time, so it may be replaced to watch the searches.
-def search_with_count(task: ConstellationTask, segment_size: int) -> tuple[int | None, int]:
+def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     from .search import search_with_count as search
-    return search(task, segment_size)
+    return search(task)
 
 
 @dataclass(frozen=True)
@@ -546,18 +543,20 @@ def run(
     while coverage_prefix(state) < target:
         index = state.n + 1
         r = signed_primes(index)
-        started = perf_counter()
         if r in state.represented:
+            started = perf_counter()
             state = replace(state, n=index)
             record = StepRecord(index, r, None, 0, perf_counter() - started)
         else:
+            # loading sdpc.search, and NumPy with it, is no step's time
             from .search import ConstellationTask
 
+            started = perf_counter()
             plan = plan_step(state, r)
             task = ConstellationTask(
                 TupleSystem(plan.crt, plan.offsets), start=plan.min_x, budget=cfg.budget
             )
-            x, examined = search_with_count(task, LARGEST_WINDOW)
+            x, examined = search_with_count(task)
             if x is None:
                 completed = False
                 diagnostic = (

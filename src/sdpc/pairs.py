@@ -22,10 +22,10 @@ capacity bound below the retry loop terminates quickly.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 
 from .modular import ResidueSet, linear_map_set, mod_inverse
-from .rng import CountingRng
 
 PLUS = 1
 MINUS = -1
@@ -189,7 +189,7 @@ def randomized_extend_with_stats(
     w: ResidueSet,
     p: int,
     reserve_count: int,
-    rng: CountingRng,
+    rng: random.Random,
     retry_cap: int = 10_000,
 ) -> tuple[PrimeCompatiblePair, int]:
     """Grow W to a compatible pair with U & V = W plus fresh reserves;
@@ -225,7 +225,7 @@ def randomized_extend_with_stats(
     for attempt in range(1, retry_cap + 1):
         u_mask, v_mask = core_mask, core_mask
         for z in rest:
-            if rng.bit():
+            if rng.getrandbits(1):
                 v_mask |= 1 << z
             else:
                 u_mask |= 1 << z

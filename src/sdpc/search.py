@@ -6,16 +6,17 @@ x + d for an offset d, except when |x + d| equals p itself: that value IS
 the prime p and must not be discarded. Survivors then face real primality
 tests through is_prime. The scan is strictly ordered by k, so the witness
 returned is the smallest member of the progression that works, whatever
-the segment size or sieve limit.
+the window sizes or sieve limit.
 
 A search sieves windows of k that start at FIRST_WINDOW candidates and
-double until they reach segment_size, so a witness found early costs
-about its own depth rather than a whole segment. A window is measured in
-the bytes it touches: a wide plan's (below) stays packed, 8 candidates to
-a byte, so its windows run from 8 * FIRST_WINDOW to 8 * segment_size.
-Every window's packed bits are one module buffer, grown to the longest
-window and reused. A window's survivors are kept as indices and become
-integers x only as they are certified, up to the witness.
+double until they reach LARGEST_WINDOW, the one cap of every search, so a
+witness found early costs about its own depth rather than a largest
+window. A window is measured in the bytes it touches: a wide plan's
+(below) stays packed, 8 candidates to a byte, so its windows run from
+8 * FIRST_WINDOW to 8 * LARGEST_WINDOW. Every window's packed bits are
+one module buffer, grown to the longest window and reused. A window's
+survivors are kept as indices and become integers x only as they are
+certified, up to the witness.
 
 Its sieving primes grow with its depth: the window ending hi candidates
 in sieves with those up to hi / DEPTH_PER_PRIME, and at least with the
@@ -61,8 +62,10 @@ entries. So a plan that gathers is wide if it can be: every sieving
 prime is tabled and gathered, and the byte path drops out. This needs
 each prime to fit a period and all tables to take at most the span's
 bytes, what a byte-path window of the span unpacks, so a sieve limit in
-the thousands never widens. A search builds one plan and runs every window
-on it.
+the thousands never widens. A plan whose pre-sieved primes keep at least
+1/GATHER_COST of all k together ANDs every group, so it is seen not to be
+wide from its head alone, before the primes up to the limit are fetched.
+A search builds one plan and runs every window on it.
 
 Set-up costs a few NumPy passes per (prime, offset) entry; q is inverted
 prime by prime in _sieving_primes, once per q and prime range in a run.
@@ -95,8 +98,10 @@ from .primes import is_prime, may_be_prime, primes_up_to
 
 # Chosen by a sweep over the construction's own step plans (CHANGES.md).
 DEFAULT_SIEVE_LIMIT = 400
-# A search's first window, from a sweep (CHANGES.md); later ones double.
+# A search's first window, from a sweep (CHANGES.md); later ones double
+# up to the largest, 2**23 candidates in 1 MB on a wide plan.
 FIRST_WINDOW = 1 << 11
+LARGEST_WINDOW = 1 << 20
 # A search sieves with the primes up to its depth / DEPTH_PER_PRIME, the
 # end of the window it has reached; from a sweep (CHANGES.md).
 DEPTH_PER_PRIME = 4
@@ -218,6 +223,19 @@ def _groups(head_p: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.nda
     return dense, [(g[0], g[:1:-1]) for g in groups], anded
 
 
+def _may_gather(head_p: list[int], counts: list[int], period: int) -> bool:
+    """Whether _groups could leave a group to gather: whether the head
+    primes it pre-sieves keep under 1/GATHER_COST of all k together. If
+    not, every share kept before a group is at least that, so it ANDs them
+    all: a plan refused here cannot be wide, and skips the primes up to
+    its limit and the groups."""
+    kept = 1.0
+    for p, c in zip(head_p, counts):
+        if c * PRESIEVE_DENSITY >= p and p <= period:
+            kept *= 1 - c / p
+    return kept * GATHER_COST < 1
+
+
 def _periodic_and(rows: list[np.ndarray], pattern: np.ndarray) -> np.ndarray:
     """pattern, filled with byte i = AND of row[i mod len(row)] over rows of
     coprime lengths whose product is its length, ascending: widest last."""
@@ -302,15 +320,19 @@ class _SievePlan:
         # pays only where the ANDed groups keep under 1/GATHER_COST of all
         # k: where it gathers. Each must fit a period, and their tables, 8
         # bytes per unit of p, take at most the bytes a window of `span`
-        # unpacks on the byte path. That is tested first, on the held
-        # primes and then on all; only then are the groups formed here.
+        # unpacks on the byte path. Whether it can gather at all is tested
+        # first, then the fit on the held primes and then on all; only then
+        # are the groups formed here.
         def fits(ps: np.ndarray) -> bool:
             return ps.max(initial=0) <= period and 8 * int(ps.sum()) <= span
 
-        every = self.primes
-        if self.bound < self.limit and fits(every):
-            every = _sieving_primes(self.q, 2, self.limit)[0]
-        grouping = _groups(self.primes[:head], counts, period) if fits(every) else None
+        head_p = self.primes[:head]
+        may_widen = (
+            _may_gather(head_p.tolist(), counts.tolist(), period)
+            and fits(self.primes)
+            and (self.bound == self.limit or fits(_sieving_primes(self.q, 2, self.limit)[0]))
+        )
+        grouping = _groups(head_p, counts, period) if may_widen else None
         self.wide = grouping is not None and grouping[2] < len(grouping[1])
         # a wide plan holds them all from the start and is built whole
         if self.wide and self.bound < self.limit:
@@ -524,10 +546,7 @@ def _witness_ok(task: ConstellationTask, x: int) -> bool:
     return screened and all(is_prime(v, _screened=True).accepted for v in values)
 
 
-def search_with_count(
-    task: ConstellationTask,
-    segment_size: int = 1 << 16,
-) -> tuple[int | None, int]:
+def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     """Smallest x >= start in the class with every |x + d| prime and > 3.
 
     Returns (witness, candidates examined), or (None, budget) once
@@ -536,17 +555,16 @@ def search_with_count(
     Raises InadmissibleSystemError for a doomed system.
 
     Windows of k start at FIRST_WINDOW candidates and double until they
-    reach segment_size; one plan, built for that span (module docstring),
-    sieves them all. If the plan is wide, its windows are packed bits and
-    8 times as long, from 8 * FIRST_WINDOW to 8 * segment_size, so that
-    segment_size bounds the bytes of a window either way. Before each
-    window the plan grows to the sieving primes up to the window's end, in
-    candidates from the start, / DEPTH_PER_PRIME. The candidate count is
-    the number of progression members considered, counted before sieving,
-    so exhaustion means exactly `budget` of them were covered.
+    reach LARGEST_WINDOW; one plan, built for that span or the budget if
+    smaller (module docstring), sieves them all. If the plan is wide, its
+    windows are packed bits and 8 times as long, from 8 * FIRST_WINDOW to
+    8 * LARGEST_WINDOW, so that LARGEST_WINDOW bounds the bytes of a
+    window either way. Before each window the plan grows to the sieving
+    primes up to the window's end, in candidates from the start, /
+    DEPTH_PER_PRIME. The candidate count is the number of progression
+    members considered, counted before sieving, so exhaustion means
+    exactly `budget` of them were covered.
     """
-    if segment_size < 1:
-        raise ValueError("segment_size must be positive")
     obstruction = is_admissible(task.system)
     if obstruction is not None:
         raise InadmissibleSystemError(obstruction)
@@ -554,13 +572,12 @@ def search_with_count(
     t = task.system.crt.residue
     k_start = max(0, -((t - task.start) // q))
     k_end = k_start + task.budget
-    lo, size = k_start, min(FIRST_WINDOW, segment_size)
-    bound = min(size, task.budget) // DEPTH_PER_PRIME
-    plan = _SievePlan(task, min(segment_size, task.budget), bound)
+    bound = min(FIRST_WINDOW, task.budget) // DEPTH_PER_PRIME
+    plan = _SievePlan(task, min(LARGEST_WINDOW, task.budget), bound)
     # a wide plan's window is packed bits, so it runs 8 times as long for
     # the bytes a byte-path window touches
     scale = 8 if plan.wide else 1
-    size, largest = scale * size, scale * segment_size
+    lo, size, largest = k_start, scale * FIRST_WINDOW, scale * LARGEST_WINDOW
     while lo < k_end:
         hi = min(lo + size, k_end)
         plan.grow((hi - k_start) // DEPTH_PER_PRIME)

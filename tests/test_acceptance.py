@@ -16,6 +16,7 @@ from conftest import record_line
 from test_admissible import brute_obstruction
 from test_search import naive_witness, small_task
 
+from sdpc import search
 from sdpc.admissible import TupleSystem, is_admissible
 from sdpc.construction import (
     ALL_CERTIFIED,
@@ -29,7 +30,6 @@ from sdpc.construction import (
 from sdpc.modular import CrtClass, ResidueSet
 from sdpc.pairs import explicit_pair, is_prime_compatible, randomized_extend_with_stats
 from sdpc.primes import primes_in_range
-from sdpc.rng import CountingRng
 from sdpc.search import ConstellationTask, search_with_count
 from sdpc.stateio import dumps_state, loads_state
 
@@ -110,7 +110,7 @@ def test_criterion_3_randomized_extension_statistics():
     first_try = 0
     for seed in range(100):
         w = frozenset(random.Random(9000 + seed).sample(range(101), 20))
-        _, attempts = randomized_extend_with_stats(w, 101, 2, CountingRng(seed))
+        _, attempts = randomized_extend_with_stats(w, 101, 2, random.Random(seed))
         first_try += attempts == 1
     # union bound: 101 * (3/4)^(50 - 22) is about 0.032 per trial
     conclude(
@@ -157,7 +157,7 @@ def test_criterion_4_admissibility_equivalence():
 #    depend on the window schedule
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_search_oracle_and_determinism():
+def test_criterion_5_search_oracle_and_determinism(monkeypatch):
     t0 = perf_counter()
     rng = random.Random(55)
     ok = True
@@ -171,7 +171,11 @@ def test_criterion_5_search_oracle_and_determinism():
     got, _ = search_with_count(anchor)
     ok = ok and got == 25
     for task in tasks[:10] + [anchor]:
-        ok = ok and search_with_count(task, segment_size=128) == search_with_count(task)
+        want = search_with_count(task)
+        with monkeypatch.context() as short:
+            short.setattr(search, "LARGEST_WINDOW", 128)
+            short.setattr(search, "FIRST_WINDOW", 128)
+            ok = ok and search_with_count(task) == want
     conclude(5, "search oracle and window-schedule determinism", ok, perf_counter() - t0, 60)
 
 

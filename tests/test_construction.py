@@ -10,11 +10,12 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from test_search import gather_precheck
+
 import sdpc
 from sdpc.admissible import TupleSystem
 from sdpc.construction import (
     ALL_CERTIFIED,
-    LARGEST_WINDOW,
     MAX_P_LIMIT,
     Config,
     apply_step,
@@ -30,7 +31,7 @@ from sdpc.construction import (
     verify,
 )
 from sdpc.pairs import MINUS, PLUS
-from sdpc import search
+from sdpc import construction, search
 from sdpc.search import DEFAULT_SIEVE_LIMIT, FIRST_WINDOW, ConstellationTask, search_with_count
 
 
@@ -324,6 +325,32 @@ def test_a_run_does_not_import_numpy_ma():
     assert out.stdout.strip() == "False"
 
 
+def test_a_step_that_searches_starts_its_clock_after_the_search_import():
+    # a fresh process's first search loads sdpc.search and NumPy; a step's
+    # seconds must not count that. Each clock read records whether it is
+    # loaded; the last read before a search started that search's step
+    src = os.path.dirname(os.path.dirname(sdpc.__file__))
+    code = (
+        "import sys\n"
+        "from sdpc import construction as c\n"
+        "reads, starts, clock, search = [], [], c.perf_counter, c.search_with_count\n"
+        "def perf_counter():\n"
+        "    reads.append('sdpc.search' in sys.modules)\n"
+        "    return clock()\n"
+        "def search_with_count(task):\n"
+        "    starts.append(reads[-1])\n"
+        "    return search(task)\n"
+        "c.perf_counter, c.search_with_count = perf_counter, search_with_count\n"
+        "c.run(c.initial_state(c.Config()), 8)\n"
+        "print(starts)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    # steps 3 to 8 all search
+    assert out.stdout.strip() == str([True] * 6)
+
+
 def test_witnesses_do_not_depend_on_sieve_limit():
     # the sieve strikes only proven composites and the scan is ordered by
     # k, so the limit may change the work but never the witness or its
@@ -338,7 +365,7 @@ def test_witnesses_do_not_depend_on_sieve_limit():
             task = ConstellationTask(
                 system, start=plan.min_x, budget=state.config.budget, sieve_limit=limit
             )
-            assert search_with_count(task, LARGEST_WINDOW) == (step.witness, step.candidates)
+            assert search_with_count(task) == (step.witness, step.candidates)
         state = res.state
     assert (state.a, state.b) == (
         (1, 11, 625, 3587, 42305, 2132467, 1655127457),
@@ -392,7 +419,7 @@ def test_each_search_builds_one_plan(monkeypatch):
     plans = record_plans(monkeypatch)
     for target, task in step_tasks()[:-1]:
         plans.clear()
-        _, depth = search_with_count(task, LARGEST_WINDOW)
+        _, depth = search_with_count(task)
         assert len(plans) == 1, target
         plan = plans[0]
         assert plan.wide == (abs(target) == 13), target
@@ -400,7 +427,7 @@ def test_each_search_builds_one_plan(monkeypatch):
         size, expected = scale * FIRST_WINDOW, []
         while sum(expected) < depth:
             expected.append(size)
-            size = min(2 * size, scale * LARGEST_WINDOW)
+            size = min(2 * size, scale * search.LARGEST_WINDOW)
         assert plan.windows == expected, target
         if plan.wide:
             assert len(plan.gather_p) and len(plan.rest_p) == 0, target
@@ -419,26 +446,55 @@ def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
     plans = record_plans(monkeypatch)
     for target, task in step_tasks():
         if target == 17:
-            task = replace(task, budget=4 * LARGEST_WINDOW)
+            task = replace(task, budget=4 * search.LARGEST_WINDOW)
         plans.clear()
-        search_with_count(task, LARGEST_WINDOW)
+        search_with_count(task)
         (plan,) = plans
-        full = plan_at_limit(task, LARGEST_WINDOW)
+        full = plan_at_limit(task, search.LARGEST_WINDOW)
         assert plan.bound == full.bound == DEFAULT_SIEVE_LIMIT
         assert np.array_equal(plan.primes, full.primes), target
         assert (plan.good is not None) == (plan.wide or max(plan.windows) > search.PRESIEVE_AFTER)
         for each in (plan, full):
             if each.good is None:
                 each._presieve()
-        for name, value in vars(full).items():
-            got = getattr(plan, name)
-            if name == "patterns":
-                assert len(got) == len(value), target
-                assert all(np.array_equal(a, b) for a, b in zip(got, value)), target
-            elif isinstance(value, np.ndarray):
-                assert got.dtype == value.dtype and np.array_equal(got, value), (target, name)
-            else:
-                assert got == value, (target, name)
+        assert_same_plan(plan, full, target)
+
+
+def assert_same_plan(plan, want, target):
+    """Every attribute of `plan` equals `want`'s, array for array."""
+    for name, value in vars(want).items():
+        got = getattr(plan, name)
+        if name == "patterns":
+            assert len(got) == len(value), target
+            assert all(np.array_equal(a, b) for a, b in zip(got, value)), target
+        elif isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and np.array_equal(got, value), (target, name)
+        else:
+            assert got == value, (target, name)
+
+
+def test_a_standalone_search_sieves_as_run_does(monkeypatch):
+    # search_with_count(task) on each task run() searches, the +-13 and +17
+    # ones wide: the same result, the same windows and the same plan, as
+    # every search has the one window cap
+    tasks = []
+    searched = construction.search_with_count
+
+    def search_in_run(task):
+        tasks.append(task)
+        return searched(task)
+
+    monkeypatch.setattr(construction, "search_with_count", search_in_run)
+    plans = record_plans(monkeypatch)
+    res = run(initial_state(Config()), 9)
+    assert not res.completed and len(tasks) == len(plans) == 7
+    in_run = list(plans)
+    for task, plan, step in zip(tasks, in_run, res.steps):
+        plans.clear()
+        assert search_with_count(task) == (step.witness, step.candidates), step.target
+        (alone,) = plans
+        assert alone.wide == (abs(step.target) >= 13), step.target
+        assert_same_plan(alone, plan, step.target)
 
 
 def test_widening_changes_no_witness_or_depth(monkeypatch):
@@ -448,8 +504,10 @@ def test_widening_changes_no_witness_or_depth(monkeypatch):
     plans = record_plans(monkeypatch)
     for target, task in step_tasks()[:-1]:
         plans.clear()
-        got = search_with_count(task, LARGEST_WINDOW)
-        assert search_with_count(task, 1 << 16) == got, target
+        got = search_with_count(task)
+        with monkeypatch.context() as narrow:
+            narrow.setattr(search, "LARGEST_WINDOW", 1 << 16)
+            assert search_with_count(task) == got, target
         assert [plan.wide for plan in plans] == [abs(target) == 13, False], target
 
 
@@ -458,16 +516,18 @@ def test_long_windows_of_the_gathering_steps_leave_the_byte_path():
     # strided or scattered entries left; one that ANDs every group keeps
     # them, as gathering behind those ANDs would read too many survivors.
     # For windows of 2**16 no plan widens, and only +17 has no such
-    # entries, so widening changes the +-13 plans alone.
+    # entries, so widening changes the +-13 plans alone. At either span
+    # the gather pre-check passes exactly the plans that gather.
     changed = set()
     for target, task in step_tasks():
-        plan = search._SievePlan(task, LARGEST_WINDOW)
+        plan = search._SievePlan(task, search.LARGEST_WINDOW)
         gathers = len(plan.gather_p) > 0
-        assert gathers == (abs(target) >= 13)
+        assert gathers == (abs(target) >= 13) == gather_precheck(plan)
         assert plan.wide == gathers and (len(plan.rest_p) == 0) == gathers
         narrow = search._SievePlan(task, 1 << 16)
         narrow._presieve()
         assert not narrow.wide
+        assert gather_precheck(narrow) == (len(narrow.gather_p) > 0), target
         if plan.wide and len(narrow.rest_p):
             changed.add(target)
     assert changed == {13, -13}

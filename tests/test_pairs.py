@@ -19,7 +19,6 @@ from sdpc.pairs import (
     is_prime_compatible,
     randomized_extend_with_stats,
 )
-from sdpc.rng import CountingRng
 
 
 def naive_cover(p, u_members, v_members):
@@ -111,7 +110,7 @@ def test_capacity_bound_arithmetic():
 
 
 def test_randomized_extend_postconditions():
-    rng = CountingRng(1)
+    rng = random.Random(1)
     pair, _ = randomized_extend_with_stats(ResidueSet.from_members(103, (0,)), 103, 2, rng)
     common = set(pair.u) & set(pair.v)
     assert 0 in common
@@ -127,23 +126,38 @@ def test_randomized_extend_postconditions():
 
 def test_randomized_extend_reproducible_from_seed():
     w = ResidueSet.from_members(101, tuple(range(0, 40, 2)))
-    a, _ = randomized_extend_with_stats(w, 101, 2, CountingRng(9))
-    b, _ = randomized_extend_with_stats(w, 101, 2, CountingRng(9))
+    a, _ = randomized_extend_with_stats(w, 101, 2, random.Random(9))
+    b, _ = randomized_extend_with_stats(w, 101, 2, random.Random(9))
     assert a == b
-    c, _ = randomized_extend_with_stats(w, 101, 2, CountingRng(10))
+    c, _ = randomized_extend_with_stats(w, 101, 2, random.Random(10))
     assert c != a  # overwhelmingly likely under any healthy draw scheme
+
+
+def test_randomized_extend_draw_order():
+    # a randrange per reserve, from the residues outside W left so far, then
+    # per attempt one bit per remaining residue, ascending: 1 sends it to V
+    w = ResidueSet.from_members(101, tuple(range(0, 40, 2)))
+    pair, attempts = randomized_extend_with_stats(w, 101, 2, random.Random(5))
+    replay = random.Random(5)
+    rest = [z for z in range(101) if z not in w]
+    reserves = [rest.pop(replay.randrange(len(rest))) for _ in range(2)]
+    for _ in range(attempts):
+        to_v = {z for z in rest if replay.getrandbits(1)}
+    assert pair.reserved == tuple(sorted(reserves))
+    assert set(pair.v) == set(w) | set(reserves) | to_v
+    assert set(pair.u) == set(w) | set(reserves) | (set(rest) - to_v)
 
 
 def test_randomized_extend_capacity_errors():
     w40 = ResidueSet.from_members(101, tuple(range(40)))
     with pytest.raises(ValueError, match="W too large"):
-        randomized_extend_with_stats(w40, 101, 0, CountingRng(0))
+        randomized_extend_with_stats(w40, 101, 0, random.Random(0))
     with pytest.raises(ValueError, match="W too large"):
-        randomized_extend_with_stats(ResidueSet.from_members(7, (0,)), 7, 0, CountingRng(0))
+        randomized_extend_with_stats(ResidueSet.from_members(7, (0,)), 7, 0, random.Random(0))
 
 
 def test_randomized_extend_accepts_plain_iterables():
-    pair, attempts = randomized_extend_with_stats({0, 1}, 103, 0, CountingRng(3))
+    pair, attempts = randomized_extend_with_stats({0, 1}, 103, 0, random.Random(3))
     assert attempts >= 1
     assert {0, 1} <= set(pair.u) & set(pair.v)
 

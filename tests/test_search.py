@@ -26,7 +26,9 @@ from sdpc.search import (
     PRESIEVE_DENSITY,
     SCATTER_HITS,
     ConstellationTask,
+    _groups,
     _hit_classes,
+    _may_gather,
     _SievePlan,
     is_prime,
     search_with_count,
@@ -77,13 +79,21 @@ def small_task(rng):
             return task
 
 
-def test_agrees_with_naive_oracle_on_random_tasks():
+def windows_up_to(monkeypatch, largest):
+    """Make the searches from now on grow their windows to `largest`, and
+    start them there if that is below FIRST_WINDOW."""
+    monkeypatch.setattr(search, "LARGEST_WINDOW", largest)
+    monkeypatch.setattr(search, "FIRST_WINDOW", min(FIRST_WINDOW, largest))
+
+
+def test_agrees_with_naive_oracle_on_random_tasks(monkeypatch):
+    windows_up_to(monkeypatch, 256)
     rng = random.Random(31337)
     found = exhausted = 0
     for _ in range(60):
         task = small_task(rng)
         want = naive_witness(task)
-        got, examined = search_with_count(task, segment_size=256)
+        got, examined = search_with_count(task)
         assert got == want, (task.system.crt, task.system.offsets, task.start)
         if want is None:
             exhausted += 1
@@ -262,12 +272,13 @@ def test_quintuplet_witnesses_are_consecutive():
 @pytest.mark.parametrize(
     "segment_size", (1, 3, FIRST_WINDOW - 1, FIRST_WINDOW, FIRST_WINDOW + 1, LARGEST)
 )
-def test_witness_and_depth_do_not_depend_on_the_window_schedule(segment_size):
+def test_witness_and_depth_do_not_depend_on_the_window_schedule(segment_size, monkeypatch):
     # witnesses just before, on and just after each end of a growing window;
     # windows of 1 or 3 never grow, so they get the first end only
+    windows_up_to(monkeypatch, segment_size)
     ends = window_ends(LARGEST)[: 1 if segment_size < 4 else None]
     for depth in sorted({1} | {e + i for e in ends for i in (-1, 0, 1)}):
-        got = search_with_count(quintuplet_task(depth), segment_size)
+        got = search_with_count(quintuplet_task(depth))
         assert got == (DEEP_WITNESS, depth), (segment_size, depth)
 
 
@@ -300,29 +311,32 @@ def test_exhaustion_mid_growth_covers_exactly_the_budget(monkeypatch):
     windows = record_windows(monkeypatch)
     budget = 5000
     task = ConstellationTask(QUINTUPLET, start=PREVIOUS_WITNESS + 1, budget=budget)
-    assert search_with_count(task, LARGEST) == (None, budget)
+    windows_up_to(monkeypatch, LARGEST)
+    assert search_with_count(task) == (None, budget)
     ends = [hi for _, hi in windows]
     assert [lo for lo, _ in windows] == [task.start] + ends[:-1]
     assert ends[-1] - task.start == budget
     assert ends[:-1] == [task.start + e for e in window_ends(LARGEST) if e < budget]
-    # past its growth a search keeps to windows of segment_size
+    # past its growth a search keeps to windows of LARGEST_WINDOW
     windows.clear()
-    assert search_with_count(task, FIRST_WINDOW + 1) == (None, budget)
+    windows_up_to(monkeypatch, FIRST_WINDOW + 1)
+    assert search_with_count(task) == (None, budget)
     sizes = [hi - lo for lo, hi in windows]
     assert sum(sizes) == budget and sizes[:2] == [FIRST_WINDOW, FIRST_WINDOW + 1]
     assert max(sizes) == FIRST_WINDOW + 1
 
 
 def test_a_shallow_witness_sieves_one_first_window(monkeypatch):
-    # the witness is 100 candidates in: neither the standalone default
-    # segment nor the construction's 2**20 may be sieved whole, only the
-    # first window, 8 times as long where the plan is wide
+    # the witness is 100 candidates in: neither a largest window of 2**16
+    # nor one of 2**20 may be sieved whole, only the first window, 8 times
+    # as long where the plan is wide
     windows = record_windows(monkeypatch)
     task = quintuplet_task(100)
-    for segment_size, first in ((LARGEST, FIRST_WINDOW), (1 << 20, 8 * FIRST_WINDOW)):
+    for largest, first in ((LARGEST, FIRST_WINDOW), (1 << 20, 8 * FIRST_WINDOW)):
         windows.clear()
-        assert search_with_count(task, segment_size) == (DEEP_WITNESS, 100)
-        assert windows == [(task.start, task.start + first)], segment_size
+        windows_up_to(monkeypatch, largest)
+        assert search_with_count(task) == (DEEP_WITNESS, 100)
+        assert windows == [(task.start, task.start + first)], largest
 
 
 # ---------------------------------------------------------------------------
@@ -380,28 +394,34 @@ def test_certifying_a_screened_witness_runs_base_2_once(monkeypatch):
 
 
 def test_a_wide_plan_sieves_windows_8_times_as_long(monkeypatch):
-    # from 8 * FIRST_WINDOW, doubling to 8 * segment_size, then steady
+    # from 8 * FIRST_WINDOW, doubling to 8 * LARGEST_WINDOW, then steady
     windows = record_windows(monkeypatch)
     ends = window_ends(WIDE, 8)
     budget = ends[-1] + 3 * 8 * WIDE + 5000
     task = step_9_task(budget)
-    assert search_with_count(task, WIDE) == (None, budget)
+    windows_up_to(monkeypatch, WIDE)
+    assert search_with_count(task) == (None, budget)
     sizes = [hi - lo for lo, hi in windows]
     assert sizes[0] == 8 * FIRST_WINDOW and max(sizes) == 8 * WIDE
     assert sizes == [8 * FIRST_WINDOW << i for i in range(len(ends))] + [8 * WIDE] * 3 + [5000]
 
 
-def test_wide_witnesses_around_each_growth_end_match_the_byte_path():
+def test_wide_witnesses_around_each_growth_end_match_the_byte_path(monkeypatch):
     # the witness and depth just before, on and just after each end of a
     # growing wide window, against windows of up to 2**16 on the byte path
+    def search_both(task):
+        got = []
+        for largest in (WIDE, LARGEST):
+            windows_up_to(monkeypatch, largest)
+            got.append(search_with_count(task))
+        return got
+
     for end in window_ends(WIDE, 8):
         for depth in (end - 1, end, end + 1):
-            task = step_8_task(depth)
-            got = search_with_count(task, WIDE)
-            assert got == search_with_count(task, LARGEST) == (STEP_8_WITNESS, depth), depth
+            assert search_both(step_8_task(depth)) == [(STEP_8_WITNESS, depth)] * 2, depth
     for depth in (1, 8 * FIRST_WINDOW, 8 * FIRST_WINDOW + 1, 3 * 8 * FIRST_WINDOW + 1):
-        task = quintuplet_task(depth)
-        assert search_with_count(task, WIDE) == search_with_count(task, LARGEST), depth
+        wide, narrow = search_both(quintuplet_task(depth))
+        assert wide == narrow, depth
 
 
 # from a budget of about 111,000 on, 8 tables of each step-9 sieving prime
@@ -410,7 +430,8 @@ def test_wide_witnesses_around_each_growth_end_match_the_byte_path():
 def test_wide_exhaustion_mid_growth_covers_exactly_the_budget(budget, monkeypatch):
     windows = record_windows(monkeypatch)
     task = step_9_task(budget)
-    assert search_with_count(task, WIDE) == (None, budget)
+    windows_up_to(monkeypatch, WIDE)
+    assert search_with_count(task) == (None, budget)
     ends = [hi for _, hi in windows]
     assert [lo for lo, _ in windows] == [STEP_9_K] + ends[:-1]
     assert ends == [STEP_9_K + e for e in window_ends(WIDE, 8) if e < budget] + [STEP_9_K + budget]
@@ -992,6 +1013,35 @@ def test_a_plan_grown_range_by_range_equals_one_built_at_the_limit(limit, gather
             assert grown.dtype == built.dtype and np.array_equal(grown, built), (span, name)
 
 
+def gather_precheck(plan):
+    """Whether the plan passes the gather pre-check; where it does not,
+    _groups must AND every group of its head, and the plan is not wide."""
+    head_p = plan.primes[: len(plan.head_k0)]
+    counts = np.array([len(set(row)) for row in plan.head_k0.tolist()], np.int64)
+    _, groups, anded = _groups(head_p, counts, plan.period)
+    passes = _may_gather(head_p.tolist(), counts.tolist(), plan.period)
+    assert passes or (anded == len(groups) and not plan.wide)
+    return passes
+
+
+@pytest.mark.parametrize("limit", (100, 700, 5000))
+def test_the_gather_precheck_refuses_only_plans_that_and_every_group(limit):
+    # _groups ANDs a group while the groups before it keep at least
+    # 1/GATHER_COST of all k; the pre-check refuses a plan whose pre-sieved
+    # primes keep that much together, so it never refuses one that gathers
+    rng = random.Random(limit + 9)
+    outcomes = set()
+    for _ in range(60):
+        task = None
+        while task is None:
+            q_primes = rng.choice(((), (2, 3), (2, 3, 5, 7), (11, 13)))
+            offsets = {rng.randrange(-300, 301) for _ in range(rng.randrange(1, 16))}
+            task = admissible_task(rng, q_primes, offsets, limit)
+        span = rng.choice((1 << 11, 1 << 16, 1 << 20))
+        outcomes.add(gather_precheck(_SievePlan(task, span, rng.randrange(limit))))
+    assert outcomes == {False, True}
+
+
 @pytest.mark.parametrize("limit", (100, 1000, 10_000, 100_000))
 def test_windows_on_both_sides_of_the_presieve_and_a_grow_match_the_definition(limit):
     # short windows of one plan before its pre-sieve, after a grow, after
@@ -1120,7 +1170,8 @@ def test_witnesses_around_the_first_presieved_window_match_a_sympy_scan(depth, m
     start = MINUS_11_WITNESS - (depth - 1) * 210
     assert sympy_scan(MINUS_11, start, depth) == (MINUS_11_WITNESS, depth)
     task = ConstellationTask(MINUS_11, start=start)
-    assert search_with_count(task, LARGEST) == (MINUS_11_WITNESS, depth)
+    windows_up_to(monkeypatch, LARGEST)
+    assert search_with_count(task) == (MINUS_11_WITNESS, depth)
     assert [presieved for _, presieved in windows] == [n > PRESIEVE_AFTER for n, _ in windows]
     assert windows[-1][1] == (depth > ends[3])
 

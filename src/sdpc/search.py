@@ -12,11 +12,11 @@ A search sieves windows of k that start at FIRST_WINDOW candidates and
 double until they reach LARGEST_WINDOW, the one cap of every search, so a
 witness found early costs about its own depth rather than a largest
 window. A window is measured in the bytes it touches: a wide plan's
-(below) stays packed, 8 candidates to a byte, so its windows run from
-8 * FIRST_WINDOW to 8 * LARGEST_WINDOW. Every window's packed bits are
-one module buffer, grown to the longest window and reused. A window's
-survivors are kept as indices and become integers x only as they are
-certified, up to the witness.
+(below) stays packed, 8 candidates to a byte, so its windows after the
+first run from 16 * FIRST_WINDOW to 8 * LARGEST_WINDOW. Every window's
+packed bits are one module buffer, grown to the longest window and
+reused. A window's survivors are kept as indices and become integers x
+only as they are certified, up to the witness.
 
 Its sieving primes grow with its depth: the window ending hi candidates
 in sieves with those up to hi / DEPTH_PER_PRIME, and at least with the
@@ -46,9 +46,9 @@ its windows reuse it. The plan has three tiers:
    first. With more survivors than primes it gathers in two stages: the
    first thins the survivors that the second then reads, split where the
    reads are fewest. This tier costs about its patterns' bytes to build,
-   which short windows do not repay: a plan that is not wide builds it
-   in place at its first window longer than PRESIEVE_AFTER, and until
-   then strikes the pre-sieved primes' classes in tiers 2 and 3.
+   which short windows do not repay: a plan builds it in place at its
+   first window longer than PRESIEVE_AFTER, and until then strikes the
+   pre-sieved primes' classes in tiers 2 and 3.
 2. Middle primes: one strided write per (p, k0) entry; in the head,
    offsets that coincide mod p share one.
 3. Large primes, those hitting a window fewer than SCATTER_HITS times:
@@ -65,7 +65,11 @@ bytes, what a byte-path window of the span unpacks, so a sieve limit in
 the thousands never widens. A plan whose pre-sieved primes keep at least
 1/GATHER_COST of all k together ANDs every group, so it is seen not to be
 wide from its head alone, before the primes up to the limit are fetched.
-A search builds one plan and runs every window on it.
+A search builds one plan and runs every window on it. It asks whether
+the plan is wide only after the first window, so a search that ends
+there never fetches the primes up to the limit or forms the groups, and
+a wide plan builds its tables at its second window, the first longer
+than PRESIEVE_AFTER.
 
 Set-up costs a few NumPy passes per (prime, offset) entry; q is inverted
 prime by prime in _sieving_primes, once per q and prime range in a run.
@@ -74,8 +78,8 @@ offsets), can be pre-sieved, so only its classes are sorted and merged.
 A later prime keeps its m classes as they are: offsets that coincide mod
 it strike twice, which is harmless. So growing only appends tier 2 and 3
 entries past the head, before or after the pre-sieve, and a wide plan,
-which tables every prime up to the limit, appends the later primes'
-tables from their unsorted classes and is built whole.
+which tables every prime up to the limit, grows to the limit as it is
+built and appends the later primes' tables from their unsorted classes.
 
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
@@ -87,7 +91,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -197,11 +201,17 @@ def _sieve_entries(task: ConstellationTask) -> np.ndarray:
     return np.column_stack([np.repeat(primes, len(k0)), k0.T.ravel()])
 
 
+def _presieved(p, c):
+    """Whether a head prime p of c distinct classes is pre-sieved: whether
+    they cover at least 1/PRESIEVE_DENSITY of all k. Elementwise on arrays."""
+    return c * PRESIEVE_DENSITY >= p
+
+
 def _groups(head_p: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.ndarray, list, int]:
     """Which head primes head_p, of counts[i] distinct classes each, are
     pre-sieved; their groups (product, member indices among them ascending);
     and how many groups are ANDed (module docstring)."""
-    dense = (counts * PRESIEVE_DENSITY >= head_p) & (head_p <= period)
+    dense = _presieved(head_p, counts)
     ps, counts = head_p[dense].tolist(), counts[dense].tolist()
     # [product, share of k kept, member indices]
     groups: list[list] = []
@@ -223,15 +233,14 @@ def _groups(head_p: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.nda
     return dense, [(g[0], g[:1:-1]) for g in groups], anded
 
 
-def _may_gather(head_p: list[int], counts: list[int], period: int) -> bool:
+def _may_gather(head_p: list[int], counts: list[int]) -> bool:
     """Whether _groups could leave a group to gather: whether the head
     primes it pre-sieves keep under 1/GATHER_COST of all k together. If
     not, every share kept before a group is at least that, so it ANDs them
-    all: a plan refused here cannot be wide, and skips the primes up to
-    its limit and the groups."""
+    all, and the plan cannot be wide."""
     kept = 1.0
     for p, c in zip(head_p, counts):
-        if c * PRESIEVE_DENSITY >= p and p <= period:
+        if _presieved(p, c):
             kept *= 1 - c / p
     return kept * GATHER_COST < 1
 
@@ -291,13 +300,13 @@ def _packed_words(size: int) -> np.ndarray:
 class _SievePlan:
     """One task's sieve; every window of the search reuses it. It holds
     the sieving primes up to `bound`, at least its head (by default, up to
-    the sieve limit), and grow() appends later ones. A wide plan is built
-    whole. Any other strikes its pre-sieved primes with the other tiers
-    until a window longer than PRESIEVE_AFTER builds the tabled tier in
-    place (_presieve). See the module docstring for the tiers."""
+    the sieve limit), and grow() appends later ones. It strikes its
+    pre-sieved primes with the other tiers until a window longer than
+    PRESIEVE_AFTER builds the tabled tier in place (_presieve), which in a
+    wide plan tables every prime. See the module docstring for the tiers."""
 
     def __init__(self, task: ConstellationTask, span: int, bound: int | None = None):
-        self.task = task
+        self.task, self.span = task, span
         self.q = task.system.crt.modulus
         self.t = task.system.crt.residue
         self.offsets = task.system.offsets
@@ -316,28 +325,6 @@ class _SievePlan:
         distinct = np.ones(self.head_k0.shape, bool)
         distinct[:, 1:] = self.head_k0[:, 1:] != self.head_k0[:, :-1]
         counts = distinct.sum(axis=1)
-        # A wide plan tables and gathers every prime up to the limit, which
-        # pays only where the ANDed groups keep under 1/GATHER_COST of all
-        # k: where it gathers. Each must fit a period, and their tables, 8
-        # bytes per unit of p, take at most the bytes a window of `span`
-        # unpacks on the byte path. Whether it can gather at all is tested
-        # first, then the fit on the held primes and then on all; only then
-        # are the groups formed here.
-        def fits(ps: np.ndarray) -> bool:
-            return ps.max(initial=0) <= period and 8 * int(ps.sum()) <= span
-
-        head_p = self.primes[:head]
-        may_widen = (
-            _may_gather(head_p.tolist(), counts.tolist(), period)
-            and fits(self.primes)
-            and (self.bound == self.limit or fits(_sieving_primes(self.q, 2, self.limit)[0]))
-        )
-        grouping = _groups(head_p, counts, period) if may_widen else None
-        self.wide = grouping is not None and grouping[2] < len(grouping[1])
-        # a wide plan holds them all from the start and is built whole
-        if self.wide and self.bound < self.limit:
-            self.bound = self.limit
-            self.primes, k0 = _hit_classes(task)
         # the other tiers' entries, ascending in p, and their count per
         # prime; until _presieve, the pre-sieved primes' too, at the front
         self.rest_count = np.full(len(self.primes), m)
@@ -354,16 +341,46 @@ class _SievePlan:
             if z_lo < z_hi:
                 self.zones.append((d, z_lo, z_hi))
                 self.zones_end = max(self.zones_end, z_hi)
-        if self.wide:
-            self._presieve(grouping)
 
-    def _presieve(self, grouping: tuple | None = None) -> None:
+    @cached_property
+    def _grouping(self) -> tuple[np.ndarray, list, int]:
+        """_groups of the head, formed once, before _presieve drops the
+        pre-sieved primes' counts from rest_count."""
+        head = len(self.head_k0)
+        return _groups(self.primes[:head], self.rest_count[:head], self.period)
+
+    @cached_property
+    def wide(self) -> bool:
+        """Whether the plan tables and gathers every sieving prime up to
+        the limit (module docstring). That pays only where the ANDed groups
+        keep under 1/GATHER_COST of all k: where it gathers. Each prime
+        must fit a period, and their tables, 8 bytes per unit of p, take at
+        most the bytes a window of the plan's span unpacks on the byte
+        path. Decided at the first read, which in a search comes after its
+        first window: whether it can gather at all, then the fit on the
+        held primes and on all, then the groups."""
+        head = len(self.head_k0)
+        if not _may_gather(self.primes[:head].tolist(), self.rest_count[:head].tolist()):
+            return False
+
+        def fits(ps: np.ndarray) -> bool:
+            return ps.max(initial=0) <= self.period and 8 * int(ps.sum()) <= self.span
+
+        if not fits(self.primes) or not fits(_sieving_primes(self.q, 2, self.limit)[0]):
+            return False
+        _, groups, anded = self._grouping
+        return anded < len(groups)
+
+    def _presieve(self) -> None:
         """Build the tabled tier (module docstring): the tables, the ANDed
         patterns and the gathered primes. Their entries leave the other
-        tiers; in a wide plan, which tables every prime, all entries do."""
+        tiers; in a wide plan, which first grows to the limit and tables
+        every prime, all entries do."""
+        if self.wide:
+            self.grow(self.limit)
         m, head_p = len(self.offsets), self.primes[: len(self.head_k0)]
         counts = self.rest_count[: len(head_p)]
-        dense, groups, anded = grouping or _groups(head_p, counts, self.period)
+        dense, groups, anded = self._grouping
         ps = head_p[dense].tolist()
         # tables true where a tabled prime leaves k alive, 8 periods each:
         # the pre-sieved primes, then in a wide plan the head's others and
@@ -409,7 +426,7 @@ class _SievePlan:
     def grow(self, bound: int) -> None:
         """Hold every sieving prime up to min(bound, sieve_limit). The new
         ones lie past the head and join the other tiers in ascending p; a
-        wide plan holds them all already."""
+        built wide plan holds them all already."""
         bound = min(bound, self.limit)
         if bound <= self.bound:
             return
@@ -557,11 +574,11 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     Windows of k start at FIRST_WINDOW candidates and double until they
     reach LARGEST_WINDOW; one plan, built for that span or the budget if
     smaller (module docstring), sieves them all. If the plan is wide, its
-    windows are packed bits and 8 times as long, from 8 * FIRST_WINDOW to
-    8 * LARGEST_WINDOW, so that LARGEST_WINDOW bounds the bytes of a
-    window either way. Before each window the plan grows to the sieving
-    primes up to the window's end, in candidates from the start, /
-    DEPTH_PER_PRIME. The candidate count is the number of progression
+    windows after the first are packed bits and 8 times as long, from
+    16 * FIRST_WINDOW to 8 * LARGEST_WINDOW, so that LARGEST_WINDOW bounds
+    the bytes of a window either way. Before each window the plan grows
+    to the sieving primes up to the window's end, in candidates from the
+    start, / DEPTH_PER_PRIME. The candidate count is the number of progression
     members considered, counted before sieving, so exhaustion means
     exactly `budget` of them were covered.
     """
@@ -574,16 +591,16 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     k_end = k_start + task.budget
     bound = min(FIRST_WINDOW, task.budget) // DEPTH_PER_PRIME
     plan = _SievePlan(task, min(LARGEST_WINDOW, task.budget), bound)
-    # a wide plan's window is packed bits, so it runs 8 times as long for
-    # the bytes a byte-path window touches
-    scale = 8 if plan.wide else 1
-    lo, size, largest = k_start, scale * FIRST_WINDOW, scale * LARGEST_WINDOW
+    lo, size = k_start, FIRST_WINDOW
     while lo < k_end:
-        hi = min(lo + size, k_end)
+        # after the first window a wide plan's windows are packed bits, so
+        # they run 8 times as long for the bytes a byte-path window touches
+        scale = 8 if lo > k_start and plan.wide else 1
+        hi = min(lo + scale * size, k_end)
         plan.grow((hi - k_start) // DEPTH_PER_PRIME)
         for j in plan.window(lo, hi).tolist():
             x = t + (lo + j) * q
             if x not in task.exclusions and _witness_ok(task, x):
                 return x, lo + j - k_start + 1
-        lo, size = hi, min(2 * size, largest)
+        lo, size = hi, min(2 * size, LARGEST_WINDOW)
     return None, task.budget

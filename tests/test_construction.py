@@ -412,10 +412,10 @@ def record_plans(monkeypatch):
 
 def test_each_search_builds_one_plan(monkeypatch):
     # every search of the coverage-8 run sieves all its windows on the one
-    # plan it builds first; the +-13 plans are wide from their first
-    # window on: they gather there and have no strided or scattered
-    # entries, and their windows are 8 times as long, from 8 * FIRST_WINDOW
-    # to 8 * LARGEST_WINDOW. Windows double until one holds the witness.
+    # plan it builds first; the +-13 plans are wide: after a first window
+    # of FIRST_WINDOW they gather and have no strided or scattered entries,
+    # and their windows are 8 times as long, from 8 * 2 * FIRST_WINDOW to
+    # 8 * LARGEST_WINDOW. Windows double until one holds the witness.
     plans = record_plans(monkeypatch)
     for target, task in step_tasks()[:-1]:
         plans.clear()
@@ -423,11 +423,10 @@ def test_each_search_builds_one_plan(monkeypatch):
         assert len(plans) == 1, target
         plan = plans[0]
         assert plan.wide == (abs(target) == 13), target
-        scale = 8 if plan.wide else 1
-        size, expected = scale * FIRST_WINDOW, []
+        size, scale, expected = FIRST_WINDOW, 1, []
         while sum(expected) < depth:
-            expected.append(size)
-            size = min(2 * size, scale * search.LARGEST_WINDOW)
+            expected.append(scale * size)
+            size, scale = min(2 * size, search.LARGEST_WINDOW), 8 if plan.wide else 1
         assert plan.windows == expected, target
         if plan.wide:
             assert len(plan.gather_p) and len(plan.rest_p) == 0, target
@@ -439,7 +438,7 @@ def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
     # plan each search of the run builds holds the primes of the plan for
     # LARGEST_WINDOW at that limit through the search, and once both have
     # pre-sieved, is that plan array for array. A plan pre-sieves at its
-    # first window longer than PRESIEVE_AFTER, or from the start if wide.
+    # first window longer than PRESIEVE_AFTER, a wide one at its second.
     # Step 9 (+17) searches four of its longest windows.
     assert FIRST_WINDOW // search.DEPTH_PER_PRIME >= DEFAULT_SIEVE_LIMIT
     plan_at_limit = search._SievePlan
@@ -453,7 +452,7 @@ def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
         full = plan_at_limit(task, search.LARGEST_WINDOW)
         assert plan.bound == full.bound == DEFAULT_SIEVE_LIMIT
         assert np.array_equal(plan.primes, full.primes), target
-        assert (plan.good is not None) == (plan.wide or max(plan.windows) > search.PRESIEVE_AFTER)
+        assert (plan.good is not None) == (max(plan.windows) > search.PRESIEVE_AFTER)
         for each in (plan, full):
             if each.good is None:
                 each._presieve()
@@ -467,6 +466,8 @@ def assert_same_plan(plan, want, target):
         if name == "patterns":
             assert len(got) == len(value), target
             assert all(np.array_equal(a, b) for a, b in zip(got, value)), target
+        elif name == "_grouping":
+            assert np.array_equal(got[0], value[0]) and got[1:] == value[1:], target
         elif isinstance(value, np.ndarray):
             assert got.dtype == value.dtype and np.array_equal(got, value), (target, name)
         else:
@@ -521,6 +522,7 @@ def test_long_windows_of_the_gathering_steps_leave_the_byte_path():
     changed = set()
     for target, task in step_tasks():
         plan = search._SievePlan(task, search.LARGEST_WINDOW)
+        plan._presieve()
         gathers = len(plan.gather_p) > 0
         assert gathers == (abs(target) >= 13) == gather_precheck(plan)
         assert plan.wide == gathers and (len(plan.rest_p) == 0) == gathers

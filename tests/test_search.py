@@ -244,14 +244,14 @@ DEEP_WITNESS, PREVIOUS_WITNESS = 144161, 55331
 LARGEST = 1 << 16
 
 
-def window_ends(segment_size, scale=1):
+def window_ends(segment_size, wide=False):
     """Depths at which the windows of a search grow, while they grow; a
-    wide plan's windows are scale = 8 times as long."""
-    ends, end, size = [], 0, scale * min(FIRST_WINDOW, segment_size)
-    while size < scale * segment_size:
-        end += size
+    wide plan's windows after the first are 8 times as long."""
+    ends, end, size, scale = [], 0, min(FIRST_WINDOW, segment_size), 1
+    while size < segment_size:
+        end += scale * size
         ends.append(end)
-        size *= 2
+        size, scale = 2 * size, 8 if wide else 1
     return ends
 
 
@@ -328,15 +328,25 @@ def test_exhaustion_mid_growth_covers_exactly_the_budget(monkeypatch):
 
 def test_a_shallow_witness_sieves_one_first_window(monkeypatch):
     # the witness is 100 candidates in: neither a largest window of 2**16
-    # nor one of 2**20 may be sieved whole, only the first window, 8 times
-    # as long where the plan is wide
+    # nor one of 2**20 may be sieved whole, only the first window, and the
+    # plan, wide at 2**20, is neither built wide nor asked whether it is
     windows = record_windows(monkeypatch)
+    plans = []
+    build = _SievePlan.__init__
+
+    def init(plan, *args):
+        build(plan, *args)
+        plans.append(plan)
+
+    monkeypatch.setattr(_SievePlan, "__init__", init)
     task = quintuplet_task(100)
-    for largest, first in ((LARGEST, FIRST_WINDOW), (1 << 20, 8 * FIRST_WINDOW)):
+    for largest in (LARGEST, 1 << 20):
         windows.clear()
         windows_up_to(monkeypatch, largest)
         assert search_with_count(task) == (DEEP_WITNESS, 100)
-        assert windows == [(task.start, task.start + first)], largest
+        assert windows == [(task.start, task.start + FIRST_WINDOW)], largest
+        assert plans[-1].good is None and "wide" not in vars(plans[-1])
+        assert plans[-1].wide == (largest == 1 << 20)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +369,7 @@ STEP_8 = TupleSystem(CrtClass(210, 155, (2, 3, 5, 7)), (
 ))
 STEP_8_WITNESS = 68092385285
 WIDE = 1 << 20
+WIDE_ENDS = window_ends(WIDE, wide=True)
 
 
 def step_8_task(depth):
@@ -394,16 +405,17 @@ def test_certifying_a_screened_witness_runs_base_2_once(monkeypatch):
 
 
 def test_a_wide_plan_sieves_windows_8_times_as_long(monkeypatch):
-    # from 8 * FIRST_WINDOW, doubling to 8 * LARGEST_WINDOW, then steady
+    # after a first window of FIRST_WINDOW, from 8 * 2 * FIRST_WINDOW,
+    # doubling to 8 * LARGEST_WINDOW, then steady
     windows = record_windows(monkeypatch)
-    ends = window_ends(WIDE, 8)
-    budget = ends[-1] + 3 * 8 * WIDE + 5000
+    budget = WIDE_ENDS[-1] + 3 * 8 * WIDE + 5000
     task = step_9_task(budget)
     windows_up_to(monkeypatch, WIDE)
     assert search_with_count(task) == (None, budget)
     sizes = [hi - lo for lo, hi in windows]
-    assert sizes[0] == 8 * FIRST_WINDOW and max(sizes) == 8 * WIDE
-    assert sizes == [8 * FIRST_WINDOW << i for i in range(len(ends))] + [8 * WIDE] * 3 + [5000]
+    assert sizes[0] == FIRST_WINDOW and max(sizes) == 8 * WIDE
+    growing = [FIRST_WINDOW] + [8 * FIRST_WINDOW << i for i in range(1, len(WIDE_ENDS))]
+    assert sizes == growing + [8 * WIDE] * 3 + [5000]
 
 
 def test_wide_witnesses_around_each_growth_end_match_the_byte_path(monkeypatch):
@@ -416,17 +428,19 @@ def test_wide_witnesses_around_each_growth_end_match_the_byte_path(monkeypatch):
             got.append(search_with_count(task))
         return got
 
-    for end in window_ends(WIDE, 8):
+    for end in WIDE_ENDS:
         for depth in (end - 1, end, end + 1):
             assert search_both(step_8_task(depth)) == [(STEP_8_WITNESS, depth)] * 2, depth
-    for depth in (1, 8 * FIRST_WINDOW, 8 * FIRST_WINDOW + 1, 3 * 8 * FIRST_WINDOW + 1):
+    first = FIRST_WINDOW
+    for depth in (1, first, first + 1, 8 * first, 8 * first + 1, 3 * 8 * first + 1):
         wide, narrow = search_both(quintuplet_task(depth))
         assert wide == narrow, depth
 
 
 # from a budget of about 111,000 on, 8 tables of each step-9 sieving prime
-# fit the plan's span, min(WIDE, budget), and the plan is wide
-@pytest.mark.parametrize("budget", (200_000, window_ends(WIDE, 8)[3], window_ends(WIDE, 8)[-1] + 1))
+# fit the plan's span, min(WIDE, budget), and the plan is wide; the budget
+# ends a growing window, falls inside one, or ends one past the last
+@pytest.mark.parametrize("budget", (200_000, 245_760, 8_372_225, WIDE_ENDS[3], WIDE_ENDS[-1] + 1))
 def test_wide_exhaustion_mid_growth_covers_exactly_the_budget(budget, monkeypatch):
     windows = record_windows(monkeypatch)
     task = step_9_task(budget)
@@ -434,7 +448,7 @@ def test_wide_exhaustion_mid_growth_covers_exactly_the_budget(budget, monkeypatc
     assert search_with_count(task) == (None, budget)
     ends = [hi for _, hi in windows]
     assert [lo for lo, _ in windows] == [STEP_9_K] + ends[:-1]
-    assert ends == [STEP_9_K + e for e in window_ends(WIDE, 8) if e < budget] + [STEP_9_K + budget]
+    assert ends == [STEP_9_K + e for e in WIDE_ENDS if e < budget] + [STEP_9_K + budget]
 
 
 @pytest.mark.parametrize("lo", (STEP_9_K + 12345, (1 << 64) + 3))
@@ -515,7 +529,7 @@ def admissible_task(rng, primes_of_q, offsets, limit):
 
 def presieved(plan):
     """The plan with its tabled tier built, as its first window longer than
-    PRESIEVE_AFTER builds it; a wide plan has it from the start."""
+    PRESIEVE_AFTER builds it."""
     if plan.good is None:
         plan._presieve()
     return plan
@@ -720,14 +734,14 @@ def all_anded(task, span, lo, hi, monkeypatch):
     """The window's survivors from a plan that ANDs every group."""
     with monkeypatch.context() as m:
         m.setattr(search, "GATHER_COST", 1 << 62)
-        plan = _SievePlan(task, span)
+        plan = presieved(_SievePlan(task, span))
     assert len(plan.gather_p) == 0
     return plan.window(lo, hi)
 
 
 def test_long_and_first_step_9_windows_both_gather(monkeypatch):
     task = ConstellationTask(STEP_9, start=STEP_9_K * 210 + 155)
-    plan = _SievePlan(task, 1 << 20)
+    plan = presieved(_SievePlan(task, 1 << 20))
     assert plan.patterns and len(plan.gather_p)
     lo = STEP_9_K
     got, gathered = gathers(plan, lo, lo + (1 << 20))
@@ -781,7 +795,7 @@ def test_a_window_over_a_forgiveness_zone_gathers():
     # gathers and re-decides the zone's struck k on its survivors; the
     # window after the zone gathers too
     task = admissible_task(random.Random(7), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
-    plan = _SievePlan(task, 1 << 20)
+    plan = presieved(_SievePlan(task, 1 << 20))
     n = 1 << 15
     assert len(plan.gather_p) and plan.zones
     assert 0 < max(z_hi for _, _, z_hi in plan.zones) < n
@@ -971,7 +985,7 @@ def test_plan_entries_are_the_distinct_classes(offsets, span, monkeypatch):
         assert not plan.wide
         with monkeypatch.context() as m:
             m.setattr(search, "GATHER_COST", 2)
-            wide = _SievePlan(task, 1 << 20)
+            wide = presieved(_SievePlan(task, 1 << 20))
         assert wide.wide and len(wide.rest_p) == len(wide.rest_k0) == 0
         entries = plan_entries(wide)
         assert len(entries) == len(set(entries)) and set(entries) == naive_entries(task)
@@ -1019,7 +1033,7 @@ def gather_precheck(plan):
     head_p = plan.primes[: len(plan.head_k0)]
     counts = np.array([len(set(row)) for row in plan.head_k0.tolist()], np.int64)
     _, groups, anded = _groups(head_p, counts, plan.period)
-    passes = _may_gather(head_p.tolist(), counts.tolist(), plan.period)
+    passes = _may_gather(head_p.tolist(), counts.tolist())
     assert passes or (anded == len(groups) and not plan.wide)
     return passes
 
@@ -1050,8 +1064,8 @@ def test_windows_on_both_sides_of_the_presieve_and_a_grow_match_the_definition(l
     # window against short sieve_segment pieces, which never pre-sieve.
     # Windows from k = 0, inside the forgiveness zone, at random and
     # above 2**63.
-    # A wide plan is built whole, so a system whose plan would be is drawn
-    # again.
+    # A wide plan grows to the limit as it pre-sieves, so a system whose
+    # plan would be is drawn again.
     rng = random.Random(limit + 5)
     n = 40
     for _ in range(3):

@@ -60,11 +60,12 @@ Without tier 2 and 3 entries a window finds its survivors in the nonzero
 That byte path costs every window a pass over n bytes, whatever its
 entries. So a plan that gathers is wide if it can be: every sieving
 prime is tabled and gathered, and the byte path drops out. This needs
-each prime to fit a period and all tables to take at most the span's
-bytes, what a byte-path window of the span unpacks, so a sieve limit in
-the thousands never widens. A plan whose pre-sieved primes keep at least
-1/GATHER_COST of all k together ANDs every group, so it is seen not to be
-wide from its head alone, before the primes up to the limit are fetched.
+the sieve limit to fit a period and the tables of all primes up to it to
+take at most the span's bytes, what a byte-path window of the span
+unpacks, so a sieve limit in the thousands never widens. The limit is
+read first: only a plan whose limit fits a period fetches the primes up
+to it for this test, and any other fetches them only as its windows
+grow to them.
 A search builds one plan and runs every window on it. It asks whether
 the plan is wide only after the first window, so a search that ends
 there never fetches the primes up to the limit or forms the groups, and
@@ -201,17 +202,12 @@ def _sieve_entries(task: ConstellationTask) -> np.ndarray:
     return np.column_stack([np.repeat(primes, len(k0)), k0.T.ravel()])
 
 
-def _presieved(p, c):
-    """Whether a head prime p of c distinct classes is pre-sieved: whether
-    they cover at least 1/PRESIEVE_DENSITY of all k. Elementwise on arrays."""
-    return c * PRESIEVE_DENSITY >= p
-
-
 def _groups(head_p: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.ndarray, list, int]:
     """Which head primes head_p, of counts[i] distinct classes each, are
-    pre-sieved; their groups (product, member indices among them ascending);
-    and how many groups are ANDed (module docstring)."""
-    dense = _presieved(head_p, counts)
+    pre-sieved, their classes covering at least 1/PRESIEVE_DENSITY of all k;
+    their groups (product, member indices among them ascending); and how
+    many groups are ANDed (module docstring)."""
+    dense = counts * PRESIEVE_DENSITY >= head_p
     ps, counts = head_p[dense].tolist(), counts[dense].tolist()
     # [product, share of k kept, member indices]
     groups: list[list] = []
@@ -231,18 +227,6 @@ def _groups(head_p: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.nda
         kept *= groups[anded][1]
         anded += 1
     return dense, [(g[0], g[:1:-1]) for g in groups], anded
-
-
-def _may_gather(head_p: list[int], counts: list[int]) -> bool:
-    """Whether _groups could leave a group to gather: whether the head
-    primes it pre-sieves keep under 1/GATHER_COST of all k together. If
-    not, every share kept before a group is at least that, so it ANDs them
-    all, and the plan cannot be wide."""
-    kept = 1.0
-    for p, c in zip(head_p, counts):
-        if _presieved(p, c):
-            kept *= 1 - c / p
-    return kept * GATHER_COST < 1
 
 
 def _periodic_and(rows: list[np.ndarray], pattern: np.ndarray) -> np.ndarray:
@@ -353,23 +337,16 @@ class _SievePlan:
     def wide(self) -> bool:
         """Whether the plan tables and gathers every sieving prime up to
         the limit (module docstring). That pays only where the ANDed groups
-        keep under 1/GATHER_COST of all k: where it gathers. Each prime
-        must fit a period, and their tables, 8 bytes per unit of p, take at
-        most the bytes a window of the plan's span unpacks on the byte
-        path. Decided at the first read, which in a search comes after its
-        first window: whether it can gather at all, then the fit on the
-        held primes and on all, then the groups."""
-        head = len(self.head_k0)
-        if not _may_gather(self.primes[:head].tolist(), self.rest_count[:head].tolist()):
-            return False
-
-        def fits(ps: np.ndarray) -> bool:
-            return ps.max(initial=0) <= self.period and 8 * int(ps.sum()) <= self.span
-
-        if not fits(self.primes) or not fits(_sieving_primes(self.q, 2, self.limit)[0]):
+        keep under 1/GATHER_COST of all k: where it gathers. The limit must
+        fit a period, and the tables of the primes up to it, 8 bytes per
+        unit of p, take at most the bytes a window of the plan's span
+        unpacks on the byte path. Decided at the first read, which in a
+        search comes after its first window; the primes up to the limit
+        are fetched only when it fits a period, at most PATTERN_PERIOD."""
+        if self.limit > self.period:
             return False
         _, groups, anded = self._grouping
-        return anded < len(groups)
+        return anded < len(groups) and 8 * int(_sieving_primes(self.q, 2, self.limit)[0].sum()) <= self.span
 
     def _presieve(self) -> None:
         """Build the tabled tier (module docstring): the tables, the ANDed

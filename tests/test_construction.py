@@ -10,8 +10,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from test_search import gather_precheck
-
 import sdpc
 from sdpc.admissible import TupleSystem
 from sdpc.construction import (
@@ -517,19 +515,17 @@ def test_long_windows_of_the_gathering_steps_leave_the_byte_path():
     # strided or scattered entries left; one that ANDs every group keeps
     # them, as gathering behind those ANDs would read too many survivors.
     # For windows of 2**16 no plan widens, and only +17 has no such
-    # entries, so widening changes the +-13 plans alone. At either span
-    # the gather pre-check passes exactly the plans that gather.
+    # entries, so widening changes the +-13 plans alone.
     changed = set()
     for target, task in step_tasks():
         plan = search._SievePlan(task, search.LARGEST_WINDOW)
         plan._presieve()
         gathers = len(plan.gather_p) > 0
-        assert gathers == (abs(target) >= 13) == gather_precheck(plan)
+        assert gathers == (abs(target) >= 13)
         assert plan.wide == gathers and (len(plan.rest_p) == 0) == gathers
         narrow = search._SievePlan(task, 1 << 16)
         narrow._presieve()
         assert not narrow.wide
-        assert gather_precheck(narrow) == (len(narrow.gather_p) > 0), target
         if plan.wide and len(narrow.rest_p):
             changed.add(target)
     assert changed == {13, -13}

@@ -26,9 +26,7 @@ from sdpc.search import (
     PRESIEVE_DENSITY,
     SCATTER_HITS,
     ConstellationTask,
-    _groups,
     _hit_classes,
-    _may_gather,
     _SievePlan,
     is_prime,
     search_with_count,
@@ -347,6 +345,25 @@ def test_a_shallow_witness_sieves_one_first_window(monkeypatch):
         assert windows == [(task.start, task.start + FIRST_WINDOW)], largest
         assert plans[-1].good is None and "wide" not in vars(plans[-1])
         assert plans[-1].wide == (largest == 1 << 20)
+
+
+def test_a_shallow_search_with_a_large_limit_fetches_only_its_depth(monkeypatch):
+    # at limit 1e7, far above any pattern period, the plan cannot be wide,
+    # and asking so after the first window must not fetch the primes up to
+    # the limit: the two windows end 3 * FIRST_WINDOW in, so the search
+    # holds the primes up to 1,536, from the table up to 2,048
+    sizes = []
+    table = search.primes_up_to
+
+    def primes_up_to(n):
+        sizes.append(n)
+        return table(n)
+
+    search._sieving_primes.cache_clear()
+    monkeypatch.setattr(search, "primes_up_to", primes_up_to)
+    task = replace(quintuplet_task(5000), sieve_limit=10**7)
+    assert search_with_count(task) == (DEEP_WITNESS, 5000)
+    assert sizes and max(sizes) <= 2048
 
 
 # ---------------------------------------------------------------------------
@@ -1025,35 +1042,6 @@ def test_a_plan_grown_range_by_range_equals_one_built_at_the_limit(limit, gather
         for name in ("primes", "rest_p", "rest_k0", "rest_count"):
             grown, built = getattr(plan, name), getattr(full, name)
             assert grown.dtype == built.dtype and np.array_equal(grown, built), (span, name)
-
-
-def gather_precheck(plan):
-    """Whether the plan passes the gather pre-check; where it does not,
-    _groups must AND every group of its head, and the plan is not wide."""
-    head_p = plan.primes[: len(plan.head_k0)]
-    counts = np.array([len(set(row)) for row in plan.head_k0.tolist()], np.int64)
-    _, groups, anded = _groups(head_p, counts, plan.period)
-    passes = _may_gather(head_p.tolist(), counts.tolist())
-    assert passes or (anded == len(groups) and not plan.wide)
-    return passes
-
-
-@pytest.mark.parametrize("limit", (100, 700, 5000))
-def test_the_gather_precheck_refuses_only_plans_that_and_every_group(limit):
-    # _groups ANDs a group while the groups before it keep at least
-    # 1/GATHER_COST of all k; the pre-check refuses a plan whose pre-sieved
-    # primes keep that much together, so it never refuses one that gathers
-    rng = random.Random(limit + 9)
-    outcomes = set()
-    for _ in range(60):
-        task = None
-        while task is None:
-            q_primes = rng.choice(((), (2, 3), (2, 3, 5, 7), (11, 13)))
-            offsets = {rng.randrange(-300, 301) for _ in range(rng.randrange(1, 16))}
-            task = admissible_task(rng, q_primes, offsets, limit)
-        span = rng.choice((1 << 11, 1 << 16, 1 << 20))
-        outcomes.add(gather_precheck(_SievePlan(task, span, rng.randrange(limit))))
-    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("limit", (100, 1000, 10_000, 100_000))

@@ -8,16 +8,21 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
 
-# Miller-Rabin base sets, the first k prime bases, each deterministic below
-# its bound: the smallest strong pseudoprime to all of them. The bounds for
-# k = 1 to 7 are Jaeschke's (Math. Comp. 61, 1993) and for k = 9 Jiang and
-# Deng's (Math. Comp. 83, 2014); the first twelve cover 2**64 (Sorenson and
-# Webster 2015). 8 bases would end where 7 do, as would 10 or 11 where 9 do.
+# Miller-Rabin base sets, each deterministic below its bound: the smallest
+# strong pseudoprime to all of its bases. Most are the first k prime bases:
+# Jaeschke's bounds (Math. Comp. 61, 1993) for k = 1 to 3 and 5 to 7, and
+# Jiang and Deng's (Math. Comp. 83, 2014) for k = 9; the first twelve cover
+# 2**64 (Sorenson and Webster 2015). 8 bases would end where 7 do, as would
+# 10 or 11 where 9 do. Two shorter sets, also Jaeschke's, take the place
+# of the first four prime bases and reach further: {2, 7, 61} and
+# {2, 13, 23, 1662803}. Every set leads with base 2, which a screened value
+# has passed (is_prime).
 _MR_TIERS = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
     (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1662803)),
     (2_152_302_898_747, (2, 3, 5, 7, 11)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),

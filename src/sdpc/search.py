@@ -86,6 +86,14 @@ Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
 afterwards, in those windows only, every k missing from the survivors
 with some |x + d| a sieving prime held is re-decided exactly.
+
+Past its first window a search screens a window's survivors before it
+certifies them: it drops each with some x + d that a prime p in
+(sieve_limit, SCREEN_LIMIT] divides, read at (lo + j) mod p from one
+period per prime in one flat table, as the gathered tier reads its
+tables. That is trial division, and it runs only from the first k where
+every |x + d| exceeds SCREEN_LIMIT, so it drops only composites. The
+screen lies outside the sieve: a window's survivors keep their meaning.
 """
 
 from __future__ import annotations
@@ -94,6 +102,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -121,6 +130,9 @@ SCATTER_HITS = 32
 GATHER_COST = 1 << 12
 # Hits per indexed write, which bounds the scatter's index arrays.
 SCATTER_BATCH = 1 << 16
+# Past its first window a search drops the survivors with a value that a
+# prime in (sieve_limit, SCREEN_LIMIT] divides; from a sweep (CHANGES.md).
+SCREEN_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -159,13 +171,22 @@ def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
     return -r % moduli if n < 0 else r
 
 
+def _table_top(hi: int, limit: int) -> int:
+    """Which prime table to cut the primes up to hi from, at sieve limit
+    `limit`: searches share the table up to the power of two above hi,
+    until that passes the limit and a first window's primes; the limit's
+    own table is then the last."""
+    top = 1 << (hi - 1).bit_length()
+    return top if top <= max(limit, FIRST_WINDOW // DEPTH_PER_PRIME) else max(hi, limit)
+
+
 @lru_cache(maxsize=64)
-def _sieving_primes(q: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes p in [lo, hi] that do not divide q and -q**-1 mod each;
-    read-only, as every plan of a construction shares them. The one place
-    q is inverted: prime by prime, from q mod p."""
-    # one cached table per power of two, cut to [lo, hi]
-    table = primes_up_to(1 << (hi - 1).bit_length())
+def _sieving_primes(q: int, lo: int, hi: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p in [lo, hi] that do not divide q and -q**-1 mod each,
+    cut from the cached table of the primes up to top >= hi; read-only, as
+    every plan of a construction shares them. The one place q is inverted:
+    prime by prime, from q mod p."""
+    table = primes_up_to(top)
     primes = np.array(table[bisect_left(table, lo) : bisect_right(table, hi)], np.int64)
     a = _residues(q, primes)
     primes, a = primes[a != 0], a[a != 0]
@@ -182,7 +203,7 @@ def _hit_classes(
     where p | t + k*q + d: one row per offset."""
     crt, offsets = task.system.crt, task.system.offsets
     hi = task.sieve_limit if hi is None else hi
-    primes, neg_inv = _sieving_primes(crt.modulus, lo, hi)
+    primes, neg_inv = _sieving_primes(crt.modulus, lo, hi, _table_top(hi, task.sieve_limit))
     # k0 = (t + d) * -q**-1 mod p. Below 2**31 an offset joins t mod p as
     # it is; |t mod p + d| < 2**32 keeps the products in int64.
     small = [d if abs(d) < 1 << 31 else 0 for d in offsets]
@@ -346,7 +367,8 @@ class _SievePlan:
         if self.limit > self.period:
             return False
         _, groups, anded = self._grouping
-        return anded < len(groups) and 8 * int(_sieving_primes(self.q, 2, self.limit)[0].sum()) <= self.span
+        top = _table_top(self.limit, self.limit)
+        return anded < len(groups) and 8 * int(_sieving_primes(self.q, 2, self.limit, top)[0].sum()) <= self.span
 
     def _presieve(self) -> None:
         """Build the tabled tier (module docstring): the tables, the ANDed
@@ -532,6 +554,45 @@ def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
     return [plan.t + (lo + j) * plan.q for j in plan.window(lo, hi).tolist()]
 
 
+class _Screen:
+    """Trial division of a window's survivors by the primes p in
+    (sieve_limit, SCREEN_LIMIT] (module docstring)."""
+
+    def __init__(self, task: ConstellationTask):
+        q, t = task.system.crt.modulus, task.system.crt.residue
+        # as the gathered tier's tables, but one period each: the primes
+        # and where each period starts in the flat table, as columns, and
+        # the table, true on the k mod p that p leaves alive
+        primes, k0 = _hit_classes(task, task.sieve_limit + 1, SCREEN_LIMIT)
+        at = primes.cumsum() - primes
+        self.good = np.ones(int(primes.sum()), bool)
+        self.good[at + k0] = False
+        self.primes, self.at = primes[:, None], at[:, None]
+        # from this k on every |x + d| exceeds SCREEN_LIMIT, so that no
+        # value can be its own screening prime
+        self.start = max(0, *((SCREEN_LIMIT - d - t) // q + 1 for d in task.system.offsets))
+        self.size = 1
+
+    def survivors(self, js: np.ndarray, lo: int) -> Iterator[int]:
+        """The survivors js of the window from lo, ascending, less those
+        with some x + d that a screening prime divides; before the start,
+        all of js. In ascending slices, the next twice as long after each
+        whole one, through the search's windows: a search that stops at a
+        witness has screened at most about twice the survivors it reached,
+        and a sparse one screens about one slice a window."""
+        if lo < self.start:
+            yield from js.tolist()
+            return
+        r = _residues(lo, self.primes)
+        a = 0
+        while a < len(js):
+            part = js[a : a + self.size]
+            a += len(part)
+            if len(part) == self.size:
+                self.size *= 2
+            yield from part[self.good[(part + r) % self.primes + self.at].all(axis=0)].tolist()
+
+
 def _witness_ok(task: ConstellationTask, x: int) -> bool:
     # a base-2 test screens every value, as most survivors fail it on one;
     # certifying then starts from the second base
@@ -555,7 +616,9 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     16 * FIRST_WINDOW to 8 * LARGEST_WINDOW, so that LARGEST_WINDOW bounds
     the bytes of a window either way. Before each window the plan grows
     to the sieving primes up to the window's end, in candidates from the
-    start, / DEPTH_PER_PRIME. The candidate count is the number of progression
+    start, / DEPTH_PER_PRIME. Past the first window a screen by the primes
+    up to SCREEN_LIMIT drops survivors before they are certified (module
+    docstring). The candidate count is the number of progression
     members considered, counted before sieving, so exhaustion means
     exactly `budget` of them were covered.
     """
@@ -568,6 +631,7 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     k_end = k_start + task.budget
     bound = min(FIRST_WINDOW, task.budget) // DEPTH_PER_PRIME
     plan = _SievePlan(task, min(LARGEST_WINDOW, task.budget), bound)
+    screen = None
     lo, size = k_start, FIRST_WINDOW
     while lo < k_end:
         # after the first window a wide plan's windows are packed bits, so
@@ -575,7 +639,12 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
         scale = 8 if lo > k_start and plan.wide else 1
         hi = min(lo + scale * size, k_end)
         plan.grow((hi - k_start) // DEPTH_PER_PRIME)
-        for j in plan.window(lo, hi).tolist():
+        js = plan.window(lo, hi)
+        # built at the first window past the first with survivors, so that
+        # a search that ends in its first window never builds it
+        if screen is None and lo > k_start and len(js) and task.sieve_limit < SCREEN_LIMIT:
+            screen = _Screen(task)
+        for j in screen.survivors(js, lo) if screen else js.tolist():
             x = t + (lo + j) * q
             if x not in task.exclusions and _witness_ok(task, x):
                 return x, lo + j - k_start + 1

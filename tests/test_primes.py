@@ -84,9 +84,10 @@ def test_exact_primality_on_adversarial_values():
     assert is_prime_exact(near_boundary) == sympy.isprime(near_boundary)
 
 
-# Strong pseudoprimes to every base of a smaller set: the first two are the
-# bounds of the 4- and 7-base tiers, and the third passes every prime base
-# below 37, so only the last base of the 12-base tier rejects it.
+# Strong pseudoprimes to every base of a smaller set: the first to the
+# first four prime bases, inside the {2, 7, 61} tier, which must still
+# reject it; the second the bound of the 7-base tier; the third passes every
+# prime base below 37, so only the last base of the 12-base tier rejects it.
 TIER_PSEUDOPRIMES = (3215031751, 341550071728321, 3825123056546413051)
 
 
@@ -96,33 +97,31 @@ def test_strong_pseudoprime_at_each_tier_threshold_is_composite(n):
     assert not is_prime_exact(n)
 
 
-# The smallest strong pseudoprime to all of the first k prime bases, by k:
-# Jaeschke (Math. Comp. 61, 1993) for k <= 8, Jiang and Deng (Math. Comp.
-# 83, 2014) for k = 9 to 11. Each ends the tier of the first k bases.
-SMALLEST_PSEUDOPRIMES = {
-    1: 2_047,
-    2: 1_373_653,
-    3: 25_326_001,
-    4: 3_215_031_751,
-    5: 2_152_302_898_747,
-    6: 3_474_749_660_383,
-    7: 341_550_071_728_321,
-    9: 3_825_123_056_546_413_051,
-}
+# Each tier below the 12-base one: the smallest strong pseudoprime to all of
+# its bases, and those bases. Jaeschke (Math. Comp. 61, 1993) gives every
+# bound but the 9-base one, which is Jiang and Deng's (Math. Comp. 83, 2014).
+TIERS = (
+    (2_047, (2,)),
+    (1_373_653, (2, 3)),
+    (25_326_001, (2, 3, 5)),
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1662803)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+)
 
 
 def test_each_tier_ends_at_the_smallest_pseudoprime_to_its_bases():
-    tiers = [(bound, list(sympy.primerange(2, sympy.prime(k) + 1)))
-             for k, bound in SMALLEST_PSEUDOPRIMES.items()]
-    assert list(_MR_TIERS) == [(b, tuple(bases)) for b, bases in tiers] + [
-        (CERTIFIED_LIMIT, tuple(sympy.primerange(2, 38)))
-    ]
-    for bound, bases in tiers:
+    assert _MR_TIERS == TIERS + ((CERTIFIED_LIMIT, tuple(sympy.primerange(2, 38))),)
+    for bound, bases in TIERS:
         assert not sympy.isprime(bound)
-        assert mr(bound, bases), bound
+        assert mr(bound, list(bases)), bound
 
 
-@pytest.mark.parametrize("bound", SMALLEST_PSEUDOPRIMES.values())
+# every tier bound, and the first of TIER_PSEUDOPRIMES, inside a tier
+@pytest.mark.parametrize("bound", [bound for bound, _ in TIERS] + [TIER_PSEUDOPRIMES[0]])
 def test_exact_primality_agrees_with_sympy_next_to_each_tier_bound(bound):
     # the bound is odd, so these are the odd n within 1,000 of it
     for n in range(bound - 1000, bound + 1001, 2):

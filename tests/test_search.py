@@ -5,6 +5,7 @@ trial-divides every shifted value; the production path must return the
 same witness or the same exhaustion.
 """
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -14,7 +15,7 @@ import pytest
 import sympy
 
 from sdpc import search
-from sdpc.admissible import InadmissibleSystemError, TupleSystem
+from sdpc.admissible import InadmissibleSystemError, TupleSystem, is_admissible
 from sdpc.modular import CrtClass
 from sdpc.primes import PrimalityStatus, primes_up_to
 from sdpc.search import (
@@ -25,6 +26,7 @@ from sdpc.search import (
     PRESIEVE_AFTER,
     PRESIEVE_DENSITY,
     SCATTER_HITS,
+    SCREEN_LIMIT,
     ConstellationTask,
     _hit_classes,
     _SievePlan,
@@ -71,8 +73,6 @@ def small_task(rng):
             budget=3000,
             sieve_limit=rng.choice((50, 1000, 100_000)),
         )
-        from sdpc.admissible import is_admissible
-
         if is_admissible(task.system) is None:
             return task
 
@@ -347,11 +347,8 @@ def test_a_shallow_witness_sieves_one_first_window(monkeypatch):
         assert plans[-1].wide == (largest == 1 << 20)
 
 
-def test_a_shallow_search_with_a_large_limit_fetches_only_its_depth(monkeypatch):
-    # at limit 1e7, far above any pattern period, the plan cannot be wide,
-    # and asking so after the first window must not fetch the primes up to
-    # the limit: the two windows end 3 * FIRST_WINDOW in, so the search
-    # holds the primes up to 1,536, from the table up to 2,048
+def record_tables(monkeypatch):
+    """The sizes of the prime tables that searches ask for from now on."""
     sizes = []
     table = search.primes_up_to
 
@@ -361,9 +358,28 @@ def test_a_shallow_search_with_a_large_limit_fetches_only_its_depth(monkeypatch)
 
     search._sieving_primes.cache_clear()
     monkeypatch.setattr(search, "primes_up_to", primes_up_to)
+    return sizes
+
+
+def test_a_shallow_search_with_a_large_limit_fetches_only_its_depth(monkeypatch):
+    # at limit 1e7, far above any pattern period, the plan cannot be wide,
+    # and asking so after the first window must not fetch the primes up to
+    # the limit: the two windows end 3 * FIRST_WINDOW in, so the search
+    # holds the primes up to 1,536, from the table up to 2,048
+    sizes = record_tables(monkeypatch)
     task = replace(quintuplet_task(5000), sieve_limit=10**7)
     assert search_with_count(task) == (DEEP_WITNESS, 5000)
     assert sizes and max(sizes) <= 2048
+
+
+def test_a_search_past_its_limit_fetches_no_table_beyond_it(monkeypatch):
+    # windows end 14,336 and 30,720 candidates in, so the search grows from
+    # the primes up to 3,584, from the table up to 4,096, to the limit of
+    # 5,000: the table up to the next power of two, 8,192, is not needed
+    sizes = record_tables(monkeypatch)
+    task = replace(quintuplet_task(25000), sieve_limit=5000)
+    assert search_with_count(task) == (DEEP_WITNESS, 25000)
+    assert 4096 in sizes and max(sizes) == 5000
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +421,8 @@ def test_the_wide_examples_are_wide():
 
 
 def test_certifying_a_screened_witness_runs_base_2_once(monkeypatch):
-    # the step-8 witness's 12 values, each below 2.15e12: the base-2
-    # screen, then the certifying bases 3, 5, 7 and 11 of its tier
+    # the step-8 witness's 12 values, each below 1.12e12: the base-2
+    # screen, then the certifying bases 13, 23 and 1662803 of its tier
     from sdpc import primes
 
     bases = []
@@ -418,7 +434,7 @@ def test_certifying_a_screened_witness_runs_base_2_once(monkeypatch):
 
     monkeypatch.setattr(primes, "_strong_probable_prime", counted)
     assert search._witness_ok(step_8_task(1), STEP_8_WITNESS)
-    assert len(bases) == 60 and bases.count(2) == 12
+    assert len(bases) == 48 and bases.count(2) == 12
 
 
 def test_a_wide_plan_sieves_windows_8_times_as_long(monkeypatch):
@@ -1188,3 +1204,110 @@ def test_a_wide_spread_search_holds_only_the_primes_of_its_depth(monkeypatch):
     task = ConstellationTask(system, sieve_limit=100_000)
     assert search_with_count(task) == (PREVIOUS_WITNESS, PREVIOUS_WITNESS + 1)
     assert bounds and all(bound == hi // DEPTH_PER_PRIME for hi, bound in bounds), bounds
+
+
+# ---------------------------------------------------------------------------
+# the survivor screen
+# ---------------------------------------------------------------------------
+
+def screen_oracle(task, lo, js):
+    """The j in js whose x = t + (lo + j)*q has no x + d that a prime p in
+    (sieve_limit, SCREEN_LIMIT], p not dividing q, divides."""
+    q, t = task.system.crt.modulus, task.system.crt.residue
+    primes = [p for p in primes_up_to(SCREEN_LIMIT) if p > task.sieve_limit and q % p]
+    return [
+        j for j in js
+        if all((t + (lo + j) * q + d) % p for d in task.system.offsets for p in primes)
+    ]
+
+
+def test_screened_survivors_are_those_no_screening_prime_divides():
+    # random systems and limits, windows from the screen's start, from
+    # random k and from k above 2**62; before the start nothing is dropped
+    rng = random.Random(1024)
+    dropped = systems = 0
+    while systems < 16:
+        q_primes = rng.choice(((), (2,), (2, 3), (2, 3, 5), (5, 7)))
+        offsets = {2 * rng.randrange(-450, 451) for _ in range(rng.randrange(2, 7))}
+        task = admissible_task(rng, q_primes, offsets, rng.choice((30, 100, 400, 1000)))
+        if task is None or is_admissible(task.system) is not None:
+            continue
+        systems += 1
+        q, t = task.system.crt.modulus, task.system.crt.residue
+        screen = search._Screen(task)
+        # the first k from which every |x + d| exceeds SCREEN_LIMIT
+        beyond = [all(abs(t + k * q + d) > SCREEN_LIMIT for d in offsets) for k in range(2100)]
+        assert screen.start == beyond.index(True) and all(beyond[screen.start :])
+        plan = _SievePlan(task, WINDOW)
+        for lo in (screen.start, rng.randrange(10**9), rng.randrange(1 << 62, 1 << 64)):
+            lo = max(lo, screen.start)
+            js = plan.window(lo, lo + WINDOW)
+            got = list(screen.survivors(js, lo))
+            assert got == screen_oracle(task, lo, js.tolist()), (task, lo)
+            dropped += len(js) - len(got)
+        if screen.start:
+            js = plan.window(screen.start - 1, screen.start + 99)
+            assert list(screen.survivors(js, screen.start - 1)) == js.tolist()
+    assert dropped > 500, dropped
+
+
+@pytest.mark.parametrize("value", (401, 1009, -1009))
+def test_a_witness_with_a_value_the_screen_would_divide_matches_a_naive_scan(value):
+    # the quintuplet 144161 with one more offset, which takes it to a prime
+    # in (sieve_limit, SCREEN_LIMIT]. Its window, the second, starts before
+    # the screen's start, where a screening prime can be a value itself.
+    system = TupleSystem(CrtClass(1, 0, ()), (value - DEEP_WITNESS, 0, 2, 6, 8, 12))
+    task = ConstellationTask(system, start=DEEP_WITNESS - 4999, budget=10**4)
+    assert DEFAULT_SIEVE_LIMIT < abs(value) <= SCREEN_LIMIT
+    assert naive_witness(task) == DEEP_WITNESS
+    assert search_with_count(task) == (DEEP_WITNESS, 5000)
+
+
+# The construction's step-7 system (target +13): 11 offsets in the class
+# 67 mod 210; its witness is 7,861,250 candidates deep from x = 4264959.
+STEP_7 = TupleSystem(CrtClass(210, 67, (2, 3, 5, 7)), (
+    -2132480, -2132478, -42318, -42294, -3600, -3594, -638, -618, -24, -14, -6,
+))
+
+
+def test_the_step_7_search_certifies_few_survivors(monkeypatch):
+    # the sieve to 400 leaves 152 survivors up to the witness; the screen
+    # leaves 36 of them to the primality tests
+    certified = []
+    witness_ok = search._witness_ok
+
+    def counted(task, x):
+        certified.append(x)
+        return witness_ok(task, x)
+
+    monkeypatch.setattr(search, "_witness_ok", counted)
+    assert search_with_count(ConstellationTask(STEP_7, start=4264959)) == (1655127457, 7861250)
+    assert len(certified) <= 40
+
+
+def test_a_dense_window_screens_about_twice_what_it_yields():
+    # twin primes, hundreds of survivors a window: taking the first n
+    # screened survivors of a search's first screened window reads at most
+    # 2 * i + 1 of the window's, i the index of the n-th among them, as
+    # the slices double
+    task = ConstellationTask(TupleSystem(CrtClass(6, 5, (2, 3)), (0, 2)))
+    lo = 10**10
+    js = _SievePlan(task, 1 << 13).window(lo, lo + (1 << 13))
+    want = screen_oracle(task, lo, js.tolist())
+    assert lo >= search._Screen(task).start
+    assert len(js) > 200 and len(want) < len(js)
+
+    class Counted:
+        def __init__(self, table):
+            self.table, self.reads = table, 0
+
+        def __getitem__(self, at):
+            self.reads += at.shape[1]
+            return self.table[at]
+
+    for n in (1, 2, 5, 50, len(want)):
+        screen = search._Screen(task)
+        screen.good = counted = Counted(screen.good)
+        got = list(itertools.islice(screen.survivors(js, lo), n))
+        assert got == want[:n]
+        assert counted.reads <= 2 * js.tolist().index(got[-1]) + 1, n

@@ -20,6 +20,14 @@ def _checked_prime(p: int) -> bool:
     return p >= 2 and is_prime(p).accepted
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class ResidueSet:
     """A subset of Z_p for prime p, held as a dense bit vector."""
@@ -47,11 +55,7 @@ class ResidueSet:
         return tuple(self)
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return set_bits(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .modular import ResidueSet, linear_map_set, mod_inverse
+from .modular import ResidueSet, linear_map_set, mod_inverse, set_bits
 
 PLUS = 1
 MINUS = -1
@@ -47,13 +47,6 @@ def _negate_mask(mask: int, p: int) -> int:
     return (mask & 1) | rev
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _cover_ok(p: int, u_mask: int, v_mask: int) -> bool:
     x = u_mask & ~v_mask
     y = v_mask & ~u_mask
@@ -64,12 +57,12 @@ def _cover_ok(p: int, u_mask: int, v_mask: int) -> bool:
     # iterate the smaller exclusive side; each member contributes one rotation
     if x.bit_count() <= y.bit_count():
         neg_y = _negate_mask(y, p)
-        for xi in _bits(x):
+        for xi in set_bits(x):
             acc |= _rotate_left(neg_y, xi, p)
             if acc & target == target:
                 return True
     else:
-        for yi in _bits(y):
+        for yi in set_bits(y):
             acc |= _rotate_left(x, p - yi, p)
             if acc & target == target:
                 return True

@@ -254,19 +254,37 @@ def _periodic_and(rows: list[np.ndarray], pattern: np.ndarray) -> np.ndarray:
     """pattern, filled with byte i = AND of row[i mod len(row)] over rows of
     coprime lengths whose product is its length, ascending: widest last."""
     n = len(rows[0])
-    for i, row in enumerate(rows[1:]):
-        # the AND so far (at first, the first row) tiled len(row) times
+    pattern[:n] = rows[0]
+    for row in rows[1:]:
+        # the AND so far tiled len(row) times, ANDed with row
         part = pattern[: n * len(row)].reshape(len(row), n)
-        if i:
-            part[1:] = part[0]
-        else:
-            part[...] = rows[0]
+        part[1:] = part[0]
         part.shape = (n, len(row))
         part &= row
         n *= len(row)
-    if len(rows) == 1:
-        pattern[...] = rows[0]
     return pattern
+
+
+def _tables(primes: np.ndarray, classes: np.ndarray, periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """One flat table, `periods` periods per prime, true on the k mod p
+    that p leaves alive, given classes[i], the classes prime i strikes;
+    and where each prime's table starts."""
+    at = periods * (primes.cumsum() - primes)
+    good = np.ones(periods * int(primes.sum()), bool)
+    good[(at + primes * np.arange(periods)[:, None])[..., None] + classes] = False
+    return good, at
+
+
+def _sift(
+    js: np.ndarray, r: np.ndarray, primes: np.ndarray, at: np.ndarray, good: np.ndarray, first: int = 0
+) -> np.ndarray:
+    """The survivors js that no prime (a column) strikes: those whose table
+    in good is true at (r + j) mod p, r the window's lo mod p. With first,
+    the first `first` primes thin js before the rest read it."""
+    cuts = (0, first, None) if first else (0, None)
+    for a, b in zip(cuts, cuts[1:]):
+        js = js[good[(js + r[a:b]) % primes[a:b] + at[a:b]].all(axis=0)]
+    return js
 
 
 def _first_stage(keep: list[float]) -> int:
@@ -325,17 +343,16 @@ class _SievePlan:
         head_bound = min(period, m * PRESIEVE_DENSITY, self.limit)
         self.bound = self.limit if bound is None else min(max(bound, head_bound), self.limit)
         self.primes, k0 = _hit_classes(task, hi=self.bound)
-        head = int(np.searchsorted(self.primes, head_bound, "right"))
-        self.head_k0 = np.sort(k0[:, :head].T, axis=1)
-        distinct = np.ones(self.head_k0.shape, bool)
-        distinct[:, 1:] = self.head_k0[:, 1:] != self.head_k0[:, :-1]
-        counts = distinct.sum(axis=1)
+        self.head = head = int(np.searchsorted(self.primes, head_bound, "right"))
+        head_k0 = np.sort(k0[:, :head].T, axis=1)
+        distinct = np.ones(head_k0.shape, bool)
+        distinct[:, 1:] = head_k0[:, 1:] != head_k0[:, :-1]
         # the other tiers' entries, ascending in p, and their count per
         # prime; until _presieve, the pre-sieved primes' too, at the front
         self.rest_count = np.full(len(self.primes), m)
-        self.rest_count[:head] = counts
+        self.rest_count[:head] = distinct.sum(axis=1)
         self.rest_p = np.repeat(self.primes, self.rest_count)
-        self.rest_k0 = np.concatenate((self.head_k0[distinct], k0[:, head:].T), axis=None)
+        self.rest_k0 = np.concatenate((head_k0[distinct], k0[:, head:].T), axis=None)
         self.patterns, self.gather_p, self.good = [], (), None
         # k-ranges where some |x + d| <= sieve_limit, the only place a value
         # can equal a sieving prime
@@ -351,8 +368,7 @@ class _SievePlan:
     def _grouping(self) -> tuple[np.ndarray, list, int]:
         """_groups of the head, formed once, before _presieve drops the
         pre-sieved primes' counts from rest_count."""
-        head = len(self.head_k0)
-        return _groups(self.primes[:head], self.rest_count[:head], self.period)
+        return _groups(self.primes[: self.head], self.rest_count[: self.head], self.period)
 
     @cached_property
     def wide(self) -> bool:
@@ -372,31 +388,25 @@ class _SievePlan:
 
     def _presieve(self) -> None:
         """Build the tabled tier (module docstring): the tables, the ANDed
-        patterns and the gathered primes. Their entries leave the other
-        tiers; in a wide plan, which first grows to the limit and tables
-        every prime, all entries do."""
+        patterns and the gathered primes. The tabled primes are the
+        pre-sieved ones and, in a wide plan, which first grows to the
+        limit, every other; their entries leave the other tiers."""
         if self.wide:
             self.grow(self.limit)
-        m, head_p = len(self.offsets), self.primes[: len(self.head_k0)]
-        counts = self.rest_count[: len(head_p)]
         dense, groups, anded = self._grouping
-        ps = head_p[dense].tolist()
-        # tables true where a tabled prime leaves k alive, 8 periods each:
-        # the pre-sieved primes, then in a wide plan the head's others and
-        # the later primes, whose classes need no sort
-        order = np.argsort(~dense, kind="stable") if self.wide else dense
-        pre, classes, kept = head_p[order], self.head_k0[order], counts[order]
-        head_entries = int(counts.sum())
-        if self.wide:
-            pre = np.concatenate((pre, self.primes[len(head_p) :]))
-            classes = np.concatenate((classes, self.rest_k0[head_entries:].reshape(-1, m)))
-            kept = np.concatenate((kept, np.full(len(pre) - len(head_p), m)))
-        at = pre.cumsum() - pre
-        self.good = np.ones(8 * int(pre.sum()), bool)
-        self.good[(8 * at + pre * np.arange(8)[:, None])[..., None] + classes] = False
+        pre_sieved = np.zeros(len(self.primes), bool)
+        pre_sieved[: self.head] = dense
+        tabled = pre_sieved | self.wide
+        ps, kept = self.primes[tabled], self.rest_count[tabled]
+        # 8-period tables from rows of m classes: merged ones repeat the last
+        start = self.rest_count.cumsum() - self.rest_count
+        pad = np.minimum(np.arange(len(self.offsets)), kept[:, None] - 1)
+        self.good, at = _tables(ps, self.rest_k0[start[tabled, None] + pad], 8)
         # packed, prime i's row of p bytes holds k = 8j ... 8j + 7 in byte j
         packed = np.packbits(self.good, bitorder="little")
-        rows = [packed[a : a + p] for a, p in zip(at.tolist(), ps)]
+        # where the pre-sieved primes lie among the tabled
+        where = np.flatnonzero(pre_sieved[tabled]).tolist()
+        rows = [packed[a : a + p] for a, p in zip((at[where] // 8).tolist(), ps[where].tolist())]
         # one allocation, which the next search's plan reuses without page faults
         flat = np.empty(sum(size for size, _ in groups[:anded]), np.uint8)
         self.patterns = []
@@ -404,23 +414,17 @@ class _SievePlan:
             self.patterns.append(_periodic_and([rows[i] for i in members], flat[:size]))
             flat = flat[size:]
         # the gathered primes, densest groups first, then those a wide plan
-        # adds, tested in two stages
-        gathered = [i for _, members in groups[anded:] for i in members]
-        gathered += range(len(ps), len(pre))
+        # adds, ascending, tested in two stages
+        gathered = [where[i] for _, members in groups[anded:] for i in members]
+        gathered += np.flatnonzero(~pre_sieved[tabled]).tolist()
         self.first_stage = 0
         if gathered:
-            keep = (1 - kept / pre).tolist()
+            keep = (1 - kept / ps).tolist()
             self.first_stage = _first_stage([keep[i] for i in gathered])
         gathered = gathered or slice(0)  # no primes: a slice is cheaper than []
-        self.gather_p, self.gather_at = pre[gathered, None], 8 * at[gathered, None]
-        if self.wide:
-            self.rest_count[:] = 0
-            self.rest_k0 = self.rest_k0[:0]
-        else:
-            head_rest = self.rest_k0[:head_entries][np.repeat(~dense, counts)]
-            self.rest_count[: len(head_p)] = counts * ~dense
-            self.rest_k0 = np.concatenate((head_rest, self.rest_k0[head_entries:]))
-        self.rest_p = np.repeat(self.primes, self.rest_count)
+        self.gather_p, self.gather_at = ps[gathered, None], at[gathered, None]
+        rest = np.repeat(~tabled, self.rest_count)
+        self.rest_k0, self.rest_p, self.rest_count = self.rest_k0[rest], self.rest_p[rest], self.rest_count * ~tabled
 
     def grow(self, bound: int) -> None:
         """Hold every sieving prime up to min(bound, sieve_limit). The new
@@ -456,24 +460,16 @@ class _SievePlan:
         packed[0] = 255 << off & 255
         packed[-1] &= 255 >> (-(off + n) % 8)
         for pattern in self.patterns:
+            # the window as a head, whole periods, and a tail
             size = len(pattern)
             s = (lo >> 3) % size
-            nb = len(packed)
-            if s + nb <= size:
-                # within one period, as a search's first windows often are
-                parts = ((packed, pattern[s : s + nb]),)
-            else:
-                # the window as a head, whole periods, and a tail
-                head = size - s
-                whole = (nb - head) // size
-                tail = nb - head - whole * size
-                parts = (
-                    (packed[:head], pattern[s:]),
-                    (packed[head : head + whole * size].reshape(whole, size), pattern),
-                    (packed[nb - tail :], pattern[:tail]),
-                )
-            for view, part in parts:
-                view &= part
+            head = min(size - s, len(packed))
+            packed[:head] &= pattern[s : s + head]
+            if head < len(packed):  # past one period; skipping 2 empty ANDs saves 2 us
+                whole, tail = divmod(len(packed) - head, size)
+                periods = packed[head : head + whole * size].reshape(whole, size)
+                periods &= pattern
+                packed[len(packed) - tail :] &= pattern[:tail]
         if len(self.rest_p):
             alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
             # lo mod p once per prime, then per entry k0 - lo in [0, p)
@@ -497,12 +493,9 @@ class _SievePlan:
             bit = np.flatnonzero(bit)
             js = live[bit >> 6] * 64 + (bit & 63) - off
         if len(self.gather_p):
-            r = _residues(lo, self.gather_p)
             # two stages pay once the survivors outnumber the primes
-            cuts = (0, self.first_stage, None) if len(js) > len(r) else (0, None)
-            for a, b in zip(cuts, cuts[1:]):
-                at = (js + r[a:b]) % self.gather_p[a:b] + self.gather_at[a:b]
-                js = js[self.good[at].all(axis=0)]
+            first = self.first_stage if len(js) > len(self.gather_p) else 0
+            js = _sift(js, _residues(lo, self.gather_p), self.gather_p, self.gather_at, self.good, first)
         return self._forgive(js, lo, hi)
 
     def _forgive(self, js: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -560,13 +553,9 @@ class _Screen:
 
     def __init__(self, task: ConstellationTask):
         q, t = task.system.crt.modulus, task.system.crt.residue
-        # as the gathered tier's tables, but one period each: the primes
-        # and where each period starts in the flat table, as columns, and
-        # the table, true on the k mod p that p leaves alive
+        # tables of one period each; the primes and their starts as columns
         primes, k0 = _hit_classes(task, task.sieve_limit + 1, SCREEN_LIMIT)
-        at = primes.cumsum() - primes
-        self.good = np.ones(int(primes.sum()), bool)
-        self.good[at + k0] = False
+        self.good, at = _tables(primes, k0.T, 1)
         self.primes, self.at = primes[:, None], at[:, None]
         # from this k on every |x + d| exceeds SCREEN_LIMIT, so that no
         # value can be its own screening prime
@@ -590,7 +579,7 @@ class _Screen:
             a += len(part)
             if len(part) == self.size:
                 self.size *= 2
-            yield from part[self.good[(part + r) % self.primes + self.at].all(axis=0)].tolist()
+            yield from _sift(part, r, self.primes, self.at, self.good).tolist()
 
 
 def _witness_ok(task: ConstellationTask, x: int) -> bool:
@@ -641,8 +630,9 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
         plan.grow((hi - k_start) // DEPTH_PER_PRIME)
         js = plan.window(lo, hi)
         # built at the first window past the first with survivors, so that
-        # a search that ends in its first window never builds it
-        if screen is None and lo > k_start and len(js) and task.sieve_limit < SCREEN_LIMIT:
+        # a search that ends in its first window never builds it; and only
+        # if some prime lies in (sieve_limit, SCREEN_LIMIT]
+        if screen is None and lo > k_start and len(js) and task.sieve_limit < primes_up_to(SCREEN_LIMIT)[-1]:
             screen = _Screen(task)
         for j in screen.survivors(js, lo) if screen else js.tolist():
             x = t + (lo + j) * q

@@ -679,6 +679,19 @@ def test_tier_limits_reach_every_tier():
     assert presieved(_SievePlan(task, 32)).patterns == []  # periods would be <= 4
 
 
+@pytest.mark.parametrize("lengths", ((7,), (3, 5), (2, 5, 7), (5, 7, 8)))
+def test_periodic_and_matches_a_brute_force_and(lengths):
+    # byte i of the pattern is the AND of row[i mod len(row)] over the rows
+    rng = np.random.default_rng(sum(lengths))
+    rows = [rng.integers(0, 256, n, dtype=np.uint8) for n in lengths]
+    size = math.prod(lengths)
+    # np.resize repeats a row to the pattern's length
+    want = np.bitwise_and.reduce([np.resize(row, size) for row in rows])
+    pattern = np.full(size + 3, 0x5A, np.uint8)
+    assert search._periodic_and(rows, pattern[:size]).tolist() == want.tolist()
+    assert pattern[size:].tolist() == [0x5A] * 3  # nothing written past its length
+
+
 def test_windows_of_a_long_plan_match_the_definition():
     # a search's first windows are shorter than its plan's pattern periods:
     # they lie inside one period, or straddle the end of one
@@ -1283,6 +1296,23 @@ def test_the_step_7_search_certifies_few_survivors(monkeypatch):
     monkeypatch.setattr(search, "_witness_ok", counted)
     assert search_with_count(ConstellationTask(STEP_7, start=4264959)) == (1655127457, 7861250)
     assert len(certified) <= 40
+
+
+@pytest.mark.parametrize("limit", (1019, 1021, 1022, 1023))
+def test_a_screen_is_built_only_with_a_prime_to_screen_by(limit, monkeypatch):
+    # 1,021 is the largest prime up to SCREEN_LIMIT: from it on no prime
+    # lies in (sieve_limit, SCREEN_LIMIT], and a screen would hold none
+    built = []
+    screen = search._Screen
+
+    def spy(task):
+        built.append(screen(task))
+        return built[-1]
+
+    monkeypatch.setattr(search, "_Screen", spy)
+    task = ConstellationTask(STEP_7, start=4264959, sieve_limit=limit)
+    assert search_with_count(task) == (1655127457, 7861250)
+    assert [each.primes.ravel().tolist() for each in built] == ([[1021]] if limit < 1021 else [])
 
 
 def test_a_dense_window_screens_about_twice_what_it_yields():

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
 from .modular import CrtClass, ResidueSet, crt_combine
-from .pairs import MINUS, PLUS, PrimeCompatiblePair, explicit_pair, is_prime_compatible
+from .pairs import MINUS, PLUS, PrimeCompatiblePair, capacity_bound, explicit_pair, is_prime_compatible
 from .primes import PrimalityStatus, is_prime, primes_in_range, primes_up_to
 
 if TYPE_CHECKING:
@@ -67,14 +67,15 @@ def signed_primes(n: int) -> int:
 
 
 def check_bound(n: int, r: int, reserve: int = 0) -> bool:
-    """Whether 2n + reserve < (r-1)/2 - log(r)/log(4/3).
+    """Whether 2n + reserve < (r-1)/2 - log(r)/log(4/3), that is, at most
+    pairs.capacity_bound(r).
 
     This is the room needed to extend a pair mod r when 2n set elements
     and `reserve` fresh residues must all fit in the common core.
     """
     if r < 2:
         raise ValueError("r must be at least 2")
-    return 2 * n + reserve < (r - 1) / 2 - math.log(r) / math.log(4 / 3)
+    return 2 * n + reserve <= capacity_bound(r)
 
 
 def compute_K(reserve: int, scan_limit: int = 8192) -> int:

@@ -53,20 +53,14 @@ def _cover_ok(p: int, u_mask: int, v_mask: int) -> bool:
     if x == 0 or y == 0:
         return False
     target = ((1 << p) - 1) ^ 1
+    # the sumset X + (-Y), one rotation per member of the smaller side
+    a, b = sorted((x, _negate_mask(y, p)), key=int.bit_count)
     acc = 0
-    # iterate the smaller exclusive side; each member contributes one rotation
-    if x.bit_count() <= y.bit_count():
-        neg_y = _negate_mask(y, p)
-        for xi in set_bits(x):
-            acc |= _rotate_left(neg_y, xi, p)
-            if acc & target == target:
-                return True
-    else:
-        for yi in set_bits(y):
-            acc |= _rotate_left(x, p - yi, p)
-            if acc & target == target:
-                return True
-    return acc & target == target
+    for s in set_bits(a):
+        acc |= _rotate_left(b, s, p)
+        if acc & target == target:
+            return True
+    return False
 
 
 def is_prime_compatible(u: ResidueSet, v: ResidueSet) -> bool:

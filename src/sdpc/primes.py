@@ -109,6 +109,8 @@ def _passes_tests(n: int, skip: int) -> bool:
 
 def is_prime_exact(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2**64."""
+    if n >= CERTIFIED_LIMIT:
+        raise ValueError("is_prime_exact requires n < 2**64")
     return n >= 2 and _passes_tests(n, 0)
 
 

@@ -49,8 +49,7 @@ its windows reuse it. The plan has three tiers:
    which short windows do not repay: a plan builds it in place at its
    first window longer than PRESIEVE_AFTER, and until then strikes the
    pre-sieved primes' classes in tiers 2 and 3.
-2. Middle primes: one strided write per (p, k0) entry; in the head,
-   offsets that coincide mod p share one.
+2. Middle primes: one strided write per (p, k0) entry.
 3. Large primes, those hitting a window fewer than SCATTER_HITS times:
    their hit positions are computed as arrays and struck in scatters,
    one indexed write for all the primes that hit at most once.
@@ -74,13 +73,11 @@ than PRESIEVE_AFTER.
 
 Set-up costs a few NumPy passes per (prime, offset) entry; q is inverted
 prime by prime in _sieving_primes, once per q and prime range in a run.
-Only the plan's head, the primes up to min(period, PRESIEVE_DENSITY *
-offsets), can be pre-sieved, so only its classes are sorted and merged.
-A later prime keeps its m classes as they are: offsets that coincide mod
-it strike twice, which is harmless. So growing only appends tier 2 and 3
-entries past the head, before or after the pre-sieve, and a wide plan,
+Every sieving prime keeps its m classes, one per offset: offsets that
+coincide mod it strike twice, which is harmless. So growing only appends
+tier 2 and 3 entries, before or after the pre-sieve, and a wide plan,
 which tables every prime up to the limit, grows to the limit as it is
-built and appends the later primes' tables from their unsorted classes.
+built. Distinct classes are counted only to weigh the tabled primes.
 
 Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
@@ -250,6 +247,12 @@ def _groups(head_p: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.nda
     return dense, [(g[0], g[:1:-1]) for g in groups], anded
 
 
+def _distinct(k0: np.ndarray) -> np.ndarray:
+    """How many distinct classes each row of k0 holds."""
+    k0 = np.sort(k0, axis=1)
+    return 1 + (k0[:, 1:] != k0[:, :-1]).sum(axis=1)
+
+
 def _periodic_and(rows: list[np.ndarray], pattern: np.ndarray) -> np.ndarray:
     """pattern, filled with byte i = AND of row[i mod len(row)] over rows of
     coprime lengths whose product is its length, ascending: widest last."""
@@ -323,8 +326,8 @@ def _packed_words(size: int) -> np.ndarray:
 class _SievePlan:
     """One task's sieve; every window of the search reuses it. It holds
     the sieving primes up to `bound`, at least its head (by default, up to
-    the sieve limit), and grow() appends later ones. It strikes its
-    pre-sieved primes with the other tiers until a window longer than
+    the sieve limit), and grow() adds each with its m classes. It strikes
+    its pre-sieved primes with the other tiers until a window longer than
     PRESIEVE_AFTER builds the tabled tier in place (_presieve), which in a
     wide plan tables every prime. See the module docstring for the tiers."""
 
@@ -334,25 +337,15 @@ class _SievePlan:
         self.t = task.system.crt.residue
         self.offsets = task.system.offsets
         self.limit = task.sieve_limit
-        m = len(self.offsets)
         # pre-sieved: primes striking at least 1/PRESIEVE_DENSITY of all k,
         # in periods short enough for a window of `span` to repeat 8 times
-        self.period = period = min(PATTERN_PERIOD, span // 8)
-        # Only the head, the primes that can be pre-sieved, is merged to one
-        # entry per distinct (p, k0); every later prime keeps its m classes.
-        head_bound = min(period, m * PRESIEVE_DENSITY, self.limit)
-        self.bound = self.limit if bound is None else min(max(bound, head_bound), self.limit)
-        self.primes, k0 = _hit_classes(task, hi=self.bound)
-        self.head = head = int(np.searchsorted(self.primes, head_bound, "right"))
-        head_k0 = np.sort(k0[:, :head].T, axis=1)
-        distinct = np.ones(head_k0.shape, bool)
-        distinct[:, 1:] = head_k0[:, 1:] != head_k0[:, :-1]
-        # the other tiers' entries, ascending in p, and their count per
-        # prime; until _presieve, the pre-sieved primes' too, at the front
-        self.rest_count = np.full(len(self.primes), m)
-        self.rest_count[:head] = distinct.sum(axis=1)
-        self.rest_p = np.repeat(self.primes, self.rest_count)
-        self.rest_k0 = np.concatenate((head_k0[distinct], k0[:, head:].T), axis=None)
+        self.period = min(PATTERN_PERIOD, span // 8)
+        self.head_bound = min(self.period, len(self.offsets) * PRESIEVE_DENSITY, self.limit)
+        # the other tiers' entries, ascending in p, m per prime (one per
+        # offset); until _presieve, the pre-sieved primes' too
+        self.bound, self.primes = 1, np.empty(0, np.int64)
+        self.rest_p = self.rest_k0 = self.primes
+        self.grow(self.limit if bound is None else bound)
         self.patterns, self.gather_p, self.good = [], (), None
         # k-ranges where some |x + d| <= sieve_limit, the only place a value
         # can equal a sieving prime
@@ -367,8 +360,10 @@ class _SievePlan:
     @cached_property
     def _grouping(self) -> tuple[np.ndarray, list, int]:
         """_groups of the head, formed once, before _presieve drops the
-        pre-sieved primes' counts from rest_count."""
-        return _groups(self.primes[: self.head], self.rest_count[: self.head], self.period)
+        pre-sieved primes' entries."""
+        m = len(self.offsets)
+        head = int(np.searchsorted(self.primes, self.head_bound, "right"))
+        return _groups(self.primes[:head], _distinct(self.rest_k0[: head * m].reshape(head, m)), self.period)
 
     @cached_property
     def wide(self) -> bool:
@@ -394,14 +389,12 @@ class _SievePlan:
         if self.wide:
             self.grow(self.limit)
         dense, groups, anded = self._grouping
+        m = len(self.offsets)
         pre_sieved = np.zeros(len(self.primes), bool)
-        pre_sieved[: self.head] = dense
+        pre_sieved[: len(dense)] = dense
         tabled = pre_sieved | self.wide
-        ps, kept = self.primes[tabled], self.rest_count[tabled]
-        # 8-period tables from rows of m classes: merged ones repeat the last
-        start = self.rest_count.cumsum() - self.rest_count
-        pad = np.minimum(np.arange(len(self.offsets)), kept[:, None] - 1)
-        self.good, at = _tables(ps, self.rest_k0[start[tabled, None] + pad], 8)
+        ps, classes = self.primes[tabled], self.rest_k0.reshape(len(self.primes), m)[tabled]
+        self.good, at = _tables(ps, classes, 8)
         # packed, prime i's row of p bytes holds k = 8j ... 8j + 7 in byte j
         packed = np.packbits(self.good, bitorder="little")
         # where the pre-sieved primes lie among the tabled
@@ -419,25 +412,23 @@ class _SievePlan:
         gathered += np.flatnonzero(~pre_sieved[tabled]).tolist()
         self.first_stage = 0
         if gathered:
-            keep = (1 - kept / ps).tolist()
+            keep = (1 - _distinct(classes) / ps).tolist()
             self.first_stage = _first_stage([keep[i] for i in gathered])
         gathered = gathered or slice(0)  # no primes: a slice is cheaper than []
         self.gather_p, self.gather_at = ps[gathered, None], at[gathered, None]
-        rest = np.repeat(~tabled, self.rest_count)
-        self.rest_k0, self.rest_p, self.rest_count = self.rest_k0[rest], self.rest_p[rest], self.rest_count * ~tabled
+        rest = np.repeat(~tabled, m)
+        self.rest_k0, self.rest_p = self.rest_k0[rest], self.rest_p[rest]
 
     def grow(self, bound: int) -> None:
-        """Hold every sieving prime up to min(bound, sieve_limit). The new
-        ones lie past the head and join the other tiers in ascending p; a
-        built wide plan holds them all already."""
-        bound = min(bound, self.limit)
+        """Hold every sieving prime up to min(bound, sieve_limit), and at
+        least the head. The new ones join the other tiers in ascending p,
+        one entry per offset; a built wide plan holds them all already."""
+        bound = min(max(bound, self.head_bound), self.limit)
         if bound <= self.bound:
             return
         primes, k0 = _hit_classes(self.task, self.bound + 1, bound)
-        m = len(k0)
         self.primes = np.concatenate((self.primes, primes))
-        self.rest_count = np.concatenate((self.rest_count, np.full(len(primes), m)))
-        self.rest_p = np.concatenate((self.rest_p, np.repeat(primes, m)))
+        self.rest_p = np.concatenate((self.rest_p, np.repeat(primes, len(k0))))
         self.rest_k0 = np.concatenate((self.rest_k0, k0.T), axis=None)
         self.bound = bound
 
@@ -473,7 +464,8 @@ class _SievePlan:
         if len(self.rest_p):
             alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
             # lo mod p once per prime, then per entry k0 - lo in [0, p)
-            first = self.rest_k0 - np.repeat(_residues(lo, self.primes), self.rest_count)
+            m = len(self.offsets)
+            first = self.rest_k0 - np.repeat(_residues(lo, self.rest_p[::m]), m)
             first += self.rest_p * (first < 0)
             # a prime hitting the window SCATTER_HITS times or more gets
             # a strided write, the rest are batched into scatters

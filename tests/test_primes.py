@@ -227,3 +227,12 @@ def test_prime_factors_distinct_sorted():
 def test_prime_factors_refuses_uncertified_range():
     with pytest.raises(ValueError):
         prime_factors(CERTIFIED_LIMIT + 1)
+
+
+def test_exact_primality_refuses_uncertified_range():
+    # 2**64 + 13 is prime, but no base set decides it exactly
+    assert is_prime(CERTIFIED_LIMIT + 13) is PrimalityStatus.PROBABLE
+    assert is_prime_exact(CERTIFIED_LIMIT - 59)
+    for n in (CERTIFIED_LIMIT, CERTIFIED_LIMIT + 13):
+        with pytest.raises(ValueError):
+            is_prime_exact(n)

@@ -998,32 +998,37 @@ def plan_entries(plan):
     {0, 210, 19594},  # coincide mod 2, 3, 5, 7 and 97 * 101, spread above it
     {-9, 21, 51, 81},  # coincide mod 2, 3 and 5
     {0, HUGE, -HUGE},  # coincide mod every prime dividing HUGE
+    {0, 6, 210, 19594},  # coincide mod 97 and 101, head primes too sparse to pre-sieve
 ))
 @pytest.mark.parametrize("span", (2048, 1 << 16))
-def test_plan_entries_are_the_distinct_classes(offsets, span, monkeypatch):
+def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, span, monkeypatch):
     rng = random.Random(len(offsets) + span)
     for q_primes in ((), (2, 3), (11, 13)):
         task = admissible_task(rng, q_primes, offsets, 600)
         assert task is not None
+        # before its pre-sieve every prime strikes its classes per offset,
+        # coinciding ones repeated, ascending in p
         plan = _SievePlan(task, span)
-        # distinct up to the head bound, where the primes can be pre-sieved;
-        # above it each prime strikes its classes per offset
-        period = min(PATTERN_PERIOD, span // 8)
-        head = min(period, len(offsets) * PRESIEVE_DENSITY)
         every = offset_entries(task)
-        want = sorted({e for e in every if e[0] <= head}) + [e for e in every if e[0] > head]
-        # before its pre-sieve and after it
-        for plan in (plan, presieved(plan)):
-            entries = plan_entries(plan)
-            assert sorted(entries) == sorted(want)
-            assert set(entries) == naive_entries(task)
-            assert plan.rest_p.tolist() == sorted(plan.rest_p.tolist())
+        assert plan.good is None and not plan.patterns and not len(plan.gather_p)
+        entries = list(zip(plan.rest_p.tolist(), plan.rest_k0.tolist()))
+        assert entries == every and set(entries) == naive_entries(task)
         # the pre-sieved primes: those whose distinct classes cover at least
         # 1/PRESIEVE_DENSITY of all k and that fit a pattern period
+        period = min(PATTERN_PERIOD, span // 8)
         counts = {}
         for p, _ in naive_entries(task):
             counts[p] = counts.get(p, 0) + 1
         dense = {p for p, c in counts.items() if c * PRESIEVE_DENSITY >= p and p <= period}
+        # after it each tabled prime strikes its distinct classes, and every
+        # other prime still its classes per offset
+        plan = presieved(plan)
+        entries = plan_entries(plan)
+        rest = [e for e in every if e[0] not in dense]
+        assert list(zip(plan.rest_p.tolist(), plan.rest_k0.tolist())) == rest
+        want = sorted({e for e in every if e[0] in dense}) + rest
+        assert sorted(entries) == sorted(want)
+        assert set(entries) == naive_entries(task)
         assert {p for p, _ in entries} - set(plan.rest_p.tolist()) == dense
         # narrow at these spans, where the tables of the primes up to 600
         # do not fit; wide for windows of 2**20, which needs a plan that
@@ -1068,7 +1073,7 @@ def test_a_plan_grown_range_by_range_equals_one_built_at_the_limit(limit, gather
             assert plan.primes.tolist() == [p for p in primes_up_to(plan.bound) if q % p]
             plan.grow(plan.bound + rng.randrange(1, limit // 3))
         assert plan.bound == full.bound == limit
-        for name in ("primes", "rest_p", "rest_k0", "rest_count"):
+        for name in ("primes", "rest_p", "rest_k0"):
             grown, built = getattr(plan, name), getattr(full, name)
             assert grown.dtype == built.dtype and np.array_equal(grown, built), (span, name)
 

@@ -84,9 +84,9 @@ few windows at the bottom of the progression. The tiers strike blindly;
 afterwards, in those windows only, every k missing from the survivors
 with some |x + d| a sieving prime held is re-decided exactly.
 
-Past its first window a search screens a window's survivors before it
-certifies them: it drops each with some x + d that a prime p in
-(sieve_limit, SCREEN_LIMIT] divides, read at (lo + j) mod p from one
+Past a search's first window the plan screens its survivors in one pass
+before they are certified, dropping each with some x + d that a prime p
+in (sieve_limit, SCREEN_LIMIT] divides, read at (lo + j) mod p from one
 period per prime in one flat table, as the gathered tier reads its
 tables. That is trial division, and it runs only from the first k where
 every |x + d| exceeds SCREEN_LIMIT, so it drops only composites. The
@@ -99,7 +99,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
-from typing import Iterator
 
 import numpy as np
 
@@ -329,7 +328,8 @@ class _SievePlan:
     the sieve limit), and grow() adds each with its m classes. It strikes
     its pre-sieved primes with the other tiers until a window longer than
     PRESIEVE_AFTER builds the tabled tier in place (_presieve), which in a
-    wide plan tables every prime. See the module docstring for the tiers."""
+    wide plan tables every prime; screen() trial-divides survivors. See
+    the module docstring for the tiers and the screen."""
 
     def __init__(self, task: ConstellationTask, span: int, bound: int | None = None):
         self.task, self.span = task, span
@@ -346,7 +346,8 @@ class _SievePlan:
         self.bound, self.primes = 1, np.empty(0, np.int64)
         self.rest_p = self.rest_k0 = self.primes
         self.grow(self.limit if bound is None else bound)
-        self.patterns, self.gather_p, self.good = [], (), None
+        self.patterns, self.good, self.first_stage = [], None, 0
+        self.gather_p = self.gather_at = np.empty((0, 1), np.int64)
         # k-ranges where some |x + d| <= sieve_limit, the only place a value
         # can equal a sieving prime
         self.zones, self.zones_end = [], 0
@@ -410,7 +411,6 @@ class _SievePlan:
         # adds, ascending, tested in two stages
         gathered = [where[i] for _, members in groups[anded:] for i in members]
         gathered += np.flatnonzero(~pre_sieved[tabled]).tolist()
-        self.first_stage = 0
         if gathered:
             keep = (1 - _distinct(classes) / ps).tolist()
             self.first_stage = _first_stage([keep[i] for i in gathered])
@@ -418,6 +418,29 @@ class _SievePlan:
         self.gather_p, self.gather_at = ps[gathered, None], at[gathered, None]
         rest = np.repeat(~tabled, m)
         self.rest_k0, self.rest_p = self.rest_k0[rest], self.rest_p[rest]
+
+    @cached_property
+    def _screen(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
+        """The screen, read only by screen(): None without a prime in
+        (sieve_limit, SCREEN_LIMIT]; else the k it starts from, its primes
+        and their starts as columns, and their tables of one period each."""
+        if self.limit >= primes_up_to(SCREEN_LIMIT)[-1]:
+            return None
+        primes, k0 = _hit_classes(self.task, self.limit + 1, SCREEN_LIMIT)
+        good, at = _tables(primes, k0.T, 1)
+        # from this k on every |x + d| exceeds SCREEN_LIMIT, so that no
+        # value can be its own screening prime
+        start = max([0, *((SCREEN_LIMIT - d - self.t) // self.q + 1 for d in self.offsets)])
+        return start, primes[:, None], at[:, None], good
+
+    def screen(self, js: np.ndarray, lo: int) -> np.ndarray:
+        """The survivors js of the window from lo less those with some x + d
+        that a prime in (sieve_limit, SCREEN_LIMIT] divides; before the
+        screen's start, all of js. The first call with survivors builds it."""
+        if not len(js) or self._screen is None or lo < self._screen[0]:
+            return js
+        _, primes, at, good = self._screen
+        return _sift(js, _residues(lo, primes), primes, at, good)
 
     def grow(self, bound: int) -> None:
         """Hold every sieving prime up to min(bound, sieve_limit), and at
@@ -539,41 +562,6 @@ def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
     return [plan.t + (lo + j) * plan.q for j in plan.window(lo, hi).tolist()]
 
 
-class _Screen:
-    """Trial division of a window's survivors by the primes p in
-    (sieve_limit, SCREEN_LIMIT] (module docstring)."""
-
-    def __init__(self, task: ConstellationTask):
-        q, t = task.system.crt.modulus, task.system.crt.residue
-        # tables of one period each; the primes and their starts as columns
-        primes, k0 = _hit_classes(task, task.sieve_limit + 1, SCREEN_LIMIT)
-        self.good, at = _tables(primes, k0.T, 1)
-        self.primes, self.at = primes[:, None], at[:, None]
-        # from this k on every |x + d| exceeds SCREEN_LIMIT, so that no
-        # value can be its own screening prime
-        self.start = max(0, *((SCREEN_LIMIT - d - t) // q + 1 for d in task.system.offsets))
-        self.size = 1
-
-    def survivors(self, js: np.ndarray, lo: int) -> Iterator[int]:
-        """The survivors js of the window from lo, ascending, less those
-        with some x + d that a screening prime divides; before the start,
-        all of js. In ascending slices, the next twice as long after each
-        whole one, through the search's windows: a search that stops at a
-        witness has screened at most about twice the survivors it reached,
-        and a sparse one screens about one slice a window."""
-        if lo < self.start:
-            yield from js.tolist()
-            return
-        r = _residues(lo, self.primes)
-        a = 0
-        while a < len(js):
-            part = js[a : a + self.size]
-            a += len(part)
-            if len(part) == self.size:
-                self.size *= 2
-            yield from _sift(part, r, self.primes, self.at, self.good).tolist()
-
-
 def _witness_ok(task: ConstellationTask, x: int) -> bool:
     # a base-2 test screens every value, as most survivors fail it on one;
     # certifying then starts from the second base
@@ -597,11 +585,11 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     16 * FIRST_WINDOW to 8 * LARGEST_WINDOW, so that LARGEST_WINDOW bounds
     the bytes of a window either way. Before each window the plan grows
     to the sieving primes up to the window's end, in candidates from the
-    start, / DEPTH_PER_PRIME. Past the first window a screen by the primes
-    up to SCREEN_LIMIT drops survivors before they are certified (module
-    docstring). The candidate count is the number of progression
-    members considered, counted before sieving, so exhaustion means
-    exactly `budget` of them were covered.
+    start, / DEPTH_PER_PRIME. Past the first window the plan screens each
+    window's survivors by the primes up to SCREEN_LIMIT before they are
+    certified (module docstring). The candidate count is the number of
+    progression members considered, counted before sieving, so exhaustion
+    means exactly `budget` of them were covered.
     """
     obstruction = is_admissible(task.system)
     if obstruction is not None:
@@ -612,7 +600,6 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     k_end = k_start + task.budget
     bound = min(FIRST_WINDOW, task.budget) // DEPTH_PER_PRIME
     plan = _SievePlan(task, min(LARGEST_WINDOW, task.budget), bound)
-    screen = None
     lo, size = k_start, FIRST_WINDOW
     while lo < k_end:
         # after the first window a wide plan's windows are packed bits, so
@@ -621,12 +608,10 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
         hi = min(lo + scale * size, k_end)
         plan.grow((hi - k_start) // DEPTH_PER_PRIME)
         js = plan.window(lo, hi)
-        # built at the first window past the first with survivors, so that
-        # a search that ends in its first window never builds it; and only
-        # if some prime lies in (sieve_limit, SCREEN_LIMIT]
-        if screen is None and lo > k_start and len(js) and task.sieve_limit < primes_up_to(SCREEN_LIMIT)[-1]:
-            screen = _Screen(task)
-        for j in screen.survivors(js, lo) if screen else js.tolist():
+        # not the first window: a search that ends there builds no screen
+        if lo > k_start:
+            js = plan.screen(js, lo)
+        for j in js.tolist():
             x = t + (lo + j) * q
             if x not in task.exclusions and _witness_ok(task, x):
                 return x, lo + j - k_start + 1

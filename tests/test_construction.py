@@ -466,6 +466,9 @@ def assert_same_plan(plan, want, target):
             assert all(np.array_equal(a, b) for a, b in zip(got, value)), target
         elif name == "_grouping":
             assert np.array_equal(got[0], value[0]) and got[1:] == value[1:], target
+        elif name == "_screen":
+            assert (got is None) == (value is None), target
+            assert value is None or got[0] == value[0] and all(map(np.array_equal, got[1:], value[1:])), target
         elif isinstance(value, np.ndarray):
             assert got.dtype == value.dtype and np.array_equal(got, value), (target, name)
         else:

@@ -5,7 +5,6 @@ trial-divides every shifted value; the production path must return the
 same witness or the same exhaustion.
 """
 
-import itertools
 import math
 import random
 from dataclasses import replace
@@ -14,8 +13,9 @@ import numpy as np
 import pytest
 import sympy
 
-from sdpc import search
+from sdpc import construction, search
 from sdpc.admissible import InadmissibleSystemError, TupleSystem, is_admissible
+from sdpc.construction import Config, initial_state, run
 from sdpc.modular import CrtClass
 from sdpc.primes import PrimalityStatus, primes_up_to
 from sdpc.search import (
@@ -167,6 +167,16 @@ def test_exclusions_skip_named_witnesses():
         ConstellationTask(base.system, start=19, budget=10**5,
                           exclusions=frozenset({first}))
     )
+
+
+def test_a_system_with_no_offsets_searches_past_its_first_window():
+    # every x qualifies, with no value to test; the exclusions hold the
+    # witness past the first window, where the screen starts over no offsets
+    task = ConstellationTask(
+        TupleSystem(CrtClass(1, 0), ()), start=2000, budget=10_000,
+        exclusions=frozenset(range(2000, 5000)),
+    )
+    assert search_with_count(task) == (5000, 3001)
 
 
 def test_inadmissible_task_is_an_error_not_exhaustion():
@@ -1011,7 +1021,7 @@ def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, span, mon
         plan = _SievePlan(task, span)
         every = offset_entries(task)
         assert plan.good is None and not plan.patterns and not len(plan.gather_p)
-        entries = list(zip(plan.rest_p.tolist(), plan.rest_k0.tolist()))
+        entries = plan_entries(plan)
         assert entries == every and set(entries) == naive_entries(task)
         # the pre-sieved primes: those whose distinct classes cover at least
         # 1/PRESIEVE_DENSITY of all k and that fit a pattern period
@@ -1252,20 +1262,20 @@ def test_screened_survivors_are_those_no_screening_prime_divides():
             continue
         systems += 1
         q, t = task.system.crt.modulus, task.system.crt.residue
-        screen = search._Screen(task)
+        plan = _SievePlan(task, WINDOW)
+        start = plan._screen[0]
         # the first k from which every |x + d| exceeds SCREEN_LIMIT
         beyond = [all(abs(t + k * q + d) > SCREEN_LIMIT for d in offsets) for k in range(2100)]
-        assert screen.start == beyond.index(True) and all(beyond[screen.start :])
-        plan = _SievePlan(task, WINDOW)
-        for lo in (screen.start, rng.randrange(10**9), rng.randrange(1 << 62, 1 << 64)):
-            lo = max(lo, screen.start)
+        assert start == beyond.index(True) and all(beyond[start:])
+        for lo in (start, rng.randrange(10**9), rng.randrange(1 << 62, 1 << 64)):
+            lo = max(lo, start)
             js = plan.window(lo, lo + WINDOW)
-            got = list(screen.survivors(js, lo))
+            got = plan.screen(js, lo).tolist()
             assert got == screen_oracle(task, lo, js.tolist()), (task, lo)
             dropped += len(js) - len(got)
-        if screen.start:
-            js = plan.window(screen.start - 1, screen.start + 99)
-            assert list(screen.survivors(js, screen.start - 1)) == js.tolist()
+        if start:
+            js = plan.window(start - 1, start + 99)
+            assert plan.screen(js, start - 1).tolist() == js.tolist()
     assert dropped > 500, dropped
 
 
@@ -1289,60 +1299,45 @@ STEP_7 = TupleSystem(CrtClass(210, 67, (2, 3, 5, 7)), (
 
 
 def test_the_step_7_search_certifies_few_survivors(monkeypatch):
-    # the sieve to 400 leaves 152 survivors up to the witness; the screen
-    # leaves 36 of them to the primality tests
+    # the sieve to 400 leaves 152 survivors up to the step-7 witness; the
+    # screen leaves 36 of them to the primality tests. Each search of the
+    # run to coverage 8 certifies exactly so many survivors
     certified = []
-    witness_ok = search._witness_ok
+    witness_ok, searched = search._witness_ok, construction.search_with_count
 
     def counted(task, x):
-        certified.append(x)
+        certified[-1] += 1
         return witness_ok(task, x)
 
+    def search_in_run(task):
+        certified.append(0)
+        return searched(task)
+
     monkeypatch.setattr(search, "_witness_ok", counted)
-    assert search_with_count(ConstellationTask(STEP_7, start=4264959)) == (1655127457, 7861250)
-    assert len(certified) <= 40
+    monkeypatch.setattr(construction, "search_with_count", search_in_run)
+    res = run(initial_state(Config()), 8)
+    assert [step.witness for step in res.steps] == [625, 3587, 42305, 2132467, 1655127457, 68092385285]
+    assert certified == [1, 1, 1, 3, 36, 712]
 
 
 @pytest.mark.parametrize("limit", (1019, 1021, 1022, 1023))
 def test_a_screen_is_built_only_with_a_prime_to_screen_by(limit, monkeypatch):
     # 1,021 is the largest prime up to SCREEN_LIMIT: from it on no prime
-    # lies in (sieve_limit, SCREEN_LIMIT], and a screen would hold none
-    built = []
-    screen = search._Screen
+    # lies in (sieve_limit, SCREEN_LIMIT], and the plan holds no screen
+    plans = []
 
-    def spy(task):
-        built.append(screen(task))
-        return built[-1]
+    class Recorded(_SievePlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
 
-    monkeypatch.setattr(search, "_Screen", spy)
+    monkeypatch.setattr(search, "_SievePlan", Recorded)
     task = ConstellationTask(STEP_7, start=4264959, sieve_limit=limit)
     assert search_with_count(task) == (1655127457, 7861250)
-    assert [each.primes.ravel().tolist() for each in built] == ([[1021]] if limit < 1021 else [])
-
-
-def test_a_dense_window_screens_about_twice_what_it_yields():
-    # twin primes, hundreds of survivors a window: taking the first n
-    # screened survivors of a search's first screened window reads at most
-    # 2 * i + 1 of the window's, i the index of the n-th among them, as
-    # the slices double
-    task = ConstellationTask(TupleSystem(CrtClass(6, 5, (2, 3)), (0, 2)))
-    lo = 10**10
-    js = _SievePlan(task, 1 << 13).window(lo, lo + (1 << 13))
-    want = screen_oracle(task, lo, js.tolist())
-    assert lo >= search._Screen(task).start
-    assert len(js) > 200 and len(want) < len(js)
-
-    class Counted:
-        def __init__(self, table):
-            self.table, self.reads = table, 0
-
-        def __getitem__(self, at):
-            self.reads += at.shape[1]
-            return self.table[at]
-
-    for n in (1, 2, 5, 50, len(want)):
-        screen = search._Screen(task)
-        screen.good = counted = Counted(screen.good)
-        got = list(itertools.islice(screen.survivors(js, lo), n))
-        assert got == want[:n]
-        assert counted.reads <= 2 * js.tolist().index(got[-1]) + 1, n
+    (plan,) = plans
+    # decided by the search, not by this read
+    screen = vars(plan)["_screen"]
+    if limit < 1021:
+        assert screen[1].ravel().tolist() == [1021]
+    else:
+        assert screen is None

@@ -29,7 +29,7 @@ certification decides, so the witness and count stay the same.
 
 Prime p strikes k exactly when k = k0 (mod p), k0 = -(t + d) / q mod p,
 one class per offset. Each search builds a plan of these classes, and
-its windows reuse it. The plan has three tiers:
+its windows reuse it. The plan has four tiers:
 
 1. Tabled primes, each with a table of 8 periods, true on the classes it
    leaves alive. The pre-sieved ones, whose classes cover at least
@@ -48,13 +48,17 @@ its windows reuse it. The plan has three tiers:
    reads are fewest. This tier costs about its patterns' bytes to build,
    which short windows do not repay: a plan builds it in place at its
    first window longer than PRESIEVE_AFTER, and until then strikes the
-   pre-sieved primes' classes in tiers 2 and 3.
-2. Middle primes: one strided write per (p, k0) entry.
-3. Large primes, those hitting a window fewer than SCATTER_HITS times:
+   pre-sieved primes' classes in tiers 2 to 4.
+2. Primes below FIRST_WINDOW // SCATTER_HITS = 64: one comb table holds
+   a row of FIRST_WINDOW bits per (p, class), and a window ORs its
+   entries' rows per chunk of FIRST_WINDOW candidates from lo (a first
+   window is one chunk) and clears them: one gather, reduce and AND.
+3. Middle primes, from 64 on: one strided write per (p, k0) entry.
+4. Large primes, those hitting a window fewer than SCATTER_HITS times:
    their hit positions are computed as arrays and struck in scatters,
    one indexed write for all the primes that hit at most once.
 
-Without tier 2 and 3 entries a window finds its survivors in the nonzero
+Without tier 2 to 4 entries a window finds its survivors in the nonzero
 64-bit words of the ANDed bits; else it unpacks them once, to strike on.
 That byte path costs every window a pass over n bytes, whatever its
 entries. So a plan that gathers is wide if it can be: every sieving
@@ -72,10 +76,10 @@ a wide plan builds its tables at its second window, the first longer
 than PRESIEVE_AFTER.
 
 Set-up costs a few NumPy passes per (prime, offset) entry; q is inverted
-prime by prime in _sieving_primes, once per q and prime range in a run.
+prime by prime in _sieving_primes, once per q and prime table in a run.
 Every sieving prime keeps its m classes, one per offset: offsets that
 coincide mod it strike twice, which is harmless. So growing only appends
-tier 2 and 3 entries, before or after the pre-sieve, and a wide plan,
+tier 2 to 4 entries, before or after the pre-sieve, and a wide plan,
 which tables every prime up to the limit, grows to the limit as it is
 built. Distinct classes are counted only to weigh the tabled primes.
 
@@ -95,7 +99,6 @@ screen lies outside the sieve: a window's survivors keep their meaning.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
@@ -158,8 +161,11 @@ class ConstellationTask:
 
 
 def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
-    """n mod m for every modulus m < 2**31, exact for any Python int n:
-    Horner's rule over n's 31-bit digits keeps every product in int64."""
+    """n mod m for every modulus m < 2**31, exact for any Python int n: in
+    one op below 2**62, else by Horner's rule over n's 31-bit digits, which
+    keeps every product in int64."""
+    if abs(n) < 1 << 62:
+        return n % moduli
     r = np.zeros_like(moduli)
     a = abs(n)
     for shift in range(31 * ((a.bit_length() - 1) // 31), -1, -31):
@@ -177,13 +183,11 @@ def _table_top(hi: int, limit: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _sieving_primes(q: int, lo: int, hi: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes p in [lo, hi] that do not divide q and -q**-1 mod each,
-    cut from the cached table of the primes up to top >= hi; read-only, as
-    every plan of a construction shares them. The one place q is inverted:
-    prime by prime, from q mod p."""
-    table = primes_up_to(top)
-    primes = np.array(table[bisect_left(table, lo) : bisect_right(table, hi)], np.int64)
+def _sieving_primes(q: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p up to top that do not divide q and -q**-1 mod each;
+    read-only, as every plan of a construction shares them, each cutting
+    its range. The one place q is inverted: prime by prime, from q mod p."""
+    primes = np.array(primes_up_to(top), np.int64)
     a = _residues(q, primes)
     primes, a = primes[a != 0], a[a != 0]
     neg_inv = np.array([p - pow(r, -1, p) for r, p in zip(a.tolist(), primes.tolist())], np.int64)
@@ -199,7 +203,9 @@ def _hit_classes(
     where p | t + k*q + d: one row per offset."""
     crt, offsets = task.system.crt, task.system.offsets
     hi = task.sieve_limit if hi is None else hi
-    primes, neg_inv = _sieving_primes(crt.modulus, lo, hi, _table_top(hi, task.sieve_limit))
+    primes, neg_inv = _sieving_primes(crt.modulus, _table_top(hi, task.sieve_limit))
+    a, b = primes.searchsorted([lo, hi + 1])
+    primes, neg_inv = primes[a:b], neg_inv[a:b]
     # k0 = (t + d) * -q**-1 mod p. Below 2**31 an offset joins t mod p as
     # it is; |t mod p + d| < 2**32 keeps the products in int64.
     small = [d if abs(d) < 1 << 31 else 0 for d in offsets]
@@ -310,6 +316,23 @@ def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
         alive[start + np.arange(count.sum()) * np.repeat(p, count)] = False
 
 
+def _comb() -> tuple[np.ndarray, np.ndarray]:
+    """For every prime p below FIRST_WINDOW // SCATTER_HITS and class f < p,
+    a read-only row of the FIRST_WINDOW bits b = f (mod p), packed
+    little-endian into uint64 words; and, at index p, p's first row."""
+    primes = primes_up_to(FIRST_WINDOW // SCATTER_HITS - 1)
+    rows = bytearray()
+    for p in primes:
+        # class 0's bits 0, p, 2p, ...; shifted by f, class f's
+        row = int(("0" * (p - 1) + "1") * -(-FIRST_WINDOW // p), 2)
+        for f in range(p):
+            rows += (row << f & (1 << FIRST_WINDOW) - 1).to_bytes(FIRST_WINDOW // 8, "little")
+    at = np.zeros(primes[-1] + 1, np.int64)
+    at[list(primes)] = np.cumsum(primes) - primes
+    return np.frombuffer(bytes(rows), np.uint64).reshape(-1, FIRST_WINDOW // 64), at
+
+
+_COMB, _COMB_AT = _comb()
 _words = np.empty(0, np.uint64)
 
 
@@ -379,8 +402,8 @@ class _SievePlan:
         if self.limit > self.period:
             return False
         _, groups, anded = self._grouping
-        top = _table_top(self.limit, self.limit)
-        return anded < len(groups) and 8 * int(_sieving_primes(self.q, 2, self.limit, top)[0].sum()) <= self.span
+        primes = _sieving_primes(self.q, _table_top(self.limit, self.limit))[0]
+        return anded < len(groups) and 8 * int(primes[primes <= self.limit].sum()) <= self.span
 
     def _presieve(self) -> None:
         """Build the tabled tier (module docstring): the tables, the ANDed
@@ -486,15 +509,20 @@ class _SievePlan:
                 packed[len(packed) - tail :] &= pattern[:tail]
         if len(self.rest_p):
             alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
-            # lo mod p once per prime, then per entry k0 - lo in [0, p)
-            m = len(self.offsets)
-            first = self.rest_k0 - np.repeat(_residues(lo, self.rest_p[::m]), m)
-            first += self.rest_p * (first < 0)
-            # a prime hitting the window SCATTER_HITS times or more gets
-            # a strided write, the rest are batched into scatters
-            split = int(np.searchsorted(self.rest_p, -(-n // SCATTER_HITS)))
-            once = int(np.searchsorted(self.rest_p, n))
-            for f, p in zip(first[:split].tolist(), self.rest_p[:split].tolist()):
+            # each entry's first hit, k0 - lo mod p
+            first = (self.rest_k0 - _residues(lo, self.rest_p)) % self.rest_p
+            # a prime below 64 strikes from the comb, in chunks of
+            # FIRST_WINDOW from lo; one hitting the window SCATTER_HITS times
+            # or more gets a strided write, the rest are batched into scatters
+            bounds = [FIRST_WINDOW // SCATTER_HITS, -(-n // SCATTER_HITS), n]
+            comb, split, once = self.rest_p.searchsorted(bounds).tolist()
+            split, once = max(comb, split), max(comb, once)
+            if comb:
+                p = self.rest_p[:comb, None]
+                rows = _COMB[_COMB_AT[p] + (first[:comb, None] - np.arange(0, n, FIRST_WINDOW)) % p]
+                struck = np.bitwise_or.reduce(rows, axis=0)
+                alive &= np.unpackbits((~struck).view(np.uint8), count=n, bitorder="little").view(bool)
+            for f, p in zip(first[comb:split].tolist(), self.rest_p[comb:split].tolist()):
                 alive[f::p] = False
             _scatter(alive, first[split:once], self.rest_p[split:once])
             # a prime of at least n hits the window at most once

@@ -916,6 +916,63 @@ def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, mo
                     assert np.array_equal(got, want_n), (span, base, r, n)
 
 
+COMB_PRIMES = list(primes_up_to(FIRST_WINDOW // SCATTER_HITS - 1))
+
+
+def test_comb_rows_are_their_definition():
+    # one row per prime p below 64 and class f < p: the bits b of a first
+    # window with b = f (mod p)
+    assert search._COMB.shape == (sum(COMB_PRIMES), FIRST_WINDOW // 64)
+    assert not search._COMB.flags.writeable
+    bits = np.unpackbits(search._COMB.view(np.uint8), axis=1, bitorder="little").view(bool)
+    b = np.arange(FIRST_WINDOW)
+    for p in COMB_PRIMES:
+        at = search._COMB_AT[p]
+        assert np.array_equal(bits[at : at + p], b % p == np.arange(p)[:, None]), p
+
+
+@pytest.mark.parametrize("primes_of_q, offsets", (((5, 7), (0, 2, 6, 8, 12)), ((2, 3, 5, 7), TUPLE_12)))
+def test_comb_windows_at_every_bit_offset_match_the_definition(primes_of_q, offsets):
+    # a byte-path window strikes its primes below 64 from the comb in
+    # chunks of FIRST_WINDOW from lo, one chunk for a first window; lengths
+    # around one and two chunks at every lo mod 64, over the forgiveness
+    # zone at k = 0, mid-range and above 2**63. Both systems have offsets
+    # that coincide modulo a prime below 64 (2 and 3; 11 and 13).
+    task = admissible_task(random.Random(len(offsets)), primes_of_q, offsets, 200)
+    q = task.system.crt.modulus
+    assert any(q % p and len({d % p for d in offsets}) < len(offsets) for p in COMB_PRIMES)
+    plan = _SievePlan(task, 1 << 20)
+    lengths = (FIRST_WINDOW - 1, FIRST_WINDOW, FIRST_WINDOW + 1, 2 * FIRST_WINDOW + 7)
+    # comb, strided and scattered primes in the longest window
+    assert plan.rest_p[0] < 64 <= plan.rest_p[-1] and plan.rest_p[-1] >= -(-lengths[-1] // SCATTER_HITS)
+    for base in (0, 10**9 + 321, (1 << 63) + 4321):
+        want = numpy_survivors(task, base, base + 64 + lengths[-1])
+        for r in range(64):
+            for n in lengths:
+                got = plan.window(base + r, base + r + n)
+                assert np.array_equal(got, want[(want >= r) & (want < r + n)] - r), (base, r, n)
+
+
+@pytest.mark.parametrize("n", (0, 1, (1 << 62) - 1, 1 << 62, 1 << 63, (1 << 64) + 14))
+def test_residues_match_python_mod_on_both_sides_of_the_one_op_switch(n):
+    moduli = np.array([2, 3, 61, 1_000_003, (1 << 31) - 1], np.int64)
+    for v in (n, -n):
+        assert search._residues(v, moduli).tolist() == [v % m for m in moduli.tolist()], v
+
+
+def test_searches_over_many_limits_share_one_inverse_table():
+    # the inverses of q are cached per q and table, not per prime range: 70
+    # limits below 512 all cut theirs from the table up to 512, so a second
+    # pass over their searches inverts nothing again
+    system = TupleSystem(CrtClass(6, 5, (2, 3)), (0, 2))
+    tasks = [ConstellationTask(system, start=10**6, sieve_limit=limit) for limit in range(100, 170)]
+    search._sieving_primes.cache_clear()
+    first = [search_with_count(task) for task in tasks]
+    misses = search._sieving_primes.cache_info().misses
+    assert [search_with_count(task) for task in tasks] == first
+    assert search._sieving_primes.cache_info().misses == misses
+
+
 # ---------------------------------------------------------------------------
 # the classes a plan sieves with, against brute force
 # ---------------------------------------------------------------------------

@@ -91,11 +91,12 @@ def may_be_prime(n: int) -> bool:
     return v % 2 == 1 and _strong_probable_prime(v, 2)
 
 
-def _passes_tests(n: int, skip: int) -> bool:
+def _passes_tests(n: int, screened: bool) -> bool:
     """Whether n >= 2 passes trial division by the primes to 47 and the
-    strong tests to its base set, after the set's first `skip` bases:
-    its tier below 2**64, the first 24 primes from there on."""
-    for p in _SMALL_TRIAL:
+    strong tests to its base set: its tier below 2**64, the first 24 primes
+    from there on. A screened n (odd, past base 2) skips both: the other
+    bases reject any odd composite below the bound or with a factor among them."""
+    for p in () if screened else _SMALL_TRIAL:
         if n == p:
             return True
         if n % p == 0:
@@ -104,14 +105,14 @@ def _passes_tests(n: int, skip: int) -> bool:
         bases = next(bases for bound, bases in _MR_TIERS if n < bound)
     else:
         bases = _PROBABLE_BASES
-    return all(_strong_probable_prime(n, b) for b in bases[skip:])
+    return all(_strong_probable_prime(n, b) for b in bases[screened:])
 
 
 def is_prime_exact(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2**64."""
     if n >= CERTIFIED_LIMIT:
         raise ValueError("is_prime_exact requires n < 2**64")
-    return n >= 2 and _passes_tests(n, 0)
+    return n >= 2 and _passes_tests(n, False)
 
 
 class PrimalityStatus(Enum):
@@ -131,13 +132,13 @@ def is_prime(n: int, *, _screened: bool = False) -> PrimalityStatus:
     Certified (deterministic) below 2**64. From 2**64 on, trial division
     by the primes to 47 and strong tests to the first 24 prime bases give
     a probable-prime verdict. _screened, for the search only, says that
-    may_be_prime(n) held, so base 2, which leads every base set, has
-    passed and is not run again.
+    may_be_prime(n) held: base 2, which leads every base set, is not run
+    again, and the other bases decide without trial division.
     """
     v = abs(n)
     if v <= 1:
         return PrimalityStatus.UNIT_OR_SMALL
-    if not _passes_tests(v, 1 if _screened else 0):
+    if not _passes_tests(v, _screened):
         return PrimalityStatus.COMPOSITE
     return PrimalityStatus.CERTIFIED if v < CERTIFIED_LIMIT else PrimalityStatus.PROBABLE
 

@@ -49,17 +49,17 @@ its windows reuse it. The plan has four tiers:
    which short windows do not repay: a plan builds it in place at its
    first window longer than PRESIEVE_AFTER, and until then strikes the
    pre-sieved primes' classes in tiers 2 to 4.
-2. Primes below FIRST_WINDOW // SCATTER_HITS = 64: one comb table holds
-   a row of FIRST_WINDOW bits per (p, class), and a window ORs its
-   entries' rows per chunk of FIRST_WINDOW candidates from lo (a first
-   window is one chunk) and clears them: one gather, reduce and AND.
-3. Middle primes, from 64 on: one strided write per (p, k0) entry.
+2. Comb primes, below FIRST_WINDOW // DEPTH_PER_PRIME = 512, and from 4
+   chunks on below 512 / (chunks // 2), at least 64: a window clears their
+   rows of multiples, per _CHUNK bits from the byte at or below lo, in its
+   packed bits, in one gather, reduce and AND of at most 1 MiB.
+3. Middle primes, past the comb: one strided write per (p, k0) entry.
 4. Large primes, those hitting a window fewer than SCATTER_HITS times:
    their hit positions are computed as arrays and struck in scatters,
    one indexed write for all the primes that hit at most once.
 
-Without tier 2 to 4 entries a window finds its survivors in the nonzero
-64-bit words of the ANDed bits; else it unpacks them once, to strike on.
+A window unpacks its bits once, to strike tiers 3 and 4 on and find its
+survivors; without them, past PRESIEVE_AFTER, it reads the nonzero words.
 That byte path costs every window a pass over n bytes, whatever its
 entries. So a plan that gathers is wide if it can be: every sieving
 prime is tabled and gathered, and the byte path drops out. This needs
@@ -76,7 +76,7 @@ a wide plan builds its tables at its second window, the first longer
 than PRESIEVE_AFTER.
 
 Set-up costs a few NumPy passes per (prime, offset) entry; q is inverted
-prime by prime in _sieving_primes, once per q and prime table in a run.
+prime by prime in _sieving_primes, once per q and prime in a run.
 Every sieving prime keeps its m classes, one per offset: offsets that
 coincide mod it strike twice, which is harmless. So growing only appends
 tier 2 to 4 entries, before or after the pre-sieve, and a wide plan,
@@ -184,13 +184,16 @@ def _table_top(hi: int, limit: int) -> int:
 
 @lru_cache(maxsize=64)
 def _sieving_primes(q: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes p up to top that do not divide q and -q**-1 mod each;
-    read-only, as every plan of a construction shares them, each cutting
-    its range. The one place q is inverted: prime by prime, from q mod p."""
-    primes = np.array(primes_up_to(top), np.int64)
+    """The primes p up to top that do not divide q and -q**-1 mod each,
+    read-only, as plans share them. The one place q is inverted, once per
+    prime: a table past a first window's extends the power of two below."""
+    below = 1 << (top - 1).bit_length() - 1 if top > max(2, FIRST_WINDOW // DEPTH_PER_PRIME) else 0
+    held, held_inv = _sieving_primes(q, below) if below else (np.empty(0, np.int64),) * 2
+    primes = np.array(primes_up_to(top)[len(primes_up_to(below)) :], np.int64)
     a = _residues(q, primes)
     primes, a = primes[a != 0], a[a != 0]
     neg_inv = np.array([p - pow(r, -1, p) for r, p in zip(a.tolist(), primes.tolist())], np.int64)
+    primes, neg_inv = np.concatenate((held, primes)), np.concatenate((held_inv, neg_inv))
     primes.flags.writeable = neg_inv.flags.writeable = False
     return primes, neg_inv
 
@@ -316,23 +319,26 @@ def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
         alive[start + np.arange(count.sum()) * np.repeat(p, count)] = False
 
 
-def _comb() -> tuple[np.ndarray, np.ndarray]:
-    """For every prime p below FIRST_WINDOW // SCATTER_HITS and class f < p,
-    a read-only row of the FIRST_WINDOW bits b = f (mod p), packed
-    little-endian into uint64 words; and, at index p, p's first row."""
-    primes = primes_up_to(FIRST_WINDOW // SCATTER_HITS - 1)
-    rows = bytearray()
+def _combs() -> tuple[np.ndarray, np.ndarray]:
+    """A row of multiples, _CHUNK + 8p bits little-endian, for each prime p
+    a first window sieves with, read-only, as items of _CHUNK / 8 bytes from
+    every byte; and at [p, j] the item of p's multiples from bit j on, byte
+    (j + kp) / 8 with k = -jp mod 8 for odd p (p * p = 1 mod 8), 2 having a
+    second row from bit 1. The item at[p, s & 7] + (s >> 3) starts at bit s."""
+    primes = primes_up_to(FIRST_WINDOW // DEPTH_PER_PRIME - 1)
+    rows, at = bytearray(), np.zeros((primes[-1] + 1, 8), np.int64)
     for p in primes:
-        # class 0's bits 0, p, 2p, ...; shifted by f, class f's
-        row = int(("0" * (p - 1) + "1") * -(-FIRST_WINDOW // p), 2)
-        for f in range(p):
-            rows += (row << f & (1 << FIRST_WINDOW) - 1).to_bytes(FIRST_WINDOW // 8, "little")
-    at = np.zeros(primes[-1] + 1, np.int64)
-    at[list(primes)] = np.cumsum(primes) - primes
-    return np.frombuffer(bytes(rows), np.uint64).reshape(-1, FIRST_WINDOW // 64), at
+        at[p] = [len(rows) + (j + (-j * p & 7) * p) // 8 for j in range(8)]
+        # one period, bits 0, p, ..., 7p of 8p, repeated
+        rows += (((1 << 8 * p) - 1) // ((1 << p) - 1)).to_bytes(p, "little") * (_CHUNK // 8 // p + 2)
+    at[2, 1] = len(rows)
+    rows += b"\xaa" * (_CHUNK // 8)
+    return np.ndarray((len(rows) - _CHUNK // 8 + 1,), np.dtype((np.void, _CHUNK // 8)), bytes(rows), 0, (1,)), at
 
 
-_COMB, _COMB_AT = _comb()
+# A comb row spans a first window from the byte at or below its start.
+_CHUNK = FIRST_WINDOW + 64
+_COMB_ROWS, _COMB_ROW_AT = _combs()
 _words = np.empty(0, np.uint64)
 
 
@@ -507,21 +513,26 @@ class _SievePlan:
                 periods = packed[head : head + whole * size].reshape(whole, size)
                 periods &= pattern
                 packed[len(packed) - tail :] &= pattern[:tail]
+        comb = 0
         if len(self.rest_p):
-            alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
             # each entry's first hit, k0 - lo mod p
             first = (self.rest_k0 - _residues(lo, self.rest_p)) % self.rest_p
-            # a prime below 64 strikes from the comb, in chunks of
-            # FIRST_WINDOW from lo; one hitting the window SCATTER_HITS times
-            # or more gets a strided write, the rest are batched into scatters
-            bounds = [FIRST_WINDOW // SCATTER_HITS, -(-n // SCATTER_HITS), n]
-            comb, split, once = self.rest_p.searchsorted(bounds).tolist()
+            # past the comb (module docstring), whose gather reads at most
+            # 1 MiB of rows, a prime hitting the window SCATTER_HITS times or
+            # more gets a strided write, the rest are batched into scatters
+            chunks = np.arange(-off, n, _CHUNK)
+            bound = max(FIRST_WINDOW // SCATTER_HITS, FIRST_WINDOW // DEPTH_PER_PRIME // max(1, len(chunks) // 2))
+            comb, split, once = self.rest_p.searchsorted([bound, -(-n // SCATTER_HITS), n]).tolist()
+            comb = min(comb, (1 << 20) // (_CHUNK // 8 * len(chunks)))
             split, once = max(comb, split), max(comb, once)
             if comb:
+                # from k = lo + c, p's comb from bit (c - first) mod p
                 p = self.rest_p[:comb, None]
-                rows = _COMB[_COMB_AT[p] + (first[:comb, None] - np.arange(0, n, FIRST_WINDOW)) % p]
-                struck = np.bitwise_or.reduce(rows, axis=0)
-                alive &= np.unpackbits((~struck).view(np.uint8), count=n, bitorder="little").view(bool)
+                s = (chunks - first[:comb, None]) % p
+                struck = np.bitwise_or.reduce(_COMB_ROWS[_COMB_ROW_AT[p, s & 7] + (s >> 3)].view(np.uint64), axis=0)
+                packed &= ~struck.view(np.uint8)[: len(packed)]
+        if comb < len(self.rest_p):
+            alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
             for f, p in zip(first[comb:split].tolist(), self.rest_p[comb:split].tolist()):
                 alive[f::p] = False
             _scatter(alive, first[split:once], self.rest_p[split:once])
@@ -529,6 +540,9 @@ class _SievePlan:
             first = first[once:]
             alive[first[first < n]] = False
             js = np.flatnonzero(alive)
+        elif n <= PRESIEVE_AFTER:
+            # a short window's bits are scanned faster unpacked than by word
+            js = np.flatnonzero(np.unpackbits(packed, bitorder="little").view(bool)[off : off + n])
         else:
             # the set bits of the nonzero words
             live = np.flatnonzero(words != 0)

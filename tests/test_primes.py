@@ -211,6 +211,17 @@ def test_a_screened_verdict_equals_the_full_one():
             assert is_prime(n, _screened=True) is is_prime(n), n
 
 
+def test_a_screened_verdict_needs_no_trial_division():
+    # a screened value skips trial division as well as base 2: the other
+    # bases of its tier alone decide every odd n below 10**5 that base 2
+    # passes, every base prime and the base-2 strong pseudoprimes
+    values = [n for n in range(3, 10**5, 2) if may_be_prime(n)]
+    values += sorted({b for _, bases in _MR_TIERS for b in bases})
+    values += [2047, 3277, 4033, 4681, 8321, 3215031751]
+    for n in values:
+        assert is_prime(n, _screened=True).accepted == is_prime_exact(n), n
+
+
 def test_prime_factors_distinct_sorted():
     assert prime_factors(2 * 3 * 5 * 7) == (2, 3, 5, 7)
     assert prime_factors(2**10) == (2,)

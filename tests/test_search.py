@@ -916,41 +916,77 @@ def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, mo
                     assert np.array_equal(got, want_n), (span, base, r, n)
 
 
-COMB_PRIMES = list(primes_up_to(FIRST_WINDOW // SCATTER_HITS - 1))
+COMB_PRIMES = list(primes_up_to(FIRST_WINDOW // DEPTH_PER_PRIME - 1))
 
 
 def test_comb_rows_are_their_definition():
-    # one row per prime p below 64 and class f < p: the bits b of a first
-    # window with b = f (mod p)
-    assert search._COMB.shape == (sum(COMB_PRIMES), FIRST_WINDOW // 64)
-    assert not search._COMB.flags.writeable
-    bits = np.unpackbits(search._COMB.view(np.uint8), axis=1, bitorder="little").view(bool)
-    b = np.arange(FIRST_WINDOW)
+    # for each prime p below 512, the primes of a first window, the _CHUNK
+    # bits of the row of multiples of p from any bit s < p on are the
+    # read-only row of bytes from at[p, s & 7] + (s >> 3): every shift
+    at, rows = search._COMB_ROW_AT, search._COMB_ROWS
+    assert not rows.flags.writeable
+    assert at.shape == (COMB_PRIMES[-1] + 1, 8)
+    chunk = search._CHUNK
     for p in COMB_PRIMES:
-        at = search._COMB_AT[p]
-        assert np.array_equal(bits[at : at + p], b % p == np.arange(p)[:, None]), p
+        s = np.arange(p)
+        got = np.unpackbits(rows[at[p, s & 7] + (s >> 3)].view(np.uint8).reshape(p, -1), axis=1, bitorder="little")
+        assert np.array_equal(got, (np.arange(chunk) + s[:, None]) % p == 0), p
 
 
-@pytest.mark.parametrize("primes_of_q, offsets", (((5, 7), (0, 2, 6, 8, 12)), ((2, 3, 5, 7), TUPLE_12)))
-def test_comb_windows_at_every_bit_offset_match_the_definition(primes_of_q, offsets):
-    # a byte-path window strikes its primes below 64 from the comb in
-    # chunks of FIRST_WINDOW from lo, one chunk for a first window; lengths
-    # around one and two chunks at every lo mod 64, over the forgiveness
-    # zone at k = 0, mid-range and above 2**63. Both systems have offsets
-    # that coincide modulo a prime below 64 (2 and 3; 11 and 13).
-    task = admissible_task(random.Random(len(offsets)), primes_of_q, offsets, 200)
+# 17 offsets: the head, the primes up to 17 * PRESIEVE_DENSITY = 544,
+# passes the combs' 512, so that a first window still scatters
+TUPLE_17 = TUPLE_12 | {48, 50, 56, 62, 68}
+
+
+@pytest.mark.parametrize("primes_of_q, offsets", (
+    ((5, 7), (0, 2, 6, 8, 12)),
+    ((2, 3, 5, 7), TUPLE_12),
+    ((2, 3, 5, 7), TUPLE_17),
+))
+def test_comb_windows_at_every_bit_offset_match_the_definition(primes_of_q, offsets, monkeypatch):
+    # a window strikes its primes below a bound from the combs, in chunks
+    # of _CHUNK bits from the byte at or below lo, one chunk for a first
+    # window: lengths around one and two chunks, and across 3 | 4, 5 | 6
+    # and 7 | 8 chunks, where the bound falls from 512 to 256, 170 and 128,
+    # at every lo mod 64, over the forgiveness zone at k = 0, mid-range and
+    # above 2**63. Every system has offsets that coincide modulo a prime of
+    # the combs (2 and 3; 11 and 13). TUPLE_17's limit lies past its head.
+    limit = 600 if offsets == TUPLE_17 else 200
+    task = admissible_task(random.Random(len(offsets)), primes_of_q, offsets, limit)
     q = task.system.crt.modulus
     assert any(q % p and len({d % p for d in offsets}) < len(offsets) for p in COMB_PRIMES)
+    gathers = GatherSpy(search._COMB_ROWS)
+    monkeypatch.setattr(search, "_COMB_ROWS", gathers)
     plan = _SievePlan(task, 1 << 20)
+    chunk = search._CHUNK
     lengths = (FIRST_WINDOW - 1, FIRST_WINDOW, FIRST_WINDOW + 1, 2 * FIRST_WINDOW + 7)
-    # comb, strided and scattered primes in the longest window
-    assert plan.rest_p[0] < 64 <= plan.rest_p[-1] and plan.rest_p[-1] >= -(-lengths[-1] // SCATTER_HITS)
+    lengths += tuple(c * chunk - 3 for c in (3, 5, 7))
+    # comb, strided and scattered primes in a window of two chunks
+    assert plan.rest_p[0] < 64 <= plan.rest_p[-1] and plan.rest_p[-1] >= -(-lengths[3] // SCATTER_HITS)
+    if offsets == TUPLE_17:
+        # its first window scatters the primes from 512 to 544; three
+        # chunks of its entries below 512 pass the 1 MiB a gather may read
+        assert plan.head_bound > COMB_PRIMES[-1] and plan.rest_p[-1] > COMB_PRIMES[-1]
+        assert 3 * len(offsets) * sum(q % p > 0 for p in COMB_PRIMES) * chunk // 8 > 1 << 20
     for base in (0, 10**9 + 321, (1 << 63) + 4321):
         want = numpy_survivors(task, base, base + 64 + lengths[-1])
         for r in range(64):
             for n in lengths:
                 got = plan.window(base + r, base + r + n)
                 assert np.array_equal(got, want[(want >= r) & (want < r + n)] - r), (base, r, n)
+    assert 0 < max(gathers.sizes) <= 1 << 20
+
+
+class GatherSpy:
+    """The comb rows, recording the bytes of each gather from them."""
+
+    def __init__(self, rows):
+        self.rows, self.sizes = rows, []
+
+    def __getitem__(self, index):
+        got = self.rows[index]
+        self.sizes.append(got.nbytes)
+        return got
 
 
 @pytest.mark.parametrize("n", (0, 1, (1 << 62) - 1, 1 << 62, 1 << 63, (1 << 64) + 14))
@@ -971,6 +1007,31 @@ def test_searches_over_many_limits_share_one_inverse_table():
     misses = search._sieving_primes.cache_info().misses
     assert [search_with_count(task) for task in tasks] == first
     assert search._sieving_primes.cache_info().misses == misses
+
+
+def test_a_plan_growing_to_a_large_limit_inverts_each_prime_once(monkeypatch):
+    # a table past a first window's primes extends the power-of-two table
+    # below it: a plan that grows from its first window to sieve limit
+    # 10**5, doubling as a search's windows do, inverts q mod each prime once
+    moduli = []
+
+    def counting_pow(base, exp, mod):
+        moduli.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(search, "pow", counting_pow, raising=False)
+    search._sieving_primes.cache_clear()
+    system = TupleSystem(CrtClass(210, 155, (2, 3, 5, 7)), (-28, -18, -6))
+    task = ConstellationTask(system, sieve_limit=10**5)
+    plan = _SievePlan(task, 1 << 20, FIRST_WINDOW // DEPTH_PER_PRIME)
+    hi = FIRST_WINDOW
+    while plan.bound < task.sieve_limit:
+        hi *= 2
+        plan.grow(hi // DEPTH_PER_PRIME)
+    primes = [p for p in primes_up_to(task.sieve_limit) if 210 % p]
+    assert plan.primes.tolist() == sorted(moduli) == primes
+    held, neg_inv = search._sieving_primes(210, task.sieve_limit)
+    assert held.tolist() == primes and (210 * neg_inv % held == held - 1).all()
 
 
 # ---------------------------------------------------------------------------

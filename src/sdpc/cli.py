@@ -279,12 +279,12 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
         sub.add_argument("--offsets", required=True, help="comma separated offsets")
         sub.add_argument("--q-factors", help="comma separated prime factors of q")
     if command == "search":
-        from .search import DEFAULT_SIEVE_LIMIT, DEPTH_PER_PRIME
+        from .search import DEFAULT_SIEVE_LIMIT
 
         sub.add_argument("--start", type=int, default=0)
         sub.add_argument("--budget", type=int, default=10**8)
         sub.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT,
-                         help=f"largest sieving prime, used once a search is {DEPTH_PER_PRIME} x that many candidates deep")
+                         help=f"largest sieving prime; a search sieves with those up to {DEFAULT_SIEVE_LIMIT} at most")
         sub.add_argument("--exclude", help="comma separated x values to skip")
 
 

@@ -18,14 +18,15 @@ packed bits are one module buffer, grown to the longest window and
 reused. A window's survivors are kept as indices and become integers x
 only as they are certified, up to the witness.
 
-Its sieving primes grow with its depth: the window ending hi candidates
-in sieves with those up to hi / DEPTH_PER_PRIME, and at least with the
-plan's head, those it can pre-sieve (below). So sieve_limit is the largest
-sieving prime, reached DEPTH_PER_PRIME * sieve_limit candidates in. A
-prime above the window length strikes at most one candidate per offset
-there, so a shallow search need not pay for the classes of every prime
-up to the limit. Fewer primes only keep more survivors, which
-certification decides, so the witness and count stay the same.
+A search sieves with the primes up to its plan limit, min(sieve_limit,
+DEFAULT_SIEVE_LIMIT), all held from its first window. More sieving primes
+only thin the survivors, which the screen (below) and certification
+decide, so the witness and count stay the same; past the cap they cost
+more than they thin: on the step-9 plan limits 256 / 400 / 1,024 sieved
+1.2e10 / 1.1e10 / 7.5e9 candidates a second over 2**32, and 3,000 1.0e8
+over 2**30 (CHANGES.md). So sieve_limit changes no search; sieve_segment,
+which keeps the full definition, divides the plan's survivors by the
+primes in (plan limit, sieve_limit].
 
 Prime p strikes k exactly when k = k0 (mod p), k0 = -(t + d) / q mod p,
 one class per offset. Each search builds a plan of these classes, and
@@ -49,48 +50,41 @@ its windows reuse it. The plan has four tiers:
    which short windows do not repay: a plan builds it in place at its
    first window longer than PRESIEVE_AFTER, and until then strikes the
    pre-sieved primes' classes in tiers 2 to 4.
-2. Comb primes, below FIRST_WINDOW // DEPTH_PER_PRIME = 512, and from 4
-   chunks on below 512 / (chunks // 2), at least 64: a window clears their
-   rows of multiples, per _CHUNK bits from the byte at or below lo, in its
-   packed bits, in one gather, reduce and AND of at most 1 MiB.
+2. Comb primes, every prime of a window of up to 3 chunks, and from 4
+   chunks on those below FIRST_WINDOW // DEPTH_PER_PRIME / (chunks // 2),
+   at least 64: a window clears their rows of multiples, per _CHUNK bits
+   from the byte at or below lo, in its packed bits, in one gather,
+   reduce and AND of at most 1 MiB.
 3. Middle primes, past the comb: one strided write per (p, k0) entry.
 4. Large primes, those hitting a window fewer than SCATTER_HITS times:
-   their hit positions are computed as arrays and struck in scatters,
-   one indexed write for all the primes that hit at most once.
+   their hit positions are computed as arrays and struck in scatters.
 
 A window unpacks its bits once, to strike tiers 3 and 4 on and find its
 survivors; without them, past PRESIEVE_AFTER, it reads the nonzero words.
 That byte path costs every window a pass over n bytes, whatever its
 entries. So a plan that gathers is wide if it can be: every sieving
 prime is tabled and gathered, and the byte path drops out. This needs
-the sieve limit to fit a period and the tables of all primes up to it to
-take at most the span's bytes, what a byte-path window of the span
-unpacks, so a sieve limit in the thousands never widens. The limit is
-read first: only a plan whose limit fits a period fetches the primes up
-to it for this test, and any other fetches them only as its windows
-grow to them.
-A search builds one plan and runs every window on it. It asks whether
-the plan is wide only after the first window, so a search that ends
-there never fetches the primes up to the limit or forms the groups, and
-a wide plan builds its tables at its second window, the first longer
-than PRESIEVE_AFTER.
+the tables of all its primes to take at most the span's bytes, what a
+byte-path window of the span unpacks. A search builds one plan and runs
+every window on it. It asks whether the plan is wide only after the
+first window, so a search that ends there never forms the groups, and a
+wide plan builds its tables at its second window, the first longer than
+PRESIEVE_AFTER.
 
 Set-up costs a few NumPy passes per (prime, offset) entry; q is inverted
 prime by prime in _sieving_primes, once per q and prime in a run.
 Every sieving prime keeps its m classes, one per offset: offsets that
-coincide mod it strike twice, which is harmless. So growing only appends
-tier 2 to 4 entries, before or after the pre-sieve, and a wide plan,
-which tables every prime up to the limit, grows to the limit as it is
-built. Distinct classes are counted only to weigh the tabled primes.
+coincide mod it strike twice, which is harmless. Distinct classes are
+counted only to weigh the tabled primes.
 
-Forgiveness needs |x + d| = p <= sieve_limit, so it can only happen in a
+Forgiveness needs |x + d| = p <= plan limit, so it can only happen in a
 few windows at the bottom of the progression. The tiers strike blindly;
 afterwards, in those windows only, every k missing from the survivors
-with some |x + d| a sieving prime held is re-decided exactly.
+with some |x + d| a sieving prime is re-decided exactly.
 
 Past a search's first window the plan screens its survivors in one pass
 before they are certified, dropping each with some x + d that a prime p
-in (sieve_limit, SCREEN_LIMIT] divides, read at (lo + j) mod p from one
+in (plan limit, SCREEN_LIMIT] divides, read at (lo + j) mod p from one
 period per prime in one flat table, as the gathered tier reads its
 tables. That is trial division, and it runs only from the first k where
 every |x + d| exceeds SCREEN_LIMIT, so it drops only composites. The
@@ -115,8 +109,8 @@ DEFAULT_SIEVE_LIMIT = 400
 # up to the largest, 2**23 candidates in 1 MB on a wide plan.
 FIRST_WINDOW = 1 << 11
 LARGEST_WINDOW = 1 << 20
-# A search sieves with the primes up to its depth / DEPTH_PER_PRIME, the
-# end of the window it has reached; from a sweep (CHANGES.md).
+# From 4 chunks on, a window's comb serves the primes below
+# FIRST_WINDOW // DEPTH_PER_PRIME / (chunks // 2); from a sweep (CHANGES.md).
 DEPTH_PER_PRIME = 4
 PRESIEVE_DENSITY = 32
 # A plan that is not wide pre-sieves from its first window longer than
@@ -130,7 +124,7 @@ GATHER_COST = 1 << 12
 # Hits per indexed write, which bounds the scatter's index arrays.
 SCATTER_BATCH = 1 << 16
 # Past its first window a search drops the survivors with a value that a
-# prime in (sieve_limit, SCREEN_LIMIT] divides; from a sweep (CHANGES.md).
+# prime in (plan limit, SCREEN_LIMIT] divides; from a sweep (CHANGES.md).
 SCREEN_LIMIT = 1 << 10
 
 
@@ -138,8 +132,10 @@ SCREEN_LIMIT = 1 << 10
 class ConstellationTask:
     """What to search: the system, where to start, and the budgets.
 
-    sieve_limit bounds the sieving primes; a search reaches it once it is
-    DEPTH_PER_PRIME * sieve_limit candidates deep (module docstring).
+    sieve_limit bounds the sieving primes of sieve_segment. A search
+    sieves with those up to min(sieve_limit, DEFAULT_SIEVE_LIMIT) and
+    leaves the rest to its screen and certification, so the limit never
+    changes its witness or count (module docstring).
     """
 
     system: TupleSystem
@@ -173,40 +169,25 @@ def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
     return -r % moduli if n < 0 else r
 
 
-def _table_top(hi: int, limit: int) -> int:
-    """Which prime table to cut the primes up to hi from, at sieve limit
-    `limit`: searches share the table up to the power of two above hi,
-    until that passes the limit and a first window's primes; the limit's
-    own table is then the last."""
-    top = 1 << (hi - 1).bit_length()
-    return top if top <= max(limit, FIRST_WINDOW // DEPTH_PER_PRIME) else max(hi, limit)
-
-
 @lru_cache(maxsize=64)
 def _sieving_primes(q: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """The primes p up to top that do not divide q and -q**-1 mod each,
-    read-only, as plans share them. The one place q is inverted, once per
-    prime: a table past a first window's extends the power of two below."""
-    below = 1 << (top - 1).bit_length() - 1 if top > max(2, FIRST_WINDOW // DEPTH_PER_PRIME) else 0
-    held, held_inv = _sieving_primes(q, below) if below else (np.empty(0, np.int64),) * 2
-    primes = np.array(primes_up_to(top)[len(primes_up_to(below)) :], np.int64)
+    read-only, as plans share them. The one place q is inverted: every
+    plan and screen reads the table up to SCREEN_LIMIT."""
+    primes = np.array(primes_up_to(top), np.int64)
     a = _residues(q, primes)
     primes, a = primes[a != 0], a[a != 0]
     neg_inv = np.array([p - pow(r, -1, p) for r, p in zip(a.tolist(), primes.tolist())], np.int64)
-    primes, neg_inv = np.concatenate((held, primes)), np.concatenate((held_inv, neg_inv))
     primes.flags.writeable = neg_inv.flags.writeable = False
     return primes, neg_inv
 
 
-def _hit_classes(
-    task: ConstellationTask, lo: int = 2, hi: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sieving primes p in [lo, hi] (hi the sieve limit by default, p
-    not dividing q) and, per offset and prime, the class k0 mod p of the k
-    where p | t + k*q + d: one row per offset."""
+def _hit_classes(task: ConstellationTask, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sieving primes p in [lo, hi], p not dividing q, and, per offset
+    and prime, the class k0 mod p of the k where p | t + k*q + d: one row
+    per offset."""
     crt, offsets = task.system.crt, task.system.offsets
-    hi = task.sieve_limit if hi is None else hi
-    primes, neg_inv = _sieving_primes(crt.modulus, _table_top(hi, task.sieve_limit))
+    primes, neg_inv = _sieving_primes(crt.modulus, max(hi, SCREEN_LIMIT))
     a, b = primes.searchsorted([lo, hi + 1])
     primes, neg_inv = primes[a:b], neg_inv[a:b]
     # k0 = (t + d) * -q**-1 mod p. Below 2**31 an offset joins t mod p as
@@ -222,9 +203,9 @@ def _hit_classes(
 
 
 def _sieve_entries(task: ConstellationTask) -> np.ndarray:
-    """(p, k0) rows, one per sieving prime and offset, in that order;
-    perfbench checks its entry count against these."""
-    primes, k0 = _hit_classes(task)
+    """(p, k0) rows, one per sieving prime up to the sieve limit and
+    offset, in that order; perfbench checks its entry count against these."""
+    primes, k0 = _hit_classes(task, 2, task.sieve_limit)
     return np.column_stack([np.repeat(primes, len(k0)), k0.T.ravel()])
 
 
@@ -308,8 +289,9 @@ def _first_stage(keep: list[float]) -> int:
 
 
 def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
-    """Strike alive[first + i*p] for every entry and every i in range, each
-    batch of entries in one indexed write; batches bound the index arrays."""
+    """Strike alive[first + i*p] for every entry and every i in range, none
+    for a first past the end, each batch of entries in one indexed write;
+    batches bound the index arrays."""
     n = len(alive)
     batch = SCATTER_BATCH // SCATTER_HITS
     for a in range(0, len(primes), batch):
@@ -321,11 +303,12 @@ def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
 
 def _combs() -> tuple[np.ndarray, np.ndarray]:
     """A row of multiples, _CHUNK + 8p bits little-endian, for each prime p
-    a first window sieves with, read-only, as items of _CHUNK / 8 bytes from
-    every byte; and at [p, j] the item of p's multiples from bit j on, byte
-    (j + kp) / 8 with k = -jp mod 8 for odd p (p * p = 1 mod 8), 2 having a
-    second row from bit 1. The item at[p, s & 7] + (s >> 3) starts at bit s."""
-    primes = primes_up_to(FIRST_WINDOW // DEPTH_PER_PRIME - 1)
+    a plan sieves with, up to DEFAULT_SIEVE_LIMIT, read-only, as items of
+    _CHUNK / 8 bytes from every byte; and at [p, j] the item of p's
+    multiples from bit j on, byte (j + kp) / 8 with k = -jp mod 8 for odd p
+    (p * p = 1 mod 8), 2 having a second row from bit 1. The item
+    at[p, s & 7] + (s >> 3) starts at bit s."""
+    primes = primes_up_to(DEFAULT_SIEVE_LIMIT)
     rows, at = bytearray(), np.zeros((primes[-1] + 1, 8), np.int64)
     for p in primes:
         at[p] = [len(rows) + (j + (-j * p & 7) * p) // 8 for j in range(8)]
@@ -353,31 +336,30 @@ def _packed_words(size: int) -> np.ndarray:
 
 class _SievePlan:
     """One task's sieve; every window of the search reuses it. It holds
-    the sieving primes up to `bound`, at least its head (by default, up to
-    the sieve limit), and grow() adds each with its m classes. It strikes
-    its pre-sieved primes with the other tiers until a window longer than
+    the sieving primes up to its limit, min(sieve_limit,
+    DEFAULT_SIEVE_LIMIT), each with its m classes. It strikes its
+    pre-sieved primes with the other tiers until a window longer than
     PRESIEVE_AFTER builds the tabled tier in place (_presieve), which in a
     wide plan tables every prime; screen() trial-divides survivors. See
     the module docstring for the tiers and the screen."""
 
-    def __init__(self, task: ConstellationTask, span: int, bound: int | None = None):
+    def __init__(self, task: ConstellationTask, span: int):
         self.task, self.span = task, span
         self.q = task.system.crt.modulus
         self.t = task.system.crt.residue
         self.offsets = task.system.offsets
-        self.limit = task.sieve_limit
+        self.limit = min(task.sieve_limit, DEFAULT_SIEVE_LIMIT)
         # pre-sieved: primes striking at least 1/PRESIEVE_DENSITY of all k,
         # in periods short enough for a window of `span` to repeat 8 times
         self.period = min(PATTERN_PERIOD, span // 8)
         self.head_bound = min(self.period, len(self.offsets) * PRESIEVE_DENSITY, self.limit)
         # the other tiers' entries, ascending in p, m per prime (one per
         # offset); until _presieve, the pre-sieved primes' too
-        self.bound, self.primes = 1, np.empty(0, np.int64)
-        self.rest_p = self.rest_k0 = self.primes
-        self.grow(self.limit if bound is None else bound)
+        self.primes, k0 = _hit_classes(task, 2, self.limit)
+        self.rest_p, self.rest_k0 = np.repeat(self.primes, len(k0)), k0.T.ravel()
         self.patterns, self.good, self.first_stage = [], None, 0
         self.gather_p = self.gather_at = np.empty((0, 1), np.int64)
-        # k-ranges where some |x + d| <= sieve_limit, the only place a value
+        # k-ranges where some |x + d| <= limit, the only place a value
         # can equal a sieving prime
         self.zones, self.zones_end = [], 0
         for d in self.offsets:
@@ -397,27 +379,19 @@ class _SievePlan:
 
     @cached_property
     def wide(self) -> bool:
-        """Whether the plan tables and gathers every sieving prime up to
-        the limit (module docstring). That pays only where the ANDed groups
-        keep under 1/GATHER_COST of all k: where it gathers. The limit must
-        fit a period, and the tables of the primes up to it, 8 bytes per
-        unit of p, take at most the bytes a window of the plan's span
+        """Whether the plan tables and gathers every sieving prime (module
+        docstring). That pays only where it gathers, and where the tables,
+        8 bytes per unit of p, take at most the bytes a window of its span
         unpacks on the byte path. Decided at the first read, which in a
-        search comes after its first window; the primes up to the limit
-        are fetched only when it fits a period, at most PATTERN_PERIOD."""
-        if self.limit > self.period:
-            return False
+        search comes after its first window."""
         _, groups, anded = self._grouping
-        primes = _sieving_primes(self.q, _table_top(self.limit, self.limit))[0]
-        return anded < len(groups) and 8 * int(primes[primes <= self.limit].sum()) <= self.span
+        return anded < len(groups) and 8 * int(self.primes.sum()) <= self.span
 
     def _presieve(self) -> None:
         """Build the tabled tier (module docstring): the tables, the ANDed
         patterns and the gathered primes. The tabled primes are the
-        pre-sieved ones and, in a wide plan, which first grows to the
-        limit, every other; their entries leave the other tiers."""
-        if self.wide:
-            self.grow(self.limit)
+        pre-sieved ones and, in a wide plan, every other; their entries
+        leave the other tiers."""
         dense, groups, anded = self._grouping
         m = len(self.offsets)
         pre_sieved = np.zeros(len(self.primes), bool)
@@ -449,12 +423,10 @@ class _SievePlan:
         self.rest_k0, self.rest_p = self.rest_k0[rest], self.rest_p[rest]
 
     @cached_property
-    def _screen(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
-        """The screen, read only by screen(): None without a prime in
-        (sieve_limit, SCREEN_LIMIT]; else the k it starts from, its primes
-        and their starts as columns, and their tables of one period each."""
-        if self.limit >= primes_up_to(SCREEN_LIMIT)[-1]:
-            return None
+    def _screen(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """The screen, read only by screen(): the k it starts from, its
+        primes, those in (limit, SCREEN_LIMIT], and their starts as
+        columns, and their tables of one period each."""
         primes, k0 = _hit_classes(self.task, self.limit + 1, SCREEN_LIMIT)
         good, at = _tables(primes, k0.T, 1)
         # from this k on every |x + d| exceeds SCREEN_LIMIT, so that no
@@ -464,25 +436,12 @@ class _SievePlan:
 
     def screen(self, js: np.ndarray, lo: int) -> np.ndarray:
         """The survivors js of the window from lo less those with some x + d
-        that a prime in (sieve_limit, SCREEN_LIMIT] divides; before the
-        screen's start, all of js. The first call with survivors builds it."""
-        if not len(js) or self._screen is None or lo < self._screen[0]:
+        that a prime in (limit, SCREEN_LIMIT] divides; before the screen's
+        start, all of js. The first call with survivors builds it."""
+        if not len(js) or lo < self._screen[0]:
             return js
         _, primes, at, good = self._screen
         return _sift(js, _residues(lo, primes), primes, at, good)
-
-    def grow(self, bound: int) -> None:
-        """Hold every sieving prime up to min(bound, sieve_limit), and at
-        least the head. The new ones join the other tiers in ascending p,
-        one entry per offset; a built wide plan holds them all already."""
-        bound = min(max(bound, self.head_bound), self.limit)
-        if bound <= self.bound:
-            return
-        primes, k0 = _hit_classes(self.task, self.bound + 1, bound)
-        self.primes = np.concatenate((self.primes, primes))
-        self.rest_p = np.concatenate((self.rest_p, np.repeat(primes, len(k0))))
-        self.rest_k0 = np.concatenate((self.rest_k0, k0.T), axis=None)
-        self.bound = bound
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Indices j, ascending, of the surviving x = t + (lo + j)*q for
@@ -522,9 +481,9 @@ class _SievePlan:
             # more gets a strided write, the rest are batched into scatters
             chunks = np.arange(-off, n, _CHUNK)
             bound = max(FIRST_WINDOW // SCATTER_HITS, FIRST_WINDOW // DEPTH_PER_PRIME // max(1, len(chunks) // 2))
-            comb, split, once = self.rest_p.searchsorted([bound, -(-n // SCATTER_HITS), n]).tolist()
+            comb, split = self.rest_p.searchsorted([bound, -(-n // SCATTER_HITS)]).tolist()
             comb = min(comb, (1 << 20) // (_CHUNK // 8 * len(chunks)))
-            split, once = max(comb, split), max(comb, once)
+            split = max(comb, split)
             if comb:
                 # from k = lo + c, p's comb from bit (c - first) mod p
                 p = self.rest_p[:comb, None]
@@ -535,10 +494,7 @@ class _SievePlan:
             alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
             for f, p in zip(first[comb:split].tolist(), self.rest_p[comb:split].tolist()):
                 alive[f::p] = False
-            _scatter(alive, first[split:once], self.rest_p[split:once])
-            # a prime of at least n hits the window at most once
-            first = first[once:]
-            alive[first[first < n]] = False
+            _scatter(alive, first[split:], self.rest_p[split:])
             js = np.flatnonzero(alive)
         elif n <= PRESIEVE_AFTER:
             # a short window's bits are scanned faster unpacked than by word
@@ -557,19 +513,19 @@ class _SievePlan:
 
     def _forgive(self, js: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The survivors js with, re-decided exactly, the struck k in
-        [lo, hi) where some |x + d| is itself a sieving prime held: that
-        prime's strike must not count. With none held nothing is struck."""
+        [lo, hi) where some |x + d| is itself a sieving prime: that prime's
+        strike must not count. With no sieving prime nothing is struck."""
         if lo >= self.zones_end or not len(self.primes):
             return js
         q, t = self.q, self.t
-        # the k in the window where some |x + d| is a sieving prime held
+        # the k in the window where some |x + d| is a sieving prime
         recheck = np.zeros(hi - lo, bool)
         for d, z_lo, z_hi in self.zones:
             a, b = max(z_lo, lo), min(z_hi, hi)
             if a >= b:
                 continue
-            # x + d lies in [-sieve_limit, sieve_limit]; a zone two or more
-            # candidates long has q <= 2 * sieve_limit, so this fits int64
+            # x + d lies in [-limit, limit]; a zone two or more candidates
+            # long has q <= 2 * limit, so this fits int64
             step = q if b - a > 1 else 0
             values = np.abs(t + d + a * q + step * np.arange(b - a))
             sieving = self.primes.take(self.primes.searchsorted(values), mode="clip") == values
@@ -578,17 +534,20 @@ class _SievePlan:
         alive[js] = True
         for j in np.flatnonzero(recheck & ~alive).tolist():
             x = t + (lo + j) * q
-            alive[j] = not any(self._struck(x + d) for d in self.offsets)
+            alive[j] = not any(_struck(x + d, self.primes, q) for d in self.offsets)
         return np.flatnonzero(alive)
 
-    def _struck(self, v: int) -> bool:
-        """Whether some sieving prime p divides v with p != |v|. For v
-        coprime to q the held primes up to isqrt|v| decide: a held p above
-        it leaves in v / p a prime factor below p, which does not divide q
-        and so is held too."""
-        top = isqrt(abs(v)) if gcd(v, self.q) == 1 else abs(v) - 1
-        held = self.primes[: np.searchsorted(self.primes, top, "right")] if v else self.primes
-        return bool((_residues(v, held) == 0).any())
+
+def _struck(v: int, primes: np.ndarray, q: int) -> bool:
+    """Whether some p in primes, ascending and none dividing q, divides v
+    with p != |v|. For v coprime to q the primes up to isqrt|v| decide
+    when every smaller prime not dividing q is in primes or strikes v
+    already, as for a plan's primes, from 2, and for those above its limit
+    on its survivors: a p above isqrt|v| leaves in v / p a smaller prime
+    factor, which does not divide q."""
+    top = isqrt(abs(v)) if gcd(v, q) == 1 else abs(v) - 1
+    held = primes[: np.searchsorted(primes, top, "right")] if v else primes
+    return bool((_residues(v, held) == 0).any())
 
 
 def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
@@ -596,12 +555,19 @@ def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
 
     Sound: a candidate is only discarded when some sieving prime p
     properly divides one of its offset values (|x + d| != p), so every x
-    whose offset values are all primes above 3 survives.
+    whose offset values are all primes above 3 survives. A plan sieves
+    with the primes up to its limit, and its survivors, if any, are divided
+    by those in (plan limit, sieve_limit].
     """
     if lo < 0 or hi < lo:
         raise ValueError("bad segment bounds")
     plan = _SievePlan(task, hi - lo)
-    return [plan.t + (lo + j) * plan.q for j in plan.window(lo, hi).tolist()]
+    xs = [plan.t + (lo + j) * plan.q for j in plan.window(lo, hi).tolist()]
+    if xs and task.sieve_limit > plan.limit:
+        primes = np.array(primes_up_to(task.sieve_limit), np.int64)
+        primes = primes[(primes > plan.limit) & (_residues(plan.q, primes) != 0)]
+        xs = [x for x in xs if not any(_struck(x + d, primes, plan.q) for d in plan.offsets)]
+    return xs
 
 
 def _witness_ok(task: ConstellationTask, x: int) -> bool:
@@ -620,35 +586,27 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     nothing about existence, since a witness may lie beyond the budget.
     Raises InadmissibleSystemError for a doomed system.
 
-    Windows of k start at FIRST_WINDOW candidates and double until they
-    reach LARGEST_WINDOW; one plan, built for that span or the budget if
-    smaller (module docstring), sieves them all. If the plan is wide, its
-    windows after the first are packed bits and 8 times as long, from
-    16 * FIRST_WINDOW to 8 * LARGEST_WINDOW, so that LARGEST_WINDOW bounds
-    the bytes of a window either way. Before each window the plan grows
-    to the sieving primes up to the window's end, in candidates from the
-    start, / DEPTH_PER_PRIME. Past the first window the plan screens each
-    window's survivors by the primes up to SCREEN_LIMIT before they are
-    certified (module docstring). The candidate count is the number of
-    progression members considered, counted before sieving, so exhaustion
-    means exactly `budget` of them were covered.
+    One plan, built for LARGEST_WINDOW or the budget if smaller, sieves
+    every window, from FIRST_WINDOW candidates and doubling, 8 times as
+    long after the first on a wide plan; past the first window it screens
+    the survivors before they are certified (module docstring). The
+    candidate count is the number of progression members considered,
+    counted before sieving, so exhaustion means exactly `budget` of them
+    were covered.
     """
     obstruction = is_admissible(task.system)
     if obstruction is not None:
         raise InadmissibleSystemError(obstruction)
-    q = task.system.crt.modulus
-    t = task.system.crt.residue
+    plan = _SievePlan(task, min(LARGEST_WINDOW, task.budget))
+    q, t = plan.q, plan.t
     k_start = max(0, -((t - task.start) // q))
     k_end = k_start + task.budget
-    bound = min(FIRST_WINDOW, task.budget) // DEPTH_PER_PRIME
-    plan = _SievePlan(task, min(LARGEST_WINDOW, task.budget), bound)
     lo, size = k_start, FIRST_WINDOW
     while lo < k_end:
         # after the first window a wide plan's windows are packed bits, so
         # they run 8 times as long for the bytes a byte-path window touches
         scale = 8 if lo > k_start and plan.wide else 1
         hi = min(lo + scale * size, k_end)
-        plan.grow((hi - k_start) // DEPTH_PER_PRIME)
         js = plan.window(lo, hi)
         # not the first window: a search that ends there builds no screen
         if lo > k_start:

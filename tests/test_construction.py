@@ -352,27 +352,27 @@ def test_a_step_that_searches_starts_its_clock_after_the_search_import():
 def test_witnesses_do_not_depend_on_sieve_limit():
     # the sieve strikes only proven composites and the scan is ordered by
     # k, so the limit may change the work but never the witness or its
-    # depth: each step plan of the coverage-7 run, searched at three limits
-    state = initial_state(Config())
-    for coverage in range(3, 8):
-        plan = plan_step(state, signed_primes(coverage))
-        res = run(state, coverage)
-        (step,) = res.steps
-        system = TupleSystem(plan.crt, plan.offsets)
-        for limit in (50, DEFAULT_SIEVE_LIMIT, 100_000):
-            task = ConstellationTask(
-                system, start=plan.min_x, budget=state.config.budget, sieve_limit=limit
-            )
-            assert search_with_count(task) == (step.witness, step.candidates)
-        state = res.state
-    assert (state.a, state.b) == (
-        (1, 11, 625, 3587, 42305, 2132467, 1655127457),
-        (6, 618, 3594, 42294, 2132478, 1655127444),
-    )
+    # depth: each pinned step from its min_x, and step 9 from 2**20
+    # candidates below A_9, at limits below, at and above
+    # DEFAULT_SIEVE_LIMIT. Left out: step 8 at limit 50, whose thin sieve
+    # takes 0.8 s, and steps 7 to 9 at limit 2, where no prime sieves
+    # (each divides q = 210) and every candidate reaches the screen.
+    left_out = {(-13, 50), (13, 2), (-13, 2), (17, 2)}
+    want = [*zip(PINNED_WITNESSES, PINNED_DEPTHS), (A_9, (1 << 20) + 1)]
+    for (target, task), expected in zip(step_tasks(), want, strict=True):
+        if target == 17:
+            task = replace(task, start=A_9 - (1 << 20) * task.system.crt.modulus)
+        for limit in (2, 50, 400, 401, 1000, 3000, 10**5, 10**7):
+            if (target, limit) not in left_out:
+                assert search_with_count(replace(task, sieve_limit=limit)) == expected, (target, limit)
 
 
-# The default run's witnesses after the seed, for targets 7 to -13.
+# The default run's witnesses after the seed, for targets 7 to -13, and
+# their depths from each step's min_x.
 PINNED_WITNESSES = (625, 3587, 42305, 2132467, 1655127457, 68092385285)
+PINNED_DEPTHS = (3, 12, 168, 9752, 7861250, 308486336)
+# The ninth witness, for target +17, 52,788,284,889,010 candidates deep.
+A_9 = 11085676011462515
 
 
 def step_tasks():
@@ -395,8 +395,8 @@ def record_plans(monkeypatch):
     plans = []
 
     class Recorded(search._SievePlan):
-        def __init__(self, task, span, *bound):
-            super().__init__(task, span, *bound)
+        def __init__(self, task, span):
+            super().__init__(task, span)
             self.windows = []
             plans.append(self)
 
@@ -431,14 +431,12 @@ def test_each_search_builds_one_plan(monkeypatch):
 
 
 def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
-    # a search's first window sieves with the primes up to
-    # FIRST_WINDOW // DEPTH_PER_PRIME, at least the default limit: so the
-    # plan each search of the run builds holds the primes of the plan for
-    # LARGEST_WINDOW at that limit through the search, and once both have
-    # pre-sieved, is that plan array for array. A plan pre-sieves at its
-    # first window longer than PRESIEVE_AFTER, a wide one at its second.
-    # Step 9 (+17) searches four of its longest windows.
-    assert FIRST_WINDOW // search.DEPTH_PER_PRIME >= DEFAULT_SIEVE_LIMIT
+    # a plan holds the primes up to its limit from its construction: so
+    # the plan each search of the run builds holds the primes of the plan
+    # for LARGEST_WINDOW at the default limit through the search, and once
+    # both have pre-sieved, is that plan array for array. A plan
+    # pre-sieves at its first window longer than PRESIEVE_AFTER, a wide one
+    # at its second. Step 9 (+17) searches four of its longest windows.
     plan_at_limit = search._SievePlan
     plans = record_plans(monkeypatch)
     for target, task in step_tasks():
@@ -448,7 +446,7 @@ def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
         search_with_count(task)
         (plan,) = plans
         full = plan_at_limit(task, search.LARGEST_WINDOW)
-        assert plan.bound == full.bound == DEFAULT_SIEVE_LIMIT
+        assert plan.limit == full.limit == DEFAULT_SIEVE_LIMIT
         assert np.array_equal(plan.primes, full.primes), target
         assert (plan.good is not None) == (max(plan.windows) > search.PRESIEVE_AFTER)
         for each in (plan, full):
@@ -467,8 +465,7 @@ def assert_same_plan(plan, want, target):
         elif name == "_grouping":
             assert np.array_equal(got[0], value[0]) and got[1:] == value[1:], target
         elif name == "_screen":
-            assert (got is None) == (value is None), target
-            assert value is None or got[0] == value[0] and all(map(np.array_equal, got[1:], value[1:])), target
+            assert got[0] == value[0] and all(map(np.array_equal, got[1:], value[1:])), target
         elif isinstance(value, np.ndarray):
             assert got.dtype == value.dtype and np.array_equal(got, value), (target, name)
         else:

@@ -20,7 +20,6 @@ from sdpc.modular import CrtClass
 from sdpc.primes import PrimalityStatus, primes_up_to
 from sdpc.search import (
     DEFAULT_SIEVE_LIMIT,
-    DEPTH_PER_PRIME,
     FIRST_WINDOW,
     PATTERN_PERIOD,
     PRESIEVE_AFTER,
@@ -302,19 +301,6 @@ def record_windows(monkeypatch):
     return windows
 
 
-def record_bounds(monkeypatch):
-    """(hi, plan.bound) of every window [lo, hi) a search sieves."""
-    bounds = []
-    sieve = _SievePlan.window
-
-    def window(plan, lo, hi):
-        bounds.append((hi, plan.bound))
-        return sieve(plan, lo, hi)
-
-    monkeypatch.setattr(_SievePlan, "window", window)
-    return bounds
-
-
 def test_exhaustion_mid_growth_covers_exactly_the_budget(monkeypatch):
     windows = record_windows(monkeypatch)
     budget = 5000
@@ -372,24 +358,32 @@ def record_tables(monkeypatch):
 
 
 def test_a_shallow_search_with_a_large_limit_fetches_only_its_depth(monkeypatch):
-    # at limit 1e7, far above any pattern period, the plan cannot be wide,
-    # and asking so after the first window must not fetch the primes up to
-    # the limit: the two windows end 3 * FIRST_WINDOW in, so the search
-    # holds the primes up to 1,536, from the table up to 2,048
+    # at limit 1e7 the search's two windows, 3 * FIRST_WINDOW candidates,
+    # sieve with the primes up to DEFAULT_SIEVE_LIMIT and screen by those
+    # up to SCREEN_LIMIT, both cut from the one table up to SCREEN_LIMIT
     sizes = record_tables(monkeypatch)
     task = replace(quintuplet_task(5000), sieve_limit=10**7)
     assert search_with_count(task) == (DEEP_WITNESS, 5000)
-    assert sizes and max(sizes) <= 2048
+    assert sizes and max(sizes) == SCREEN_LIMIT
 
 
 def test_a_search_past_its_limit_fetches_no_table_beyond_it(monkeypatch):
-    # windows end 14,336 and 30,720 candidates in, so the search grows from
-    # the primes up to 3,584, from the table up to 4,096, to the limit of
-    # 5,000: the table up to the next power of two, 8,192, is not needed
+    # 25,000 candidates deep, past 4 * 5,000, at limit 5,000: the plan
+    # holds the primes up to DEFAULT_SIEVE_LIMIT from its first window and
+    # never fetches the primes up to the limit
     sizes = record_tables(monkeypatch)
     task = replace(quintuplet_task(25000), sieve_limit=5000)
     assert search_with_count(task) == (DEEP_WITNESS, 25000)
-    assert 4096 in sizes and max(sizes) == 5000
+    assert max(sizes) == SCREEN_LIMIT
+
+
+def test_an_empty_segment_fetches_no_table_above_the_cap(monkeypatch):
+    # sieve_segment divides survivors by the primes above the plan's limit,
+    # so a segment with none, empty or all struck, never fetches them
+    sizes = record_tables(monkeypatch)
+    task = replace(quintuplet_task(1), sieve_limit=10**7)
+    assert sieve_segment(task, 0, 0) == sieve_segment(task, 1, 2) == []
+    assert max(sizes) <= SCREEN_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +636,28 @@ def test_sieve_strikes_a_zero_value():
     assert 7 not in sieve_segment(task, 0, 100)
 
 
+@pytest.mark.parametrize("limit", (1009, 3000))
+def test_sieve_keeps_a_value_that_is_a_prime_above_the_plan_limit(limit):
+    # sieve_segment divides the plan's survivors by the primes in
+    # (DEFAULT_SIEVE_LIMIT, limit]: x = r survives where its values -r and
+    # r are such primes, 401 or 1009; x = 401 * 401, 401 * 409 and
+    # 1009 * 1009, with such a prime as a proper factor and no prime below
+    # it, do not
+    odd = CrtClass(2, 1, (2,))
+    for r in (401, 1009):
+        task = ConstellationTask(TupleSystem(odd, (-2 * r, 0)), sieve_limit=limit)
+        assert sieve_segment(task, r // 2, r // 2 + 1) == [r]
+        assert sieve_segment(task, r // 2 - 10, r // 2 + 10) == brute_survivors(task, r // 2 - 10, r // 2 + 10)
+    task = ConstellationTask(TupleSystem(odd, (0,)), sieve_limit=limit)
+    for x in (401 * 401, 401 * 409, 1009 * 1009):
+        assert sieve_segment(task, x // 2, x // 2 + 1) == []
+        assert sieve_segment(task, x // 2 - 10, x // 2 + 10) == brute_survivors(task, x // 2 - 10, x // 2 + 10)
+    # 401 divides q = 802, so it is no sieving prime: x = 401 * 1013 survives
+    task = ConstellationTask(TupleSystem(CrtClass(802, 401, (2, 401)), (0,)), sieve_limit=limit)
+    k = 1013 // 2
+    assert sieve_segment(task, k, k + 1) == brute_survivors(task, k, k + 1) == ([401 * 1013] if limit < 1013 else [])
+
+
 def test_a_held_prime_above_the_root_strikes_beside_a_factor_of_q():
     # x + 3 = 2m for m in [97, 106]: 2 divides q and is not held, so where
     # m is a prime above isqrt(x + 3) only m itself strikes. The system is
@@ -652,14 +668,19 @@ def test_a_held_prime_above_the_root_strikes_beside_a_factor_of_q():
 
 @pytest.mark.parametrize("q", (1, 2, 6, 35))
 def test_struck_matches_its_definition(q):
-    # held bounds below and above isqrt|v|, which is at most 54 here
+    # primes from 2 up to bounds below and above isqrt|v|, which is at most
+    # 54 here; and those above 40 alone on the v that none up to 40
+    # strikes, as sieve_segment divides a plan's survivors
+    vs = np.arange(-3000, 3001)
     for limit in (7, 40, 60, 3000):
-        task = ConstellationTask(TupleSystem(CrtClass(q, 1 % q), (0,)), sieve_limit=limit)
-        plan = _SievePlan(task, 1 << 16)
-        held = np.array([p for p in primes_up_to(limit) if q % p])
-        for v in range(-3000, 3001):
-            want = bool(((v % held == 0) & (held != abs(v))).any())
-            assert plan._struck(v) == want, (q, limit, v)
+        held = np.array([p for p in primes_up_to(limit) if q % p], np.int64)
+        divides = (vs[:, None] % held == 0) & (held != np.abs(vs)[:, None])
+        wants, below = divides.any(axis=1).tolist(), divides[:, held <= 40].any(axis=1).tolist()
+        above = held[held > 40]
+        for v, want, struck_below in zip(vs.tolist(), wants, below):
+            assert search._struck(v, held, q) == want, (q, limit, v)
+            if not struck_below:
+                assert search._struck(v, above, q) == want, (q, limit, v)
 
 
 def test_sieve_matches_its_definition_over_the_zone_of_random_systems():
@@ -828,22 +849,47 @@ def test_gathering_step_9_windows_match_the_definition(span, monkeypatch):
 
 
 @pytest.mark.parametrize("n", (700, 1 << 14))
-def test_gathering_windows_with_every_tier_match_the_definition(n):
-    # limit 1000 leaves primes to strided writes and scatters, and in a
-    # window of 700 some hit at most once
+def test_gathering_windows_with_every_tier_match_the_definition(n, monkeypatch):
+    # limit 1000 sieves with the primes up to DEFAULT_SIEVE_LIMIT, and
+    # leaves those past the head to the other tiers: to the comb in windows
+    # of 700 and 350, one chunk, to strided writes in one of 2**14, 8
+    # chunks, where the comb takes the primes below 128, and to scatters in
+    # one of 2**13, 4 chunks, where it takes those below 256. The 12-tuple's
+    # head runs to 384, and its windows keep few survivors; the
+    # quintuplet's, with a gather cost of 2, to 160, and its keep hundreds.
     rng = random.Random(n)
-    task = admissible_task(rng, (2, 3, 5, 7), TUPLE_12, 1000)
-    plan = presieved(_SievePlan(task, 1 << 16))
-    assert len(plan.gather_p)
-    tiers = {
-        "strided" if p < -(-n // SCATTER_HITS) else "scattered" if p < n else "once"
-        for p in plan.rest_p.tolist()
-    }
-    assert tiers == ({"scattered", "once"} if n == 700 else {"strided", "scattered"})
-    for lo in (rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)):
-        got, gathered = gathers(plan, lo, lo + n)
-        assert gathered
-        assert np.array_equal(got, numpy_survivors(task, lo, lo + n)), lo
+    for offsets, cost in ((TUPLE_12, search.GATHER_COST), ({0, 2, 6, 8, 12}, 2)):
+        monkeypatch.setattr(search, "GATHER_COST", cost)
+        task = admissible_task(rng, (2, 3, 5, 7), offsets, 1000)
+        plan = presieved(_SievePlan(task, 1 << 16))
+        assert len(plan.gather_p)
+        held = replace(task, sieve_limit=plan.limit)
+        comb = {700: 512, 350: 512, 1 << 14: 128, 1 << 13: 256}
+        tiers = {
+            "comb" if p < comb[length] else "strided" if p < length // SCATTER_HITS else "scattered"
+            for length in (n, n // 2)
+            for p in plan.rest_p.tolist()
+        }
+        assert tiers == {"comb"} if n == 700 else {"strided", "scattered"} <= tiers, offsets
+        for lo in (rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)):
+            for length in (n, n // 2):
+                got, gathered = gathers(plan, lo, lo + length)
+                assert gathered
+                assert np.array_equal(got, numpy_survivors(held, lo, lo + length)), lo
+
+
+def test_scatter_strikes_every_hit_of_each_entry():
+    # entries that hit a window of 4096 many times, once or not at all (a
+    # first past its end), over two batches of SCATTER_BATCH // SCATTER_HITS
+    rng = random.Random(4096)
+    primes = np.array([rng.choice((997, 4093, 4096, 5003, 1 << 20)) for _ in range(2100)], np.int64)
+    first = np.array([rng.randrange(p) for p in primes.tolist()], np.int64)
+    assert len(primes) > search.SCATTER_BATCH // SCATTER_HITS and (first >= 4096).any()
+    alive, want = np.ones(4096, bool), np.ones(4096, bool)
+    search._scatter(alive, first, primes)
+    for f, p in zip(first.tolist(), primes.tolist()):
+        want[f::p] = False
+    assert np.array_equal(alive, want) and want.any() and not want.all()
 
 
 def test_a_window_over_a_forgiveness_zone_gathers():
@@ -888,18 +934,22 @@ def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, mo
     # A window works from the multiple of 8 at or below lo and drops the
     # bits before lo and from hi on: every lo mod 64 and every length up
     # to 130, across the end of a pattern's bytes (k = 40 * period), over
-    # the forgiveness zone at k = 0 and above 2**63. With one offset, limit 31 pre-sieves every prime
-    # and scans words, 1000 leaves strided and scattered primes to strike
+    # the forgiveness zone at k = 0 and above 2**63, against the
+    # definition at the plan's limit. With one offset, limit 31 pre-sieves
+    # every prime and scans words, 1000 sieves with the primes up to
+    # DEFAULT_SIEVE_LIMIT and leaves strided and scattered ones to strike
     # on bytes; with a gather cost of 2 the plan gathers all but its
     # densest groups. A plan widens where it gathers and its tables, 8
-    # bytes per unit of p, fit the span: limit 31's at both spans, limit
-    # 1000's (609 KB) for windows of 2**20 only. A wide plan tables every
-    # prime, gathers limit 1000's other primes too and scans words.
+    # bytes per unit of p, fit the span: limit 31's at both spans, those
+    # up to DEFAULT_SIEVE_LIMIT (111 KB) for windows of 2**20 only. A wide
+    # plan tables every prime, gathers limit 1000's other primes too and
+    # scans words.
     monkeypatch.setattr(search, "GATHER_COST", gather_cost)
     task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (0,)), sieve_limit=limit)
+    held = replace(task, sieve_limit=min(limit, DEFAULT_SIEVE_LIMIT))
     for span in (1 << 16, 1 << 20):
         plan = presieved(_SievePlan(task, span))
-        fits = 8 * sum(primes_up_to(limit)) <= span
+        fits = 8 * sum(primes_up_to(held.sieve_limit)) <= span
         assert plan.wide == (gather_cost == 2 and fits)
         assert (len(plan.rest_p) > 0) == (limit == 1000 and not plan.wide)
         assert (len(plan.gather_p) > 0) == (gather_cost == 2)
@@ -907,7 +957,7 @@ def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, mo
         crossing = 8 * period * 5 - 70
         some = (1, 8, 9, 64, 130)
         for base in (crossing, 0, (1 << 63) + 4321):
-            want = numpy_survivors(task, base, base + 64 + 130)
+            want = numpy_survivors(held, base, base + 64 + 130)
             for r in range(64):
                 # every length at the crossing, spread over the 64 offsets
                 for n in range(1 + r % 4, 131, 4) if base == crossing else some:
@@ -916,11 +966,11 @@ def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, mo
                     assert np.array_equal(got, want_n), (span, base, r, n)
 
 
-COMB_PRIMES = list(primes_up_to(FIRST_WINDOW // DEPTH_PER_PRIME - 1))
+COMB_PRIMES = list(primes_up_to(DEFAULT_SIEVE_LIMIT))
 
 
 def test_comb_rows_are_their_definition():
-    # for each prime p below 512, the primes of a first window, the _CHUNK
+    # for each prime p up to DEFAULT_SIEVE_LIMIT, every prime a plan holds, the _CHUNK
     # bits of the row of multiples of p from any bit s < p on are the
     # read-only row of bytes from at[p, s & 7] + (s >> 3): every shift
     at, rows = search._COMB_ROW_AT, search._COMB_ROWS
@@ -933,8 +983,8 @@ def test_comb_rows_are_their_definition():
         assert np.array_equal(got, (np.arange(chunk) + s[:, None]) % p == 0), p
 
 
-# 17 offsets: the head, the primes up to 17 * PRESIEVE_DENSITY = 544,
-# passes the combs' 512, so that a first window still scatters
+# 17 offsets: enough entries that windows of 5 and 7 chunks reach the 1 MiB
+# a comb gather may read
 TUPLE_17 = TUPLE_12 | {48, 50, 56, 62, 68}
 
 
@@ -950,9 +1000,11 @@ def test_comb_windows_at_every_bit_offset_match_the_definition(primes_of_q, offs
     # and 7 | 8 chunks, where the bound falls from 512 to 256, 170 and 128,
     # at every lo mod 64, over the forgiveness zone at k = 0, mid-range and
     # above 2**63. Every system has offsets that coincide modulo a prime of
-    # the combs (2 and 3; 11 and 13). TUPLE_17's limit lies past its head.
+    # the combs (2 and 3; 11 and 13). TUPLE_17's limit lies past
+    # DEFAULT_SIEVE_LIMIT, which bounds its plan.
     limit = 600 if offsets == TUPLE_17 else 200
     task = admissible_task(random.Random(len(offsets)), primes_of_q, offsets, limit)
+    held = replace(task, sieve_limit=min(limit, DEFAULT_SIEVE_LIMIT))
     q = task.system.crt.modulus
     assert any(q % p and len({d % p for d in offsets}) < len(offsets) for p in COMB_PRIMES)
     gathers = GatherSpy(search._COMB_ROWS)
@@ -964,12 +1016,12 @@ def test_comb_windows_at_every_bit_offset_match_the_definition(primes_of_q, offs
     # comb, strided and scattered primes in a window of two chunks
     assert plan.rest_p[0] < 64 <= plan.rest_p[-1] and plan.rest_p[-1] >= -(-lengths[3] // SCATTER_HITS)
     if offsets == TUPLE_17:
-        # its first window scatters the primes from 512 to 544; three
-        # chunks of its entries below 512 pass the 1 MiB a gather may read
-        assert plan.head_bound > COMB_PRIMES[-1] and plan.rest_p[-1] > COMB_PRIMES[-1]
-        assert 3 * len(offsets) * sum(q % p > 0 for p in COMB_PRIMES) * chunk // 8 > 1 << 20
+        # five chunks of its entries below the bound of 256 pass the 1 MiB
+        # a gather may read
+        assert plan.limit == DEFAULT_SIEVE_LIMIT and plan.rest_p[-1] == COMB_PRIMES[-1]
+        assert 5 * len(offsets) * sum(q % p > 0 for p in COMB_PRIMES if p < 256) * chunk // 8 > 1 << 20
     for base in (0, 10**9 + 321, (1 << 63) + 4321):
-        want = numpy_survivors(task, base, base + 64 + lengths[-1])
+        want = numpy_survivors(held, base, base + 64 + lengths[-1])
         for r in range(64):
             for n in lengths:
                 got = plan.window(base + r, base + r + n)
@@ -998,7 +1050,7 @@ def test_residues_match_python_mod_on_both_sides_of_the_one_op_switch(n):
 
 def test_searches_over_many_limits_share_one_inverse_table():
     # the inverses of q are cached per q and table, not per prime range: 70
-    # limits below 512 all cut theirs from the table up to 512, so a second
+    # limits all cut theirs from the table up to SCREEN_LIMIT, so a second
     # pass over their searches inverts nothing again
     system = TupleSystem(CrtClass(6, 5, (2, 3)), (0, 2))
     tasks = [ConstellationTask(system, start=10**6, sieve_limit=limit) for limit in range(100, 170)]
@@ -1009,10 +1061,10 @@ def test_searches_over_many_limits_share_one_inverse_table():
     assert search._sieving_primes.cache_info().misses == misses
 
 
-def test_a_plan_growing_to_a_large_limit_inverts_each_prime_once(monkeypatch):
-    # a table past a first window's primes extends the power-of-two table
-    # below it: a plan that grows from its first window to sieve limit
-    # 10**5, doubling as a search's windows do, inverts q mod each prime once
+def test_a_search_at_a_large_limit_inverts_only_the_primes_it_screens_by(monkeypatch):
+    # a plan's primes and its screen's are cut from one table up to
+    # SCREEN_LIMIT: a step-9 search at sieve limit 10**5 that screens past
+    # its first window inverts q mod each of them once, and no prime above
     moduli = []
 
     def counting_pow(base, exp, mod):
@@ -1021,16 +1073,11 @@ def test_a_plan_growing_to_a_large_limit_inverts_each_prime_once(monkeypatch):
 
     monkeypatch.setattr(search, "pow", counting_pow, raising=False)
     search._sieving_primes.cache_clear()
-    system = TupleSystem(CrtClass(210, 155, (2, 3, 5, 7)), (-28, -18, -6))
-    task = ConstellationTask(system, sieve_limit=10**5)
-    plan = _SievePlan(task, 1 << 20, FIRST_WINDOW // DEPTH_PER_PRIME)
-    hi = FIRST_WINDOW
-    while plan.bound < task.sieve_limit:
-        hi *= 2
-        plan.grow(hi // DEPTH_PER_PRIME)
-    primes = [p for p in primes_up_to(task.sieve_limit) if 210 % p]
-    assert plan.primes.tolist() == sorted(moduli) == primes
-    held, neg_inv = search._sieving_primes(210, task.sieve_limit)
+    task = replace(step_9_task(1 << 16), sieve_limit=10**5)
+    assert search_with_count(task) == (None, 1 << 16)
+    primes = [p for p in primes_up_to(SCREEN_LIMIT) if 210 % p]
+    assert sorted(moduli) == primes
+    held, neg_inv = search._sieving_primes(210, SCREEN_LIMIT)
     assert held.tolist() == primes and (210 * neg_inv % held == held - 1).all()
 
 
@@ -1069,7 +1116,7 @@ def test_hit_classes_match_brute_force(factors, q, offsets, limit):
     rng = random.Random(q + limit)
     t = rng.randrange(q)
     task = ConstellationTask(TupleSystem(CrtClass(q, t, factors), offsets), sieve_limit=limit)
-    primes, k0 = _hit_classes(task)
+    primes, k0 = _hit_classes(task, 2, limit)
     assert primes.tolist() == [p for p in primes_up_to(limit) if q % p]
     assert k0.shape == (len(offsets), len(primes))
     for d, row in zip(offsets, k0.tolist()):
@@ -1134,9 +1181,10 @@ def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, span, mon
     for q_primes in ((), (2, 3), (11, 13)):
         task = admissible_task(rng, q_primes, offsets, 600)
         assert task is not None
-        # before its pre-sieve every prime strikes its classes per offset,
-        # coinciding ones repeated, ascending in p
+        # before its pre-sieve every prime up to DEFAULT_SIEVE_LIMIT strikes
+        # its classes per offset, coinciding ones repeated, ascending in p
         plan = _SievePlan(task, span)
+        task = replace(task, sieve_limit=DEFAULT_SIEVE_LIMIT)
         every = offset_entries(task)
         assert plan.good is None and not plan.patterns and not len(plan.gather_p)
         entries = plan_entries(plan)
@@ -1158,8 +1206,8 @@ def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, span, mon
         assert sorted(entries) == sorted(want)
         assert set(entries) == naive_entries(task)
         assert {p for p, _ in entries} - set(plan.rest_p.tolist()) == dense
-        # narrow at these spans, where the tables of the primes up to 600
-        # do not fit; wide for windows of 2**20, which needs a plan that
+        # narrow at these spans, where the tables of the primes up to
+        # DEFAULT_SIEVE_LIMIT do not fit; wide for windows of 2**20, which needs a plan that
         # gathers, as these do with a gather cost of 2: every prime tabled
         assert not plan.wide
         with monkeypatch.context() as m:
@@ -1171,15 +1219,17 @@ def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, span, mon
 
 
 # ---------------------------------------------------------------------------
-# a plan whose sieving primes grow with the search's depth
+# a plan at a sieve limit above DEFAULT_SIEVE_LIMIT
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("gather_cost", (search.GATHER_COST, 2))
 @pytest.mark.parametrize("limit", (600, 5000, 100_000))
-def test_a_plan_grown_range_by_range_equals_one_built_at_the_limit(limit, gather_cost, monkeypatch):
-    # a plan that gathers is wide where every prime fits a period and the
-    # tables, 8 bytes per unit of p, fit the span (only limit 600 at 2**20):
-    # it holds every prime from the start and never grows
+def test_a_plan_at_any_limit_equals_one_built_at_the_cap(limit, gather_cost, monkeypatch):
+    # whatever the limit above it, a plan holds the primes up to
+    # DEFAULT_SIEVE_LIMIT from its construction, and before and after its
+    # pre-sieve is the plan at that limit array for array. A plan that
+    # gathers is wide where the tables, 8 bytes per unit of p, fit the
+    # span: at 2**20 only
     monkeypatch.setattr(search, "GATHER_COST", gather_cost)
     rng = random.Random(limit + gather_cost)
     for span in (1 << 11, 1 << 16, 1 << 20):
@@ -1189,32 +1239,32 @@ def test_a_plan_grown_range_by_range_equals_one_built_at_the_limit(limit, gather
             offsets = {rng.randrange(-300, 301) for _ in range(rng.randrange(1, 13))}
             task = admissible_task(rng, q_primes, offsets, limit)
         q, t = task.system.crt.modulus, task.system.crt.residue
-        full = _SievePlan(task, span)
-        plan = _SievePlan(task, span, rng.randrange(limit // 4))
+        plan = _SievePlan(task, span)
+        capped = _SievePlan(replace(task, sieve_limit=DEFAULT_SIEVE_LIMIT), span)
         period = min(PATTERN_PERIOD, span // 8)
-        ps = np.array([p for p in primes_up_to(limit) if q % p])
+        ps = np.array([p for p in primes_up_to(DEFAULT_SIEVE_LIMIT) if q % p])
         counts = np.array([len({(t + d) % p for d in task.system.offsets}) for p in ps.tolist()])
         _, groups, anded = search._groups(ps, counts, period)
-        fits = ps.max() <= period and 8 * ps.sum() <= span
-        assert plan.wide == full.wide == (fits and anded < len(groups))
-        while plan.bound < limit:
-            assert plan.primes.tolist() == [p for p in primes_up_to(plan.bound) if q % p]
-            plan.grow(plan.bound + rng.randrange(1, limit // 3))
-        assert plan.bound == full.bound == limit
-        for name in ("primes", "rest_p", "rest_k0"):
-            grown, built = getattr(plan, name), getattr(full, name)
-            assert grown.dtype == built.dtype and np.array_equal(grown, built), (span, name)
+        fits = 8 * ps.sum() <= span
+        assert plan.wide == capped.wide == (fits and anded < len(groups)) and fits == (span == 1 << 20)
+        assert plan.limit == capped.limit == DEFAULT_SIEVE_LIMIT and plan.primes.tolist() == ps.tolist()
+        for _ in ("before", "after"):  # the pre-sieve
+            for name in ("primes", "rest_p", "rest_k0", "gather_p", "gather_at"):
+                got, want = getattr(plan, name), getattr(capped, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (span, name)
+            plan, capped = presieved(plan), presieved(capped)
 
 
 @pytest.mark.parametrize("limit", (100, 1000, 10_000, 100_000))
-def test_windows_on_both_sides_of_the_presieve_and_a_grow_match_the_definition(limit):
-    # short windows of one plan before its pre-sieve, after a grow, after
-    # the long window that pre-sieves it and after a second grow, each
-    # against sieve_segment and the definition at the primes held; the long
-    # window against short sieve_segment pieces, which never pre-sieve.
-    # Windows from k = 0, inside the forgiveness zone, at random and
-    # above 2**63.
-    # A wide plan grows to the limit as it pre-sieves, so a system whose
+def test_windows_on_both_sides_of_the_presieve_match_the_definition(limit):
+    # short windows of one plan before its pre-sieve and after the long
+    # window that pre-sieves it, each against sieve_segment and the
+    # definition at the plan's limit, min(limit, DEFAULT_SIEVE_LIMIT); the
+    # long window against short sieve_segment pieces, which never
+    # pre-sieve; and sieve_segment at the task's limit against the
+    # definition. Windows from k = 0, inside the forgiveness zones of the
+    # plan's limit and of the task's, at random and above 2**63.
+    # A wide plan tables every prime as it pre-sieves, so a system whose
     # plan would be is drawn again.
     rng = random.Random(limit + 5)
     n = 40
@@ -1224,69 +1274,61 @@ def test_windows_on_both_sides_of_the_presieve_and_a_grow_match_the_definition(l
             q_primes = rng.choice(((), (2,), (2, 3), (2, 3, 5), (2, 3, 5, 7)))
             offsets = {rng.randrange(-60, 61) for _ in range(rng.randrange(2, 8))}
             task = admissible_task(rng, q_primes, offsets, limit)
-            plan = task and _SievePlan(task, 1 << 16, limit // 8)
+            plan = task and _SievePlan(task, 1 << 16)
         q, t = task.system.crt.modulus, task.system.crt.residue
+        held = replace(task, sieve_limit=plan.limit)
         far = [rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)]
+        # some |x + d| is a sieving prime near k = limit / 2q
+        los = [0, plan.limit // (2 * q), limit // (2 * q)] + far
 
         def check(presieved):
-            held = replace(task, sieve_limit=plan.bound)
             assert (plan.good is not None) == presieved
-            # some |x + d| is a held prime near k = plan.bound / 2q
-            for lo in [0, plan.bound // (2 * q)] + far:
+            for lo in los:
                 got = plan.window(lo, lo + n)
-                assert np.array_equal(got, numpy_survivors(held, lo, lo + n)), (lo, plan.bound)
+                assert np.array_equal(got, numpy_survivors(held, lo, lo + n)), (lo, plan.limit)
                 assert [t + (lo + j) * q for j in got.tolist()] == sieve_segment(held, lo, lo + n)
 
-        check(False)
-        plan.grow(limit // 2)
         check(False)
         lo = rng.choice(far)
         hi = lo + PRESIEVE_AFTER + 1
         got = [t + (lo + j) * q for j in plan.window(lo, hi).tolist()]
-        held = replace(task, sieve_limit=plan.bound)
         assert got == [x for a in range(lo, hi, 4096) for x in sieve_segment(held, a, min(a + 4096, hi))]
         check(True)
-        plan.grow(limit)
-        check(True)
+        for lo in los:
+            want = numpy_survivors(task, lo, lo + n)
+            assert sieve_segment(task, lo, lo + n) == [t + (lo + j) * q for j in want.tolist()], lo
 
 
 # (E, z, x): with q = 1 and start 0 (so k = x), the offsets e - (x + z)
 # for e in E put the first witness at x, whose values -(z - e) are primes
-# above the bounds of the windows before x's and not above the bound of
-# x's own (no larger z up to x + z has every z - e prime). Only a plan
-# grown that far strikes x there, and only forgiveness keeps it alive.
+# above DEFAULT_SIEVE_LIMIT (no larger z up to x + z has every z - e
+# prime). At sieve limit 10**5 sieve_segment strikes x only if it does
+# not forgive those primes; a search leaves them to its certification.
 GROWN_ZONE_CASES = (
-    ((0, 2, 6, 18, 20), 829, FIRST_WINDOW),  # the bound grows past z at 2048
+    ((0, 2, 6, 18, 20), 829, FIRST_WINDOW),  # the first k of the second window
     ((0, 2, 6, 18, 20), 829, 4000),
-    ((0, 2, 6, 8, 32), 1879, 14335),  # at 6144
-    ((0, 2, 8, 26, 32), 7549, 20000),  # at 14336
+    ((0, 2, 6, 8, 32), 1879, 14335),  # the last of the third
+    ((0, 2, 8, 26, 32), 7549, 20000),
 )
 
 
 @pytest.mark.parametrize("pattern, z, x", GROWN_ZONE_CASES)
-def test_searches_from_zero_through_grown_primes_match_a_naive_scan(pattern, z, x, monkeypatch):
-    bounds = record_bounds(monkeypatch)
+def test_searches_from_zero_through_grown_primes_match_a_naive_scan(pattern, z, x):
     system = TupleSystem(CrtClass(1, 0, ()), tuple(e - x - z for e in pattern))
     witness = next(
         k for k in range(10**5)
         if all(abs(k + d) > 3 and sympy.isprime(abs(k + d)) for d in system.offsets)
     )
     depth = witness + 1
-    assert witness == x
-    # x's window [before, held) is the first whose bound reaches z, and
-    # the bound before it is below every value
+    assert witness == x and z - pattern[-1] > DEFAULT_SIEVE_LIMIT
+    task = ConstellationTask(system, sieve_limit=100_000)
+    assert sieve_segment(task, x, x + 1) == [x]
+    # budgets ending before, at and after each window up to x's and the witness
     ends = window_ends(LARGEST)
-    held = min(e for e in ends if e // DEPTH_PER_PRIME >= z)
-    before = ([0] + ends)[ends.index(held)]
-    assert before <= x < held and before // DEPTH_PER_PRIME < z - pattern[-1]
-    # budgets ending before, at and after each growth step and the witness
-    for budget in sorted({e + i for e in ends[: ends.index(held) + 1] + [depth] for i in (-1, 0, 1)}):
-        task = ConstellationTask(system, budget=budget, sieve_limit=100_000)
+    end = min(e for e in ends if e > x)
+    for budget in sorted({e + i for e in ends[: ends.index(end) + 1] + [depth] for i in (-1, 0, 1)}):
         want = (witness, depth) if budget >= depth else (None, budget)
-        bounds.clear()
-        assert search_with_count(task) == want, (pattern, x, budget)
-        # every window sieves with the primes up to its end / DEPTH_PER_PRIME
-        assert all(bound == hi // DEPTH_PER_PRIME for hi, bound in bounds), budget
+        assert search_with_count(replace(task, budget=budget)) == want, (pattern, x, budget)
 
 
 # The construction's -11 system. 45395827 is its first witness after
@@ -1340,16 +1382,23 @@ def test_witnesses_around_the_first_presieved_window_match_a_sympy_scan(depth, m
     assert windows[-1][1] == (depth > ends[3])
 
 
-def test_a_wide_spread_search_holds_only_the_primes_of_its_depth(monkeypatch):
+def test_a_wide_spread_search_holds_only_the_primes_up_to_the_cap(monkeypatch):
     # the quintuplet 55331 with a far offset, 55331 - 70914 = -15583 prime.
-    # The offsets' spread of 70,926 does not bound the plan's head: every
-    # window sieves with the primes up to its end / DEPTH_PER_PRIME.
-    bounds = record_bounds(monkeypatch)
+    # At sieve limit 10**5 the offsets' spread of 70,926 does not bound the
+    # plan: every window sieves with the primes up to DEFAULT_SIEVE_LIMIT.
+    largest = []
+    sieve = _SievePlan.window
+
+    def window(plan, lo, hi):
+        largest.append(plan.primes[-1])
+        return sieve(plan, lo, hi)
+
+    monkeypatch.setattr(_SievePlan, "window", window)
     system = TupleSystem(CrtClass(1, 0, ()), (-70914, 0, 2, 6, 8, 12))
     assert sympy_scan(system, 0, 10**5) == (PREVIOUS_WITNESS, PREVIOUS_WITNESS + 1)
     task = ConstellationTask(system, sieve_limit=100_000)
     assert search_with_count(task) == (PREVIOUS_WITNESS, PREVIOUS_WITNESS + 1)
-    assert bounds and all(bound == hi // DEPTH_PER_PRIME for hi, bound in bounds), bounds
+    assert largest and set(largest) == {primes_up_to(DEFAULT_SIEVE_LIMIT)[-1]}
 
 
 # ---------------------------------------------------------------------------
@@ -1358,9 +1407,11 @@ def test_a_wide_spread_search_holds_only_the_primes_of_its_depth(monkeypatch):
 
 def screen_oracle(task, lo, js):
     """The j in js whose x = t + (lo + j)*q has no x + d that a prime p in
-    (sieve_limit, SCREEN_LIMIT], p not dividing q, divides."""
+    (min(sieve_limit, DEFAULT_SIEVE_LIMIT), SCREEN_LIMIT], p not dividing
+    q, divides."""
     q, t = task.system.crt.modulus, task.system.crt.residue
-    primes = [p for p in primes_up_to(SCREEN_LIMIT) if p > task.sieve_limit and q % p]
+    limit = min(task.sieve_limit, DEFAULT_SIEVE_LIMIT)
+    primes = [p for p in primes_up_to(SCREEN_LIMIT) if p > limit and q % p]
     return [
         j for j in js
         if all((t + (lo + j) * q + d) % p for d in task.system.offsets for p in primes)
@@ -1440,8 +1491,10 @@ def test_the_step_7_search_certifies_few_survivors(monkeypatch):
 
 @pytest.mark.parametrize("limit", (1019, 1021, 1022, 1023))
 def test_a_screen_is_built_only_with_a_prime_to_screen_by(limit, monkeypatch):
-    # 1,021 is the largest prime up to SCREEN_LIMIT: from it on no prime
-    # lies in (sieve_limit, SCREEN_LIMIT], and the plan holds no screen
+    # 1,021 is the largest prime up to SCREEN_LIMIT. A plan sieves with the
+    # primes up to DEFAULT_SIEVE_LIMIT at any limit above it, so it always
+    # has primes to screen by, those in (DEFAULT_SIEVE_LIMIT, SCREEN_LIMIT],
+    # also at limits from 1,021 on
     plans = []
 
     class Recorded(_SievePlan):
@@ -1453,9 +1506,6 @@ def test_a_screen_is_built_only_with_a_prime_to_screen_by(limit, monkeypatch):
     task = ConstellationTask(STEP_7, start=4264959, sieve_limit=limit)
     assert search_with_count(task) == (1655127457, 7861250)
     (plan,) = plans
-    # decided by the search, not by this read
+    # built by the search, not by this read
     screen = vars(plan)["_screen"]
-    if limit < 1021:
-        assert screen[1].ravel().tolist() == [1021]
-    else:
-        assert screen is None
+    assert screen[1].ravel().tolist() == [p for p in primes_up_to(SCREEN_LIMIT) if p > DEFAULT_SIEVE_LIMIT]

@@ -30,7 +30,7 @@ primes in (plan limit, sieve_limit].
 
 Prime p strikes k exactly when k = k0 (mod p), k0 = -(t + d) / q mod p,
 one class per offset. Each search builds a plan of these classes, and
-its windows reuse it. The plan has four tiers:
+its windows reuse it. The plan has three tiers:
 
 1. Tabled primes, each with a table of 8 periods, true on the classes it
    leaves alive. The pre-sieved ones, whose classes cover at least
@@ -49,27 +49,25 @@ its windows reuse it. The plan has four tiers:
    reads are fewest. This tier costs about its patterns' bytes to build,
    which short windows do not repay: a plan builds it in place at its
    first window longer than PRESIEVE_AFTER, and until then strikes the
-   pre-sieved primes' classes in tiers 2 to 4.
-2. Comb primes, every prime of a window of up to 3 chunks, and from 4
-   chunks on those below FIRST_WINDOW // DEPTH_PER_PRIME / (chunks // 2),
-   at least 64: a window clears their rows of multiples, per _CHUNK bits
-   from the byte at or below lo, in its packed bits, in one gather,
+   pre-sieved primes' classes with the comb.
+2. The comb, in a window of at most PRESIEVE_AFTER candidates: every
+   prime a plan holds has a row of multiples, and the window clears the
+   rows of all its other entries, per _CHUNK bits from the byte at or
+   below lo, in its packed bits, each batch of entries in one gather,
    reduce and AND of at most 1 MiB.
-3. Middle primes, past the comb: one strided write per (p, k0) entry.
-4. Large primes, those hitting a window fewer than SCATTER_HITS times:
-   their hit positions are computed as arrays and struck in scatters.
+3. Strided writes, in a longer window: one per (p, k0) entry.
 
-A window unpacks its bits once, to strike tiers 3 and 4 on and find its
-survivors; without them, past PRESIEVE_AFTER, it reads the nonzero words.
-That byte path costs every window a pass over n bytes, whatever its
-entries. So a plan that gathers is wide if it can be: every sieving
-prime is tabled and gathered, and the byte path drops out. This needs
-the tables of all its primes to take at most the span's bytes, what a
-byte-path window of the span unpacks. A search builds one plan and runs
-every window on it. It asks whether the plan is wide only after the
-first window, so a search that ends there never forms the groups, and a
-wide plan builds its tables at its second window, the first longer than
-PRESIEVE_AFTER.
+A window unpacks its bits once to find its survivors, a longer one
+taking its strided writes on them first; a longer window without entries
+reads the nonzero words instead. That byte path costs every longer
+window a pass over n bytes, whatever its entries. So a plan that gathers
+is wide if it can be: every sieving prime is tabled and gathered, and
+the byte path drops out. This needs the tables of all its primes to take
+at most the span's bytes, what a byte-path window of the span unpacks. A
+search builds one plan and runs every window on it. It asks whether the
+plan is wide only after the first window, so a search that ends there
+never forms the groups, and a wide plan builds its tables at its second
+window, the first longer than PRESIEVE_AFTER.
 
 Set-up costs a few NumPy passes per (prime, offset) entry; q is inverted
 prime by prime in _sieving_primes, once per q and prime in a run.
@@ -109,20 +107,14 @@ DEFAULT_SIEVE_LIMIT = 400
 # up to the largest, 2**23 candidates in 1 MB on a wide plan.
 FIRST_WINDOW = 1 << 11
 LARGEST_WINDOW = 1 << 20
-# From 4 chunks on, a window's comb serves the primes below
-# FIRST_WINDOW // DEPTH_PER_PRIME / (chunks // 2); from a sweep (CHANGES.md).
-DEPTH_PER_PRIME = 4
 PRESIEVE_DENSITY = 32
 # A plan that is not wide pre-sieves from its first window longer than
 # this; from a sweep (CHANGES.md).
 PRESIEVE_AFTER = 1 << 14
 PATTERN_PERIOD = 1 << 16
-SCATTER_HITS = 32
 # A pattern is ANDed while the denser ones keep at least 1/GATHER_COST of
 # all k; windows gather from the rest. From a sweep (CHANGES.md).
 GATHER_COST = 1 << 12
-# Hits per indexed write, which bounds the scatter's index arrays.
-SCATTER_BATCH = 1 << 16
 # Past its first window a search drops the survivors with a value that a
 # prime in (plan limit, SCREEN_LIMIT] divides; from a sweep (CHANGES.md).
 SCREEN_LIMIT = 1 << 10
@@ -272,7 +264,11 @@ def _sift(
 ) -> np.ndarray:
     """The survivors js that no prime (a column) strikes: those whose table
     in good is true at (r + j) mod p, r the window's lo mod p. With first,
-    the first `first` primes thin js before the rest read it."""
+    the first `first` primes thin js before the rest read it. js is read
+    in slices of 4,096, which bound the (primes x survivors) arrays."""
+    if len(js) > 1 << 12:
+        parts = [_sift(js[i : i + (1 << 12)], r, primes, at, good, first) for i in range(0, len(js), 1 << 12)]
+        return np.concatenate(parts)
     cuts = (0, first, None) if first else (0, None)
     for a, b in zip(cuts, cuts[1:]):
         js = js[good[(js + r[a:b]) % primes[a:b] + at[a:b]].all(axis=0)]
@@ -286,19 +282,6 @@ def _first_stage(keep: list[float]) -> int:
     The s with the fewest."""
     s = np.arange(len(keep) + 1)
     return int(np.argmin(s + (len(keep) - s) * np.cumprod([1.0] + keep)))
-
-
-def _scatter(alive: np.ndarray, first: np.ndarray, primes: np.ndarray) -> None:
-    """Strike alive[first + i*p] for every entry and every i in range, none
-    for a first past the end, each batch of entries in one indexed write;
-    batches bound the index arrays."""
-    n = len(alive)
-    batch = SCATTER_BATCH // SCATTER_HITS
-    for a in range(0, len(primes), batch):
-        f, p = first[a : a + batch], primes[a : a + batch]
-        count = (n - f + p - 1) // p
-        start = np.repeat(f - (np.cumsum(count) - count) * p, count)
-        alive[start + np.arange(count.sum()) * np.repeat(p, count)] = False
 
 
 def _combs() -> tuple[np.ndarray, np.ndarray]:
@@ -337,11 +320,13 @@ def _packed_words(size: int) -> np.ndarray:
 class _SievePlan:
     """One task's sieve; every window of the search reuses it. It holds
     the sieving primes up to its limit, min(sieve_limit,
-    DEFAULT_SIEVE_LIMIT), each with its m classes. It strikes its
-    pre-sieved primes with the other tiers until a window longer than
-    PRESIEVE_AFTER builds the tabled tier in place (_presieve), which in a
-    wide plan tables every prime; screen() trial-divides survivors. See
-    the module docstring for the tiers and the screen."""
+    DEFAULT_SIEVE_LIMIT), each with its m classes. A window picks its
+    strike by its length alone: up to PRESIEVE_AFTER candidates the comb
+    strikes every entry still held, pre-sieved primes included until the
+    first longer window builds the tabled tier in place (_presieve), which
+    in a wide plan tables every prime; a longer window strikes the entries
+    left with strided writes. screen() trial-divides survivors. See the
+    module docstring for the tiers and the screen."""
 
     def __init__(self, task: ConstellationTask, span: int):
         self.task, self.span = task, span
@@ -472,33 +457,27 @@ class _SievePlan:
                 periods = packed[head : head + whole * size].reshape(whole, size)
                 periods &= pattern
                 packed[len(packed) - tail :] &= pattern[:tail]
-        comb = 0
         if len(self.rest_p):
             # each entry's first hit, k0 - lo mod p
             first = (self.rest_k0 - _residues(lo, self.rest_p)) % self.rest_p
-            # past the comb (module docstring), whose gather reads at most
-            # 1 MiB of rows, a prime hitting the window SCATTER_HITS times or
-            # more gets a strided write, the rest are batched into scatters
-            chunks = np.arange(-off, n, _CHUNK)
-            bound = max(FIRST_WINDOW // SCATTER_HITS, FIRST_WINDOW // DEPTH_PER_PRIME // max(1, len(chunks) // 2))
-            comb, split = self.rest_p.searchsorted([bound, -(-n // SCATTER_HITS)]).tolist()
-            comb = min(comb, (1 << 20) // (_CHUNK // 8 * len(chunks)))
-            split = max(comb, split)
-            if comb:
-                # from k = lo + c, p's comb from bit (c - first) mod p
-                p = self.rest_p[:comb, None]
-                s = (chunks - first[:comb, None]) % p
-                struck = np.bitwise_or.reduce(_COMB_ROWS[_COMB_ROW_AT[p, s & 7] + (s >> 3)].view(np.uint64), axis=0)
-                packed &= ~struck.view(np.uint8)[: len(packed)]
-        if comb < len(self.rest_p):
-            alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
-            for f, p in zip(first[comb:split].tolist(), self.rest_p[comb:split].tolist()):
-                alive[f::p] = False
-            _scatter(alive, first[split:], self.rest_p[split:])
-            js = np.flatnonzero(alive)
-        elif n <= PRESIEVE_AFTER:
+        if n <= PRESIEVE_AFTER:
+            if len(self.rest_p):
+                # the comb (module docstring), in gathers of at most 1 MiB
+                chunks = np.arange(-off, n, _CHUNK)
+                batch = (1 << 20) // (_CHUNK // 8 * len(chunks))
+                for a in range(0, len(self.rest_p), batch):
+                    # from k = lo + c, p's comb from bit (c - first) mod p
+                    p = self.rest_p[a : a + batch, None]
+                    s = (chunks - first[a : a + batch, None]) % p
+                    rows = _COMB_ROWS[_COMB_ROW_AT[p, s & 7] + (s >> 3)].view(np.uint64)
+                    packed &= ~np.bitwise_or.reduce(rows, axis=0).view(np.uint8)[: len(packed)]
             # a short window's bits are scanned faster unpacked than by word
             js = np.flatnonzero(np.unpackbits(packed, bitorder="little").view(bool)[off : off + n])
+        elif len(self.rest_p):
+            alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
+            for f, p in zip(first.tolist(), self.rest_p.tolist()):
+                alive[f::p] = False
+            js = np.flatnonzero(alive)
         else:
             # the set bits of the nonzero words
             live = np.flatnonzero(words != 0)

@@ -411,7 +411,7 @@ def record_plans(monkeypatch):
 def test_each_search_builds_one_plan(monkeypatch):
     # every search of the coverage-8 run sieves all its windows on the one
     # plan it builds first; the +-13 plans are wide: after a first window
-    # of FIRST_WINDOW they gather and have no strided or scattered entries,
+    # of FIRST_WINDOW they gather and have no entries left to strike,
     # and their windows are 8 times as long, from 8 * 2 * FIRST_WINDOW to
     # 8 * LARGEST_WINDOW. Windows double until one holds the witness.
     plans = record_plans(monkeypatch)
@@ -512,7 +512,7 @@ def test_widening_changes_no_witness_or_depth(monkeypatch):
 
 def test_long_windows_of_the_gathering_steps_leave_the_byte_path():
     # a plan for windows of LARGEST_WINDOW that gathers is wide: it has no
-    # strided or scattered entries left; one that ANDs every group keeps
+    # entries left to strike; one that ANDs every group keeps
     # them, as gathering behind those ANDs would read too many survivors.
     # For windows of 2**16 no plan widens, and only +17 has no such
     # entries, so widening changes the +-13 plans alone.

@@ -7,6 +7,7 @@ same witness or the same exhaustion.
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,6 @@ from sdpc.search import (
     PATTERN_PERIOD,
     PRESIEVE_AFTER,
     PRESIEVE_DENSITY,
-    SCATTER_HITS,
     SCREEN_LIMIT,
     ConstellationTask,
     _hit_classes,
@@ -574,11 +574,12 @@ def presieved(plan):
 
 # Limits below, across and above each tier boundary, for windows of
 # WINDOW candidates: a prime with m distinct classes is pre-sieved up to
-# PRESIEVE_DENSITY * m if it fits a period of WINDOW / 8, and the other
-# primes are scattered from WINDOW / SCATTER_HITS on.
+# PRESIEVE_DENSITY * m if it fits a period of WINDOW / 8, and the comb
+# strikes the other primes. 63 and 65 lie on both sides of 64, where the
+# primes of such a window once passed from strided writes to scatters.
 WINDOW = 2048
 TIER_LIMITS = (
-    2, 10, 11, WINDOW // SCATTER_HITS - 1, WINDOW // SCATTER_HITS + 1,
+    2, 10, 11, 63, 65,
     PRESIEVE_DENSITY * 3, WINDOW // 8 + 1, 1000, DEFAULT_SIEVE_LIMIT,
 )
 
@@ -601,8 +602,8 @@ def test_sieve_matches_its_definition_from_zero(limit):
 
 @pytest.mark.parametrize("limit", (DEFAULT_SIEVE_LIMIT, 1000))
 def test_sieve_matches_its_definition_on_a_long_window(limit):
-    # a long window sends the primes that are not pre-sieved to strided
-    # writes up to 2**15 / SCATTER_HITS = 1024
+    # a window longer than PRESIEVE_AFTER strikes the primes that are not
+    # pre-sieved with strided writes
     rng = random.Random(limit + 2)
     task = admissible_task(rng, (2, 3), {0, 2, 6}, limit)
     lo = rng.randrange(10**6, 10**7)
@@ -704,9 +705,8 @@ def test_tier_limits_reach_every_tier():
     rng = random.Random(99)
     task = admissible_task(rng, (2, 3), {0}, 1000)
     plan = presieved(_SievePlan(task, WINDOW))
-    scatter_from = WINDOW // SCATTER_HITS
     assert plan.patterns
-    assert plan.rest_p.min() < scatter_from < plan.rest_p.max()
+    assert plan.rest_p.min() < 64 < plan.rest_p.max()
     assert presieved(_SievePlan(task, 32)).patterns == []  # periods would be <= 4
 
 
@@ -852,11 +852,11 @@ def test_gathering_step_9_windows_match_the_definition(span, monkeypatch):
 def test_gathering_windows_with_every_tier_match_the_definition(n, monkeypatch):
     # limit 1000 sieves with the primes up to DEFAULT_SIEVE_LIMIT, and
     # leaves those past the head to the other tiers: to the comb in windows
-    # of 700 and 350, one chunk, to strided writes in one of 2**14, 8
-    # chunks, where the comb takes the primes below 128, and to scatters in
-    # one of 2**13, 4 chunks, where it takes those below 256. The 12-tuple's
-    # head runs to 384, and its windows keep few survivors; the
-    # quintuplet's, with a gather cost of 2, to 160, and its keep hundreds.
+    # of up to PRESIEVE_AFTER, of 700, 350 and 2**14, 8 chunks, as after a
+    # budget cuts a search short, and to strided writes in one of 2**15.
+    # The 12-tuple's head runs to 384, and its windows keep few survivors;
+    # the quintuplet's, with a gather cost of 2, to 160, and its keep
+    # hundreds.
     rng = random.Random(n)
     for offsets, cost in ((TUPLE_12, search.GATHER_COST), ({0, 2, 6, 8, 12}, 2)):
         monkeypatch.setattr(search, "GATHER_COST", cost)
@@ -864,32 +864,14 @@ def test_gathering_windows_with_every_tier_match_the_definition(n, monkeypatch):
         plan = presieved(_SievePlan(task, 1 << 16))
         assert len(plan.gather_p)
         held = replace(task, sieve_limit=plan.limit)
-        comb = {700: 512, 350: 512, 1 << 14: 128, 1 << 13: 256}
-        tiers = {
-            "comb" if p < comb[length] else "strided" if p < length // SCATTER_HITS else "scattered"
-            for length in (n, n // 2)
-            for p in plan.rest_p.tolist()
-        }
-        assert tiers == {"comb"} if n == 700 else {"strided", "scattered"} <= tiers, offsets
+        lengths = {700: (700, 350), 1 << 14: (1 << 14, 1 << 15)}[n]
+        tiers = {"comb" if length <= PRESIEVE_AFTER else "strided" for length in lengths}
+        assert len(plan.rest_p) and tiers == ({"comb"} if n == 700 else {"comb", "strided"}), offsets
         for lo in (rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)):
-            for length in (n, n // 2):
+            for length in lengths:
                 got, gathered = gathers(plan, lo, lo + length)
                 assert gathered
                 assert np.array_equal(got, numpy_survivors(held, lo, lo + length)), lo
-
-
-def test_scatter_strikes_every_hit_of_each_entry():
-    # entries that hit a window of 4096 many times, once or not at all (a
-    # first past its end), over two batches of SCATTER_BATCH // SCATTER_HITS
-    rng = random.Random(4096)
-    primes = np.array([rng.choice((997, 4093, 4096, 5003, 1 << 20)) for _ in range(2100)], np.int64)
-    first = np.array([rng.randrange(p) for p in primes.tolist()], np.int64)
-    assert len(primes) > search.SCATTER_BATCH // SCATTER_HITS and (first >= 4096).any()
-    alive, want = np.ones(4096, bool), np.ones(4096, bool)
-    search._scatter(alive, first, primes)
-    for f, p in zip(first.tolist(), primes.tolist()):
-        want[f::p] = False
-    assert np.array_equal(alive, want) and want.any() and not want.all()
 
 
 def test_a_window_over_a_forgiveness_zone_gathers():
@@ -936,14 +918,13 @@ def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, mo
     # to 130, across the end of a pattern's bytes (k = 40 * period), over
     # the forgiveness zone at k = 0 and above 2**63, against the
     # definition at the plan's limit. With one offset, limit 31 pre-sieves
-    # every prime and scans words, 1000 sieves with the primes up to
-    # DEFAULT_SIEVE_LIMIT and leaves strided and scattered ones to strike
-    # on bytes; with a gather cost of 2 the plan gathers all but its
-    # densest groups. A plan widens where it gathers and its tables, 8
-    # bytes per unit of p, fit the span: limit 31's at both spans, those
-    # up to DEFAULT_SIEVE_LIMIT (111 KB) for windows of 2**20 only. A wide
-    # plan tables every prime, gathers limit 1000's other primes too and
-    # scans words.
+    # every prime, 1000 sieves with the primes up to DEFAULT_SIEVE_LIMIT
+    # and leaves the others to the comb, as a window this short strikes
+    # them; with a gather cost of 2 the plan gathers all but its densest
+    # groups. A plan widens where it gathers and its tables, 8 bytes per
+    # unit of p, fit the span: limit 31's at both spans, those up to
+    # DEFAULT_SIEVE_LIMIT (111 KB) for windows of 2**20 only. A wide plan
+    # tables every prime and gathers limit 1000's other primes too.
     monkeypatch.setattr(search, "GATHER_COST", gather_cost)
     task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (0,)), sieve_limit=limit)
     held = replace(task, sieve_limit=min(limit, DEFAULT_SIEVE_LIMIT))
@@ -994,14 +975,15 @@ TUPLE_17 = TUPLE_12 | {48, 50, 56, 62, 68}
     ((2, 3, 5, 7), TUPLE_17),
 ))
 def test_comb_windows_at_every_bit_offset_match_the_definition(primes_of_q, offsets, monkeypatch):
-    # a window strikes its primes below a bound from the combs, in chunks
-    # of _CHUNK bits from the byte at or below lo, one chunk for a first
-    # window: lengths around one and two chunks, and across 3 | 4, 5 | 6
-    # and 7 | 8 chunks, where the bound falls from 512 to 256, 170 and 128,
-    # at every lo mod 64, over the forgiveness zone at k = 0, mid-range and
-    # above 2**63. Every system has offsets that coincide modulo a prime of
-    # the combs (2 and 3; 11 and 13). TUPLE_17's limit lies past
-    # DEFAULT_SIEVE_LIMIT, which bounds its plan.
+    # a window of up to PRESIEVE_AFTER candidates strikes every entry the
+    # plan still holds from the combs, in chunks of _CHUNK bits from the
+    # byte at or below lo, one chunk for a first window: lengths around one
+    # and two chunks, and across 3 | 4, 5 | 6 and 7 | 8 chunks, at every lo
+    # mod 64, over the forgiveness zone at k = 0, mid-range and above
+    # 2**63. Every system has offsets that coincide modulo a prime of the
+    # combs (2 and 3; 11 and 13). TUPLE_17's limit lies past
+    # DEFAULT_SIEVE_LIMIT, which bounds its plan; its entries take more
+    # than one gather from 5 chunks on, as no gather reads over 1 MiB.
     limit = 600 if offsets == TUPLE_17 else 200
     task = admissible_task(random.Random(len(offsets)), primes_of_q, offsets, limit)
     held = replace(task, sieve_limit=min(limit, DEFAULT_SIEVE_LIMIT))
@@ -1013,20 +995,35 @@ def test_comb_windows_at_every_bit_offset_match_the_definition(primes_of_q, offs
     chunk = search._CHUNK
     lengths = (FIRST_WINDOW - 1, FIRST_WINDOW, FIRST_WINDOW + 1, 2 * FIRST_WINDOW + 7)
     lengths += tuple(c * chunk - 3 for c in (3, 5, 7))
-    # comb, strided and scattered primes in a window of two chunks
-    assert plan.rest_p[0] < 64 <= plan.rest_p[-1] and plan.rest_p[-1] >= -(-lengths[3] // SCATTER_HITS)
+    # before the pre-sieve the comb strikes every prime the plan holds
+    assert set(plan.rest_p.tolist()) == {p for p in COMB_PRIMES if p <= held.sieve_limit and q % p}
     if offsets == TUPLE_17:
-        # five chunks of its entries below the bound of 256 pass the 1 MiB
-        # a gather may read
         assert plan.limit == DEFAULT_SIEVE_LIMIT and plan.rest_p[-1] == COMB_PRIMES[-1]
-        assert 5 * len(offsets) * sum(q % p > 0 for p in COMB_PRIMES if p < 256) * chunk // 8 > 1 << 20
-    for base in (0, 10**9 + 321, (1 << 63) + 4321):
-        want = numpy_survivors(held, base, base + 64 + lengths[-1])
-        for r in range(64):
-            for n in lengths:
-                got = plan.window(base + r, base + r + n)
-                assert np.array_equal(got, want[(want >= r) & (want < r + n)] - r), (base, r, n)
-    assert 0 < max(gathers.sizes) <= 1 << 20
+
+    def check(lows):
+        for base in (0, 10**9 + 321, (1 << 63) + 4321):
+            want = numpy_survivors(held, base, base + 64 + lengths[-1])
+            for r in lows:
+                for n in lengths:
+                    before = len(gathers.sizes)
+                    got = plan.window(base + r, base + r + n)
+                    assert np.array_equal(got, want[(want >= r) & (want < r + n)] - r), (base, r, n)
+                    # every entry once per chunk, in gathers of at most 1 MiB
+                    sizes = gathers.sizes[before:]
+                    chunks = len(range(-((base + r) % 8), n, chunk))
+                    assert sum(sizes) == len(plan.rest_p) * chunks * chunk // 8, (base, r, n)
+                    assert max(sizes) <= 1 << 20
+                    if offsets == TUPLE_17 and chunks >= 5:
+                        assert len(sizes) > 1, (base, r, n)
+
+    check(range(64))
+    # the quintuplet's plan is not wide and keeps its sparse primes past its
+    # pre-sieve; a short window there, as a budget cuts one, combs them
+    plan._presieve()
+    quintuplet = len(offsets) == 5
+    assert (len(plan.rest_p) > 0) == quintuplet and plan.wide != quintuplet
+    if quintuplet:
+        check(range(0, 64, 9))
 
 
 class GatherSpy:
@@ -1487,6 +1484,22 @@ def test_the_step_7_search_certifies_few_survivors(monkeypatch):
     res = run(initial_state(Config()), 8)
     assert [step.witness for step in res.steps] == [625, 3587, 42305, 2132467, 1655127457, 68092385285]
     assert certified == [1, 1, 1, 3, 36, 712]
+
+
+def test_a_search_that_strikes_nothing_screens_in_bounded_memory():
+    # at sieve limit 2 no prime sieves the step-7 system, as 2 divides
+    # q = 210, so every candidate past the first window reaches the screen,
+    # which reads them in slices: its (primes x survivors) arrays stay
+    # small, and the peak of traced memory over 2**16 candidates with them
+    task = ConstellationTask(STEP_7, start=4264959, budget=1 << 16, sieve_limit=2)
+    tracemalloc.start()
+    try:
+        got = search_with_count(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (None, 65536)
+    assert peak < 32 << 20
 
 
 @pytest.mark.parametrize("limit", (1019, 1021, 1022, 1023))

@@ -3,12 +3,21 @@
 The naive oracle walks the residue class one candidate at a time and
 trial-divides every shifted value; the production path must return the
 same witness or the same exhaustion.
+
+One window grid, test_windows_match_the_definition, checks every sieve
+tier (comb, strided writes, ANDed patterns, gathers in one stage or two,
+word scan) against one vectorised definition of the sieve, `definition`:
+each case is a plan and the windows, segments and search it sieves, and
+test_random_windows_match_the_definition draws more over the same axes.
+`pytest -k definition` runs them alone.
 """
 
 import math
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,6 +31,7 @@ from sdpc.primes import PrimalityStatus, primes_up_to
 from sdpc.search import (
     DEFAULT_SIEVE_LIMIT,
     FIRST_WINDOW,
+    GATHER_COST,
     PATTERN_PERIOD,
     PRESIEVE_AFTER,
     PRESIEVE_DENSITY,
@@ -86,18 +96,20 @@ def windows_up_to(monkeypatch, largest):
 def test_agrees_with_naive_oracle_on_random_tasks(monkeypatch):
     windows_up_to(monkeypatch, 256)
     rng = random.Random(31337)
-    found = exhausted = 0
+    cut_short = 0
     for _ in range(60):
         task = small_task(rng)
         want = naive_witness(task)
         got, examined = search_with_count(task)
         assert got == want, (task.system.crt, task.system.offsets, task.start)
         if want is None:
-            exhausted += 1
             assert examined == task.budget
-        else:
-            found += 1
-    assert found > 0 and exhausted >= 0
+        elif examined > 1:
+            # a budget one short of the witness exhausts, examining it all
+            short = replace(task, budget=examined - 1)
+            assert search_with_count(short) == (None, examined - 1), (task.system.crt, task.system.offsets)
+            cut_short += 1
+    assert cut_short > 0
 
 
 def test_quoted_first_step_anchor():
@@ -488,61 +500,47 @@ def test_wide_exhaustion_mid_growth_covers_exactly_the_budget(budget, monkeypatc
     assert ends == [STEP_9_K + e for e in WIDE_ENDS if e < budget] + [STEP_9_K + budget]
 
 
-@pytest.mark.parametrize("lo", (STEP_9_K + 12345, (1 << 64) + 3))
-def test_one_longest_wide_window_equals_its_2_20_pieces(lo):
-    plan = _SievePlan(step_9_task(), WIDE)
-    whole = plan.window(lo, lo + 8 * WIDE)
-    pieces = [plan.window(lo + a, lo + a + WIDE) + a for a in range(0, 8 * WIDE, WIDE)]
-    assert len(whole) and np.array_equal(whole, np.concatenate(pieces))
-
-
-def test_interleaved_wide_and_byte_path_windows_match_fresh_plans(monkeypatch):
-    # the two plans share one packed buffer, which each window leaves with
-    # every bit outside it clear; the long wide window comes first, so the
-    # shorter ones after it start from its leftover bits
-    wide, narrow = _SievePlan(step_9_task(), WIDE), _SievePlan(quintuplet_task(1), LARGEST)
-    assert wide.wide and not narrow.wide and len(narrow.rest_p)
-    lo = STEP_9_K + 3
-    windows = [
-        (wide, lo, lo + 8 * WIDE),
-        (narrow, 1001, 1001 + LARGEST),
-        (wide, lo + 5, lo + 5 + 1000),
-        (narrow, 7, 7 + FIRST_WINDOW),
-        (wide, lo + 1, lo + 1 + WIDE + 13),
-        (narrow, 100_005, 100_105),
-        (wide, lo, lo + 1),
-    ]
-    expected = []
-    for plan, a, b in windows:
-        monkeypatch.setattr(search, "_words", np.empty(0, np.uint64))
-        expected.append(_SievePlan(plan.task, LARGEST if plan is narrow else WIDE).window(a, b))
-    for (plan, a, b), want in zip(windows, expected):
-        assert np.array_equal(plan.window(a, b), want), (a, b)
-        off, n = a % 8, b - a
-        words = search._words[: -(-(off + n) // 64)]
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-        assert not bits[:off].any() and not bits[off + n :].any(), (a, b)
-
-
 # ---------------------------------------------------------------------------
 # the sieve against its definition
 # ---------------------------------------------------------------------------
 
-def brute_survivors(task, lo, hi):
-    """x = t + k*q, k in [lo, hi), with no prime p <= sieve_limit, p not
-    dividing q, such that p | x + d and |x + d| != p."""
+@lru_cache(maxsize=None)
+def sieving_primes(q, limit):
+    """The primes up to limit that do not divide q, as a list, an array and
+    a set, and q**-1 mod each."""
+    primes = [p for p in primes_up_to(limit) if q % p]
+    return primes, np.array(primes, np.int64), set(primes), np.array([pow(q, -1, p) for p in primes], np.int64)
+
+
+def definition(task, lo, hi, limit):
+    """Indices j, ascending, of the x = t + (lo + j)*q, k in [lo, hi), that
+    no prime p <= limit, p not dividing q, divides at any offset d unless
+    |x + d| = p: the sieve's definition, struck per prime and offset over
+    the window. Exact for any q, t, d and lo: each residue mod p is taken
+    of a Python int."""
+    q, t, n = task.system.crt.modulus, task.system.crt.residue, hi - lo
+    primes, ps, values, inverses = sieving_primes(q, limit)
+    alive = np.ones(n, bool)
+    for d in task.system.offsets:
+        v = t + d + lo * q  # x + d at j = 0
+        # p divides v + j*q exactly where j = -v / q mod p
+        first = -np.array([v % p for p in primes], np.int64) * inverses % ps
+        struck = np.zeros(n, bool)
+        struck[first[first < n]] = True
+        for j, p in zip(first.tolist(), primes[: int(np.searchsorted(ps, n))]):
+            struck[j::p] = True
+        # a value |x + d| that is itself prime has no other prime factor,
+        # and its own must not count; only |x + d| <= limit can be one
+        for j in range(max(0, -((limit + v) // q)), min(n, (limit - v) // q + 1)):
+            struck[j] &= abs(v + j * q) not in values
+        alive &= ~struck
+    return np.flatnonzero(alive)
+
+
+def segment_definition(task, lo, hi):
+    """The x that sieve_segment(task, lo, hi) keeps by the definition."""
     q, t = task.system.crt.modulus, task.system.crt.residue
-    primes = [p for p in primes_up_to(task.sieve_limit) if q % p]
-    out = []
-    for k in range(lo, hi):
-        x = t + k * q
-        if not any(
-            (x + d) % p == 0 and abs(x + d) != p
-            for d in task.system.offsets
-            for p in primes
-        ):
-            out.append(x)
-    return out
+    return [t + (lo + j) * q for j in definition(task, lo, hi, task.sieve_limit).tolist()]
 
 
 def admissible_task(rng, primes_of_q, offsets, limit):
@@ -584,56 +582,11 @@ TIER_LIMITS = (
 )
 
 
-@pytest.mark.parametrize("limit", TIER_LIMITS)
-def test_sieve_matches_its_definition_from_zero(limit):
-    # small q and k from 0: |x + d| runs through the sieving primes, the
-    # zone where striking p at x + d = +-p would be wrong
-    rng = random.Random(limit)
-    tasks = 0
-    while tasks < 5:
-        q_primes = rng.choice(((), (2,), (2, 3), (2, 3, 5), (3,), (5, 7)))
-        offsets = {rng.randrange(-80, 81) for _ in range(rng.randrange(1, 6))}
-        task = admissible_task(rng, q_primes, offsets, limit)
-        if task is None:
-            continue
-        tasks += 1
-        assert sieve_segment(task, 0, WINDOW) == brute_survivors(task, 0, WINDOW), task
-
-
-@pytest.mark.parametrize("limit", (DEFAULT_SIEVE_LIMIT, 1000))
-def test_sieve_matches_its_definition_on_a_long_window(limit):
-    # a window longer than PRESIEVE_AFTER strikes the primes that are not
-    # pre-sieved with strided writes
-    rng = random.Random(limit + 2)
-    task = admissible_task(rng, (2, 3), {0, 2, 6}, limit)
-    lo = rng.randrange(10**6, 10**7)
-    hi = lo + (1 << 15)
-    assert sieve_segment(task, lo, hi) == brute_survivors(task, lo, hi)
-
-
-@pytest.mark.parametrize("limit", (13, PRESIEVE_DENSITY * 6, 4296))
-def test_sieve_matches_its_definition_above_2_63(limit):
-    rng = random.Random(limit + 1)
-    big_q = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-    # q above 2**63 (53# is about 3.3e19), offsets small
-    task = admissible_task(rng, big_q, {0, 2, 6, 8}, limit)
-    assert task.system.crt.modulus > 1 << 63
-    lo = rng.randrange(1 << 70)
-    assert sieve_segment(task, lo, lo + 300) == brute_survivors(task, lo, lo + 300)
-    # offsets above 2**63; k near where x + d = +-p for the negative one
-    huge = (1 << 64) + 14
-    task = admissible_task(rng, (2, 3), {0, huge, -huge}, limit)
-    q, t = task.system.crt.modulus, task.system.crt.residue
-    lo = max(0, (huge - limit - t) // q - 50)
-    hi = lo + 2 * limit // q + 100
-    assert sieve_segment(task, lo, hi) == brute_survivors(task, lo, hi)
-
-
 def test_sieve_strikes_a_zero_value():
     # x = 7 gives the values 0 and 3: 3 is itself a sieving prime, but 0
     # is a multiple of every sieving prime, so 7 must not survive
     task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (-7, -4)), sieve_limit=50)
-    assert sieve_segment(task, 0, 100) == brute_survivors(task, 0, 100)
+    assert sieve_segment(task, 0, 100) == segment_definition(task, 0, 100)
     assert 7 not in sieve_segment(task, 0, 100)
 
 
@@ -648,15 +601,15 @@ def test_sieve_keeps_a_value_that_is_a_prime_above_the_plan_limit(limit):
     for r in (401, 1009):
         task = ConstellationTask(TupleSystem(odd, (-2 * r, 0)), sieve_limit=limit)
         assert sieve_segment(task, r // 2, r // 2 + 1) == [r]
-        assert sieve_segment(task, r // 2 - 10, r // 2 + 10) == brute_survivors(task, r // 2 - 10, r // 2 + 10)
+        assert sieve_segment(task, r // 2 - 10, r // 2 + 10) == segment_definition(task, r // 2 - 10, r // 2 + 10)
     task = ConstellationTask(TupleSystem(odd, (0,)), sieve_limit=limit)
     for x in (401 * 401, 401 * 409, 1009 * 1009):
         assert sieve_segment(task, x // 2, x // 2 + 1) == []
-        assert sieve_segment(task, x // 2 - 10, x // 2 + 10) == brute_survivors(task, x // 2 - 10, x // 2 + 10)
+        assert sieve_segment(task, x // 2 - 10, x // 2 + 10) == segment_definition(task, x // 2 - 10, x // 2 + 10)
     # 401 divides q = 802, so it is no sieving prime: x = 401 * 1013 survives
     task = ConstellationTask(TupleSystem(CrtClass(802, 401, (2, 401)), (0,)), sieve_limit=limit)
     k = 1013 // 2
-    assert sieve_segment(task, k, k + 1) == brute_survivors(task, k, k + 1) == ([401 * 1013] if limit < 1013 else [])
+    assert sieve_segment(task, k, k + 1) == segment_definition(task, k, k + 1) == ([401 * 1013] if limit < 1013 else [])
 
 
 def test_a_held_prime_above_the_root_strikes_beside_a_factor_of_q():
@@ -664,7 +617,7 @@ def test_a_held_prime_above_the_root_strikes_beside_a_factor_of_q():
     # m is a prime above isqrt(x + 3) only m itself strikes. The system is
     # inadmissible (x + 3 is always even), which sieve_segment accepts.
     task = ConstellationTask(TupleSystem(CrtClass(2, 1, (2,)), (0, 3)), sieve_limit=250)
-    assert sieve_segment(task, 95, 105) == brute_survivors(task, 95, 105) == []
+    assert sieve_segment(task, 95, 105) == segment_definition(task, 95, 105) == []
 
 
 @pytest.mark.parametrize("q", (1, 2, 6, 35))
@@ -682,23 +635,6 @@ def test_struck_matches_its_definition(q):
             assert search._struck(v, held, q) == want, (q, limit, v)
             if not struck_below:
                 assert search._struck(v, above, q) == want, (q, limit, v)
-
-
-def test_sieve_matches_its_definition_over_the_zone_of_random_systems():
-    # from k = 0 the values x + d run through the sieving primes and their
-    # negatives; t is any class mod q, so some systems are inadmissible and
-    # some values share a factor with q
-    rng = random.Random(4242)
-    for _ in range(150):
-        q = rng.choice((1, 2, 3, 6, 10, 30))
-        factors = tuple(p for p in (2, 3, 5) if q % p == 0)
-        offsets = tuple(sorted(rng.sample(range(-40, 41), rng.randrange(1, 5))))
-        limit = rng.choice((5, 30, 100, 250))
-        task = ConstellationTask(
-            TupleSystem(CrtClass(q, rng.randrange(q), factors), offsets), sieve_limit=limit
-        )
-        hi = (limit + 40) // q + 2  # past every k where some |x + d| <= limit
-        assert sieve_segment(task, 0, hi) == brute_survivors(task, 0, hi), task
 
 
 def test_tier_limits_reach_every_tier():
@@ -723,232 +659,9 @@ def test_periodic_and_matches_a_brute_force_and(lengths):
     assert pattern[size:].tolist() == [0x5A] * 3  # nothing written past its length
 
 
-def test_windows_of_a_long_plan_match_the_definition():
-    # a search's first windows are shorter than its plan's pattern periods:
-    # they lie inside one period, or straddle the end of one
-    rng = random.Random(1618)
-    for limit in (PRESIEVE_DENSITY * 6, 1000):
-        task = admissible_task(rng, (2, 3), {0, 2, 6, 12, 14}, limit)
-        plan = presieved(_SievePlan(task, 1 << 16))
-        q, t = task.system.crt.modulus, task.system.crt.residue
-        period = max(len(pattern) for pattern in plan.patterns)
-        assert period > 1000
-        for _ in range(6):
-            lo = rng.randrange(3 * period)
-            hi = lo + rng.choice((1, 37, 1000))
-            got = [t + (lo + j) * q for j in plan.window(lo, hi).tolist()]
-            assert got == brute_survivors(task, lo, hi), (limit, lo, hi)
-        for lo in (2 * period - 10, 2 * period - 9):  # ends on, one past a period
-            got = [t + (lo + j) * q for j in plan.window(lo, lo + 10).tolist()]
-            assert got == brute_survivors(task, lo, lo + 10)
-
-
-def test_sieve_segments_split_anywhere_agree():
-    rng = random.Random(2718)
-    for limit in (50, PRESIEVE_DENSITY * 6, 4296):
-        task = admissible_task(rng, (2, 3), {0, 2, 6, 12, 14}, limit)
-        whole = sieve_segment(task, 0, 3000)
-        cuts = sorted(rng.sample(range(1, 3000), 7))
-        pieces = []
-        for lo, hi in zip([0] + cuts, cuts + [3000]):
-            pieces += sieve_segment(task, lo, hi)
-        assert pieces == whole
-
-
 # ---------------------------------------------------------------------------
-# windows that gather their survivors from the sparse patterns
+# the comb's rows, a window's residues and the tables of inverses
 # ---------------------------------------------------------------------------
-
-# the densest prime 12-tuple, for a system whose zone starts at k = 0
-TUPLE_12 = {0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42}
-
-
-def numpy_survivors(task, lo, hi):
-    """Indices j of the x = t + (lo + j)*q, k in [lo, hi), that no prime
-    p <= sieve_limit divides at any offset d unless |x + d| = p: the
-    definition, vectorized over primes and window; where some |x + d| is
-    at most sieve_limit, brute force decides."""
-    q, t = task.system.crt.modulus, task.system.crt.residue
-    limit, n = task.sieve_limit, hi - lo
-    primes = np.array(primes_up_to(limit), np.int64)[:, None]
-    j = np.arange(n)
-    alive = np.ones(n, bool)
-    for d in task.system.offsets:
-        base = np.array([(t + d + lo * q) % p for p in primes.ravel().tolist()])[:, None]
-        alive &= ~((base + j * (q % primes)) % primes == 0).any(axis=0)
-    zone = {
-        i
-        for d in task.system.offsets
-        for i in range(max(0, -((limit + t + d) // q) - lo), min(n, (limit - t - d) // q - lo + 1))
-    }
-    for i in zone:
-        alive[i] = bool(brute_survivors(task, lo + i, lo + i + 1))
-    return np.flatnonzero(alive)
-
-
-class TableSpy:
-    """Stands in for a plan's per-prime tables and counts the reads of a
-    gather."""
-
-    def __init__(self, good):
-        self.good, self.reads = good, 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return self.good[index]
-
-
-def gathers(plan, lo, hi):
-    """A window's survivors, and whether it gathered them."""
-    spy = plan.good = TableSpy(plan.good)
-    try:
-        return plan.window(lo, hi), spy.reads > 0
-    finally:
-        plan.good = spy.good
-
-
-def all_anded(task, span, lo, hi, monkeypatch):
-    """The window's survivors from a plan that ANDs every group."""
-    with monkeypatch.context() as m:
-        m.setattr(search, "GATHER_COST", 1 << 62)
-        plan = presieved(_SievePlan(task, span))
-    assert len(plan.gather_p) == 0
-    return plan.window(lo, hi)
-
-
-def test_long_and_first_step_9_windows_both_gather(monkeypatch):
-    task = ConstellationTask(STEP_9, start=STEP_9_K * 210 + 155)
-    plan = presieved(_SievePlan(task, 1 << 20))
-    assert plan.patterns and len(plan.gather_p)
-    lo = STEP_9_K
-    got, gathered = gathers(plan, lo, lo + (1 << 20))
-    assert gathered
-    assert np.array_equal(got, all_anded(task, 1 << 20, lo, lo + (1 << 20), monkeypatch))
-    got, gathered = gathers(plan, lo, lo + FIRST_WINDOW)
-    assert gathered
-    assert np.array_equal(got, numpy_survivors(task, lo, lo + FIRST_WINDOW))
-    assert np.array_equal(got, all_anded(task, 1 << 20, lo, lo + FIRST_WINDOW, monkeypatch))
-
-
-@pytest.mark.parametrize("span", (1 << 20, 1 << 15))
-def test_gathering_step_9_windows_match_the_definition(span, monkeypatch):
-    # a plan for 2**20 windows has periods of up to 2**17, so a window of
-    # 2**15 starts and ends inside one; for 2**15 windows the periods are
-    # at most 4096, and a window spans several of each
-    task = ConstellationTask(STEP_9, start=STEP_9_K * 210 + 155)
-    plan = presieved(_SievePlan(task, span))
-    rng = random.Random(span)
-    periods = [len(pattern) for pattern in plan.patterns]
-    assert (span == 1 << 20) == (max(periods) > 1 << 15)
-    n = 1 << 15
-    for lo in (STEP_9_K + rng.randrange(1 << 20), (1 << 64) + rng.randrange(1 << 20)):
-        got, gathered = gathers(plan, lo, lo + n)
-        assert gathered
-        assert np.array_equal(got, numpy_survivors(task, lo, lo + n)), lo
-        assert np.array_equal(got, all_anded(task, span, lo, lo + n, monkeypatch))
-
-
-@pytest.mark.parametrize("n", (700, 1 << 14))
-def test_gathering_windows_with_every_tier_match_the_definition(n, monkeypatch):
-    # limit 1000 sieves with the primes up to DEFAULT_SIEVE_LIMIT, and
-    # leaves those past the head to the other tiers: to the comb in windows
-    # of up to PRESIEVE_AFTER, of 700, 350 and 2**14, 8 chunks, as after a
-    # budget cuts a search short, and to strided writes in one of 2**15.
-    # The 12-tuple's head runs to 384, and its windows keep few survivors;
-    # the quintuplet's, with a gather cost of 2, to 160, and its keep
-    # hundreds.
-    rng = random.Random(n)
-    for offsets, cost in ((TUPLE_12, search.GATHER_COST), ({0, 2, 6, 8, 12}, 2)):
-        monkeypatch.setattr(search, "GATHER_COST", cost)
-        task = admissible_task(rng, (2, 3, 5, 7), offsets, 1000)
-        plan = presieved(_SievePlan(task, 1 << 16))
-        assert len(plan.gather_p)
-        held = replace(task, sieve_limit=plan.limit)
-        lengths = {700: (700, 350), 1 << 14: (1 << 14, 1 << 15)}[n]
-        tiers = {"comb" if length <= PRESIEVE_AFTER else "strided" for length in lengths}
-        assert len(plan.rest_p) and tiers == ({"comb"} if n == 700 else {"comb", "strided"}), offsets
-        for lo in (rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)):
-            for length in lengths:
-                got, gathered = gathers(plan, lo, lo + length)
-                assert gathered
-                assert np.array_equal(got, numpy_survivors(held, lo, lo + length)), lo
-
-
-def test_a_window_over_a_forgiveness_zone_gathers():
-    # from k = 0, x + d runs through the sieving primes: the window
-    # gathers and re-decides the zone's struck k on its survivors; the
-    # window after the zone gathers too
-    task = admissible_task(random.Random(7), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
-    plan = presieved(_SievePlan(task, 1 << 20))
-    n = 1 << 15
-    assert len(plan.gather_p) and plan.zones
-    assert 0 < max(z_hi for _, _, z_hi in plan.zones) < n
-    got, gathered = gathers(plan, 0, n)
-    assert gathered
-    assert np.array_equal(got, numpy_survivors(task, 0, n))
-    assert got[:1].tolist() == [0]  # x = 11: every x + d is a sieving prime
-    got, gathered = gathers(plan, n, 2 * n)
-    assert gathered
-    assert np.array_equal(got, numpy_survivors(task, n, 2 * n))
-
-
-def test_a_gather_in_two_stages_matches_the_definition(monkeypatch):
-    # with a gather cost of 2 only the densest group is ANDed, so a long
-    # window brings more survivors than primes to its gather, which then
-    # reads the tables in two stages: the first `first_stage` primes, then the
-    # rest on what those keep
-    monkeypatch.setattr(search, "GATHER_COST", 2)
-    task = admissible_task(random.Random(3), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
-    lo, n = (1 << 63) + 12345, 1 << 14
-    # the tables of the primes up to 400 take about 111 KB: a plan for
-    # windows of 2**20 is wide, one for 2**16 is not
-    for span in (1 << 16, 1 << 20):
-        plan = presieved(_SievePlan(task, span))
-        assert plan.wide == (span == 1 << 20) and 0 < plan.first_stage < len(plan.gather_p)
-        spy = plan.good = TableSpy(plan.good)
-        assert np.array_equal(plan.window(lo, lo + n), numpy_survivors(task, lo, lo + n))
-        assert spy.reads == 2
-
-
-@pytest.mark.parametrize("gather_cost", (search.GATHER_COST, 2))
-@pytest.mark.parametrize("limit", (31, 1000))
-def test_windows_at_every_bit_offset_match_the_definition(limit, gather_cost, monkeypatch):
-    # A window works from the multiple of 8 at or below lo and drops the
-    # bits before lo and from hi on: every lo mod 64 and every length up
-    # to 130, across the end of a pattern's bytes (k = 40 * period), over
-    # the forgiveness zone at k = 0 and above 2**63, against the
-    # definition at the plan's limit. With one offset, limit 31 pre-sieves
-    # every prime, 1000 sieves with the primes up to DEFAULT_SIEVE_LIMIT
-    # and leaves the others to the comb, as a window this short strikes
-    # them; with a gather cost of 2 the plan gathers all but its densest
-    # groups. A plan widens where it gathers and its tables, 8 bytes per
-    # unit of p, fit the span: limit 31's at both spans, those up to
-    # DEFAULT_SIEVE_LIMIT (111 KB) for windows of 2**20 only. A wide plan
-    # tables every prime and gathers limit 1000's other primes too.
-    monkeypatch.setattr(search, "GATHER_COST", gather_cost)
-    task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (0,)), sieve_limit=limit)
-    held = replace(task, sieve_limit=min(limit, DEFAULT_SIEVE_LIMIT))
-    for span in (1 << 16, 1 << 20):
-        plan = presieved(_SievePlan(task, span))
-        fits = 8 * sum(primes_up_to(held.sieve_limit)) <= span
-        assert plan.wide == (gather_cost == 2 and fits)
-        assert (len(plan.rest_p) > 0) == (limit == 1000 and not plan.wide)
-        assert (len(plan.gather_p) > 0) == (gather_cost == 2)
-        period = max(len(pattern) for pattern in plan.patterns)
-        crossing = 8 * period * 5 - 70
-        some = (1, 8, 9, 64, 130)
-        for base in (crossing, 0, (1 << 63) + 4321):
-            want = numpy_survivors(held, base, base + 64 + 130)
-            for r in range(64):
-                # every length at the crossing, spread over the 64 offsets
-                for n in range(1 + r % 4, 131, 4) if base == crossing else some:
-                    got = plan.window(base + r, base + r + n)
-                    want_n = want[(want >= r) & (want < r + n)] - r
-                    assert np.array_equal(got, want_n), (span, base, r, n)
-
-
-COMB_PRIMES = list(primes_up_to(DEFAULT_SIEVE_LIMIT))
-
 
 def test_comb_rows_are_their_definition():
     # for each prime p up to DEFAULT_SIEVE_LIMIT, every prime a plan holds, the _CHUNK
@@ -956,86 +669,13 @@ def test_comb_rows_are_their_definition():
     # read-only row of bytes from at[p, s & 7] + (s >> 3): every shift
     at, rows = search._COMB_ROW_AT, search._COMB_ROWS
     assert not rows.flags.writeable
-    assert at.shape == (COMB_PRIMES[-1] + 1, 8)
+    primes = primes_up_to(DEFAULT_SIEVE_LIMIT)
+    assert at.shape == (primes[-1] + 1, 8)
     chunk = search._CHUNK
-    for p in COMB_PRIMES:
+    for p in primes:
         s = np.arange(p)
         got = np.unpackbits(rows[at[p, s & 7] + (s >> 3)].view(np.uint8).reshape(p, -1), axis=1, bitorder="little")
         assert np.array_equal(got, (np.arange(chunk) + s[:, None]) % p == 0), p
-
-
-# 17 offsets: enough entries that windows of 5 and 7 chunks reach the 1 MiB
-# a comb gather may read
-TUPLE_17 = TUPLE_12 | {48, 50, 56, 62, 68}
-
-
-@pytest.mark.parametrize("primes_of_q, offsets", (
-    ((5, 7), (0, 2, 6, 8, 12)),
-    ((2, 3, 5, 7), TUPLE_12),
-    ((2, 3, 5, 7), TUPLE_17),
-))
-def test_comb_windows_at_every_bit_offset_match_the_definition(primes_of_q, offsets, monkeypatch):
-    # a window of up to PRESIEVE_AFTER candidates strikes every entry the
-    # plan still holds from the combs, in chunks of _CHUNK bits from the
-    # byte at or below lo, one chunk for a first window: lengths around one
-    # and two chunks, and across 3 | 4, 5 | 6 and 7 | 8 chunks, at every lo
-    # mod 64, over the forgiveness zone at k = 0, mid-range and above
-    # 2**63. Every system has offsets that coincide modulo a prime of the
-    # combs (2 and 3; 11 and 13). TUPLE_17's limit lies past
-    # DEFAULT_SIEVE_LIMIT, which bounds its plan; its entries take more
-    # than one gather from 5 chunks on, as no gather reads over 1 MiB.
-    limit = 600 if offsets == TUPLE_17 else 200
-    task = admissible_task(random.Random(len(offsets)), primes_of_q, offsets, limit)
-    held = replace(task, sieve_limit=min(limit, DEFAULT_SIEVE_LIMIT))
-    q = task.system.crt.modulus
-    assert any(q % p and len({d % p for d in offsets}) < len(offsets) for p in COMB_PRIMES)
-    gathers = GatherSpy(search._COMB_ROWS)
-    monkeypatch.setattr(search, "_COMB_ROWS", gathers)
-    plan = _SievePlan(task, 1 << 20)
-    chunk = search._CHUNK
-    lengths = (FIRST_WINDOW - 1, FIRST_WINDOW, FIRST_WINDOW + 1, 2 * FIRST_WINDOW + 7)
-    lengths += tuple(c * chunk - 3 for c in (3, 5, 7))
-    # before the pre-sieve the comb strikes every prime the plan holds
-    assert set(plan.rest_p.tolist()) == {p for p in COMB_PRIMES if p <= held.sieve_limit and q % p}
-    if offsets == TUPLE_17:
-        assert plan.limit == DEFAULT_SIEVE_LIMIT and plan.rest_p[-1] == COMB_PRIMES[-1]
-
-    def check(lows):
-        for base in (0, 10**9 + 321, (1 << 63) + 4321):
-            want = numpy_survivors(held, base, base + 64 + lengths[-1])
-            for r in lows:
-                for n in lengths:
-                    before = len(gathers.sizes)
-                    got = plan.window(base + r, base + r + n)
-                    assert np.array_equal(got, want[(want >= r) & (want < r + n)] - r), (base, r, n)
-                    # every entry once per chunk, in gathers of at most 1 MiB
-                    sizes = gathers.sizes[before:]
-                    chunks = len(range(-((base + r) % 8), n, chunk))
-                    assert sum(sizes) == len(plan.rest_p) * chunks * chunk // 8, (base, r, n)
-                    assert max(sizes) <= 1 << 20
-                    if offsets == TUPLE_17 and chunks >= 5:
-                        assert len(sizes) > 1, (base, r, n)
-
-    check(range(64))
-    # the quintuplet's plan is not wide and keeps its sparse primes past its
-    # pre-sieve; a short window there, as a budget cuts one, combs them
-    plan._presieve()
-    quintuplet = len(offsets) == 5
-    assert (len(plan.rest_p) > 0) == quintuplet and plan.wide != quintuplet
-    if quintuplet:
-        check(range(0, 64, 9))
-
-
-class GatherSpy:
-    """The comb rows, recording the bytes of each gather from them."""
-
-    def __init__(self, rows):
-        self.rows, self.sizes = rows, []
-
-    def __getitem__(self, index):
-        got = self.rows[index]
-        self.sizes.append(got.nbytes)
-        return got
 
 
 @pytest.mark.parametrize("n", (0, 1, (1 << 62) - 1, 1 << 62, 1 << 63, (1 << 64) + 14))
@@ -1250,50 +890,6 @@ def test_a_plan_at_any_limit_equals_one_built_at_the_cap(limit, gather_cost, mon
                 got, want = getattr(plan, name), getattr(capped, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (span, name)
             plan, capped = presieved(plan), presieved(capped)
-
-
-@pytest.mark.parametrize("limit", (100, 1000, 10_000, 100_000))
-def test_windows_on_both_sides_of_the_presieve_match_the_definition(limit):
-    # short windows of one plan before its pre-sieve and after the long
-    # window that pre-sieves it, each against sieve_segment and the
-    # definition at the plan's limit, min(limit, DEFAULT_SIEVE_LIMIT); the
-    # long window against short sieve_segment pieces, which never
-    # pre-sieve; and sieve_segment at the task's limit against the
-    # definition. Windows from k = 0, inside the forgiveness zones of the
-    # plan's limit and of the task's, at random and above 2**63.
-    # A wide plan tables every prime as it pre-sieves, so a system whose
-    # plan would be is drawn again.
-    rng = random.Random(limit + 5)
-    n = 40
-    for _ in range(3):
-        plan = None
-        while plan is None or plan.wide:
-            q_primes = rng.choice(((), (2,), (2, 3), (2, 3, 5), (2, 3, 5, 7)))
-            offsets = {rng.randrange(-60, 61) for _ in range(rng.randrange(2, 8))}
-            task = admissible_task(rng, q_primes, offsets, limit)
-            plan = task and _SievePlan(task, 1 << 16)
-        q, t = task.system.crt.modulus, task.system.crt.residue
-        held = replace(task, sieve_limit=plan.limit)
-        far = [rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)]
-        # some |x + d| is a sieving prime near k = limit / 2q
-        los = [0, plan.limit // (2 * q), limit // (2 * q)] + far
-
-        def check(presieved):
-            assert (plan.good is not None) == presieved
-            for lo in los:
-                got = plan.window(lo, lo + n)
-                assert np.array_equal(got, numpy_survivors(held, lo, lo + n)), (lo, plan.limit)
-                assert [t + (lo + j) * q for j in got.tolist()] == sieve_segment(held, lo, lo + n)
-
-        check(False)
-        lo = rng.choice(far)
-        hi = lo + PRESIEVE_AFTER + 1
-        got = [t + (lo + j) * q for j in plan.window(lo, hi).tolist()]
-        assert got == [x for a in range(lo, hi, 4096) for x in sieve_segment(held, a, min(a + 4096, hi))]
-        check(True)
-        for lo in los:
-            want = numpy_survivors(task, lo, lo + n)
-            assert sieve_segment(task, lo, lo + n) == [t + (lo + j) * q for j in want.tolist()], lo
 
 
 # (E, z, x): with q = 1 and start 0 (so k = x), the offsets e - (x + z)
@@ -1522,3 +1118,285 @@ def test_a_screen_is_built_only_with_a_prime_to_screen_by(limit, monkeypatch):
     # built by the search, not by this read
     screen = vars(plan)["_screen"]
     assert screen[1].ravel().tolist() == [p for p in primes_up_to(SCREEN_LIMIT) if p > DEFAULT_SIEVE_LIMIT]
+
+
+# ---------------------------------------------------------------------------
+# every sieve tier against its definition: one grid of windows
+# ---------------------------------------------------------------------------
+
+# the densest prime 12-tuple, whose zone starts at k = 0; 17 offsets, whose
+# comb windows of 5 to 7 chunks take more than one gather; the quintuplet's
+TUPLE_12 = {0, 2, 6, 8, 12, 18, 20, 26, 30, 32, 36, 42}
+TUPLE_17 = TUPLE_12 | {48, 50, 56, 62, 68}
+TUPLE_5 = {0, 2, 6, 8, 12}
+
+
+class Spy:
+    """Stands in for a table and keeps the shape of each read from it."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, []
+
+    def __getitem__(self, index):
+        self.reads.append((got := self.table[index]).shape)
+        return got
+
+
+@pytest.fixture
+def sieved(monkeypatch):
+    """(plan, lo, hi, survivors, tiers) of each window sieved from now on,
+    checked for what every window keeps. Its tiers: comb, strided, anded or
+    word-scan where that struck it and it kept survivors; gathered, or
+    two-stage, where a gather read survivors in its stage, or in both."""
+    seen, gathers, comb = [], [], Spy(search._COMB_ROWS)
+    sift, window = search._sift, _SievePlan.window
+
+    def spied_sift(js, r, primes, at, good, first=0):
+        if not isinstance(good, Spy):  # not a slice of a gather spied on already
+            gathers.append((good := Spy(good), first))
+        return sift(js, r, primes, at, good, first)
+
+    def checked(plan, lo, hi):
+        comb.reads.clear()
+        gathers.clear()
+        js, off, n = window(plan, lo, hi), lo % 8, hi - lo
+        long = n > PRESIEVE_AFTER
+        tier = ("strided" if long else "comb") if len(plan.rest_p) else ("word-scan" if long else None)
+        tiers = {tier, "anded" if plan.patterns else None} - {None} if len(js) else set()
+        for spy, first in gathers:
+            stages = zip(spy.reads[::2], spy.reads[1::2]) if first else zip(spy.reads)
+            if any(all(shape[1] for shape in stage) for stage in stages):
+                tiers.add("two-stage" if first else "gathered")
+        # the comb gathers every entry once per chunk, at most 1 MiB at a time
+        chunks = len(range(-off, n, search._CHUNK))
+        assert sum(rows for rows, _ in comb.reads) == (len(plan.rest_p) if tier == "comb" else 0), (lo, hi)
+        assert all(c == chunks and rows * c * search._CHUNK <= 8 << 20 for rows, c in comb.reads), (lo, hi)
+        # the bits of the shared buffer outside [lo, hi) are left clear
+        words = search._words[: -(-(off + n) // 64)]
+        assert int(words[0]) & ((1 << off) - 1) == 0 == int(words[-1]) >> ((off + n - 1) % 64 + 1), (lo, hi)
+        seen.append((plan, lo, hi, js, tiers))
+        return js
+
+    monkeypatch.setattr(search, "_COMB_ROWS", comb)
+    monkeypatch.setattr(search, "_sift", spied_sift)
+    monkeypatch.setattr(_SievePlan, "window", checked)
+    return seen
+
+
+@dataclass(frozen=True)
+class Case:
+    """A plan of the task for `span` at a gather cost, pre-sieved or not;
+    what it sieves (check); and the tiers its windows reach (sieved)."""
+
+    id: str
+    task: ConstellationTask
+    tiers: str
+    windows: list = ()
+    segments: list = ()
+    span: int = 1 << 16
+    cost: int = GATHER_COST
+    presieved: bool = False
+    budget: int = 0
+
+
+def check(case, sieved):
+    """The tiers reached by a case's windows (lo, n), sieved in order, each
+    against the definition at the plan's limit or, past WIDE, its pieces;
+    by sieve_segment's (lo, n), at the task's limit and the plan's; and by
+    a search from the task's start over a budget."""
+    task, plan = case.task, _SievePlan(case.task, case.span)
+    if case.presieved:
+        plan._presieve()
+    a = b = 0
+    for lo, n in case.windows:
+        got = plan.window(lo, lo + n)
+        if n > WIDE:
+            pieces = [plan.window(k, min(k + WIDE, lo + n)) + (k - lo) for k in range(lo, lo + n, WIDE)]
+            assert len(got) and np.array_equal(got, np.concatenate(pieces)), (lo, n)
+            continue
+        if not a <= lo <= lo + n <= b:  # one definition serves the windows inside it
+            a, b = lo, lo + max(n + 1024, 4096)
+            want = definition(task, a, b, plan.limit)
+        assert np.array_equal(got, want[(want >= lo - a) & (want < lo - a + n)] - (lo - a)), (lo, n)
+    for lo, n in case.segments:
+        for held in {task, replace(task, sieve_limit=plan.limit)}:
+            assert sieve_segment(held, lo, lo + n) == segment_definition(held, lo, lo + n), (held.sieve_limit, lo, n)
+    start = len(sieved)
+    if case.budget:
+        search_with_count(replace(task, budget=case.budget))
+    for searching, lo, hi, js, _ in sieved[start:]:
+        assert np.array_equal(js, definition(task, lo, hi, searching.limit)), (lo, hi)
+    return set().union(*(tiers for *_, tiers in sieved))
+
+
+def drawn(rng, q_choices, spread, sizes, limit):
+    """A task of offsets in [-spread, spread], range(*sizes) draws, over q
+    from q_choices, drawn again until admissible_task finds a t."""
+    while True:
+        q_primes = rng.choice(q_choices)
+        offsets = {rng.randrange(-spread, spread + 1) for _ in range(rng.randrange(*sizes))}
+        if task := admissible_task(rng, q_primes, offsets, limit):
+            return task
+
+
+def segment_case(name, task, *segments):
+    """A case of short segments: they reach the comb if the plan has primes
+    and a segment keeps survivors."""
+    limit = min(task.sieve_limit, DEFAULT_SIEVE_LIMIT)
+    kept = any(len(definition(task, lo, lo + n, limit)) for lo, n in segments)
+    return Case(name, task, "comb" * bool(kept and sieving_primes(task.system.crt.modulus, limit)[0]), segments=segments)
+
+
+def longest_period(task, span, cost):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "GATHER_COST", cost)
+        return max(map(len, presieved(_SievePlan(task, span)).patterns))
+
+
+def cases():
+    """The grid: the windows of the per-mechanism tests it folds, drawn as
+    they drew them, and windows that run every tier with survivors from
+    k = 0 in a forgiveness zone, near 2**63 and past 2**64."""
+    # segments from k = 0, where |x + d| runs through the sieving primes (in
+    # zone-*, t is any class mod q); split anywhere; above 2**63, by q = 53#
+    # or by offsets, near x + d = -p; and a long one, struck by strided writes
+    for limit in TIER_LIMITS:
+        rng = random.Random(limit)
+        for i in range(5):
+            task = drawn(rng, ((), (2,), (2, 3), (2, 3, 5), (3,), (5, 7)), 80, (1, 6), limit)
+            yield segment_case(f"zero-{limit}-{i}", task, (0, WINDOW))
+    rng = random.Random(4242)
+    for i in range(150):
+        q = rng.choice((1, 2, 3, 6, 10, 30))
+        offsets = tuple(sorted(rng.sample(range(-40, 41), rng.randrange(1, 5))))
+        limit = rng.choice((5, 30, 100, 250))
+        crt = CrtClass(q, rng.randrange(q), tuple(p for p in (2, 3, 5) if q % p == 0))
+        task = ConstellationTask(TupleSystem(crt, offsets), sieve_limit=limit)
+        yield segment_case(f"zone-{i}", task, (0, (limit + 40) // q + 2))
+    rng = random.Random(2718)
+    for limit in (50, PRESIEVE_DENSITY * 6, 4296):
+        task = admissible_task(rng, (2, 3), {0, 2, 6, 12, 14}, limit)
+        cuts = [0, *sorted(rng.sample(range(1, 3000), 7)), 3000]
+        yield segment_case(f"split-{limit}", task, (0, 3000), *((a, b - a) for a, b in zip(cuts, cuts[1:])))
+    for limit in (13, PRESIEVE_DENSITY * 6, 4296):
+        rng = random.Random(limit + 1)
+        task = admissible_task(rng, tuple(primes_up_to(53)), {0, 2, 6, 8}, limit)
+        yield segment_case(f"big-q-{limit}", task, (rng.randrange(1 << 70), 300))
+        task = admissible_task(rng, (2, 3), {0, HUGE, -HUGE}, limit)
+        lo = max(0, (HUGE - limit - task.system.crt.residue) // 6 - 50)
+        yield segment_case(f"huge-offsets-{limit}", task, (lo, 2 * limit // 6 + 100))
+    for limit in (DEFAULT_SIEVE_LIMIT, 1000):
+        rng = random.Random(limit + 2)
+        task = admissible_task(rng, (2, 3), {0, 2, 6}, limit)
+        yield Case(f"long-{limit}", task, "anded strided", segments=[(rng.randrange(10**6, 10**7), 1 << 15)])
+    # short windows inside a pattern's period and across the end of one; and
+    # on both sides of the pre-sieve from k = 0, in the zones of the plan's
+    # limit and the task's, and at random, with sieve_segment on them and on
+    # the pre-sieving window's pieces (a plan that would be wide is redrawn)
+    rng = random.Random(1618)
+    for limit in (PRESIEVE_DENSITY * 6, 1000):
+        task = admissible_task(rng, (2, 3), {0, 2, 6, 12, 14}, limit)
+        period = longest_period(task, 1 << 16, GATHER_COST)
+        windows = [(rng.randrange(3 * period), rng.choice((1, 37, 1000))) for _ in range(6)]
+        yield Case(f"long-plan-{limit}", task, "anded comb", windows + [(2 * period - 10, 10), (2 * period - 9, 10)], presieved=True)
+    for limit, tiers in (
+        (100, ["anded comb strided"] * 3),
+        (1000, ["", "anded comb strided", "anded comb"]),
+        (10_000, ["anded comb strided", "anded comb", "anded comb strided"]),
+        (100_000, ["anded comb strided", "", "anded comb"]),
+    ):
+        rng = random.Random(limit + 5)
+        for i in range(3):
+            task = None
+            while task is None or _SievePlan(task, 1 << 16).wide:
+                task = drawn(rng, ((), (2,), (2, 3), (2, 3, 5), (2, 3, 5, 7)), 60, (2, 8), limit)
+            q = task.system.crt.modulus
+            far = [rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)]
+            short = [(lo, 40) for lo in [0, min(limit, DEFAULT_SIEVE_LIMIT) // (2 * q), limit // (2 * q)] + far]
+            lo, n = rng.choice(far), PRESIEVE_AFTER + 1
+            pieces = [(a, min(4096, lo + n - a)) for a in range(lo, lo + n, 4096)]
+            yield Case(f"presieve-{limit}-{i}", task, tiers[i], short + [(lo, n)] + short, short + pieces)
+    # every lo mod 64 and lengths up to 130, across the end of a pattern's
+    # bytes, from k = 0 and above 2**63, and a long window there: limit 31
+    # pre-sieves every prime, 1000 combs the others; a gather cost of 2
+    # gathers all groups but the densest, and a plan that gathers is wide
+    # where its tables fit the span
+    for (limit, cost, span), tiers in zip(product((31, 1000), (GATHER_COST, 2), (1 << 16, WIDE)), (
+        "anded word-scan", "anded word-scan", "anded gathered two-stage word-scan", "anded gathered two-stage word-scan",
+        "anded comb strided", "anded comb strided", "anded comb gathered strided two-stage", "anded gathered two-stage word-scan",
+    )):
+        task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (0,)), sieve_limit=limit)
+        crossing = 40 * longest_period(task, span, cost) - 70
+        windows = [(crossing + r, n) for r in range(64) for n in range(1 + r % 4, 131, 4)]
+        windows += [(b + r, n) for b in (0, (1 << 63) + 4321) for r in range(64) for n in (1, 8, 9, 64, 130)]
+        windows += [((1 << 63) + 4321, (1 << 15) - 1)]
+        yield Case(f"bit-offsets-{limit}-{cost}-{span}", task, tiers, windows, span=span, cost=cost, presieved=True)
+    # comb windows of up to 7 chunks at every lo mod 64, the offsets of each
+    # system coinciding mod a prime of the comb (2 and 3; 11 and 13); the
+    # quintuplet's plan, not wide, combs its sparse primes past its pre-sieve
+    lengths = (FIRST_WINDOW - 1, FIRST_WINDOW, FIRST_WINDOW + 1, 2 * FIRST_WINDOW + 7)
+    lengths += tuple(c * search._CHUNK - 3 for c in (3, 5, 7))
+    for primes_of_q, offsets in (((5, 7), TUPLE_5), ((2, 3, 5, 7), TUPLE_12), ((2, 3, 5, 7), TUPLE_17)):
+        task = admissible_task(random.Random(len(offsets)), primes_of_q, offsets, 600 if offsets == TUPLE_17 else 200)
+        for presieve in (False, True) if offsets == TUPLE_5 else (False,):
+            windows = [(b + r, n) for b in (0, 10**9 + 321, (1 << 63) + 4321) for r in range(0, 64, 1 + 8 * presieve) for n in lengths]
+            yield Case(f"comb-{len(offsets)}" + "-presieved" * presieve, task, "anded " * presieve + "comb", windows, span=WIDE, presieved=presieve)
+    # gathering windows combed and strided, 12-tuples keeping few survivors
+    # and quintuplets hundreds; a wide 12-tuple plan over its zone; and
+    # 12-tuple plans gathering in two stages at a gather cost of 2
+    for n, lengths, strided in ((700, (700, 350), ""), (1 << 14, (1 << 14, 1 << 15), " strided")):
+        rng = random.Random(n)
+        for offsets, cost, tiers in ((TUPLE_12, GATHER_COST, "anded comb gathered"), (TUPLE_5, 2, "anded comb two-stage")):
+            task = admissible_task(rng, (2, 3, 5, 7), offsets, 1000)
+            los = (rng.randrange(10**9), (1 << 63) + rng.randrange(10**9), 0, (1 << 64) + 5)
+            windows = [(lo, m) for lo in los for m in lengths]
+            yield Case(f"every-tier-{len(offsets)}-{n}", task, tiers + strided, windows, cost=cost, presieved=True)
+    task = admissible_task(random.Random(7), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
+    yield Case("tuple-12-zone", task, "anded word-scan gathered", [(0, 1 << 15), (1 << 15, 1 << 15)], span=WIDE, presieved=True)
+    task = admissible_task(random.Random(3), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
+    windows = [(lo, n) for lo in ((1 << 63) + 12345, 0, (1 << 64) + 12345) for n in (1 << 14, 1 << 15)]
+    for span, tiers in ((1 << 16, "anded comb strided two-stage"), (WIDE, "anded word-scan two-stage")):
+        yield Case(f"two-stage-{span}", task, tiers, windows, span=span, cost=2, presieved=True)
+    # step 9, wide for windows of WIDE and not of 2**15, gathering or ANDing
+    # every group; fresh wide plans whose first long window is 8 * WIDE, or
+    # WIDE + 13 after short ones, and a search; the quintuplet's windows and
+    # search on one plan
+    task, k = step_9_task(), STEP_9_K
+    for span in (WIDE, 1 << 15):
+        rng = random.Random(span)
+        windows = [(k, WIDE), (k, FIRST_WINDOW), (k + rng.randrange(1 << 20), 1 << 15), ((1 << 64) + rng.randrange(1 << 20), 1 << 15)]
+        for cost, tiers in ((GATHER_COST, "anded gathered two-stage word-scan"), (1 << 62, "anded word-scan")):
+            yield Case(f"step-9-{span}" + "-all-anded" * (cost > GATHER_COST), task, tiers, windows, span=span, cost=cost, presieved=True)
+    for name, windows, budget in (
+        ("step-9-8w", [(k + 12345, 8 * WIDE)], 0),
+        ("step-9-8w-past-2^64", [((1 << 64) + 3, 8 * WIDE)], 0),
+        ("step-9-first-long", [(k + 4, WIDE + 13)], 0),
+        ("step-9-interleaved", [(k + 8, 1000), (k + 3, 1), (k + 3, 8 * WIDE), (k + 8, 1000), (k + 4, WIDE + 13), (k + 3, 1)], 1 << 18),
+    ):
+        yield Case(name, task, "anded two-stage word-scan" + " gathered" * bool(budget), windows, span=WIDE, budget=budget)
+    windows = [(7, FIRST_WINDOW), (100_005, 100), (1001, 1 << 16), (7, FIRST_WINDOW), (100_005, 100)]
+    yield Case("quintuplet", quintuplet_task(40_000), "anded comb gathered strided two-stage", windows, budget=1 << 16)
+
+
+GRID = list(cases())
+
+
+@pytest.mark.parametrize("case", GRID, ids=[case.id for case in GRID])
+def test_windows_match_the_definition(case, sieved, monkeypatch):
+    monkeypatch.setattr(search, "GATHER_COST", case.cost)
+    assert check(case, sieved) == set(case.tiers.split())
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_random_windows_match_the_definition(seed, sieved, monkeypatch):
+    # one draw over the grid's axes, its windows from k = 0, at random, near
+    # 2**63 and past 2**64, and segments on some of them
+    rng = random.Random(seed)
+    limit = rng.choice((2, 31, 50, DEFAULT_SIEVE_LIMIT, DEFAULT_SIEVE_LIMIT + 1, 1000, 10**5))
+    task = drawn(rng, ((), (2,), (2, 3), (2, 3, 5, 7), (5, 7), (11, 13)), 60, (1, 17), limit)
+    monkeypatch.setattr(search, "GATHER_COST", rng.choice((GATHER_COST, 2, 1 << 62)))
+    lengths = (1, 37, 700, FIRST_WINDOW, PRESIEVE_AFTER - 1, PRESIEVE_AFTER, PRESIEVE_AFTER + 1, 1 << 15)
+    los = (0, rng.randrange(10**9), (1 << 63) - rng.randrange(10**6), (1 << 64) + rng.randrange(10**9))
+    windows = [(lo + rng.randrange(64), rng.choice(lengths)) for lo in los for _ in range(2)]
+    span, presieve = rng.choice((1 << 11, 1 << 16, WIDE)), rng.random() < 0.5
+    check(Case(f"fuzz-{seed}", task, "", windows, [(lo, min(n, 700)) for lo, n in windows[::3]], span, presieved=presieve), sieved)

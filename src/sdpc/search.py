@@ -13,10 +13,11 @@ double until they reach LARGEST_WINDOW, the one cap of every search, so a
 witness found early costs about its own depth rather than a largest
 window. A window is measured in the bytes it touches: a wide plan's
 (below) stays packed, 8 candidates to a byte, so its windows after the
-first run from 16 * FIRST_WINDOW to 8 * LARGEST_WINDOW. Every window's
-packed bits are one module buffer, grown to the longest window and
-reused. A window's survivors are kept as indices and become integers x
-only as they are certified, up to the witness.
+first double from one period of its patterns, `period` bytes (2**19
+candidates by default), to 8 * LARGEST_WINDOW. Every window's packed bits
+are one module buffer, grown to the longest window and reused. A window's
+survivors are kept as indices and become integers x only as they are
+certified, up to the witness.
 
 A search sieves with the primes up to its plan limit, min(sieve_limit,
 DEFAULT_SIEVE_LIMIT), all held from its first window. More sieving primes
@@ -201,25 +202,30 @@ def _sieve_entries(task: ConstellationTask) -> np.ndarray:
     return np.column_stack([np.repeat(primes, len(k0)), k0.T.ravel()])
 
 
-def _groups(head_p: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.ndarray, list, int]:
-    """Which head primes head_p, of counts[i] distinct classes each, are
-    pre-sieved, their classes covering at least 1/PRESIEVE_DENSITY of all k;
-    their groups (product, member indices among them ascending); and how
-    many groups are ANDed (module docstring)."""
-    dense = counts * PRESIEVE_DENSITY >= head_p
-    ps, counts = head_p[dense].tolist(), counts[dense].tolist()
-    # [product, share of k kept, member indices]
+def _groups(primes: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.ndarray, list, int]:
+    """Which primes, of counts[i] distinct classes each, are pre-sieved:
+    those up to period whose classes cover at least 1/PRESIEVE_DENSITY of
+    all k; their groups (product, member indices among them ascending); and
+    how many groups are ANDed (module docstring)."""
+    dense = (counts * PRESIEVE_DENSITY >= primes) & (primes <= period)
+    ps, counts = primes[dense].tolist(), counts[dense].tolist()
+    # [product, share of k kept, members], first fit in descending p; no group
+    # takes a prime above isqrt(period), nor any once too full for the least p
     groups: list[list] = []
+    scanned = []
     for i in reversed(range(len(ps))):
         p, keep, limit = ps[i], 1 - counts[i] / ps[i], period // ps[i]
-        for g in groups:
+        for g in scanned if p * p <= period else ():
             if g[0] <= limit:
                 g[0] *= p
                 g[1] *= keep
                 g.append(i)
+                if g[0] * ps[0] > period:
+                    scanned.remove(g)
                 break
         else:
-            groups.append([p, keep, i])
+            groups.append(g := [p, keep, i])
+            scanned.append(g)
     groups.sort(key=lambda g: g[1])
     anded, kept = 0, 1.0
     while anded < len(groups) and kept * GATHER_COST >= 1:
@@ -275,13 +281,13 @@ def _sift(
     return js
 
 
-def _first_stage(keep: list[float]) -> int:
+def _first_stage(keep: np.ndarray) -> int:
     """How many of the gathered primes, keeping shares `keep` of all k, a
     window tests first: those s read every survivor, the rest only what
     the first s keep, s + (R - s) * prod(keep[:s]) reads per survivor.
     The s with the fewest."""
     s = np.arange(len(keep) + 1)
-    return int(np.argmin(s + (len(keep) - s) * np.cumprod([1.0] + keep)))
+    return int(np.argmin(s + (len(keep) - s) * np.cumprod(np.concatenate(([1.0], keep)))))
 
 
 def _combs() -> tuple[np.ndarray, np.ndarray]:
@@ -334,10 +340,8 @@ class _SievePlan:
         self.t = task.system.crt.residue
         self.offsets = task.system.offsets
         self.limit = min(task.sieve_limit, DEFAULT_SIEVE_LIMIT)
-        # pre-sieved: primes striking at least 1/PRESIEVE_DENSITY of all k,
-        # in periods short enough for a window of `span` to repeat 8 times
+        # the longest pattern period, short enough for a window of `span` to repeat 8 times
         self.period = min(PATTERN_PERIOD, span // 8)
-        self.head_bound = min(self.period, len(self.offsets) * PRESIEVE_DENSITY, self.limit)
         # the other tiers' entries, ascending in p, m per prime (one per
         # offset); until _presieve, the pre-sieved primes' too
         self.primes, k0 = _hit_classes(task, 2, self.limit)
@@ -355,20 +359,21 @@ class _SievePlan:
                 self.zones_end = max(self.zones_end, z_hi)
 
     @cached_property
+    def _counts(self) -> np.ndarray:
+        """Each sieving prime's distinct classes, read before _presieve."""
+        return _distinct(self.rest_k0.reshape(len(self.primes), len(self.offsets)))
+
+    @cached_property
     def _grouping(self) -> tuple[np.ndarray, list, int]:
-        """_groups of the head, formed once, before _presieve drops the
-        pre-sieved primes' entries."""
-        m = len(self.offsets)
-        head = int(np.searchsorted(self.primes, self.head_bound, "right"))
-        return _groups(self.primes[:head], _distinct(self.rest_k0[: head * m].reshape(head, m)), self.period)
+        """_groups of the sieving primes, formed once."""
+        return _groups(self.primes, self._counts, self.period)
 
     @cached_property
     def wide(self) -> bool:
         """Whether the plan tables and gathers every sieving prime (module
-        docstring). That pays only where it gathers, and where the tables,
-        8 bytes per unit of p, take at most the bytes a window of its span
-        unpacks on the byte path. Decided at the first read, which in a
-        search comes after its first window."""
+        docstring): that pays only where it gathers, and where the tables,
+        8 bytes per unit of p, fit the bytes a byte-path window of its span
+        unpacks. Decided at the first read, after a search's first window."""
         _, groups, anded = self._grouping
         return anded < len(groups) and 8 * int(self.primes.sum()) <= self.span
 
@@ -377,32 +382,28 @@ class _SievePlan:
         patterns and the gathered primes. The tabled primes are the
         pre-sieved ones and, in a wide plan, every other; their entries
         leave the other tiers."""
-        dense, groups, anded = self._grouping
+        pre_sieved, groups, anded = self._grouping
         m = len(self.offsets)
-        pre_sieved = np.zeros(len(self.primes), bool)
-        pre_sieved[: len(dense)] = dense
         tabled = pre_sieved | self.wide
         ps, classes = self.primes[tabled], self.rest_k0.reshape(len(self.primes), m)[tabled]
         self.good, at = _tables(ps, classes, 8)
         # packed, prime i's row of p bytes holds k = 8j ... 8j + 7 in byte j
         packed = np.packbits(self.good, bitorder="little")
         # where the pre-sieved primes lie among the tabled
-        where = np.flatnonzero(pre_sieved[tabled]).tolist()
-        rows = [packed[a : a + p] for a, p in zip((at[where] // 8).tolist(), ps[where].tolist())]
+        where = np.flatnonzero(pre_sieved[tabled])
+        starts, lengths = (at[where] // 8).tolist(), ps[where].tolist()
         # one allocation, which the next search's plan reuses without page faults
         flat = np.empty(sum(size for size, _ in groups[:anded]), np.uint8)
         self.patterns = []
         for size, members in groups[:anded]:
-            self.patterns.append(_periodic_and([rows[i] for i in members], flat[:size]))
+            rows = [packed[starts[i] : starts[i] + lengths[i]] for i in members]
+            self.patterns.append(_periodic_and(rows, flat[:size]))
             flat = flat[size:]
         # the gathered primes, densest groups first, then those a wide plan
         # adds, ascending, tested in two stages
-        gathered = [where[i] for _, members in groups[anded:] for i in members]
-        gathered += np.flatnonzero(~pre_sieved[tabled]).tolist()
-        if gathered:
-            keep = (1 - _distinct(classes) / ps).tolist()
-            self.first_stage = _first_stage([keep[i] for i in gathered])
-        gathered = gathered or slice(0)  # no primes: a slice is cheaper than []
+        gathered = [i for _, members in groups[anded:] for i in members]
+        gathered = np.concatenate((where[gathered], np.flatnonzero(~pre_sieved[tabled])))
+        self.first_stage = _first_stage(1 - self._counts[tabled][gathered] / ps[gathered])
         self.gather_p, self.gather_at = ps[gathered, None], at[gathered, None]
         rest = np.repeat(~tabled, m)
         self.rest_k0, self.rest_p = self.rest_k0[rest], self.rest_p[rest]
@@ -414,8 +415,7 @@ class _SievePlan:
         columns, and their tables of one period each."""
         primes, k0 = _hit_classes(self.task, self.limit + 1, SCREEN_LIMIT)
         good, at = _tables(primes, k0.T, 1)
-        # from this k on every |x + d| exceeds SCREEN_LIMIT, so that no
-        # value can be its own screening prime
+        # from this k on every |x + d| > SCREEN_LIMIT: none is its own screening prime
         start = max([0, *((SCREEN_LIMIT - d - self.t) // self.q + 1 for d in self.offsets)])
         return start, primes[:, None], at[:, None], good
 
@@ -566,12 +566,12 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     Raises InadmissibleSystemError for a doomed system.
 
     One plan, built for LARGEST_WINDOW or the budget if smaller, sieves
-    every window, from FIRST_WINDOW candidates and doubling, 8 times as
-    long after the first on a wide plan; past the first window it screens
-    the survivors before they are certified (module docstring). The
-    candidate count is the number of progression members considered,
-    counted before sieving, so exhaustion means exactly `budget` of them
-    were covered.
+    every window: from FIRST_WINDOW candidates they double to
+    LARGEST_WINDOW, and a wide plan's after the first from one period of
+    its patterns, 8 * period candidates, to 8 * LARGEST_WINDOW. Past the
+    first it screens survivors before certifying them (module docstring).
+    The candidate count is the number of progression members considered,
+    counted before sieving: exhaustion means exactly `budget` of them.
     """
     obstruction = is_admissible(task.system)
     if obstruction is not None:
@@ -580,12 +580,9 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     q, t = plan.q, plan.t
     k_start = max(0, -((t - task.start) // q))
     k_end = k_start + task.budget
-    lo, size = k_start, FIRST_WINDOW
+    lo, size, largest = k_start, FIRST_WINDOW, LARGEST_WINDOW
     while lo < k_end:
-        # after the first window a wide plan's windows are packed bits, so
-        # they run 8 times as long for the bytes a byte-path window touches
-        scale = 8 if lo > k_start and plan.wide else 1
-        hi = min(lo + scale * size, k_end)
+        hi = min(lo + size, k_end)
         js = plan.window(lo, hi)
         # not the first window: a search that ends there builds no screen
         if lo > k_start:
@@ -594,5 +591,8 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
             x = t + (lo + j) * q
             if x not in task.exclusions and _witness_ok(task, x):
                 return x, lo + j - k_start + 1
-        lo, size = hi, min(2 * size, LARGEST_WINDOW)
+        if lo == k_start and plan.wide:
+            # packed, 8 candidates to a byte: doubled below to one period of its patterns
+            size, largest = 4 * plan.period, 8 * LARGEST_WINDOW
+        lo, size = hi, min(2 * size, largest)
     return None, task.budget

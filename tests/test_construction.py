@@ -10,6 +10,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from test_search import window_lengths
+
 import sdpc
 from sdpc.admissible import TupleSystem
 from sdpc.construction import (
@@ -30,7 +32,7 @@ from sdpc.construction import (
 )
 from sdpc.pairs import MINUS, PLUS
 from sdpc import construction, search
-from sdpc.search import DEFAULT_SIEVE_LIMIT, FIRST_WINDOW, ConstellationTask, search_with_count
+from sdpc.search import DEFAULT_SIEVE_LIMIT, ConstellationTask, search_with_count
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +414,7 @@ def test_each_search_builds_one_plan(monkeypatch):
     # every search of the coverage-8 run sieves all its windows on the one
     # plan it builds first; the +-13 plans are wide: after a first window
     # of FIRST_WINDOW they gather and have no entries left to strike,
-    # and their windows are 8 times as long, from 8 * 2 * FIRST_WINDOW to
+    # and their windows are packed, from one period of their patterns to
     # 8 * LARGEST_WINDOW. Windows double until one holds the witness.
     plans = record_plans(monkeypatch)
     for target, task in step_tasks()[:-1]:
@@ -421,10 +423,11 @@ def test_each_search_builds_one_plan(monkeypatch):
         assert len(plans) == 1, target
         plan = plans[0]
         assert plan.wide == (abs(target) == 13), target
-        size, scale, expected = FIRST_WINDOW, 1, []
-        while sum(expected) < depth:
-            expected.append(scale * size)
-            size, scale = min(2 * size, search.LARGEST_WINDOW), 8 if plan.wide else 1
+        expected = []
+        for size in window_lengths(search.LARGEST_WINDOW, plan.wide):
+            if sum(expected) >= depth:
+                break
+            expected.append(size)
         assert plan.windows == expected, target
         if plan.wide:
             assert len(plan.gather_p) and len(plan.rest_p) == 0, target

@@ -263,15 +263,30 @@ DEEP_WITNESS, PREVIOUS_WITNESS = 144161, 55331
 LARGEST = 1 << 16
 
 
-def window_ends(segment_size, wide=False):
-    """Depths at which the windows of a search grow, while they grow; a
-    wide plan's windows after the first are 8 times as long."""
-    ends, end, size, scale = [], 0, min(FIRST_WINDOW, segment_size), 1
-    while size < segment_size:
-        end += scale * size
-        ends.append(end)
-        size, scale = 2 * size, 8 if wide else 1
-    return ends
+def window_lengths(largest, wide=False):
+    """The lengths of a search's windows, without end, for windows of up to
+    `largest` and a budget of at least `largest`: from FIRST_WINDOW (or
+    `largest` if smaller) they double to `largest`; a wide plan's windows
+    are packed, 8 candidates to a byte, and after the first double from one
+    period of its patterns, 8 * min(PATTERN_PERIOD, largest // 8), to
+    8 * largest."""
+    size = min(FIRST_WINDOW, largest)
+    yield size
+    if wide:
+        size, largest = 8 * min(PATTERN_PERIOD, largest // 8), 8 * largest
+        yield size
+    while True:
+        size = min(2 * size, largest)
+        yield size
+
+
+def window_ends(largest, wide=False):
+    """Depths at which the windows of a search grow, while they grow."""
+    ends = [0]
+    for size in window_lengths(largest, wide):
+        if size == (8 if wide else 1) * largest:
+            return ends[1:]
+        ends.append(ends[-1] + size)
 
 
 def quintuplet_task(depth, budget=10**6):
@@ -454,8 +469,9 @@ def test_certifying_a_screened_witness_runs_base_2_once(monkeypatch):
 
 
 def test_a_wide_plan_sieves_windows_8_times_as_long(monkeypatch):
-    # after a first window of FIRST_WINDOW, from 8 * 2 * FIRST_WINDOW,
-    # doubling to 8 * LARGEST_WINDOW, then steady
+    # after a first window of FIRST_WINDOW, from one period of the
+    # patterns, 8 * PATTERN_PERIOD candidates, doubling to
+    # 8 * LARGEST_WINDOW, then steady
     windows = record_windows(monkeypatch)
     budget = WIDE_ENDS[-1] + 3 * 8 * WIDE + 5000
     task = step_9_task(budget)
@@ -463,7 +479,7 @@ def test_a_wide_plan_sieves_windows_8_times_as_long(monkeypatch):
     assert search_with_count(task) == (None, budget)
     sizes = [hi - lo for lo, hi in windows]
     assert sizes[0] == FIRST_WINDOW and max(sizes) == 8 * WIDE
-    growing = [FIRST_WINDOW] + [8 * FIRST_WINDOW << i for i in range(1, len(WIDE_ENDS))]
+    growing = [FIRST_WINDOW] + [8 * PATTERN_PERIOD << i for i in range(len(WIDE_ENDS) - 1)]
     assert sizes == growing + [8 * WIDE] * 3 + [5000]
 
 
@@ -480,15 +496,18 @@ def test_wide_witnesses_around_each_growth_end_match_the_byte_path(monkeypatch):
     for end in WIDE_ENDS:
         for depth in (end - 1, end, end + 1):
             assert search_both(step_8_task(depth)) == [(STEP_8_WITNESS, depth)] * 2, depth
+    # the quintuplet's witnesses lie in its first two windows
     first = FIRST_WINDOW
-    for depth in (1, first, first + 1, 8 * first, 8 * first + 1, 3 * 8 * first + 1):
+    for depth in (1, first - 1, first, first + 1, DEEP_WITNESS - PREVIOUS_WITNESS):
         wide, narrow = search_both(quintuplet_task(depth))
         assert wide == narrow, depth
 
 
 # from a budget of about 111,000 on, 8 tables of each step-9 sieving prime
-# fit the plan's span, min(WIDE, budget), and the plan is wide; the budget
-# ends a growing window, falls inside one, or ends one past the last
+# fit the plan's span, min(WIDE, budget), and the plan is wide; below WIDE
+# its second window, one period of its patterns, 8 * (budget // 8)
+# candidates, reaches the budget; past WIDE the budget ends a growing
+# window, falls inside one, or ends one past the last
 @pytest.mark.parametrize("budget", (200_000, 245_760, 8_372_225, WIDE_ENDS[3], WIDE_ENDS[-1] + 1))
 def test_wide_exhaustion_mid_growth_covers_exactly_the_budget(budget, monkeypatch):
     windows = record_windows(monkeypatch)
@@ -570,11 +589,10 @@ def presieved(plan):
     return plan
 
 
-# Limits below, across and above each tier boundary, for windows of
-# WINDOW candidates: a prime with m distinct classes is pre-sieved up to
-# PRESIEVE_DENSITY * m if it fits a period of WINDOW / 8, and the comb
-# strikes the other primes. 63 and 65 lie on both sides of 64, where the
-# primes of such a window once passed from strided writes to scatters.
+# The sieve limits of the zero-* grid cases, each sieve_segment windows of
+# WINDOW candidates from k = 0, where |x + d| runs through the sieving
+# primes. Such a window never pre-sieves, so the comb strikes every prime
+# and no limit here is a tier boundary; the values name the cases.
 WINDOW = 2048
 TIER_LIMITS = (
     2, 10, 11, 63, 65,
@@ -635,15 +653,6 @@ def test_struck_matches_its_definition(q):
             assert search._struck(v, held, q) == want, (q, limit, v)
             if not struck_below:
                 assert search._struck(v, above, q) == want, (q, limit, v)
-
-
-def test_tier_limits_reach_every_tier():
-    rng = random.Random(99)
-    task = admissible_task(rng, (2, 3), {0}, 1000)
-    plan = presieved(_SievePlan(task, WINDOW))
-    assert plan.patterns
-    assert plan.rest_p.min() < 64 < plan.rest_p.max()
-    assert presieved(_SievePlan(task, 32)).patterns == []  # periods would be <= 4
 
 
 @pytest.mark.parametrize("lengths", ((7,), (3, 5), (2, 5, 7), (5, 7, 8)))
@@ -1292,30 +1301,26 @@ def cases():
     # short windows inside a pattern's period and across the end of one; and
     # on both sides of the pre-sieve from k = 0, in the zones of the plan's
     # limit and the task's, and at random, with sieve_segment on them and on
-    # the pre-sieving window's pieces (a plan that would be wide is redrawn)
+    # the pre-sieving window's pieces (a system that is not admissible, whose
+    # windows would keep no survivor, or a plan that would be wide is redrawn)
     rng = random.Random(1618)
     for limit in (PRESIEVE_DENSITY * 6, 1000):
         task = admissible_task(rng, (2, 3), {0, 2, 6, 12, 14}, limit)
         period = longest_period(task, 1 << 16, GATHER_COST)
         windows = [(rng.randrange(3 * period), rng.choice((1, 37, 1000))) for _ in range(6)]
         yield Case(f"long-plan-{limit}", task, "anded comb", windows + [(2 * period - 10, 10), (2 * period - 9, 10)], presieved=True)
-    for limit, tiers in (
-        (100, ["anded comb strided"] * 3),
-        (1000, ["", "anded comb strided", "anded comb"]),
-        (10_000, ["anded comb strided", "anded comb", "anded comb strided"]),
-        (100_000, ["anded comb strided", "", "anded comb"]),
-    ):
+    for limit in (100, 1000, 10_000, 100_000):
         rng = random.Random(limit + 5)
         for i in range(3):
             task = None
-            while task is None or _SievePlan(task, 1 << 16).wide:
+            while task is None or is_admissible(task.system) is not None or _SievePlan(task, 1 << 16).wide:
                 task = drawn(rng, ((), (2,), (2, 3), (2, 3, 5), (2, 3, 5, 7)), 60, (2, 8), limit)
             q = task.system.crt.modulus
             far = [rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)]
             short = [(lo, 40) for lo in [0, min(limit, DEFAULT_SIEVE_LIMIT) // (2 * q), limit // (2 * q)] + far]
             lo, n = rng.choice(far), PRESIEVE_AFTER + 1
             pieces = [(a, min(4096, lo + n - a)) for a in range(lo, lo + n, 4096)]
-            yield Case(f"presieve-{limit}-{i}", task, tiers[i], short + [(lo, n)] + short, short + pieces)
+            yield Case(f"presieve-{limit}-{i}", task, "anded comb strided", short + [(lo, n)] + short, short + pieces)
     # every lo mod 64 and lengths up to 130, across the end of a pattern's
     # bytes, from k = 0 and above 2**63, and a long window there: limit 31
     # pre-sieves every prime, 1000 combs the others; a gather cost of 2
@@ -1359,8 +1364,9 @@ def cases():
         yield Case(f"two-stage-{span}", task, tiers, windows, span=span, cost=2, presieved=True)
     # step 9, wide for windows of WIDE and not of 2**15, gathering or ANDing
     # every group; fresh wide plans whose first long window is 8 * WIDE, or
-    # WIDE + 13 after short ones, and a search; the quintuplet's windows and
-    # search on one plan
+    # WIDE + 13 after short ones, and a search, whose second window, one
+    # period of its patterns, gathers in two stages; the quintuplet's windows
+    # and search on one plan
     task, k = step_9_task(), STEP_9_K
     for span in (WIDE, 1 << 15):
         rng = random.Random(span)
@@ -1373,7 +1379,7 @@ def cases():
         ("step-9-first-long", [(k + 4, WIDE + 13)], 0),
         ("step-9-interleaved", [(k + 8, 1000), (k + 3, 1), (k + 3, 8 * WIDE), (k + 8, 1000), (k + 4, WIDE + 13), (k + 3, 1)], 1 << 18),
     ):
-        yield Case(name, task, "anded two-stage word-scan" + " gathered" * bool(budget), windows, span=WIDE, budget=budget)
+        yield Case(name, task, "anded two-stage word-scan", windows, span=WIDE, budget=budget)
     windows = [(7, FIRST_WINDOW), (100_005, 100), (1001, 1 << 16), (7, FIRST_WINDOW), (100_005, 100)]
     yield Case("quintuplet", quintuplet_task(40_000), "anded comb gathered strided two-stage", windows, budget=1 << 16)
 
@@ -1400,3 +1406,35 @@ def test_random_windows_match_the_definition(seed, sieved, monkeypatch):
     windows = [(lo + rng.randrange(64), rng.choice(lengths)) for lo in los for _ in range(2)]
     span, presieve = rng.choice((1 << 11, 1 << 16, WIDE)), rng.random() < 0.5
     check(Case(f"fuzz-{seed}", task, "", windows, [(lo, min(n, 700)) for lo, n in windows[::3]], span, presieved=presieve), sieved)
+
+
+@pytest.mark.parametrize("name", ("step-9", "every-tier-12-700", "two-stage-1048576"))
+def test_the_tabled_tier_matches_its_definition(name, monkeypatch):
+    # the step-9 plan, wide, and two grid plans, one wide, after _presieve:
+    # each ANDed pattern is the AND of its members' packed 8-period tables,
+    # each tiled to its length; the ANDed and gathered primes are the tabled
+    # ones, whose entries left the other tiers, and none is both; and the
+    # first stage is _first_stage of the gathered primes' kept shares
+    case = next((case for case in GRID if case.id == name), Case(name, step_9_task(), "", span=WIDE))
+    monkeypatch.setattr(search, "GATHER_COST", case.cost)
+    plan = presieved(_SievePlan(case.task, case.span))
+    q, t, offsets = plan.q, plan.t, plan.offsets
+
+    def packed(p):
+        table = [all((t + k * q + d) % p for d in offsets) for k in range(8 * p)]
+        return np.packbits(table, bitorder="little")
+
+    dense, groups, anded = plan._grouping
+    pre_sieved = plan.primes[dense].tolist()
+    members = [[pre_sieved[i] for i in group] for _, group in groups[:anded]]
+    assert len(plan.patterns) == len(members) > 0
+    for pattern, ps in zip(plan.patterns, members):
+        assert math.prod(ps) == len(pattern), ps
+        want = np.bitwise_and.reduce([np.tile(packed(p), len(pattern) // p) for p in ps])
+        assert np.array_equal(pattern, want), ps
+    anded_p, gathered = [p for ps in members for p in ps], plan.gather_p[:, 0].tolist()
+    tabled = sorted(set(plan.primes.tolist()) - set(plan.rest_p.tolist()))
+    assert gathered and sorted(anded_p + gathered) == tabled and not set(anded_p) & set(gathered)
+    assert plan.wide == (tabled == plan.primes.tolist()) == (name != "every-tier-12-700")
+    keep = [1 - len({(t + d) % p for d in offsets}) / p for p in gathered]
+    assert plan.first_stage == search._first_stage(np.array(keep))

@@ -29,6 +29,7 @@ from .modular import ResidueSet, linear_map_set, mod_inverse, set_bits
 
 PLUS = 1
 MINUS = -1
+RETRY_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +178,9 @@ def randomized_extend_with_stats(
     p: int,
     reserve_count: int,
     rng: random.Random,
-    retry_cap: int = 10_000,
 ) -> tuple[PrimeCompatiblePair, int]:
     """Grow W to a compatible pair with U & V = W plus fresh reserves;
-    returns the pair and the number of assignments tried.
+    returns the pair and the number of assignments tried, at most RETRY_CAP.
 
     Requires |W| + reserve_count <= capacity_bound(p). Deterministic for
     a given rng position; retries draw fresh assignment bits but keep the
@@ -209,7 +209,7 @@ def randomized_extend_with_stats(
     for r in reserves:
         core_mask |= 1 << r
     rest = candidates
-    for attempt in range(1, retry_cap + 1):
+    for attempt in range(1, RETRY_CAP + 1):
         u_mask, v_mask = core_mask, core_mask
         for z in rest:
             if rng.getrandbits(1):
@@ -225,6 +225,6 @@ def randomized_extend_with_stats(
             )
             return pair, attempt
     raise ValueError(
-        f"no compatible assignment mod {p} within the retry cap of {retry_cap}"
+        f"no compatible assignment mod {p} within the retry cap of {RETRY_CAP}"
     )
 

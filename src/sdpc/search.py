@@ -1,12 +1,12 @@
 """Constellation search over a CRT progression.
 
 Candidates are x = t + k*q for k = 0, 1, 2, ... A segmented sieve strikes
-a candidate when some prime p <= sieve_limit, p not dividing q, divides
-x + d for an offset d, except when |x + d| equals p itself: that value IS
-the prime p and must not be discarded. Survivors then face real primality
-tests through is_prime. The scan is strictly ordered by k, so the witness
-returned is the smallest member of the progression that works, whatever
-the window sizes or sieve limit.
+a candidate when some prime p up to the plan limit (below), p not
+dividing q, divides x + d for an offset d, except when |x + d| equals p
+itself: that value IS the prime p and must not be discarded. Survivors
+then face real primality tests through is_prime. The scan is strictly
+ordered by k, so the witness returned is the smallest member of the
+progression that works, whatever the window sizes or sieve limit.
 
 A search sieves windows of k that start at FIRST_WINDOW candidates and
 double until they reach LARGEST_WINDOW, the one cap of every search, so a
@@ -25,9 +25,8 @@ only thin the survivors, which the screen (below) and certification
 decide, so the witness and count stay the same; past the cap they cost
 more than they thin: on the step-9 plan limits 256 / 400 / 1,024 sieved
 1.2e10 / 1.1e10 / 7.5e9 candidates a second over 2**32, and 3,000 1.0e8
-over 2**30 (CHANGES.md). So sieve_limit changes no search; sieve_segment,
-which keeps the full definition, divides the plan's survivors by the
-primes in (plan limit, sieve_limit].
+over 2**30 (CHANGES.md). So sieve_limit changes no search, and
+sieve_segment returns what a search's sieve keeps.
 
 Prime p strikes k exactly when k = k0 (mod p), k0 = -(t + d) / q mod p,
 one class per offset. Each search builds a plan of these classes, and
@@ -36,7 +35,7 @@ its windows reuse it. The plan has three tiers:
 1. Tabled primes, each with a table of 8 periods, true on the classes it
    leaves alive. The pre-sieved ones, whose classes cover at least
    1/PRESIEVE_DENSITY of all k, are packed into groups of product
-   (period) at most PATTERN_PERIOD and an eighth of the plan's span,
+   (period) at most PATTERN_PERIOD and an eighth of the task's budget,
    densest first by the share of k kept, prod(1 - c/p) over primes p of
    c classes. While the groups before it keep 1/GATHER_COST of all k, a
    group is ANDed: its pattern is 8 periods packed little-endian into
@@ -62,12 +61,11 @@ A window unpacks its bits once to find its survivors, a longer one
 taking its strided writes on them first; a longer window without entries
 reads the nonzero words instead. That byte path costs every longer
 window a pass over n bytes, whatever its entries. So a plan that gathers
-is wide if it can be: every sieving prime is tabled and gathered, and
-the byte path drops out. This needs the tables of all its primes to take
-at most the span's bytes, what a byte-path window of the span unpacks. A
-search builds one plan and runs every window on it. It asks whether the
-plan is wide only after the first window, so a search that ends there
-never forms the groups, and a wide plan builds its tables at its second
+is wide: every sieving prime is tabled and gathered, and the byte path
+drops out; one that does not gather ANDs all its groups. A search builds
+its task's plan and runs every window on it. It asks whether the plan is
+wide only after the first window, so a search that ends there never
+forms the groups, and a wide plan builds its tables at its second
 window, the first longer than PRESIEVE_AFTER.
 
 Set-up costs a few NumPy passes per (prime, offset) entry; q is inverted
@@ -94,7 +92,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
 
 import numpy as np
 
@@ -125,10 +122,9 @@ SCREEN_LIMIT = 1 << 10
 class ConstellationTask:
     """What to search: the system, where to start, and the budgets.
 
-    sieve_limit bounds the sieving primes of sieve_segment. A search
-    sieves with those up to min(sieve_limit, DEFAULT_SIEVE_LIMIT) and
-    leaves the rest to its screen and certification, so the limit never
-    changes its witness or count (module docstring).
+    A search and sieve_segment sieve with the primes up to min(sieve_limit,
+    DEFAULT_SIEVE_LIMIT), so the limit never changes a witness or count
+    (module docstring); the budget also bounds the plan's pattern periods.
     """
 
     system: TupleSystem
@@ -324,24 +320,25 @@ def _packed_words(size: int) -> np.ndarray:
 
 
 class _SievePlan:
-    """One task's sieve; every window of the search reuses it. It holds
-    the sieving primes up to its limit, min(sieve_limit,
-    DEFAULT_SIEVE_LIMIT), each with its m classes. A window picks its
-    strike by its length alone: up to PRESIEVE_AFTER candidates the comb
-    strikes every entry still held, pre-sieved primes included until the
-    first longer window builds the tabled tier in place (_presieve), which
-    in a wide plan tables every prime; a longer window strikes the entries
-    left with strided writes. screen() trial-divides survivors. See the
-    module docstring for the tiers and the screen."""
+    """One task's sieve, a function of the task alone, which every window
+    of its search or sieve_segment reuses. It holds the sieving primes up
+    to its limit, min(sieve_limit, DEFAULT_SIEVE_LIMIT), each with its m
+    classes. A window picks its strike by its length alone: up to
+    PRESIEVE_AFTER candidates the comb strikes every entry still held,
+    pre-sieved primes included until the first longer window builds the
+    tabled tier in place (_presieve), which in a wide plan tables every
+    prime; a longer window strikes the entries left with strided writes.
+    screen() trial-divides survivors. See the module docstring for the
+    tiers and the screen."""
 
-    def __init__(self, task: ConstellationTask, span: int):
-        self.task, self.span = task, span
+    def __init__(self, task: ConstellationTask):
+        self.task = task
         self.q = task.system.crt.modulus
         self.t = task.system.crt.residue
         self.offsets = task.system.offsets
         self.limit = min(task.sieve_limit, DEFAULT_SIEVE_LIMIT)
-        # the longest pattern period, short enough for a window of `span` to repeat 8 times
-        self.period = min(PATTERN_PERIOD, span // 8)
+        # the longest pattern period, short enough for the budget to repeat 8 times
+        self.period = min(PATTERN_PERIOD, task.budget // 8)
         # the other tiers' entries, ascending in p, m per prime (one per
         # offset); until _presieve, the pre-sieved primes' too
         self.primes, k0 = _hit_classes(task, 2, self.limit)
@@ -370,12 +367,10 @@ class _SievePlan:
 
     @cached_property
     def wide(self) -> bool:
-        """Whether the plan tables and gathers every sieving prime (module
-        docstring): that pays only where it gathers, and where the tables,
-        8 bytes per unit of p, fit the bytes a byte-path window of its span
-        unpacks. Decided at the first read, after a search's first window."""
+        """Whether the plan gathers, and so tables every sieving prime
+        (module docstring); first read after a search's first window."""
         _, groups, anded = self._grouping
-        return anded < len(groups) and 8 * int(self.primes.sum()) <= self.span
+        return anded < len(groups)
 
     def _presieve(self) -> None:
         """Build the tabled tier (module docstring): the tables, the ANDed
@@ -513,40 +508,28 @@ class _SievePlan:
         alive[js] = True
         for j in np.flatnonzero(recheck & ~alive).tolist():
             x = t + (lo + j) * q
-            alive[j] = not any(_struck(x + d, self.primes, q) for d in self.offsets)
+            alive[j] = not any(_struck(x + d, self.primes) for d in self.offsets)
         return np.flatnonzero(alive)
 
 
-def _struck(v: int, primes: np.ndarray, q: int) -> bool:
-    """Whether some p in primes, ascending and none dividing q, divides v
-    with p != |v|. For v coprime to q the primes up to isqrt|v| decide
-    when every smaller prime not dividing q is in primes or strikes v
-    already, as for a plan's primes, from 2, and for those above its limit
-    on its survivors: a p above isqrt|v| leaves in v / p a smaller prime
-    factor, which does not divide q."""
-    top = isqrt(abs(v)) if gcd(v, q) == 1 else abs(v) - 1
-    held = primes[: np.searchsorted(primes, top, "right")] if v else primes
-    return bool((_residues(v, held) == 0).any())
+def _struck(v: int, primes: np.ndarray) -> bool:
+    """Whether some p in primes divides v with p != |v|."""
+    return bool(((_residues(v, primes) == 0) & (primes != abs(v))).any())
 
 
 def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
     """Surviving x = t + k*q for k in [lo, hi), ascending.
 
-    Sound: a candidate is only discarded when some sieving prime p
-    properly divides one of its offset values (|x + d| != p), so every x
-    whose offset values are all primes above 3 survives. A plan sieves
-    with the primes up to its limit, and its survivors, if any, are divided
-    by those in (plan limit, sieve_limit].
+    Sound: a candidate is only discarded when some sieving prime p, up to
+    the plan limit, properly divides one of its offset values (|x + d| !=
+    p), so every x whose offset values are all primes above 3 survives.
+    These are exactly the x that a search of the task sieves from [lo, hi)
+    and hands to its screen.
     """
     if lo < 0 or hi < lo:
         raise ValueError("bad segment bounds")
-    plan = _SievePlan(task, hi - lo)
-    xs = [plan.t + (lo + j) * plan.q for j in plan.window(lo, hi).tolist()]
-    if xs and task.sieve_limit > plan.limit:
-        primes = np.array(primes_up_to(task.sieve_limit), np.int64)
-        primes = primes[(primes > plan.limit) & (_residues(plan.q, primes) != 0)]
-        xs = [x for x in xs if not any(_struck(x + d, primes, plan.q) for d in plan.offsets)]
-    return xs
+    plan = _SievePlan(task)
+    return [plan.t + (lo + j) * plan.q for j in plan.window(lo, hi).tolist()]
 
 
 def _witness_ok(task: ConstellationTask, x: int) -> bool:
@@ -565,18 +548,17 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
     nothing about existence, since a witness may lie beyond the budget.
     Raises InadmissibleSystemError for a doomed system.
 
-    One plan, built for LARGEST_WINDOW or the budget if smaller, sieves
-    every window: from FIRST_WINDOW candidates they double to
-    LARGEST_WINDOW, and a wide plan's after the first from one period of
-    its patterns, 8 * period candidates, to 8 * LARGEST_WINDOW. Past the
-    first it screens survivors before certifying them (module docstring).
+    One plan sieves every window: from FIRST_WINDOW candidates they double
+    to LARGEST_WINDOW, and a wide plan's after the first from one period
+    of its patterns, 8 * period candidates, to 8 * LARGEST_WINDOW; those
+    past the first are screened before certification (module docstring).
     The candidate count is the number of progression members considered,
     counted before sieving: exhaustion means exactly `budget` of them.
     """
     obstruction = is_admissible(task.system)
     if obstruction is not None:
         raise InadmissibleSystemError(obstruction)
-    plan = _SievePlan(task, min(LARGEST_WINDOW, task.budget))
+    plan = _SievePlan(task)
     q, t = plan.q, plan.t
     k_start = max(0, -((t - task.start) // q))
     k_end = k_start + task.budget

@@ -10,10 +10,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from test_search import window_lengths
+from test_search import drawn, sieved, window_lengths  # noqa: F401 (sieved is a fixture)
 
 import sdpc
-from sdpc.admissible import TupleSystem
+from sdpc.admissible import TupleSystem, is_admissible
 from sdpc.construction import (
     ALL_CERTIFIED,
     MAX_P_LIMIT,
@@ -32,7 +32,7 @@ from sdpc.construction import (
 )
 from sdpc.pairs import MINUS, PLUS
 from sdpc import construction, search
-from sdpc.search import DEFAULT_SIEVE_LIMIT, ConstellationTask, search_with_count
+from sdpc.search import DEFAULT_SIEVE_LIMIT, ConstellationTask, search_with_count, sieve_segment
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +397,8 @@ def record_plans(monkeypatch):
     plans = []
 
     class Recorded(search._SievePlan):
-        def __init__(self, task, span):
-            super().__init__(task, span)
+        def __init__(self, task):
+            super().__init__(task)
             self.windows = []
             plans.append(self)
 
@@ -435,11 +435,11 @@ def test_each_search_builds_one_plan(monkeypatch):
 
 def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
     # a plan holds the primes up to its limit from its construction: so
-    # the plan each search of the run builds holds the primes of the plan
-    # for LARGEST_WINDOW at the default limit through the search, and once
-    # both have pre-sieved, is that plan array for array. A plan
-    # pre-sieves at its first window longer than PRESIEVE_AFTER, a wide one
-    # at its second. Step 9 (+17) searches four of its longest windows.
+    # the plan each search of the run builds holds the primes of its task's
+    # plan through the search, and once both have pre-sieved, is that plan
+    # array for array. A plan pre-sieves at its first window longer than
+    # PRESIEVE_AFTER, a wide one at its second. Step 9 (+17) searches four
+    # of its longest windows.
     plan_at_limit = search._SievePlan
     plans = record_plans(monkeypatch)
     for target, task in step_tasks():
@@ -448,7 +448,7 @@ def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
         plans.clear()
         search_with_count(task)
         (plan,) = plans
-        full = plan_at_limit(task, search.LARGEST_WINDOW)
+        full = plan_at_limit(task)
         assert plan.limit == full.limit == DEFAULT_SIEVE_LIMIT
         assert np.array_equal(plan.primes, full.primes), target
         assert (plan.good is not None) == (max(plan.windows) > search.PRESIEVE_AFTER)
@@ -478,7 +478,7 @@ def assert_same_plan(plan, want, target):
 def test_a_standalone_search_sieves_as_run_does(monkeypatch):
     # search_with_count(task) on each task run() searches, the +-13 and +17
     # ones wide: the same result, the same windows and the same plan, as
-    # every search has the one window cap
+    # every search has the one window cap and a plan is its task's
     tasks = []
     searched = construction.search_with_count
 
@@ -500,34 +500,61 @@ def test_a_standalone_search_sieves_as_run_does(monkeypatch):
 
 
 def test_widening_changes_no_witness_or_depth(monkeypatch):
-    # each search of the coverage-8 run as run() makes it, in windows of up
-    # to LARGEST_WINDOW, where the +-13 plans widen, and of up to 2**16,
-    # where no plan's tables fit: the same witness and depth
+    # each search of the coverage-8 run as run() makes it, where the +-13
+    # plans widen, and with every group ANDed, as at a gather cost of
+    # 2**62, where no plan gathers and so none widens: the same witness and
+    # depth
     plans = record_plans(monkeypatch)
     for target, task in step_tasks()[:-1]:
         plans.clear()
         got = search_with_count(task)
         with monkeypatch.context() as narrow:
-            narrow.setattr(search, "LARGEST_WINDOW", 1 << 16)
+            narrow.setattr(search, "GATHER_COST", 1 << 62)
             assert search_with_count(task) == got, target
-        assert [plan.wide for plan in plans] == [abs(target) == 13, False], target
+            assert [plan.wide for plan in plans] == [abs(target) == 13, False], target
 
 
-def test_long_windows_of_the_gathering_steps_leave_the_byte_path():
-    # a plan for windows of LARGEST_WINDOW that gathers is wide: it has no
-    # entries left to strike; one that ANDs every group keeps
-    # them, as gathering behind those ANDs would read too many survivors.
-    # For windows of 2**16 no plan widens, and only +17 has no such
-    # entries, so widening changes the +-13 plans alone.
+@pytest.mark.parametrize("budget", [1 << e for e in range(13, 21)])
+def test_a_search_sieves_what_sieve_segment_keeps(budget, sieved):
+    # one plan per task: every window a search sieves keeps exactly the x
+    # that sieve_segment returns for it; for each step plan to coverage 9,
+    # the +17 one also at a sieve limit above DEFAULT_SIEVE_LIMIT, and for
+    # seeded random systems from k = 0, through their forgiveness zones
+    rng = random.Random(budget)
+    tasks = [task for _, task in step_tasks()]
+    tasks.append(replace(tasks[-1], sieve_limit=1000))
+    while len(tasks) < 11:
+        task = drawn(rng, ((), (2, 3), (2, 3, 5, 7)), 60, (2, 9), rng.choice((50, DEFAULT_SIEVE_LIMIT, 1000)))
+        if is_admissible(task.system) is None:
+            tasks.append(task)
+    for task in tasks:
+        task = replace(task, budget=budget)
+        q, t = task.system.crt.modulus, task.system.crt.residue
+        start = len(sieved)
+        search_with_count(task)
+        windows = sieved[start:]
+        assert windows
+        for _, lo, hi, js, _ in windows:
+            assert sieve_segment(task, lo, hi) == [t + (lo + j) * q for j in js.tolist()], (task, lo, hi)
+
+
+def test_long_windows_of_the_gathering_steps_leave_the_byte_path(monkeypatch):
+    # a plan that gathers is wide: it has no entries left to strike; one
+    # that ANDs every group keeps them, as gathering behind those ANDs
+    # would read too many survivors. With every group ANDed, as at a gather
+    # cost of 2**62, no plan widens, and only +17 has no such entries, so
+    # widening changes the +-13 plans alone.
     changed = set()
     for target, task in step_tasks():
-        plan = search._SievePlan(task, search.LARGEST_WINDOW)
+        plan = search._SievePlan(task)
         plan._presieve()
         gathers = len(plan.gather_p) > 0
         assert gathers == (abs(target) >= 13)
         assert plan.wide == gathers and (len(plan.rest_p) == 0) == gathers
-        narrow = search._SievePlan(task, 1 << 16)
-        narrow._presieve()
+        with monkeypatch.context() as m:
+            m.setattr(search, "GATHER_COST", 1 << 62)
+            narrow = search._SievePlan(task)
+            narrow._presieve()
         assert not narrow.wide
         if plan.wide and len(narrow.rest_p):
             changed.add(target)

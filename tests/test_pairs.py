@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from sdpc import pairs
 from sdpc.modular import ResidueSet
 from sdpc.pairs import (
     MINUS,
@@ -146,6 +147,18 @@ def test_randomized_extend_draw_order():
     assert pair.reserved == tuple(sorted(reserves))
     assert set(pair.v) == set(w) | set(reserves) | to_v
     assert set(pair.u) == set(w) | set(reserves) | (set(rest) - to_v)
+
+
+def test_randomized_extend_gives_up_at_the_retry_cap(monkeypatch):
+    # the draw that takes `attempts` assignments succeeds at a cap of that
+    # many and raises, naming the cap, at one fewer
+    w = ResidueSet.from_members(101, tuple(range(0, 40, 2)))
+    want, attempts = randomized_extend_with_stats(w, 101, 2, random.Random(5))
+    monkeypatch.setattr(pairs, "RETRY_CAP", attempts)
+    assert randomized_extend_with_stats(w, 101, 2, random.Random(5)) == (want, attempts)
+    monkeypatch.setattr(pairs, "RETRY_CAP", attempts - 1)
+    with pytest.raises(ValueError, match=f"no compatible assignment mod 101 within the retry cap of {attempts - 1}$"):
+        randomized_extend_with_stats(w, 101, 2, random.Random(5))
 
 
 def test_randomized_extend_capacity_errors():

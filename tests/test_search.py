@@ -211,15 +211,17 @@ def test_sieve_survivors_contain_all_true_witness_positions():
 
 
 def test_sieve_survivors_below_limit_squared_are_prime():
-    # survivors under sieve_limit**2 need no further testing; check the
-    # sieve is not letting composites through in that zone
+    # survivors under the plan limit squared need no further testing; check
+    # the sieve is not letting composites through in that zone
     task = ConstellationTask(
         TupleSystem(CrtClass(30, 11, (2, 3, 5)), (0, 2, 6)), sieve_limit=1000
     )
+    limit = _SievePlan(task).limit
+    assert limit == DEFAULT_SIEVE_LIMIT
     for x in sieve_segment(task, 0, 30_000):
         for d in task.system.offsets:
             v = abs(x + d)
-            if 3 < v < 1000 * 1000:
+            if 3 < v < limit * limit:
                 assert trial_prime(v), (x, d)
 
 
@@ -329,6 +331,9 @@ def record_windows(monkeypatch):
 
 
 def test_exhaustion_mid_growth_covers_exactly_the_budget(monkeypatch):
+    # the windows of a plan that is not wide: at a gather cost of 2**62
+    # it gathers nothing
+    monkeypatch.setattr(search, "GATHER_COST", 1 << 62)
     windows = record_windows(monkeypatch)
     budget = 5000
     task = ConstellationTask(QUINTUPLET, start=PREVIOUS_WITNESS + 1, budget=budget)
@@ -350,7 +355,7 @@ def test_exhaustion_mid_growth_covers_exactly_the_budget(monkeypatch):
 def test_a_shallow_witness_sieves_one_first_window(monkeypatch):
     # the witness is 100 candidates in: neither a largest window of 2**16
     # nor one of 2**20 may be sieved whole, only the first window, and the
-    # plan, wide at 2**20, is neither built wide nor asked whether it is
+    # plan, wide, is neither built wide nor asked whether it is
     windows = record_windows(monkeypatch)
     plans = []
     build = _SievePlan.__init__
@@ -367,7 +372,7 @@ def test_a_shallow_witness_sieves_one_first_window(monkeypatch):
         assert search_with_count(task) == (DEEP_WITNESS, 100)
         assert windows == [(task.start, task.start + FIRST_WINDOW)], largest
         assert plans[-1].good is None and "wide" not in vars(plans[-1])
-        assert plans[-1].wide == (largest == 1 << 20)
+        assert plans[-1].wide
 
 
 def record_tables(monkeypatch):
@@ -405,11 +410,13 @@ def test_a_search_past_its_limit_fetches_no_table_beyond_it(monkeypatch):
 
 
 def test_an_empty_segment_fetches_no_table_above_the_cap(monkeypatch):
-    # sieve_segment divides survivors by the primes above the plan's limit,
-    # so a segment with none, empty or all struck, never fetches them
+    # sieve_segment sieves what a search sieves, with the primes up to
+    # DEFAULT_SIEVE_LIMIT: a segment, empty, all struck or with a survivor,
+    # fetches no table above SCREEN_LIMIT at any limit
     sizes = record_tables(monkeypatch)
     task = replace(quintuplet_task(1), sieve_limit=10**7)
     assert sieve_segment(task, 0, 0) == sieve_segment(task, 1, 2) == []
+    assert sieve_segment(task, DEEP_WITNESS, DEEP_WITNESS + 1) == [DEEP_WITNESS]
     assert max(sizes) <= SCREEN_LIMIT
 
 
@@ -446,9 +453,11 @@ def step_9_task(budget=10**9):
 
 
 def test_the_wide_examples_are_wide():
+    # a plan that gathers is wide at any budget, also at budgets below the
+    # bytes of its tables, 8 per unit of p (110,960 for step 9)
     for task in (quintuplet_task(1), step_8_task(1), step_9_task()):
-        assert _SievePlan(task, WIDE).wide
-        assert not _SievePlan(task, LARGEST).wide
+        for budget in (1 << 15, LARGEST, task.budget):
+            assert _SievePlan(replace(task, budget=budget)).wide, budget
 
 
 def test_certifying_a_screened_witness_runs_base_2_once(monkeypatch):
@@ -485,11 +494,12 @@ def test_a_wide_plan_sieves_windows_8_times_as_long(monkeypatch):
 
 def test_wide_witnesses_around_each_growth_end_match_the_byte_path(monkeypatch):
     # the witness and depth just before, on and just after each end of a
-    # growing wide window, against windows of up to 2**16 on the byte path
+    # growing wide window, against the byte path of the plan with every
+    # group ANDed, as at a gather cost of 2**62, which gathers nothing
     def search_both(task):
-        got = []
-        for largest in (WIDE, LARGEST):
-            windows_up_to(monkeypatch, largest)
+        got = [search_with_count(task)]
+        with monkeypatch.context() as m:
+            m.setattr(search, "GATHER_COST", 1 << 62)
             got.append(search_with_count(task))
         return got
 
@@ -503,12 +513,12 @@ def test_wide_witnesses_around_each_growth_end_match_the_byte_path(monkeypatch):
         assert wide == narrow, depth
 
 
-# from a budget of about 111,000 on, 8 tables of each step-9 sieving prime
-# fit the plan's span, min(WIDE, budget), and the plan is wide; below WIDE
-# its second window, one period of its patterns, 8 * (budget // 8)
-# candidates, reaches the budget; past WIDE the budget ends a growing
-# window, falls inside one, or ends one past the last
-@pytest.mark.parametrize("budget", (200_000, 245_760, 8_372_225, WIDE_ENDS[3], WIDE_ENDS[-1] + 1))
+# the step-9 plan is wide at every budget, also at 2**15 and 2**16, below
+# the 110,960 bytes of its tables; below WIDE its second window, one period
+# of its patterns, 8 * (budget // 8) candidates, reaches the budget; past
+# WIDE the budget ends a growing window, falls inside one, or ends one
+# past the last
+@pytest.mark.parametrize("budget", (1 << 15, 1 << 16, 200_000, 245_760, 8_372_225, WIDE_ENDS[3], WIDE_ENDS[-1] + 1))
 def test_wide_exhaustion_mid_growth_covers_exactly_the_budget(budget, monkeypatch):
     windows = record_windows(monkeypatch)
     task = step_9_task(budget)
@@ -557,9 +567,10 @@ def definition(task, lo, hi, limit):
 
 
 def segment_definition(task, lo, hi):
-    """The x that sieve_segment(task, lo, hi) keeps by the definition."""
-    q, t = task.system.crt.modulus, task.system.crt.residue
-    return [t + (lo + j) * q for j in definition(task, lo, hi, task.sieve_limit).tolist()]
+    """The x that sieve_segment(task, lo, hi) keeps by the definition at
+    the plan limit, min(sieve_limit, DEFAULT_SIEVE_LIMIT)."""
+    q, t, limit = task.system.crt.modulus, task.system.crt.residue, min(task.sieve_limit, DEFAULT_SIEVE_LIMIT)
+    return [t + (lo + j) * q for j in definition(task, lo, hi, limit).tolist()]
 
 
 def admissible_task(rng, primes_of_q, offsets, limit):
@@ -610,11 +621,11 @@ def test_sieve_strikes_a_zero_value():
 
 @pytest.mark.parametrize("limit", (1009, 3000))
 def test_sieve_keeps_a_value_that_is_a_prime_above_the_plan_limit(limit):
-    # sieve_segment divides the plan's survivors by the primes in
-    # (DEFAULT_SIEVE_LIMIT, limit]: x = r survives where its values -r and
-    # r are such primes, 401 or 1009; x = 401 * 401, 401 * 409 and
-    # 1009 * 1009, with such a prime as a proper factor and no prime below
-    # it, do not
+    # sieve_segment sieves with the primes up to DEFAULT_SIEVE_LIMIT at any
+    # limit above it, as a search does: x = r survives where its values -r
+    # and r are primes above it, 401 or 1009, and so do x = 401 * 401,
+    # 401 * 409 and 1009 * 1009, whose least prime factor is above it; a
+    # search rejects those
     odd = CrtClass(2, 1, (2,))
     for r in (401, 1009):
         task = ConstellationTask(TupleSystem(odd, (-2 * r, 0)), sieve_limit=limit)
@@ -622,12 +633,13 @@ def test_sieve_keeps_a_value_that_is_a_prime_above_the_plan_limit(limit):
         assert sieve_segment(task, r // 2 - 10, r // 2 + 10) == segment_definition(task, r // 2 - 10, r // 2 + 10)
     task = ConstellationTask(TupleSystem(odd, (0,)), sieve_limit=limit)
     for x in (401 * 401, 401 * 409, 1009 * 1009):
-        assert sieve_segment(task, x // 2, x // 2 + 1) == []
+        assert sieve_segment(task, x // 2, x // 2 + 1) == [x]
         assert sieve_segment(task, x // 2 - 10, x // 2 + 10) == segment_definition(task, x // 2 - 10, x // 2 + 10)
+        assert search_with_count(replace(task, start=x, budget=1)) == (None, 1)
     # 401 divides q = 802, so it is no sieving prime: x = 401 * 1013 survives
     task = ConstellationTask(TupleSystem(CrtClass(802, 401, (2, 401)), (0,)), sieve_limit=limit)
     k = 1013 // 2
-    assert sieve_segment(task, k, k + 1) == segment_definition(task, k, k + 1) == ([401 * 1013] if limit < 1013 else [])
+    assert sieve_segment(task, k, k + 1) == segment_definition(task, k, k + 1) == [401 * 1013]
 
 
 def test_a_held_prime_above_the_root_strikes_beside_a_factor_of_q():
@@ -640,19 +652,15 @@ def test_a_held_prime_above_the_root_strikes_beside_a_factor_of_q():
 
 @pytest.mark.parametrize("q", (1, 2, 6, 35))
 def test_struck_matches_its_definition(q):
-    # primes from 2 up to bounds below and above isqrt|v|, which is at most
-    # 54 here; and those above 40 alone on the v that none up to 40
-    # strikes, as sieve_segment divides a plan's survivors
+    # the primes from 2 that do not divide q, as a plan holds them for
+    # _forgive, up to several bounds: 0 is struck by every prime, and a
+    # held prime value by none
     vs = np.arange(-3000, 3001)
     for limit in (7, 40, 60, 3000):
         held = np.array([p for p in primes_up_to(limit) if q % p], np.int64)
         divides = (vs[:, None] % held == 0) & (held != np.abs(vs)[:, None])
-        wants, below = divides.any(axis=1).tolist(), divides[:, held <= 40].any(axis=1).tolist()
-        above = held[held > 40]
-        for v, want, struck_below in zip(vs.tolist(), wants, below):
-            assert search._struck(v, held, q) == want, (q, limit, v)
-            if not struck_below:
-                assert search._struck(v, above, q) == want, (q, limit, v)
+        for v, want in zip(vs.tolist(), divides.any(axis=1).tolist()):
+            assert search._struck(v, held) == want, (q, limit, v)
 
 
 @pytest.mark.parametrize("lengths", ((7,), (3, 5), (2, 5, 7), (5, 7, 8)))
@@ -821,15 +829,16 @@ def plan_entries(plan):
     {0, HUGE, -HUGE},  # coincide mod every prime dividing HUGE
     {0, 6, 210, 19594},  # coincide mod 97 and 101, head primes too sparse to pre-sieve
 ))
-@pytest.mark.parametrize("span", (2048, 1 << 16))
-def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, span, monkeypatch):
-    rng = random.Random(len(offsets) + span)
+@pytest.mark.parametrize("budget", (2048, 1 << 16))
+def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, budget, monkeypatch):
+    rng = random.Random(len(offsets) + budget)
     for q_primes in ((), (2, 3), (11, 13)):
         task = admissible_task(rng, q_primes, offsets, 600)
         assert task is not None
+        task = replace(task, budget=budget)
         # before its pre-sieve every prime up to DEFAULT_SIEVE_LIMIT strikes
         # its classes per offset, coinciding ones repeated, ascending in p
-        plan = _SievePlan(task, span)
+        plan = _SievePlan(task)
         task = replace(task, sieve_limit=DEFAULT_SIEVE_LIMIT)
         every = offset_entries(task)
         assert plan.good is None and not plan.patterns and not len(plan.gather_p)
@@ -837,14 +846,17 @@ def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, span, mon
         assert entries == every and set(entries) == naive_entries(task)
         # the pre-sieved primes: those whose distinct classes cover at least
         # 1/PRESIEVE_DENSITY of all k and that fit a pattern period
-        period = min(PATTERN_PERIOD, span // 8)
+        period = min(PATTERN_PERIOD, budget // 8)
         counts = {}
         for p, _ in naive_entries(task):
             counts[p] = counts.get(p, 0) + 1
         dense = {p for p, c in counts.items() if c * PRESIEVE_DENSITY >= p and p <= period}
-        # after it each tabled prime strikes its distinct classes, and every
+        # after it, in a plan that gathers nothing, as at a gather cost of
+        # 2**62, each tabled prime strikes its distinct classes, and every
         # other prime still its classes per offset
-        plan = presieved(plan)
+        with monkeypatch.context() as m:
+            m.setattr(search, "GATHER_COST", 1 << 62)
+            plan = presieved(plan)
         entries = plan_entries(plan)
         rest = [e for e in every if e[0] not in dense]
         assert list(zip(plan.rest_p.tolist(), plan.rest_k0.tolist())) == rest
@@ -852,13 +864,12 @@ def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, span, mon
         assert sorted(entries) == sorted(want)
         assert set(entries) == naive_entries(task)
         assert {p for p, _ in entries} - set(plan.rest_p.tolist()) == dense
-        # narrow at these spans, where the tables of the primes up to
-        # DEFAULT_SIEVE_LIMIT do not fit; wide for windows of 2**20, which needs a plan that
-        # gathers, as these do with a gather cost of 2: every prime tabled
+        # narrow, as it gathers nothing; wide at a gather cost of 2, which
+        # gathers: every prime tabled
         assert not plan.wide
         with monkeypatch.context() as m:
             m.setattr(search, "GATHER_COST", 2)
-            wide = presieved(_SievePlan(task, 1 << 20))
+            wide = presieved(_SievePlan(task))
         assert wide.wide and len(wide.rest_p) == len(wide.rest_k0) == 0
         entries = plan_entries(wide)
         assert len(entries) == len(set(entries)) and set(entries) == naive_entries(task)
@@ -873,39 +884,38 @@ def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, span, mon
 def test_a_plan_at_any_limit_equals_one_built_at_the_cap(limit, gather_cost, monkeypatch):
     # whatever the limit above it, a plan holds the primes up to
     # DEFAULT_SIEVE_LIMIT from its construction, and before and after its
-    # pre-sieve is the plan at that limit array for array. A plan that
-    # gathers is wide where the tables, 8 bytes per unit of p, fit the
-    # span: at 2**20 only
+    # pre-sieve is the plan at that limit array for array. A plan is wide
+    # exactly when it gathers, at any budget
     monkeypatch.setattr(search, "GATHER_COST", gather_cost)
     rng = random.Random(limit + gather_cost)
-    for span in (1 << 11, 1 << 16, 1 << 20):
+    for budget in (1 << 11, 1 << 16, 1 << 20):
         task = None
         while task is None:
             q_primes = rng.choice(((), (2, 3), (2, 3, 5, 7), (11, 13)))
             offsets = {rng.randrange(-300, 301) for _ in range(rng.randrange(1, 13))}
             task = admissible_task(rng, q_primes, offsets, limit)
+        task = replace(task, budget=budget)
         q, t = task.system.crt.modulus, task.system.crt.residue
-        plan = _SievePlan(task, span)
-        capped = _SievePlan(replace(task, sieve_limit=DEFAULT_SIEVE_LIMIT), span)
-        period = min(PATTERN_PERIOD, span // 8)
+        plan = _SievePlan(task)
+        capped = _SievePlan(replace(task, sieve_limit=DEFAULT_SIEVE_LIMIT))
+        period = min(PATTERN_PERIOD, budget // 8)
         ps = np.array([p for p in primes_up_to(DEFAULT_SIEVE_LIMIT) if q % p])
         counts = np.array([len({(t + d) % p for d in task.system.offsets}) for p in ps.tolist()])
         _, groups, anded = search._groups(ps, counts, period)
-        fits = 8 * ps.sum() <= span
-        assert plan.wide == capped.wide == (fits and anded < len(groups)) and fits == (span == 1 << 20)
+        assert plan.wide == capped.wide == (anded < len(groups))
         assert plan.limit == capped.limit == DEFAULT_SIEVE_LIMIT and plan.primes.tolist() == ps.tolist()
         for _ in ("before", "after"):  # the pre-sieve
             for name in ("primes", "rest_p", "rest_k0", "gather_p", "gather_at"):
                 got, want = getattr(plan, name), getattr(capped, name)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (span, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (budget, name)
             plan, capped = presieved(plan), presieved(capped)
 
 
 # (E, z, x): with q = 1 and start 0 (so k = x), the offsets e - (x + z)
 # for e in E put the first witness at x, whose values -(z - e) are primes
 # above DEFAULT_SIEVE_LIMIT (no larger z up to x + z has every z - e
-# prime). At sieve limit 10**5 sieve_segment strikes x only if it does
-# not forgive those primes; a search leaves them to its certification.
+# prime). At sieve limit 10**5 sieve_segment and a search sieve with the
+# primes up to DEFAULT_SIEVE_LIMIT and leave those to certification.
 GROWN_ZONE_CASES = (
     ((0, 2, 6, 18, 20), 829, FIRST_WINDOW),  # the first k of the second window
     ((0, 2, 6, 18, 20), 829, 4000),
@@ -984,6 +994,36 @@ def test_witnesses_around_the_first_presieved_window_match_a_sympy_scan(depth, m
     assert windows[-1][1] == (depth > ends[3])
 
 
+@pytest.mark.parametrize("budget", (1 << 15, 1 << 16))
+def test_plans_at_budgets_below_their_tables_bytes(budget, sieved):
+    # at budgets below the bytes of a plan's tables, 8 per unit of p
+    # (110,960 for step 9), a plan that gathers is wide all the same: its
+    # search pre-sieves at its second window, one period of its patterns,
+    # which keeps no entry for the other tiers, reads words and gathers. The
+    # -11 plan gathers nothing: it ANDs every group and strikes its other
+    # primes with strided writes. Each search keeps its witness and depth.
+    for task, want in (
+        (step_9_task(budget), (None, budget)),
+        (quintuplet_task(20000, budget), (DEEP_WITNESS, 20000)),
+    ):
+        start = len(sieved)
+        assert search_with_count(task) == want
+        windows = sieved[start:]
+        plan = windows[0][0]
+        assert [hi - lo for _, lo, hi, *_ in windows] == [FIRST_WINDOW, budget - FIRST_WINDOW]
+        assert plan.wide and len(plan.gather_p) and not len(plan.rest_p)
+        if want[0]:  # the quintuplet's second window keeps survivors
+            assert "word-scan" in windows[1][-1] and windows[1][-1] & {"gathered", "two-stage"}
+    task = ConstellationTask(MINUS_11, start=MINUS_11_WITNESS - (30720 - 1) * 210, budget=budget)
+    plan = presieved(_SievePlan(task))
+    _, groups, anded = plan._grouping
+    assert not plan.wide and anded == len(groups) and not len(plan.gather_p) and len(plan.rest_p)
+    lo, hi = 10**9 + 7, 10**9 + 8 + PRESIEVE_AFTER
+    assert np.array_equal(plan.window(lo, hi), definition(task, lo, hi, plan.limit))
+    assert sieved[-1][-1] == {"anded", "strided"}
+    assert search_with_count(task) == (MINUS_11_WITNESS, 30720)
+
+
 def test_a_wide_spread_search_holds_only_the_primes_up_to_the_cap(monkeypatch):
     # the quintuplet 55331 with a far offset, 55331 - 70914 = -15583 prime.
     # At sieve limit 10**5 the offsets' spread of 70,926 does not bound the
@@ -1033,7 +1073,7 @@ def test_screened_survivors_are_those_no_screening_prime_divides():
             continue
         systems += 1
         q, t = task.system.crt.modulus, task.system.crt.residue
-        plan = _SievePlan(task, WINDOW)
+        plan = _SievePlan(task)
         start = plan._screen[0]
         # the first k from which every |x + d| exceeds SCREEN_LIMIT
         beyond = [all(abs(t + k * q + d) > SCREEN_LIMIT for d in offsets) for k in range(2100)]
@@ -1194,26 +1234,27 @@ def sieved(monkeypatch):
 
 @dataclass(frozen=True)
 class Case:
-    """A plan of the task for `span` at a gather cost, pre-sieved or not;
-    what it sieves (check); and the tiers its windows reach (sieved)."""
+    """The plan of the task at a budget and a gather cost, pre-sieved or
+    not; what it sieves (check); and the tiers its windows reach (sieved)."""
 
     id: str
     task: ConstellationTask
     tiers: str
     windows: list = ()
     segments: list = ()
-    span: int = 1 << 16
+    budget: int = 1 << 16
     cost: int = GATHER_COST
     presieved: bool = False
-    budget: int = 0
+    searched: bool = False
 
 
 def check(case, sieved):
     """The tiers reached by a case's windows (lo, n), sieved in order, each
     against the definition at the plan's limit or, past WIDE, its pieces;
-    by sieve_segment's (lo, n), at the task's limit and the plan's; and by
-    a search from the task's start over a budget."""
-    task, plan = case.task, _SievePlan(case.task, case.span)
+    by sieve_segment's (lo, n); and, if searched, by a search of the task
+    over the budget from its start."""
+    task = replace(case.task, budget=case.budget)
+    plan = _SievePlan(task)
     if case.presieved:
         plan._presieve()
     a = b = 0
@@ -1228,11 +1269,10 @@ def check(case, sieved):
             want = definition(task, a, b, plan.limit)
         assert np.array_equal(got, want[(want >= lo - a) & (want < lo - a + n)] - (lo - a)), (lo, n)
     for lo, n in case.segments:
-        for held in {task, replace(task, sieve_limit=plan.limit)}:
-            assert sieve_segment(held, lo, lo + n) == segment_definition(held, lo, lo + n), (held.sieve_limit, lo, n)
+        assert sieve_segment(task, lo, lo + n) == segment_definition(task, lo, lo + n), (lo, n)
     start = len(sieved)
-    if case.budget:
-        search_with_count(replace(task, budget=case.budget))
+    if case.searched:
+        search_with_count(task)
     for searching, lo, hi, js, _ in sieved[start:]:
         assert np.array_equal(js, definition(task, lo, hi, searching.limit)), (lo, hi)
     return set().union(*(tiers for *_, tiers in sieved))
@@ -1256,10 +1296,10 @@ def segment_case(name, task, *segments):
     return Case(name, task, "comb" * bool(kept and sieving_primes(task.system.crt.modulus, limit)[0]), segments=segments)
 
 
-def longest_period(task, span, cost):
+def longest_period(task, budget, cost):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "GATHER_COST", cost)
-        return max(map(len, presieved(_SievePlan(task, span)).patterns))
+        return max(map(len, presieved(_SievePlan(replace(task, budget=budget))).patterns))
 
 
 def cases():
@@ -1313,7 +1353,7 @@ def cases():
         rng = random.Random(limit + 5)
         for i in range(3):
             task = None
-            while task is None or is_admissible(task.system) is not None or _SievePlan(task, 1 << 16).wide:
+            while task is None or is_admissible(task.system) is not None or _SievePlan(replace(task, budget=1 << 16)).wide:
                 task = drawn(rng, ((), (2,), (2, 3), (2, 3, 5), (2, 3, 5, 7)), 60, (2, 8), limit)
             q = task.system.crt.modulus
             far = [rng.randrange(10**9), (1 << 63) + rng.randrange(10**9)]
@@ -1325,17 +1365,16 @@ def cases():
     # bytes, from k = 0 and above 2**63, and a long window there: limit 31
     # pre-sieves every prime, 1000 combs the others; a gather cost of 2
     # gathers all groups but the densest, and a plan that gathers is wide
-    # where its tables fit the span
-    for (limit, cost, span), tiers in zip(product((31, 1000), (GATHER_COST, 2), (1 << 16, WIDE)), (
+    for (limit, cost, budget), tiers in zip(product((31, 1000), (GATHER_COST, 2), (1 << 16, WIDE)), (
         "anded word-scan", "anded word-scan", "anded gathered two-stage word-scan", "anded gathered two-stage word-scan",
-        "anded comb strided", "anded comb strided", "anded comb gathered strided two-stage", "anded gathered two-stage word-scan",
+        "anded comb strided", "anded comb strided", "anded gathered two-stage word-scan", "anded gathered two-stage word-scan",
     )):
         task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (0,)), sieve_limit=limit)
-        crossing = 40 * longest_period(task, span, cost) - 70
+        crossing = 40 * longest_period(task, budget, cost) - 70
         windows = [(crossing + r, n) for r in range(64) for n in range(1 + r % 4, 131, 4)]
         windows += [(b + r, n) for b in (0, (1 << 63) + 4321) for r in range(64) for n in (1, 8, 9, 64, 130)]
         windows += [((1 << 63) + 4321, (1 << 15) - 1)]
-        yield Case(f"bit-offsets-{limit}-{cost}-{span}", task, tiers, windows, span=span, cost=cost, presieved=True)
+        yield Case(f"bit-offsets-{limit}-{cost}-{budget}", task, tiers, windows, budget=budget, cost=cost, presieved=True)
     # comb windows of up to 7 chunks at every lo mod 64, the offsets of each
     # system coinciding mod a prime of the comb (2 and 3; 11 and 13); the
     # quintuplet's plan, not wide, combs its sparse primes past its pre-sieve
@@ -1345,43 +1384,45 @@ def cases():
         task = admissible_task(random.Random(len(offsets)), primes_of_q, offsets, 600 if offsets == TUPLE_17 else 200)
         for presieve in (False, True) if offsets == TUPLE_5 else (False,):
             windows = [(b + r, n) for b in (0, 10**9 + 321, (1 << 63) + 4321) for r in range(0, 64, 1 + 8 * presieve) for n in lengths]
-            yield Case(f"comb-{len(offsets)}" + "-presieved" * presieve, task, "anded " * presieve + "comb", windows, span=WIDE, presieved=presieve)
-    # gathering windows combed and strided, 12-tuples keeping few survivors
-    # and quintuplets hundreds; a wide 12-tuple plan over its zone; and
-    # 12-tuple plans gathering in two stages at a gather cost of 2
-    for n, lengths, strided in ((700, (700, 350), ""), (1 << 14, (1 << 14, 1 << 15), " strided")):
+            yield Case(f"comb-{len(offsets)}" + "-presieved" * presieve, task, "anded " * presieve + "comb", windows, budget=WIDE, presieved=presieve)
+    # gathering windows, short and long, of wide plans at a budget of 2**16,
+    # below the bytes of their tables: 12-tuples keeping few survivors, and
+    # quintuplets hundreds, gathered in two stages at a gather cost of 2; a
+    # wide 12-tuple plan over its zone; and 12-tuple plans gathering in two
+    # stages at a gather cost of 2
+    for n, lengths, long in ((700, (700, 350), ""), (1 << 14, (1 << 14, 1 << 15), " word-scan")):
         rng = random.Random(n)
-        for offsets, cost, tiers in ((TUPLE_12, GATHER_COST, "anded comb gathered"), (TUPLE_5, 2, "anded comb two-stage")):
+        for offsets, cost, tiers in ((TUPLE_12, GATHER_COST, "anded gathered"), (TUPLE_5, 2, "anded two-stage")):
             task = admissible_task(rng, (2, 3, 5, 7), offsets, 1000)
             los = (rng.randrange(10**9), (1 << 63) + rng.randrange(10**9), 0, (1 << 64) + 5)
             windows = [(lo, m) for lo in los for m in lengths]
-            yield Case(f"every-tier-{len(offsets)}-{n}", task, tiers + strided, windows, cost=cost, presieved=True)
+            yield Case(f"every-tier-{len(offsets)}-{n}", task, tiers + long, windows, cost=cost, presieved=True)
     task = admissible_task(random.Random(7), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
-    yield Case("tuple-12-zone", task, "anded word-scan gathered", [(0, 1 << 15), (1 << 15, 1 << 15)], span=WIDE, presieved=True)
+    yield Case("tuple-12-zone", task, "anded word-scan gathered", [(0, 1 << 15), (1 << 15, 1 << 15)], budget=WIDE, presieved=True)
     task = admissible_task(random.Random(3), (2, 3, 5, 7), TUPLE_12, DEFAULT_SIEVE_LIMIT)
     windows = [(lo, n) for lo in ((1 << 63) + 12345, 0, (1 << 64) + 12345) for n in (1 << 14, 1 << 15)]
-    for span, tiers in ((1 << 16, "anded comb strided two-stage"), (WIDE, "anded word-scan two-stage")):
-        yield Case(f"two-stage-{span}", task, tiers, windows, span=span, cost=2, presieved=True)
-    # step 9, wide for windows of WIDE and not of 2**15, gathering or ANDing
-    # every group; fresh wide plans whose first long window is 8 * WIDE, or
-    # WIDE + 13 after short ones, and a search, whose second window, one
-    # period of its patterns, gathers in two stages; the quintuplet's windows
-    # and search on one plan
+    for budget in (1 << 16, WIDE):
+        yield Case(f"two-stage-{budget}", task, "anded word-scan two-stage", windows, budget=budget, cost=2, presieved=True)
+    # step 9 at budgets of WIDE and 2**15, wide where it gathers and not
+    # with every group ANDed; fresh wide plans whose first long window is
+    # 8 * WIDE, or WIDE + 13 after short ones, and a search, whose second
+    # window, one period of its patterns, gathers in two stages; the
+    # quintuplet's windows and its search, on the plan of one task
     task, k = step_9_task(), STEP_9_K
-    for span in (WIDE, 1 << 15):
-        rng = random.Random(span)
+    for budget in (WIDE, 1 << 15):
+        rng = random.Random(budget)
         windows = [(k, WIDE), (k, FIRST_WINDOW), (k + rng.randrange(1 << 20), 1 << 15), ((1 << 64) + rng.randrange(1 << 20), 1 << 15)]
         for cost, tiers in ((GATHER_COST, "anded gathered two-stage word-scan"), (1 << 62, "anded word-scan")):
-            yield Case(f"step-9-{span}" + "-all-anded" * (cost > GATHER_COST), task, tiers, windows, span=span, cost=cost, presieved=True)
+            yield Case(f"step-9-{budget}" + "-all-anded" * (cost > GATHER_COST), task, tiers, windows, budget=budget, cost=cost, presieved=True)
     for name, windows, budget in (
-        ("step-9-8w", [(k + 12345, 8 * WIDE)], 0),
-        ("step-9-8w-past-2^64", [((1 << 64) + 3, 8 * WIDE)], 0),
-        ("step-9-first-long", [(k + 4, WIDE + 13)], 0),
+        ("step-9-8w", [(k + 12345, 8 * WIDE)], WIDE),
+        ("step-9-8w-past-2^64", [((1 << 64) + 3, 8 * WIDE)], WIDE),
+        ("step-9-first-long", [(k + 4, WIDE + 13)], WIDE),
         ("step-9-interleaved", [(k + 8, 1000), (k + 3, 1), (k + 3, 8 * WIDE), (k + 8, 1000), (k + 4, WIDE + 13), (k + 3, 1)], 1 << 18),
     ):
-        yield Case(name, task, "anded two-stage word-scan", windows, span=WIDE, budget=budget)
+        yield Case(name, task, "anded two-stage word-scan", windows, budget=budget, searched=name == "step-9-interleaved")
     windows = [(7, FIRST_WINDOW), (100_005, 100), (1001, 1 << 16), (7, FIRST_WINDOW), (100_005, 100)]
-    yield Case("quintuplet", quintuplet_task(40_000), "anded comb gathered strided two-stage", windows, budget=1 << 16)
+    yield Case("quintuplet", quintuplet_task(40_000), "anded comb gathered word-scan", windows, searched=True)
 
 
 GRID = list(cases())
@@ -1404,20 +1445,22 @@ def test_random_windows_match_the_definition(seed, sieved, monkeypatch):
     lengths = (1, 37, 700, FIRST_WINDOW, PRESIEVE_AFTER - 1, PRESIEVE_AFTER, PRESIEVE_AFTER + 1, 1 << 15)
     los = (0, rng.randrange(10**9), (1 << 63) - rng.randrange(10**6), (1 << 64) + rng.randrange(10**9))
     windows = [(lo + rng.randrange(64), rng.choice(lengths)) for lo in los for _ in range(2)]
-    span, presieve = rng.choice((1 << 11, 1 << 16, WIDE)), rng.random() < 0.5
-    check(Case(f"fuzz-{seed}", task, "", windows, [(lo, min(n, 700)) for lo, n in windows[::3]], span, presieved=presieve), sieved)
+    budget, presieve = rng.choice((1 << 11, 1 << 16, WIDE)), rng.random() < 0.5
+    check(Case(f"fuzz-{seed}", task, "", windows, [(lo, min(n, 700)) for lo, n in windows[::3]], budget, presieved=presieve), sieved)
 
 
-@pytest.mark.parametrize("name", ("step-9", "every-tier-12-700", "two-stage-1048576"))
+@pytest.mark.parametrize("name", ("step-9", "every-tier-12-700", "two-stage-1048576", "long-plan-1000"))
 def test_the_tabled_tier_matches_its_definition(name, monkeypatch):
-    # the step-9 plan, wide, and two grid plans, one wide, after _presieve:
-    # each ANDed pattern is the AND of its members' packed 8-period tables,
-    # each tiled to its length; the ANDed and gathered primes are the tabled
-    # ones, whose entries left the other tiers, and none is both; and the
-    # first stage is _first_stage of the gathered primes' kept shares
-    case = next((case for case in GRID if case.id == name), Case(name, step_9_task(), "", span=WIDE))
+    # the step-9 plan, wide, and three grid plans, all but the last wide,
+    # after _presieve: each ANDed pattern is the AND of its members' packed
+    # 8-period tables, each tiled to its length; the ANDed and gathered
+    # primes are the tabled ones, whose entries left the other tiers, and
+    # none is both; a plan gathers exactly when it is wide, and then tables
+    # every prime; and the first stage is _first_stage of the gathered
+    # primes' kept shares
+    case = next((case for case in GRID if case.id == name), Case(name, step_9_task(), "", budget=WIDE))
     monkeypatch.setattr(search, "GATHER_COST", case.cost)
-    plan = presieved(_SievePlan(case.task, case.span))
+    plan = presieved(_SievePlan(replace(case.task, budget=case.budget)))
     q, t, offsets = plan.q, plan.t, plan.offsets
 
     def packed(p):
@@ -1434,7 +1477,8 @@ def test_the_tabled_tier_matches_its_definition(name, monkeypatch):
         assert np.array_equal(pattern, want), ps
     anded_p, gathered = [p for ps in members for p in ps], plan.gather_p[:, 0].tolist()
     tabled = sorted(set(plan.primes.tolist()) - set(plan.rest_p.tolist()))
-    assert gathered and sorted(anded_p + gathered) == tabled and not set(anded_p) & set(gathered)
-    assert plan.wide == (tabled == plan.primes.tolist()) == (name != "every-tier-12-700")
+    assert sorted(anded_p + gathered) == tabled and not set(anded_p) & set(gathered)
+    assert plan.wide == bool(gathered) == (name != "long-plan-1000")
+    assert tabled == plan.primes.tolist() or not plan.wide
     keep = [1 - len({(t + d) % p for d in offsets}) / p for p in gathered]
     assert plan.first_stage == search._first_stage(np.array(keep))

@@ -41,9 +41,9 @@ def main():
     print()
     print("3. skipping a known witness")
     print("-" * 55)
-    again = ConstellationTask(good, start=19, exclusions=frozenset({x}))
+    again = ConstellationTask(good, start=x + 1)
     y, _ = search_with_count(again)
-    print(f"  with {x} excluded the next witness is {y}")
+    print(f"  searched from {x + 1}, the next witness is {y}")
     print(f"  values {[y + d for d in good.offsets]}")
 
     print()

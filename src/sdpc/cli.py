@@ -208,7 +208,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         start=args.start,
         budget=args.budget,
         sieve_limit=args.sieve_limit,
-        exclusions=frozenset(_int_list(args.exclude)) if args.exclude else frozenset(),
     )
     x, examined = search_with_count(task)
     if x is None:
@@ -285,7 +284,6 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
         sub.add_argument("--budget", type=int, default=10**8)
         sub.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT,
                          help=f"largest sieving prime; a search sieves with those up to {DEFAULT_SIEVE_LIMIT} at most")
-        sub.add_argument("--exclude", help="comma separated x values to skip")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

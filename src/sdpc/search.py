@@ -2,11 +2,12 @@
 
 Candidates are x = t + k*q for k = 0, 1, 2, ... A segmented sieve strikes
 a candidate when some prime p up to the plan limit (below), p not
-dividing q, divides x + d for an offset d, except when |x + d| equals p
-itself: that value IS the prime p and must not be discarded. Survivors
-then face real primality tests through is_prime. The scan is strictly
-ordered by k, so the witness returned is the smallest member of the
-progression that works, whatever the window sizes or sieve limit.
+dividing q, divides x + d for an offset d, and keeps every candidate of
+the zones, where some |x + d| is at most the plan limit and so may be p
+itself. Survivors then face real primality tests through is_prime. The
+scan is strictly ordered by k, so the witness returned is the smallest
+member of the progression that works, whatever the window sizes or sieve
+limit.
 
 A search sieves windows of k that start at FIRST_WINDOW candidates and
 double until they reach LARGEST_WINDOW, the one cap of every search, so a
@@ -74,10 +75,10 @@ Every sieving prime keeps its m classes, one per offset: offsets that
 coincide mod it strike twice, which is harmless. Distinct classes are
 counted only to weigh the tabled primes.
 
-Forgiveness needs |x + d| = p <= plan limit, so it can only happen in a
-few windows at the bottom of the progression. The tiers strike blindly;
-afterwards, in those windows only, every k missing from the survivors
-with some |x + d| a sieving prime is re-decided exactly.
+A zone holds at most 2 * limit / q + 1 candidates per offset, all at the
+bottom of the progression. The tiers strike blindly; afterwards a window
+over a zone adds its zone k to the survivors, struck or not, and
+certification decides them.
 
 Past a search's first window the plan screens its survivors in one pass
 before they are certified, dropping each with some x + d that a prime p
@@ -131,7 +132,6 @@ class ConstellationTask:
     start: int = 0
     budget: int = 10**8
     sieve_limit: int = DEFAULT_SIEVE_LIMIT
-    exclusions: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.start < 0:
@@ -142,7 +142,6 @@ class ConstellationTask:
         # products would overflow
         if not 2 <= self.sieve_limit < 1 << 31:
             raise ValueError("sieve_limit must be at least 2 and below 2**31")
-        object.__setattr__(self, "exclusions", frozenset(self.exclusions))
 
 
 def _residues(n: int, moduli: np.ndarray) -> np.ndarray:
@@ -352,7 +351,7 @@ class _SievePlan:
             z_lo = max(0, -((self.limit + d + self.t) // self.q))
             z_hi = (self.limit - d - self.t) // self.q + 1
             if z_lo < z_hi:
-                self.zones.append((d, z_lo, z_hi))
+                self.zones.append((z_lo, z_hi))
                 self.zones_end = max(self.zones_end, z_hi)
 
     @cached_property
@@ -466,6 +465,8 @@ class _SievePlan:
                     s = (chunks - first[a : a + batch, None]) % p
                     rows = _COMB_ROWS[_COMB_ROW_AT[p, s & 7] + (s >> 3)].view(np.uint64)
                     packed &= ~np.bitwise_or.reduce(rows, axis=0).view(np.uint8)[: len(packed)]
+                    # drop this gather before the next: two alive at once page-fault
+                    del rows
             # a short window's bits are scanned faster unpacked than by word
             js = np.flatnonzero(np.unpackbits(packed, bitorder="little").view(bool)[off : off + n])
         elif len(self.rest_p):
@@ -483,48 +484,30 @@ class _SievePlan:
             # two stages pay once the survivors outnumber the primes
             first = self.first_stage if len(js) > len(self.gather_p) else 0
             js = _sift(js, _residues(lo, self.gather_p), self.gather_p, self.gather_at, self.good, first)
-        return self._forgive(js, lo, hi)
+        return self._with_zones(js, lo, hi)
 
-    def _forgive(self, js: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """The survivors js with, re-decided exactly, the struck k in
-        [lo, hi) where some |x + d| is itself a sieving prime: that prime's
-        strike must not count. With no sieving prime nothing is struck."""
-        if lo >= self.zones_end or not len(self.primes):
+    def _with_zones(self, js: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The survivors js and every k of [lo, hi) in a zone, ascending:
+        there a value may be a sieving prime itself, which must not strike
+        it, so certification decides the zone whole."""
+        if lo >= self.zones_end:
             return js
-        q, t = self.q, self.t
-        # the k in the window where some |x + d| is a sieving prime
-        recheck = np.zeros(hi - lo, bool)
-        for d, z_lo, z_hi in self.zones:
-            a, b = max(z_lo, lo), min(z_hi, hi)
-            if a >= b:
-                continue
-            # x + d lies in [-limit, limit]; a zone two or more candidates
-            # long has q <= 2 * limit, so this fits int64
-            step = q if b - a > 1 else 0
-            values = np.abs(t + d + a * q + step * np.arange(b - a))
-            sieving = self.primes.take(self.primes.searchsorted(values), mode="clip") == values
-            recheck[a - lo : b - lo] |= sieving
         alive = np.zeros(hi - lo, bool)
         alive[js] = True
-        for j in np.flatnonzero(recheck & ~alive).tolist():
-            x = t + (lo + j) * q
-            alive[j] = not any(_struck(x + d, self.primes) for d in self.offsets)
+        for z_lo, z_hi in self.zones:
+            alive[max(z_lo - lo, 0) : max(z_hi - lo, 0)] = True
         return np.flatnonzero(alive)
 
 
-def _struck(v: int, primes: np.ndarray) -> bool:
-    """Whether some p in primes divides v with p != |v|."""
-    return bool(((_residues(v, primes) == 0) & (primes != abs(v))).any())
-
-
 def sieve_segment(task: ConstellationTask, lo: int, hi: int) -> list[int]:
-    """Surviving x = t + k*q for k in [lo, hi), ascending.
+    """Surviving x = t + k*q for k in [lo, hi), ascending: those that no
+    sieving prime up to the plan limit divides at any offset, and every x
+    of a zone, with some |x + d| at most the plan limit.
 
-    Sound: a candidate is only discarded when some sieving prime p, up to
-    the plan limit, properly divides one of its offset values (|x + d| !=
-    p), so every x whose offset values are all primes above 3 survives.
-    These are exactly the x that a search of the task sieves from [lo, hi)
-    and hands to its screen.
+    Sound: outside the zones every |x + d| exceeds each sieving prime, so a
+    prime that divides it divides it properly, and every x whose offset
+    values are all primes above 3 survives. These are exactly the x that a
+    search of the task sieves from [lo, hi) and hands to its screen.
     """
     if lo < 0 or hi < lo:
         raise ValueError("bad segment bounds")
@@ -571,7 +554,7 @@ def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:
             js = plan.screen(js, lo)
         for j in js.tolist():
             x = t + (lo + j) * q
-            if x not in task.exclusions and _witness_ok(task, x):
+            if _witness_ok(task, x):
                 return x, lo + j - k_start + 1
         if lo == k_start and plan.wide:
             # packed, 8 candidates to a byte: doubled below to one period of its patterns

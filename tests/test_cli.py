@@ -240,16 +240,6 @@ def test_search_subcommand(tmp_path, capsys):
     assert "exhausted after 3 candidates" in captured.err
 
 
-def test_search_exclusions(capsys):
-    code = main([
-        "search", "--q", "30", "--t", "25",
-        "--offsets=-18,-8,-6", "--start", "19", "--exclude", "25",
-    ])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.out.strip() == "115"
-
-
 def test_admissible_subcommand(capsys):
     code = main(["admissible", "--q", "30", "--t", "25", "--offsets=-18,-8,-6"])
     assert code == 0

@@ -519,7 +519,7 @@ def test_a_search_sieves_what_sieve_segment_keeps(budget, sieved):
     # one plan per task: every window a search sieves keeps exactly the x
     # that sieve_segment returns for it; for each step plan to coverage 9,
     # the +17 one also at a sieve limit above DEFAULT_SIEVE_LIMIT, and for
-    # seeded random systems from k = 0, through their forgiveness zones
+    # seeded random systems from k = 0, through their zones
     rng = random.Random(budget)
     tasks = [task for _, task in step_tasks()]
     tasks.append(replace(tasks[-1], sieve_limit=1000))

@@ -62,8 +62,6 @@ def naive_witness(task):
     k = 0 if t >= task.start else -((t - task.start) // q)
     for i in range(task.budget):
         x = t + (k + i) * q
-        if x in task.exclusions:
-            continue
         values = [x + d for d in task.system.offsets]
         if all(abs(v) > 3 and trial_prime(v) for v in values):
             return x
@@ -133,6 +131,55 @@ def test_forgiveness_keeps_small_prime_values_alive():
     assert search_with_count(task2)[0] == naive_witness(task2) == 5
 
 
+def naive_count(task):
+    """(witness, candidates examined) of naive_witness, or (None, budget)."""
+    x, q, t = naive_witness(task), task.system.crt.modulus, task.system.crt.residue
+    return (None, task.budget) if x is None else (x, (x - max(t, task.start)) // q + 1)
+
+
+# q = 1 systems whose values run through +-2, +-3 and +-5 near k = 0, and
+# q = 2 ones, whose values are odd, through +-3 and +-5
+ZONE_SYSTEMS = (
+    TupleSystem(CrtClass(1, 0, ()), (0, 2)),
+    TupleSystem(CrtClass(1, 0, ()), (-10, -8)),
+    TupleSystem(CrtClass(1, 0, ()), (-8, -6, -2)),
+    TupleSystem(CrtClass(2, 1, (2,)), (-8, -2)),
+    TupleSystem(CrtClass(2, 1, (2,)), (-12, -6, 0)),
+)
+
+
+@pytest.mark.parametrize("system", ZONE_SYSTEMS, ids=[f"q{s.crt.modulus}_" + "_".join(map(str, s.offsets)) for s in ZONE_SYSTEMS])
+def test_a_search_started_in_a_zone_matches_a_naive_scan(system):
+    # a window keeps every zone k, where some |x + d| <= the plan limit, and
+    # certification decides it: searches from each start near 0 and near
+    # the end of the zone, at several limits
+    assert is_admissible(system) is None
+    for limit in (5, 50, DEFAULT_SIEVE_LIMIT):
+        for start in {*range(40), *range(limit - 20, limit + 20)}:
+            task = ConstellationTask(system, start=max(start, 0), budget=30, sieve_limit=limit)
+            assert search_with_count(task) == naive_count(task), (limit, start)
+
+
+def test_a_search_certifies_each_zone_candidate_once(monkeypatch):
+    # 16 offsets -30030 * i (one class mod each prime up to 13, 16 of the
+    # 17 or more of a larger one: admissible), whose zones, |x + d| <= 400,
+    # are disjoint, 801 candidates each. A search from 0 through them all
+    # certifies each zone candidate once, and here nothing else.
+    offsets = tuple(-30030 * i for i in range(16, 0, -1))
+    task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), offsets), budget=16 * 30030 + 401)
+    certified = []
+    witness_ok = search._witness_ok
+
+    def counted(task, x):
+        certified.append(x)
+        return witness_ok(task, x)
+
+    monkeypatch.setattr(search, "_witness_ok", counted)
+    assert search_with_count(task) == (None, task.budget)
+    zones = [x for d in reversed(offsets) for x in range(-d - DEFAULT_SIEVE_LIMIT, DEFAULT_SIEVE_LIMIT + 1 - d)]
+    assert certified == zones and len(zones) == 16 * 801
+
+
 def test_values_at_most_three_are_rejected():
     # x=3 gives values 1 and 3, x=5 gives 3 and 5; 3 is prime but too
     # small to qualify, so the first witness is 7 (values 5 and 7)
@@ -164,30 +211,8 @@ def test_exhaustion_raises_with_count():
     assert search_with_count(task) == (None, 5)
 
 
-def test_exclusions_skip_named_witnesses():
-    base = ConstellationTask(
-        TupleSystem(CrtClass(30, 25, (2, 3, 5)), (-18, -8, -6)), start=19
-    )
-    first, _ = search_with_count(base)
-    skipped = ConstellationTask(
-        base.system, start=19, exclusions=frozenset({first})
-    )
-    second, _ = search_with_count(skipped)
-    assert second > first
-    assert second == naive_witness(
-        ConstellationTask(base.system, start=19, budget=10**5,
-                          exclusions=frozenset({first}))
-    )
-
-
-def test_a_system_with_no_offsets_searches_past_its_first_window():
-    # every x qualifies, with no value to test; the exclusions hold the
-    # witness past the first window, where the screen starts over no offsets
-    task = ConstellationTask(
-        TupleSystem(CrtClass(1, 0), ()), start=2000, budget=10_000,
-        exclusions=frozenset(range(2000, 5000)),
-    )
-    assert search_with_count(task) == (5000, 3001)
+def test_a_system_with_no_offsets_ends_at_its_first_candidate():
+    assert search_with_count(ConstellationTask(TupleSystem(CrtClass(1, 0), ()), start=2000)) == (2000, 1)
 
 
 def test_inadmissible_task_is_an_error_not_exhaustion():
@@ -212,17 +237,27 @@ def test_sieve_survivors_contain_all_true_witness_positions():
 
 def test_sieve_survivors_below_limit_squared_are_prime():
     # survivors under the plan limit squared need no further testing; check
-    # the sieve is not letting composites through in that zone
+    # the sieve is not letting composites through there. In the zone, where
+    # some |x + d| <= limit, the sieve keeps every x (13 of them, up to
+    # x = 371) and the search decides them, as a search from x over one
+    # candidate tells
     task = ConstellationTask(
         TupleSystem(CrtClass(30, 11, (2, 3, 5)), (0, 2, 6)), sieve_limit=1000
     )
     limit = _SievePlan(task).limit
     assert limit == DEFAULT_SIEVE_LIMIT
+    zone = []
     for x in sieve_segment(task, 0, 30_000):
-        for d in task.system.offsets:
-            v = abs(x + d)
-            if 3 < v < limit * limit:
-                assert trial_prime(v), (x, d)
+        values = [abs(x + d) for d in task.system.offsets]
+        if min(values) <= limit:
+            zone.append(x)
+            want = (x, 1) if all(v > 3 and trial_prime(v) for v in values) else (None, 1)
+            assert search_with_count(replace(task, start=x, budget=1)) == want, x
+            continue
+        for v in values:
+            if v < limit * limit:
+                assert trial_prime(v), (x, v)
+    assert zone == list(range(11, 372, 30))
 
 
 def test_primality_verdict_statuses():
@@ -413,9 +448,12 @@ def test_an_empty_segment_fetches_no_table_above_the_cap(monkeypatch):
     # sieve_segment sieves what a search sieves, with the primes up to
     # DEFAULT_SIEVE_LIMIT: a segment, empty, all struck or with a survivor,
     # fetches no table above SCREEN_LIMIT at any limit
+    # x = 1000 is struck; x = 1 lies in the zone, kept for the search to reject
     sizes = record_tables(monkeypatch)
     task = replace(quintuplet_task(1), sieve_limit=10**7)
-    assert sieve_segment(task, 0, 0) == sieve_segment(task, 1, 2) == []
+    assert sieve_segment(task, 0, 0) == sieve_segment(task, 1000, 1001) == []
+    assert sieve_segment(task, 1, 2) == [1]
+    assert search_with_count(replace(task, start=1, budget=1)) == (None, 1)
     assert sieve_segment(task, DEEP_WITNESS, DEEP_WITNESS + 1) == [DEEP_WITNESS]
     assert max(sizes) <= SCREEN_LIMIT
 
@@ -535,34 +573,32 @@ def test_wide_exhaustion_mid_growth_covers_exactly_the_budget(budget, monkeypatc
 
 @lru_cache(maxsize=None)
 def sieving_primes(q, limit):
-    """The primes up to limit that do not divide q, as a list, an array and
-    a set, and q**-1 mod each."""
+    """The primes up to limit that do not divide q, as a list and an array,
+    and q**-1 mod each."""
     primes = [p for p in primes_up_to(limit) if q % p]
-    return primes, np.array(primes, np.int64), set(primes), np.array([pow(q, -1, p) for p in primes], np.int64)
+    return primes, np.array(primes, np.int64), np.array([pow(q, -1, p) for p in primes], np.int64)
 
 
 def definition(task, lo, hi, limit):
     """Indices j, ascending, of the x = t + (lo + j)*q, k in [lo, hi), that
-    no prime p <= limit, p not dividing q, divides at any offset d unless
-    |x + d| = p: the sieve's definition, struck per prime and offset over
-    the window. Exact for any q, t, d and lo: each residue mod p is taken
-    of a Python int."""
+    no prime p <= limit, p not dividing q, divides at any offset d, and of
+    every x with some |x + d| <= limit, the zones, which certification
+    decides: the sieve's definition, struck per prime and offset over the
+    window. Exact for any q, t, d and lo: each residue mod p is taken of a
+    Python int."""
     q, t, n = task.system.crt.modulus, task.system.crt.residue, hi - lo
-    primes, ps, values, inverses = sieving_primes(q, limit)
+    primes, ps, inverses = sieving_primes(q, limit)
     alive = np.ones(n, bool)
     for d in task.system.offsets:
         v = t + d + lo * q  # x + d at j = 0
         # p divides v + j*q exactly where j = -v / q mod p
         first = -np.array([v % p for p in primes], np.int64) * inverses % ps
-        struck = np.zeros(n, bool)
-        struck[first[first < n]] = True
+        alive[first[first < n]] = False
         for j, p in zip(first.tolist(), primes[: int(np.searchsorted(ps, n))]):
-            struck[j::p] = True
-        # a value |x + d| that is itself prime has no other prime factor,
-        # and its own must not count; only |x + d| <= limit can be one
-        for j in range(max(0, -((limit + v) // q)), min(n, (limit - v) // q + 1)):
-            struck[j] &= abs(v + j * q) not in values
-        alive &= ~struck
+            alive[j::p] = False
+    for d in task.system.offsets:
+        v = t + d + lo * q
+        alive[max(0, -((limit + v) // q)) : max(0, (limit - v) // q + 1)] = True
     return np.flatnonzero(alive)
 
 
@@ -612,11 +648,15 @@ TIER_LIMITS = (
 
 
 def test_sieve_strikes_a_zero_value():
-    # x = 7 gives the values 0 and 3: 3 is itself a sieving prime, but 0
-    # is a multiple of every sieving prime, so 7 must not survive
+    # x = 7 gives the values 0 and 3: 0 is a multiple of every sieving
+    # prime, but a zero value lies in its zone, |x + d| <= 50, which the
+    # sieve keeps whole (x <= 57 here), so certification must reject 7
     task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (-7, -4)), sieve_limit=50)
-    assert sieve_segment(task, 0, 100) == segment_definition(task, 0, 100)
-    assert 7 not in sieve_segment(task, 0, 100)
+    kept = sieve_segment(task, 0, 100)
+    assert kept == segment_definition(task, 0, 100)
+    assert kept[:58] == list(range(58))
+    # the system is inadmissible mod 2, so certification stands for the search
+    assert not search._witness_ok(task, 7)
 
 
 @pytest.mark.parametrize("limit", (1009, 3000))
@@ -643,24 +683,16 @@ def test_sieve_keeps_a_value_that_is_a_prime_above_the_plan_limit(limit):
 
 
 def test_a_held_prime_above_the_root_strikes_beside_a_factor_of_q():
-    # x + 3 = 2m for m in [97, 106]: 2 divides q and is not held, so where
+    # x + 3 = 2m for m in [127, 136]: 2 divides q and is not held, so where
     # m is a prime above isqrt(x + 3) only m itself strikes. The system is
-    # inadmissible (x + 3 is always even), which sieve_segment accepts.
+    # inadmissible (x + 3 is always even), which sieve_segment accepts. For
+    # m in [97, 106] the x lie in the zone, x <= 250, which the sieve keeps
+    # and certification rejects.
     task = ConstellationTask(TupleSystem(CrtClass(2, 1, (2,)), (0, 3)), sieve_limit=250)
-    assert sieve_segment(task, 95, 105) == segment_definition(task, 95, 105) == []
-
-
-@pytest.mark.parametrize("q", (1, 2, 6, 35))
-def test_struck_matches_its_definition(q):
-    # the primes from 2 that do not divide q, as a plan holds them for
-    # _forgive, up to several bounds: 0 is struck by every prime, and a
-    # held prime value by none
-    vs = np.arange(-3000, 3001)
-    for limit in (7, 40, 60, 3000):
-        held = np.array([p for p in primes_up_to(limit) if q % p], np.int64)
-        divides = (vs[:, None] % held == 0) & (held != np.abs(vs)[:, None])
-        for v, want in zip(vs.tolist(), divides.any(axis=1).tolist()):
-            assert search._struck(v, held) == want, (q, limit, v)
+    assert sieve_segment(task, 125, 135) == segment_definition(task, 125, 135) == []
+    zone = sieve_segment(task, 95, 105)
+    assert zone == segment_definition(task, 95, 105) == list(range(191, 210, 2))
+    assert not any(search._witness_ok(task, x) for x in zone)
 
 
 @pytest.mark.parametrize("lengths", ((7,), (3, 5), (2, 5, 7), (5, 7, 8)))
@@ -1112,7 +1144,8 @@ STEP_7 = TupleSystem(CrtClass(210, 67, (2, 3, 5, 7)), (
 def test_the_step_7_search_certifies_few_survivors(monkeypatch):
     # the sieve to 400 leaves 152 survivors up to the step-7 witness; the
     # screen leaves 36 of them to the primality tests. Each search of the
-    # run to coverage 8 certifies exactly so many survivors
+    # run to coverage 8 certifies exactly so many survivors; step 3's
+    # certifies its zone's candidates, 205 and 415, before its witness 625
     certified = []
     witness_ok, searched = search._witness_ok, construction.search_with_count
 
@@ -1128,7 +1161,7 @@ def test_the_step_7_search_certifies_few_survivors(monkeypatch):
     monkeypatch.setattr(construction, "search_with_count", search_in_run)
     res = run(initial_state(Config()), 8)
     assert [step.witness for step in res.steps] == [625, 3587, 42305, 2132467, 1655127457, 68092385285]
-    assert certified == [1, 1, 1, 3, 36, 712]
+    assert certified == [3, 1, 1, 3, 36, 712]
 
 
 def test_a_search_that_strikes_nothing_screens_in_bounded_memory():
@@ -1145,6 +1178,23 @@ def test_a_search_that_strikes_nothing_screens_in_bounded_memory():
         tracemalloc.stop()
     assert got == (None, 65536)
     assert peak < 32 << 20
+
+
+def test_comb_windows_hold_one_gather_at_a_time():
+    # the step-9 plan's comb windows of 6, 7 and 8 chunks take more than one
+    # gather of at most 1 MiB; each is dropped before the next, so the
+    # traced peak of a window stays near one gather, once the shared buffer
+    # has grown to the longest
+    plan = _SievePlan(step_9_task())
+    plan.window(STEP_9_K, STEP_9_K + PRESIEVE_AFTER)
+    for n in (12_288, 14_336, PRESIEVE_AFTER):
+        tracemalloc.start()
+        try:
+            plan.window(STEP_9_K, STEP_9_K + n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * (1 << 20), n
 
 
 @pytest.mark.parametrize("limit", (1019, 1021, 1022, 1023))
@@ -1305,7 +1355,7 @@ def longest_period(task, budget, cost):
 def cases():
     """The grid: the windows of the per-mechanism tests it folds, drawn as
     they drew them, and windows that run every tier with survivors from
-    k = 0 in a forgiveness zone, near 2**63 and past 2**64."""
+    k = 0 in a zone, near 2**63 and past 2**64."""
     # segments from k = 0, where |x + d| runs through the sieving primes (in
     # zone-*, t is any class mod q); split anywhere; above 2**63, by q = 53#
     # or by offsets, near x + d = -p; and a long one, struck by strided writes

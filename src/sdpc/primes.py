@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
+from operator import itemgetter
 
 # Miller-Rabin base sets, each deterministic below its bound: the smallest
 # strong pseudoprime to all of its bases. Most are the first k prime bases:
@@ -96,16 +97,15 @@ def _passes_tests(n: int, screened: bool) -> bool:
     strong tests to its base set: its tier below 2**64, the first 24 primes
     from there on. A screened n (odd, past base 2) skips both: the other
     bases reject any odd composite below the bound or with a factor among them."""
-    for p in () if screened else _SMALL_TRIAL:
-        if n == p:
-            return True
-        if n % p == 0:
+    if not screened:
+        for p in _SMALL_TRIAL:
+            if n % p == 0:
+                return n == p
+    bases = _MR_TIERS[bisect_right(_MR_TIERS, n, key=itemgetter(0))][1] if n < CERTIFIED_LIMIT else _PROBABLE_BASES
+    for b in bases[screened:]:
+        if not _strong_probable_prime(n, b):
             return False
-    if n < CERTIFIED_LIMIT:
-        bases = next(bases for bound, bases in _MR_TIERS if n < bound)
-    else:
-        bases = _PROBABLE_BASES
-    return all(_strong_probable_prime(n, b) for b in bases[screened:])
+    return True
 
 
 def is_prime_exact(n: int) -> bool:

@@ -15,10 +15,11 @@ witness found early costs about its own depth rather than a largest
 window. A window is measured in the bytes it touches: a wide plan's
 (below) stays packed, 8 candidates to a byte, so its windows after the
 first double from one period of its patterns, `period` bytes (2**19
-candidates by default), to 8 * LARGEST_WINDOW. Every window's packed bits
-are one module buffer, grown to the longest window and reused. A window's
-survivors are kept as indices and become integers x only as they are
-certified, up to the witness.
+candidates by default), to 8 * LARGEST_WINDOW. A window the comb strikes
+(below) starts its packed bits from the comb's struck row, inverted; any
+other window's are one module buffer, grown to the longest window and
+reused, which starts all set. A window's survivors are kept as indices
+and become integers x only as they are certified, up to the witness.
 
 A search sieves with the primes up to its plan limit, min(sieve_limit,
 DEFAULT_SIEVE_LIMIT), all held from its first window. More sieving primes
@@ -52,10 +53,10 @@ its windows reuse it. The plan has three tiers:
    first window longer than PRESIEVE_AFTER, and until then strikes the
    pre-sieved primes' classes with the comb.
 2. The comb, in a window of at most PRESIEVE_AFTER candidates: every
-   prime a plan holds has a row of multiples, and the window clears the
-   rows of all its other entries, per _CHUNK bits from the byte at or
-   below lo, in its packed bits, each batch of entries in one gather,
-   reduce and AND of at most 1 MiB.
+   prime a plan holds has a row of multiples, and the window ORs the rows
+   of all its other entries, per _CHUNK bits from the byte at or below lo,
+   into one struck row, each batch of entries in one gather and OR-reduce
+   of at most 1 MiB, taking lo mod p once per prime.
 3. Strided writes, in a longer window: one per (p, k0) entry.
 
 A window unpacks its bits once to find its survivors, a longer one
@@ -69,11 +70,12 @@ wide only after the first window, so a search that ends there never
 forms the groups, and a wide plan builds its tables at its second
 window, the first longer than PRESIEVE_AFTER.
 
-Set-up costs a few NumPy passes per (prime, offset) entry; q is inverted
-prime by prime in _sieving_primes, once per q and prime in a run.
-Every sieving prime keeps its m classes, one per offset: offsets that
-coincide mod it strike twice, which is harmless. Distinct classes are
-counted only to weigh the tabled primes.
+Set-up costs a few NumPy passes over the classes, one row per offset, with
+no copy per (prime, offset) entry; q is inverted prime by prime in
+_sieving_primes, once per q and prime in a run. Every sieving prime keeps
+its m classes, one per offset: offsets that coincide mod it strike twice,
+which is harmless. Distinct classes are counted only to weigh the tabled
+primes.
 
 A zone holds at most 2 * limit / q + 1 candidates per offset, all at the
 bottom of the progression. The tiers strike blindly; afterwards a window
@@ -327,8 +329,9 @@ class _SievePlan:
     pre-sieved primes included until the first longer window builds the
     tabled tier in place (_presieve), which in a wide plan tables every
     prime; a longer window strikes the entries left with strided writes.
-    screen() trial-divides survivors. See the module docstring for the
-    tiers and the screen."""
+    A comb window's bits start from its struck row; any other window's
+    all set, in the module buffer. screen() trial-divides survivors. See
+    the module docstring for the tiers and the screen."""
 
     def __init__(self, task: ConstellationTask):
         self.task = task
@@ -338,10 +341,10 @@ class _SievePlan:
         self.limit = min(task.sieve_limit, DEFAULT_SIEVE_LIMIT)
         # the longest pattern period, short enough for the budget to repeat 8 times
         self.period = min(PATTERN_PERIOD, task.budget // 8)
-        # the other tiers' entries, ascending in p, m per prime (one per
-        # offset); until _presieve, the pre-sieved primes' too
-        self.primes, k0 = _hit_classes(task, 2, self.limit)
-        self.rest_p, self.rest_k0 = np.repeat(self.primes, len(k0)), k0.T.ravel()
+        # the other tiers' primes, ascending, and their classes, one row per
+        # offset; until _presieve, every sieving prime
+        self.primes, self.rest_k0 = _hit_classes(task, 2, self.limit)
+        self.rest_p = self.primes
         self.patterns, self.good, self.first_stage = [], None, 0
         self.gather_p = self.gather_at = np.empty((0, 1), np.int64)
         # k-ranges where some |x + d| <= limit, the only place a value
@@ -357,7 +360,7 @@ class _SievePlan:
     @cached_property
     def _counts(self) -> np.ndarray:
         """Each sieving prime's distinct classes, read before _presieve."""
-        return _distinct(self.rest_k0.reshape(len(self.primes), len(self.offsets)))
+        return _distinct(self.rest_k0.T)
 
     @cached_property
     def _grouping(self) -> tuple[np.ndarray, list, int]:
@@ -377,9 +380,8 @@ class _SievePlan:
         pre-sieved ones and, in a wide plan, every other; their entries
         leave the other tiers."""
         pre_sieved, groups, anded = self._grouping
-        m = len(self.offsets)
         tabled = pre_sieved | self.wide
-        ps, classes = self.primes[tabled], self.rest_k0.reshape(len(self.primes), m)[tabled]
+        ps, classes = self.primes[tabled], self.rest_k0.T[tabled]
         self.good, at = _tables(ps, classes, 8)
         # packed, prime i's row of p bytes holds k = 8j ... 8j + 7 in byte j
         packed = np.packbits(self.good, bitorder="little")
@@ -399,8 +401,7 @@ class _SievePlan:
         gathered = np.concatenate((where[gathered], np.flatnonzero(~pre_sieved[tabled])))
         self.first_stage = _first_stage(1 - self._counts[tabled][gathered] / ps[gathered])
         self.gather_p, self.gather_at = ps[gathered, None], at[gathered, None]
-        rest = np.repeat(~tabled, m)
-        self.rest_k0, self.rest_p = self.rest_k0[rest], self.rest_p[rest]
+        self.rest_k0, self.rest_p = self.rest_k0[:, ~tabled], self.rest_p[~tabled]
 
     @cached_property
     def _screen(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -424,22 +425,27 @@ class _SievePlan:
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Indices j, ascending, of the surviving x = t + (lo + j)*q for
-        k in [lo, hi). Kept relative to lo: k itself may not fit int64."""
+        k in [lo, hi). Kept relative to lo: k itself may not fit int64.
+        Its bits, from k = lo - off on, a multiple of 8, so that every
+        pattern is sliced at a whole byte, start as the comb's struck row,
+        inverted, in a window the comb strikes; otherwise all set, in the
+        module buffer, in whole 8-byte words for the word scan, with the
+        bits outside [lo, hi) clear."""
         n = hi - lo
         if n <= 0:
             return np.empty(0, np.int64)
         if self.good is None and n > PRESIEVE_AFTER:
             self._presieve()
-        # bits from k = lo - off on, a multiple of 8, so that every pattern
-        # is sliced at a whole byte; in whole 8-byte words for the word
-        # scan, with the bits outside [lo, hi) clear
         off = lo % 8
-        words = _packed_words(-(-(off + n) // 64))
-        words[-1] = 0
-        packed = words.view(np.uint8)[: -(-(off + n) // 8)]
-        packed[:] = 255
-        packed[0] = 255 << off & 255
-        packed[-1] &= 255 >> (-(off + n) % 8)
+        if n <= PRESIEVE_AFTER and self.rest_k0.size:
+            packed = ~self._comb(lo, off, n).view(np.uint8)[: -(-(off + n) // 8)]
+        else:
+            words = _packed_words(-(-(off + n) // 64))
+            words[-1] = 0
+            packed = words.view(np.uint8)[: -(-(off + n) // 8)]
+            packed[:] = 255
+            packed[0] = 255 << off & 255
+            packed[-1] &= 255 >> (-(off + n) % 8)
         for pattern in self.patterns:
             # the window as a head, whole periods, and a tail
             size = len(pattern)
@@ -451,27 +457,14 @@ class _SievePlan:
                 periods = packed[head : head + whole * size].reshape(whole, size)
                 periods &= pattern
                 packed[len(packed) - tail :] &= pattern[:tail]
-        if len(self.rest_p):
-            # each entry's first hit, k0 - lo mod p
-            first = (self.rest_k0 - _residues(lo, self.rest_p)) % self.rest_p
         if n <= PRESIEVE_AFTER:
-            if len(self.rest_p):
-                # the comb (module docstring), in gathers of at most 1 MiB
-                chunks = np.arange(-off, n, _CHUNK)
-                batch = (1 << 20) // (_CHUNK // 8 * len(chunks))
-                for a in range(0, len(self.rest_p), batch):
-                    # from k = lo + c, p's comb from bit (c - first) mod p
-                    p = self.rest_p[a : a + batch, None]
-                    s = (chunks - first[a : a + batch, None]) % p
-                    rows = _COMB_ROWS[_COMB_ROW_AT[p, s & 7] + (s >> 3)].view(np.uint64)
-                    packed &= ~np.bitwise_or.reduce(rows, axis=0).view(np.uint8)[: len(packed)]
-                    # drop this gather before the next: two alive at once page-fault
-                    del rows
             # a short window's bits are scanned faster unpacked than by word
             js = np.flatnonzero(np.unpackbits(packed, bitorder="little").view(bool)[off : off + n])
-        elif len(self.rest_p):
+        elif self.rest_k0.size:
             alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
-            for f, p in zip(first.tolist(), self.rest_p.tolist()):
+            # each entry's first hit, k0 - lo mod p, in rows of offsets
+            first = (self.rest_k0 - _residues(lo, self.rest_p)) % self.rest_p
+            for f, p in zip(first.ravel().tolist(), self.rest_p.tolist() * len(first)):
                 alive[f::p] = False
             js = np.flatnonzero(alive)
         else:
@@ -485,6 +478,21 @@ class _SievePlan:
             first = self.first_stage if len(js) > len(self.gather_p) else 0
             js = _sift(js, _residues(lo, self.gather_p), self.gather_p, self.gather_at, self.good, first)
         return self._with_zones(js, lo, hi)
+
+    def _comb(self, lo: int, off: int, n: int) -> np.ndarray:
+        """The comb's struck row (module docstring): words of the bits from
+        k = lo - off on, set where an entry strikes."""
+        p = self.rest_p[:, None]
+        chunks = np.arange(-off, n, _CHUNK)
+        # from k = lo + c, p's comb from bit (c + lo - k0) mod p; lo mod p once per prime
+        s = (chunks + _residues(lo, p) - self.rest_k0[..., None]) % p
+        at = (_COMB_ROW_AT[p, s & 7] + (s >> 3)).reshape(-1, len(chunks))
+        batch = (1 << 20) // (_CHUNK // 8 * len(chunks))
+        for a in range(0, len(at), batch):
+            # one gather alive at a time: two page-fault
+            row = np.bitwise_or.reduce(_COMB_ROWS[at[a : a + batch]].view(np.uint64), axis=0)
+            struck = row if a == 0 else struck | row
+        return struck
 
     def _with_zones(self, js: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The survivors js and every k of [lo, hi) in a zone, ascending:
@@ -519,8 +527,13 @@ def _witness_ok(task: ConstellationTask, x: int) -> bool:
     # a base-2 test screens every value, as most survivors fail it on one;
     # certifying then starts from the second base
     values = [x + d for d in task.system.offsets]
-    screened = all(abs(v) > 3 and may_be_prime(v) for v in values)
-    return screened and all(is_prime(v, _screened=True).accepted for v in values)
+    for v in values:
+        if -3 <= v <= 3 or not may_be_prime(v):
+            return False
+    for v in values:
+        if not is_prime(v, _screened=True).accepted:
+            return False
+    return True
 
 
 def search_with_count(task: ConstellationTask) -> tuple[int | None, int]:

@@ -415,13 +415,17 @@ def test_each_search_builds_one_plan(monkeypatch):
     # plan it builds first; the +-13 plans are wide: after a first window
     # of FIRST_WINDOW they gather and have no entries left to strike,
     # and their windows are packed, from one period of their patterns to
-    # 8 * LARGEST_WINDOW. Windows double until one holds the witness.
+    # 8 * LARGEST_WINDOW. Windows double until one holds the witness. A
+    # search that ends in its first window (steps 3 to 5) never asks
+    # whether its plan is wide: it forms no groups, no tables, no screen.
     plans = record_plans(monkeypatch)
     for target, task in step_tasks()[:-1]:
         plans.clear()
         _, depth = search_with_count(task)
         assert len(plans) == 1, target
         plan = plans[0]
+        if plan.windows == [search.FIRST_WINDOW]:
+            assert "_grouping" not in vars(plan) and plan.good is None and "_screen" not in vars(plan), target
         assert plan.wide == (abs(target) == 13), target
         expected = []
         for size in window_lengths(search.LARGEST_WINDOW, plan.wide):

@@ -390,7 +390,8 @@ def test_exhaustion_mid_growth_covers_exactly_the_budget(monkeypatch):
 def test_a_shallow_witness_sieves_one_first_window(monkeypatch):
     # the witness is 100 candidates in: neither a largest window of 2**16
     # nor one of 2**20 may be sieved whole, only the first window, and the
-    # plan, wide, is neither built wide nor asked whether it is
+    # plan, wide, is neither built wide nor asked whether it is: it forms
+    # no groups and builds no tables and no screen
     windows = record_windows(monkeypatch)
     plans = []
     build = _SievePlan.__init__
@@ -407,6 +408,7 @@ def test_a_shallow_witness_sieves_one_first_window(monkeypatch):
         assert search_with_count(task) == (DEEP_WITNESS, 100)
         assert windows == [(task.start, task.start + FIRST_WINDOW)], largest
         assert plans[-1].good is None and "wide" not in vars(plans[-1])
+        assert "_grouping" not in vars(plans[-1]) and "_screen" not in vars(plans[-1])
         assert plans[-1].wide
 
 
@@ -834,11 +836,16 @@ def offset_entries(task):
     ]
 
 
+def rest_entries(plan):
+    """The (p, k0) of a plan's other tiers, per prime in its offsets' order."""
+    return [(p, k) for p, ks in zip(plan.rest_p.tolist(), plan.rest_k0.T.tolist()) for k in ks]
+
+
 def plan_entries(plan):
     """The (p, k0) a plan strikes, in a list: its other tiers' entries,
     the classes its ANDed patterns strike, read back per member prime, and
     the classes its gathered primes' tables strike."""
-    entries = list(zip(plan.rest_p.tolist(), plan.rest_k0.tolist()))
+    entries = rest_entries(plan)
     for pattern in plan.patterns:
         # one period of k, from the first of the 8 packed into the bytes
         alive = np.unpackbits(pattern, bitorder="little")[: len(pattern)]
@@ -891,7 +898,7 @@ def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, budget, m
             plan = presieved(plan)
         entries = plan_entries(plan)
         rest = [e for e in every if e[0] not in dense]
-        assert list(zip(plan.rest_p.tolist(), plan.rest_k0.tolist())) == rest
+        assert rest_entries(plan) == rest
         want = sorted({e for e in every if e[0] in dense}) + rest
         assert sorted(entries) == sorted(want)
         assert set(entries) == naive_entries(task)
@@ -902,7 +909,7 @@ def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, budget, m
         with monkeypatch.context() as m:
             m.setattr(search, "GATHER_COST", 2)
             wide = presieved(_SievePlan(task))
-        assert wide.wide and len(wide.rest_p) == len(wide.rest_k0) == 0
+        assert wide.wide and len(wide.rest_p) == wide.rest_k0.size == 0
         entries = plan_entries(wide)
         assert len(entries) == len(set(entries)) and set(entries) == naive_entries(task)
 
@@ -1230,6 +1237,10 @@ TUPLE_17 = TUPLE_12 | {48, 50, 56, 62, 68}
 TUPLE_5 = {0, 2, 6, 8, 12}
 
 
+# a word of mixed bits
+STALE = 0xA5A5A5A5A5A5A5A5
+
+
 class Spy:
     """Stands in for a table and keeps the shape of each read from it."""
 
@@ -1258,9 +1269,13 @@ def sieved(monkeypatch):
     def checked(plan, lo, hi):
         comb.reads.clear()
         gathers.clear()
+        # stale words of mixed bits: a window that leaves any bit of the
+        # buffer unwritten, ANDs into it unfilled, or writes it from the
+        # comb, fails a check below
+        search._words.fill(STALE)
         js, off, n = window(plan, lo, hi), lo % 8, hi - lo
         long = n > PRESIEVE_AFTER
-        tier = ("strided" if long else "comb") if len(plan.rest_p) else ("word-scan" if long else None)
+        tier = ("strided" if long else "comb") if plan.rest_k0.size else ("word-scan" if long else None)
         tiers = {tier, "anded" if plan.patterns else None} - {None} if len(js) else set()
         for spy, first in gathers:
             stages = zip(spy.reads[::2], spy.reads[1::2]) if first else zip(spy.reads)
@@ -1268,11 +1283,15 @@ def sieved(monkeypatch):
                 tiers.add("two-stage" if first else "gathered")
         # the comb gathers every entry once per chunk, at most 1 MiB at a time
         chunks = len(range(-off, n, search._CHUNK))
-        assert sum(rows for rows, _ in comb.reads) == (len(plan.rest_p) if tier == "comb" else 0), (lo, hi)
+        assert sum(rows for rows, _ in comb.reads) == (plan.rest_k0.size if tier == "comb" else 0), (lo, hi)
         assert all(c == chunks and rows * c * search._CHUNK <= 8 << 20 for rows, c in comb.reads), (lo, hi)
-        # the bits of the shared buffer outside [lo, hi) are left clear
-        words = search._words[: -(-(off + n) // 64)]
-        assert int(words[0]) & ((1 << off) - 1) == 0 == int(words[-1]) >> ((off + n - 1) % 64 + 1), (lo, hi)
+        if tier == "comb":
+            # a comb window's bits start from its struck row: it leaves the buffer alone
+            assert (search._words == STALE).all(), (lo, hi)
+        else:
+            # the bits of the shared buffer outside [lo, hi) are left clear
+            words = search._words[: -(-(off + n) // 64)]
+            assert int(words[0]) & ((1 << off) - 1) == 0 == int(words[-1]) >> ((off + n - 1) % 64 + 1), (lo, hi)
         seen.append((plan, lo, hi, js, tiers))
         return js
 
@@ -1435,6 +1454,12 @@ def cases():
         for presieve in (False, True) if offsets == TUPLE_5 else (False,):
             windows = [(b + r, n) for b in (0, 10**9 + 321, (1 << 63) + 4321) for r in range(0, 64, 1 + 8 * presieve) for n in lengths]
             yield Case(f"comb-{len(offsets)}" + "-presieved" * presieve, task, "anded " * presieve + "comb", windows, budget=WIDE, presieved=presieve)
+    # comb windows of more than one gather keeping survivors: 8 offsets that
+    # coincide mod every prime up to 23, so 624 entries
+    # (test_comb_batches_take_more_than_one_gather)
+    task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), tuple(i * math.prod(primes_up_to(23)) for i in range(8))))
+    windows = [(lo + r, n) for lo in (10**9, (1 << 63) + 4321) for r in (0, 5) for n in (14_000, PRESIEVE_AFTER)]
+    yield Case("comb-batches", task, "comb", windows)
     # gathering windows, short and long, of wide plans at a budget of 2**16,
     # below the bytes of their tables: 12-tuples keeping few survivors, and
     # quintuplets hundreds, gathered in two stages at a gather cost of 2; a
@@ -1482,6 +1507,14 @@ GRID = list(cases())
 def test_windows_match_the_definition(case, sieved, monkeypatch):
     monkeypatch.setattr(search, "GATHER_COST", case.cost)
     assert check(case, sieved) == set(case.tiers.split())
+
+
+def test_comb_batches_take_more_than_one_gather():
+    (batches,) = [case for case in GRID if case.id == "comb-batches"]
+    plan = _SievePlan(batches.task)
+    for lo, n in batches.windows:
+        per_gather = (1 << 20) // (search._CHUNK // 8 * len(range(-(lo % 8), n, search._CHUNK)))
+        assert n <= PRESIEVE_AFTER and plan.rest_k0.size > per_gather, (lo, n)
 
 
 @pytest.mark.parametrize("seed", range(48))

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
 from .construction import (
+    MAX_P_LIMIT,
     Config,
     ConstructionState,
     RunResult,
@@ -158,6 +159,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_pair(args: argparse.Namespace) -> int:
+    # a pair is two p-bit masks walked bit by bit, so its time grows as p**2;
+    # no state holds a managed prime above MAX_P_LIMIT
+    if args.p > MAX_P_LIMIT:
+        raise ValueError(f"--p must be at most {MAX_P_LIMIT}")
     if args.random:
         rng = random.Random(args.seed or 0)
         pair, attempts = randomized_extend_with_stats(

@@ -12,14 +12,14 @@ limit.
 A search sieves windows of k that start at FIRST_WINDOW candidates and
 double until they reach LARGEST_WINDOW, the one cap of every search, so a
 witness found early costs about its own depth rather than a largest
-window. A window is measured in the bytes it touches: a wide plan's
-(below) stays packed, 8 candidates to a byte, so its windows after the
-first double from one period of its patterns, `period` bytes (2**19
-candidates by default), to 8 * LARGEST_WINDOW. A window the comb strikes
-(below) starts its packed bits from the comb's struck row, inverted; any
-other window's are one module buffer, grown to the longest window and
-reused, which starts all set. A window's survivors are kept as indices
-and become integers x only as they are certified, up to the witness.
+window. A wide plan's (below) windows after the first run from one period
+of its patterns, `period` bytes (2**19 candidates by default), and double
+to 8 * LARGEST_WINDOW, packed 8 candidates to a byte. A window the comb
+strikes (below) starts its packed bits from the comb's struck row,
+inverted; any other window's are one module buffer, grown to the longest
+window and reused, which starts all set. A window's survivors are kept as
+indices and become integers x only as they are certified, up to the
+witness.
 
 A search sieves with the primes up to its plan limit, min(sieve_limit,
 DEFAULT_SIEVE_LIMIT), all held from its first window. More sieving primes
@@ -32,50 +32,45 @@ sieve_segment returns what a search's sieve keeps.
 
 Prime p strikes k exactly when k = k0 (mod p), k0 = -(t + d) / q mod p,
 one class per offset. Each search builds a plan of these classes, and
-its windows reuse it. The plan has three tiers:
+its windows reuse it. The plan has two tiers:
 
-1. Tabled primes, each with a table of 8 periods, true on the classes it
-   leaves alive. The pre-sieved ones, whose classes cover at least
-   1/PRESIEVE_DENSITY of all k, are packed into groups of product
-   (period) at most PATTERN_PERIOD and an eighth of the task's budget,
-   densest first by the share of k kept, prod(1 - c/p) over primes p of
-   c classes. While the groups before it keep 1/GATHER_COST of all k, a
-   group is ANDed: its pattern is 8 periods packed little-endian into
-   `period` bytes (bit b of byte i for k = 8i + b), its primes' packed
-   tables tiled and ANDed. A window starts on a multiple of 8, so it
-   slices each pattern at a whole byte and ANDs n/8 bytes. The later
-   groups are not built: their primes are gathered, a window testing its
-   few survivors j on their tables at (lo + j) mod p, densest groups
-   first. With more survivors than primes it gathers in two stages: the
-   first thins the survivors that the second then reads, split where the
-   reads are fewest. This tier costs about its patterns' bytes to build,
-   which short windows do not repay: a plan builds it in place at its
-   first window longer than PRESIEVE_AFTER, and until then strikes the
-   pre-sieved primes' classes with the comb.
-2. The comb, in a window of at most PRESIEVE_AFTER candidates: every
-   prime a plan holds has a row of multiples, and the window ORs the rows
-   of all its other entries, per _CHUNK bits from the byte at or below lo,
-   into one struck row, each batch of entries in one gather and OR-reduce
-   of at most 1 MiB, taking lo mod p once per prime.
-3. Strided writes, in a longer window: one per (p, k0) entry.
+1. The comb, in a window of at most PRESIEVE_AFTER candidates before the
+   plan has tables: every prime has a row of multiples, and the window
+   ORs the rows of all its entries, per _CHUNK bits from the byte at or
+   below lo, into one struck row, each batch of entries in one gather and
+   OR-reduce of at most 1 MiB, taking lo mod p once per prime.
+2. Tables. They cost about their patterns' bytes to build, which short
+   windows do not repay, so a plan builds them in place at its first
+   window longer than PRESIEVE_AFTER, and from then on they strike every
+   window alone. Every sieving prime has a table of 8 periods, true on the
+   classes it leaves alive. The primes are packed into groups of product
+   (period) at most PATTERN_PERIOD and an eighth of the task's budget, a
+   prime above that in a group of its own, densest first by the share of
+   k kept, prod(1 - c/p) over primes p of c classes. While the groups
+   before it keep 1/GATHER_COST of all k, a group is ANDed: its pattern
+   is 8 periods packed little-endian into `period` bytes (bit b of byte i
+   for k = 8i + b), its primes' packed tables tiled and ANDed. A window
+   starts on a multiple of 8, so it slices each pattern at a whole byte
+   and ANDs n/8 bytes. The later groups are not built: their primes are
+   gathered, a window testing its few survivors j on their tables at
+   (lo + j) mod p, densest groups first. With more survivors than primes
+   it gathers in two stages: the first thins the survivors that the
+   second then reads, split where the reads are fewest.
 
-A window unpacks its bits once to find its survivors, a longer one
-taking its strided writes on them first; a longer window without entries
-reads the nonzero words instead. That byte path costs every longer
-window a pass over n bytes, whatever its entries. So a plan that gathers
-is wide: every sieving prime is tabled and gathered, and the byte path
-drops out; one that does not gather ANDs all its groups. A search builds
-its task's plan and runs every window on it. It asks whether the plan is
-wide only after the first window, so a search that ends there never
-forms the groups, and a wide plan builds its tables at its second
-window, the first longer than PRESIEVE_AFTER.
+A short window unpacks its bits to find its survivors; a longer one reads
+the nonzero words. A plan that gathers is wide, which picks only its
+window ramp: its windows keep few survivors, so after the first they run
+from one period of its patterns. A search asks whether the plan is wide
+only after the first window, so a search that ends there never forms the
+groups, and a wide plan builds its tables at its second window, the first
+longer than PRESIEVE_AFTER.
 
 Set-up costs a few NumPy passes over the classes, one row per offset, with
 no copy per (prime, offset) entry; q is inverted prime by prime in
 _sieving_primes, once per q and prime in a run. Every sieving prime keeps
 its m classes, one per offset: offsets that coincide mod it strike twice,
-which is harmless. Distinct classes are counted only to weigh the tabled
-primes.
+which is harmless. Distinct classes are counted only to weigh the
+groups.
 
 A zone holds at most 2 * limit / q + 1 candidates per offset, all at the
 bottom of the progression. The tiers strike blindly; afterwards a window
@@ -85,10 +80,10 @@ certification decides them.
 Past a search's first window the plan screens its survivors in one pass
 before they are certified, dropping each with some x + d that a prime p
 in (plan limit, SCREEN_LIMIT] divides, read at (lo + j) mod p from one
-period per prime in one flat table, as the gathered tier reads its
-tables. That is trial division, and it runs only from the first k where
-every |x + d| exceeds SCREEN_LIMIT, so it drops only composites. The
-screen lies outside the sieve: a window's survivors keep their meaning.
+period per prime in one flat table, as a gather reads its tables. That
+is trial division, and it runs only from the first k where every |x + d|
+exceeds SCREEN_LIMIT, so it drops only composites. The screen lies
+outside the sieve: a window's survivors keep their meaning.
 """
 
 from __future__ import annotations
@@ -108,9 +103,8 @@ DEFAULT_SIEVE_LIMIT = 400
 # up to the largest, 2**23 candidates in 1 MB on a wide plan.
 FIRST_WINDOW = 1 << 11
 LARGEST_WINDOW = 1 << 20
-PRESIEVE_DENSITY = 32
-# A plan that is not wide pre-sieves from its first window longer than
-# this; from a sweep (CHANGES.md).
+# A plan builds its tables at its first window longer than this, and the
+# comb strikes the shorter windows before it; from a sweep (CHANGES.md).
 PRESIEVE_AFTER = 1 << 14
 PATTERN_PERIOD = 1 << 16
 # A pattern is ANDed while the denser ones keep at least 1/GATHER_COST of
@@ -199,13 +193,11 @@ def _sieve_entries(task: ConstellationTask) -> np.ndarray:
     return np.column_stack([np.repeat(primes, len(k0)), k0.T.ravel()])
 
 
-def _groups(primes: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.ndarray, list, int]:
-    """Which primes, of counts[i] distinct classes each, are pre-sieved:
-    those up to period whose classes cover at least 1/PRESIEVE_DENSITY of
-    all k; their groups (product, member indices among them ascending); and
-    how many groups are ANDed (module docstring)."""
-    dense = (counts * PRESIEVE_DENSITY >= primes) & (primes <= period)
-    ps, counts = primes[dense].tolist(), counts[dense].tolist()
+def _groups(primes: np.ndarray, counts: np.ndarray, period: int) -> tuple[list, int]:
+    """The groups of the primes, of counts[i] distinct classes each,
+    densest first, as (product, member indices ascending); and how many
+    of them are ANDed (module docstring)."""
+    ps, counts = primes.tolist(), counts.tolist()
     # [product, share of k kept, members], first fit in descending p; no group
     # takes a prime above isqrt(period), nor any once too full for the least p
     groups: list[list] = []
@@ -228,7 +220,7 @@ def _groups(primes: np.ndarray, counts: np.ndarray, period: int) -> tuple[np.nda
     while anded < len(groups) and kept * GATHER_COST >= 1:
         kept *= groups[anded][1]
         anded += 1
-    return dense, [(g[0], g[:1:-1]) for g in groups], anded
+    return [(g[0], g[:1:-1]) for g in groups], anded
 
 
 def _distinct(k0: np.ndarray) -> np.ndarray:
@@ -324,14 +316,12 @@ class _SievePlan:
     """One task's sieve, a function of the task alone, which every window
     of its search or sieve_segment reuses. It holds the sieving primes up
     to its limit, min(sieve_limit, DEFAULT_SIEVE_LIMIT), each with its m
-    classes. A window picks its strike by its length alone: up to
-    PRESIEVE_AFTER candidates the comb strikes every entry still held,
-    pre-sieved primes included until the first longer window builds the
-    tabled tier in place (_presieve), which in a wide plan tables every
-    prime; a longer window strikes the entries left with strided writes.
-    A comb window's bits start from its struck row; any other window's
-    all set, in the module buffer. screen() trial-divides survivors. See
-    the module docstring for the tiers and the screen."""
+    classes, which the comb strikes in every window of up to
+    PRESIEVE_AFTER candidates until the first longer window builds every
+    prime's table in place (_presieve); from then on the tables strike
+    every window. A comb window's bits start from its struck row; any
+    other window's all set, in the module buffer. screen() trial-divides
+    survivors. See the module docstring for the tiers and the screen."""
 
     def __init__(self, task: ConstellationTask):
         self.task = task
@@ -341,10 +331,9 @@ class _SievePlan:
         self.limit = min(task.sieve_limit, DEFAULT_SIEVE_LIMIT)
         # the longest pattern period, short enough for the budget to repeat 8 times
         self.period = min(PATTERN_PERIOD, task.budget // 8)
-        # the other tiers' primes, ascending, and their classes, one row per
-        # offset; until _presieve, every sieving prime
-        self.primes, self.rest_k0 = _hit_classes(task, 2, self.limit)
-        self.rest_p = self.primes
+        # the sieving primes, ascending, and the classes the comb strikes,
+        # one row per offset, until _presieve empties them
+        self.primes, self.classes = _hit_classes(task, 2, self.limit)
         self.patterns, self.good, self.first_stage = [], None, 0
         self.gather_p = self.gather_at = np.empty((0, 1), np.int64)
         # k-ranges where some |x + d| <= limit, the only place a value
@@ -360,34 +349,28 @@ class _SievePlan:
     @cached_property
     def _counts(self) -> np.ndarray:
         """Each sieving prime's distinct classes, read before _presieve."""
-        return _distinct(self.rest_k0.T)
+        return _distinct(self.classes.T)
 
     @cached_property
-    def _grouping(self) -> tuple[np.ndarray, list, int]:
+    def _grouping(self) -> tuple[list, int]:
         """_groups of the sieving primes, formed once."""
         return _groups(self.primes, self._counts, self.period)
 
     @cached_property
     def wide(self) -> bool:
-        """Whether the plan gathers, and so tables every sieving prime
-        (module docstring); first read after a search's first window."""
-        _, groups, anded = self._grouping
+        """Whether the plan gathers, which picks its window ramp (module
+        docstring); first read after a search's first window."""
+        groups, anded = self._grouping
         return anded < len(groups)
 
     def _presieve(self) -> None:
-        """Build the tabled tier (module docstring): the tables, the ANDed
-        patterns and the gathered primes. The tabled primes are the
-        pre-sieved ones and, in a wide plan, every other; their entries
-        leave the other tiers."""
-        pre_sieved, groups, anded = self._grouping
-        tabled = pre_sieved | self.wide
-        ps, classes = self.primes[tabled], self.rest_k0.T[tabled]
-        self.good, at = _tables(ps, classes, 8)
+        """Build the tables (module docstring): every sieving prime's, the
+        ANDed patterns and the gathered primes. The comb's classes go."""
+        groups, anded = self._grouping
+        self.good, at = _tables(self.primes, self.classes.T, 8)
         # packed, prime i's row of p bytes holds k = 8j ... 8j + 7 in byte j
         packed = np.packbits(self.good, bitorder="little")
-        # where the pre-sieved primes lie among the tabled
-        where = np.flatnonzero(pre_sieved[tabled])
-        starts, lengths = (at[where] // 8).tolist(), ps[where].tolist()
+        starts, lengths = (at // 8).tolist(), self.primes.tolist()
         # one allocation, which the next search's plan reuses without page faults
         flat = np.empty(sum(size for size, _ in groups[:anded]), np.uint8)
         self.patterns = []
@@ -395,13 +378,11 @@ class _SievePlan:
             rows = [packed[starts[i] : starts[i] + lengths[i]] for i in members]
             self.patterns.append(_periodic_and(rows, flat[:size]))
             flat = flat[size:]
-        # the gathered primes, densest groups first, then those a wide plan
-        # adds, ascending, tested in two stages
+        # the gathered primes, densest groups first, tested in two stages
         gathered = [i for _, members in groups[anded:] for i in members]
-        gathered = np.concatenate((where[gathered], np.flatnonzero(~pre_sieved[tabled])))
-        self.first_stage = _first_stage(1 - self._counts[tabled][gathered] / ps[gathered])
-        self.gather_p, self.gather_at = ps[gathered, None], at[gathered, None]
-        self.rest_k0, self.rest_p = self.rest_k0[:, ~tabled], self.rest_p[~tabled]
+        self.first_stage = _first_stage(1 - self._counts[gathered] / self.primes[gathered])
+        self.gather_p, self.gather_at = self.primes[gathered, None], at[gathered, None]
+        self.classes = self.classes[:, :0]
 
     @cached_property
     def _screen(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -437,7 +418,7 @@ class _SievePlan:
         if self.good is None and n > PRESIEVE_AFTER:
             self._presieve()
         off = lo % 8
-        if n <= PRESIEVE_AFTER and self.rest_k0.size:
+        if n <= PRESIEVE_AFTER and self.classes.size:
             packed = ~self._comb(lo, off, n).view(np.uint8)[: -(-(off + n) // 8)]
         else:
             words = _packed_words(-(-(off + n) // 64))
@@ -460,13 +441,6 @@ class _SievePlan:
         if n <= PRESIEVE_AFTER:
             # a short window's bits are scanned faster unpacked than by word
             js = np.flatnonzero(np.unpackbits(packed, bitorder="little").view(bool)[off : off + n])
-        elif self.rest_k0.size:
-            alive = np.unpackbits(packed, bitorder="little").view(bool)[off : off + n]
-            # each entry's first hit, k0 - lo mod p, in rows of offsets
-            first = (self.rest_k0 - _residues(lo, self.rest_p)) % self.rest_p
-            for f, p in zip(first.ravel().tolist(), self.rest_p.tolist() * len(first)):
-                alive[f::p] = False
-            js = np.flatnonzero(alive)
         else:
             # the set bits of the nonzero words
             live = np.flatnonzero(words != 0)
@@ -482,10 +456,10 @@ class _SievePlan:
     def _comb(self, lo: int, off: int, n: int) -> np.ndarray:
         """The comb's struck row (module docstring): words of the bits from
         k = lo - off on, set where an entry strikes."""
-        p = self.rest_p[:, None]
+        p = self.primes[:, None]
         chunks = np.arange(-off, n, _CHUNK)
         # from k = lo + c, p's comb from bit (c + lo - k0) mod p; lo mod p once per prime
-        s = (chunks + _residues(lo, p) - self.rest_k0[..., None]) % p
+        s = (chunks + _residues(lo, p) - self.classes[..., None]) % p
         at = (_COMB_ROW_AT[p, s & 7] + (s >> 3)).reshape(-1, len(chunks))
         batch = (1 << 20) // (_CHUNK // 8 * len(chunks))
         for a in range(0, len(at), batch):

@@ -281,6 +281,16 @@ def test_pair_refuses_random_flags_without_random(capsys, flags, named):
     assert captured.err == f"error: {named} needs --random\n"
 
 
+@pytest.mark.parametrize("random_flag", ([], ["--random"]), ids=("explicit", "random"))
+def test_pair_refuses_primes_above_the_largest_managed_one(capsys, random_flag):
+    # a pair's time grows as p**2; no state holds a prime above MAX_P_LIMIT
+    assert main(["pair", "--p", "1031", *random_flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: --p must be at most {MAX_P_LIMIT}\n"
+    assert main(["pair", "--p", "1021", *random_flag]) == 0
+    assert "p = 1021" in capsys.readouterr().out
+
+
 def test_pair_random_defaults(capsys):
     # no core, no reserve and seed 0 when the flags are left out
     assert main(["pair", "--p", "103", "--random"]) == 0

@@ -434,7 +434,7 @@ def test_each_search_builds_one_plan(monkeypatch):
             expected.append(size)
         assert plan.windows == expected, target
         if plan.wide:
-            assert len(plan.gather_p) and len(plan.rest_p) == 0, target
+            assert len(plan.gather_p) and plan.classes.size == 0, target
 
 
 def test_construction_plans_hold_every_prime_and_never_grow(monkeypatch):
@@ -469,8 +469,6 @@ def assert_same_plan(plan, want, target):
         if name == "patterns":
             assert len(got) == len(value), target
             assert all(np.array_equal(a, b) for a, b in zip(got, value)), target
-        elif name == "_grouping":
-            assert np.array_equal(got[0], value[0]) and got[1:] == value[1:], target
         elif name == "_screen":
             assert got[0] == value[0] and all(map(np.array_equal, got[1:], value[1:])), target
         elif isinstance(value, np.ndarray):
@@ -543,26 +541,21 @@ def test_a_search_sieves_what_sieve_segment_keeps(budget, sieved):
 
 
 def test_long_windows_of_the_gathering_steps_leave_the_byte_path(monkeypatch):
-    # a plan that gathers is wide: it has no entries left to strike; one
-    # that ANDs every group keeps them, as gathering behind those ANDs
-    # would read too many survivors. With every group ANDed, as at a gather
-    # cost of 2**62, no plan widens, and only +17 has no such entries, so
-    # widening changes the +-13 plans alone.
-    changed = set()
+    # after its pre-sieve every step plan ANDs or gathers each sieving
+    # prime and keeps no classes for the comb, so its long windows read
+    # words and never unpack their bytes. The +-13 and +17 plans gather and
+    # so are wide; with every group ANDed, as at a gather cost of 2**62, no
+    # plan gathers and none is wide.
     for target, task in step_tasks():
-        plan = search._SievePlan(task)
-        plan._presieve()
-        gathers = len(plan.gather_p) > 0
-        assert gathers == (abs(target) >= 13)
-        assert plan.wide == gathers and (len(plan.rest_p) == 0) == gathers
-        with monkeypatch.context() as m:
-            m.setattr(search, "GATHER_COST", 1 << 62)
-            narrow = search._SievePlan(task)
-            narrow._presieve()
-        assert not narrow.wide
-        if plan.wide and len(narrow.rest_p):
-            changed.add(target)
-    assert changed == {13, -13}
+        for cost, gathers in ((search.GATHER_COST, abs(target) >= 13), (1 << 62, False)):
+            with monkeypatch.context() as m:
+                m.setattr(search, "GATHER_COST", cost)
+                plan = search._SievePlan(task)
+                plan._presieve()
+            groups, anded = plan._grouping
+            assert sum(len(members) for _, members in groups[:anded]) + len(plan.gather_p) == len(plan.primes)
+            assert plan.classes.size == 0 and len(plan.patterns) == anded, target
+            assert plan.wide == gathers == (len(plan.gather_p) > 0), target
 
 
 def test_difference_table_ordering():

@@ -4,9 +4,10 @@ The naive oracle walks the residue class one candidate at a time and
 trial-divides every shifted value; the production path must return the
 same witness or the same exhaustion.
 
-One window grid, test_windows_match_the_definition, checks every sieve
-tier (comb, strided writes, ANDed patterns, gathers in one stage or two,
-word scan) against one vectorised definition of the sieve, `definition`:
+One window grid, test_windows_match_the_definition, checks both sieve
+tiers (the comb; the tables: ANDed patterns and gathers in one stage or
+two) and both scans (unpacked bits, nonzero words) against one vectorised
+definition of the sieve, `definition`:
 each case is a plan and the windows, segments and search it sieves, and
 test_random_windows_match_the_definition draws more over the same axes.
 `pytest -k definition` runs them alone.
@@ -34,7 +35,6 @@ from sdpc.search import (
     GATHER_COST,
     PATTERN_PERIOD,
     PRESIEVE_AFTER,
-    PRESIEVE_DENSITY,
     SCREEN_LIMIT,
     ConstellationTask,
     _hit_classes,
@@ -534,8 +534,8 @@ def test_a_wide_plan_sieves_windows_8_times_as_long(monkeypatch):
 
 def test_wide_witnesses_around_each_growth_end_match_the_byte_path(monkeypatch):
     # the witness and depth just before, on and just after each end of a
-    # growing wide window, against the byte path of the plan with every
-    # group ANDed, as at a gather cost of 2**62, which gathers nothing
+    # growing wide window, against the narrow plan with every group ANDed,
+    # as at a gather cost of 2**62, which gathers nothing
     def search_both(task):
         got = [search_with_count(task)]
         with monkeypatch.context() as m:
@@ -631,7 +631,7 @@ def admissible_task(rng, primes_of_q, offsets, limit):
 
 
 def presieved(plan):
-    """The plan with its tabled tier built, as its first window longer than
+    """The plan with its tables built, as its first window longer than
     PRESIEVE_AFTER builds it."""
     if plan.good is None:
         plan._presieve()
@@ -645,7 +645,7 @@ def presieved(plan):
 WINDOW = 2048
 TIER_LIMITS = (
     2, 10, 11, 63, 65,
-    PRESIEVE_DENSITY * 3, WINDOW // 8 + 1, 1000, DEFAULT_SIEVE_LIMIT,
+    96, WINDOW // 8 + 1, 1000, DEFAULT_SIEVE_LIMIT,
 )
 
 
@@ -836,16 +836,16 @@ def offset_entries(task):
     ]
 
 
-def rest_entries(plan):
-    """The (p, k0) of a plan's other tiers, per prime in its offsets' order."""
-    return [(p, k) for p, ks in zip(plan.rest_p.tolist(), plan.rest_k0.T.tolist()) for k in ks]
+def comb_entries(plan):
+    """The (p, k0) the comb strikes, per prime in its offsets' order."""
+    return [(p, k) for p, ks in zip(plan.primes.tolist(), plan.classes.T.tolist()) for k in ks]
 
 
 def plan_entries(plan):
-    """The (p, k0) a plan strikes, in a list: its other tiers' entries,
-    the classes its ANDed patterns strike, read back per member prime, and
-    the classes its gathered primes' tables strike."""
-    entries = rest_entries(plan)
+    """The (p, k0) a plan strikes, in a list: its comb's entries, the
+    classes its ANDed patterns strike, read back per member prime, and the
+    classes its gathered primes' tables strike."""
+    entries = comb_entries(plan)
     for pattern in plan.patterns:
         # one period of k, from the first of the 8 packed into the bytes
         alive = np.unpackbits(pattern, bitorder="little")[: len(pattern)]
@@ -862,11 +862,11 @@ def plan_entries(plan):
 
 
 @pytest.mark.parametrize("offsets", (
-    {0, 2, 6, 12, 14},  # spread 14, below the pre-sieve bound
-    {0, 210, 19594},  # coincide mod 2, 3, 5, 7 and 97 * 101, spread above it
+    {0, 2, 6, 12, 14},  # spread 14
+    {0, 210, 19594},  # coincide mod 2, 3, 5, 7 and 97 * 101, spread 19,594
     {-9, 21, 51, 81},  # coincide mod 2, 3 and 5
     {0, HUGE, -HUGE},  # coincide mod every prime dividing HUGE
-    {0, 6, 210, 19594},  # coincide mod 97 and 101, head primes too sparse to pre-sieve
+    {0, 6, 210, 19594},  # coincide mod 97 and 101
 ))
 @pytest.mark.parametrize("budget", (2048, 1 << 16))
 def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, budget, monkeypatch):
@@ -883,35 +883,18 @@ def test_plan_entries_are_the_classes_per_offset_until_tabled(offsets, budget, m
         assert plan.good is None and not plan.patterns and not len(plan.gather_p)
         entries = plan_entries(plan)
         assert entries == every and set(entries) == naive_entries(task)
-        # the pre-sieved primes: those whose distinct classes cover at least
-        # 1/PRESIEVE_DENSITY of all k and that fit a pattern period
-        period = min(PATTERN_PERIOD, budget // 8)
-        counts = {}
-        for p, _ in naive_entries(task):
-            counts[p] = counts.get(p, 0) + 1
-        dense = {p for p, c in counts.items() if c * PRESIEVE_DENSITY >= p and p <= period}
-        # after it, in a plan that gathers nothing, as at a gather cost of
-        # 2**62, each tabled prime strikes its distinct classes, and every
-        # other prime still its classes per offset
-        with monkeypatch.context() as m:
-            m.setattr(search, "GATHER_COST", 1 << 62)
-            plan = presieved(plan)
-        entries = plan_entries(plan)
-        rest = [e for e in every if e[0] not in dense]
-        assert rest_entries(plan) == rest
-        want = sorted({e for e in every if e[0] in dense}) + rest
-        assert sorted(entries) == sorted(want)
-        assert set(entries) == naive_entries(task)
-        assert {p for p, _ in entries} - set(plan.rest_p.tolist()) == dense
-        # narrow, as it gathers nothing; wide at a gather cost of 2, which
-        # gathers: every prime tabled
-        assert not plan.wide
-        with monkeypatch.context() as m:
-            m.setattr(search, "GATHER_COST", 2)
-            wide = presieved(_SievePlan(task))
-        assert wide.wide and len(wide.rest_p) == wide.rest_k0.size == 0
-        entries = plan_entries(wide)
-        assert len(entries) == len(set(entries)) and set(entries) == naive_entries(task)
+        # after it the comb has no entries, and each prime strikes its
+        # distinct classes once: from patterns alone in a plan that gathers
+        # nothing, as at a gather cost of 2**62, and so is narrow; from
+        # patterns and gathered tables at a gather cost of 2, which is wide
+        for cost, wide in ((1 << 62, False), (2, True)):
+            with monkeypatch.context() as m:
+                m.setattr(search, "GATHER_COST", cost)
+                tabled = presieved(_SievePlan(task))
+            assert tabled.wide == wide and tabled.classes.size == 0 and not comb_entries(tabled)
+            assert bool(len(tabled.gather_p)) == wide
+            entries = plan_entries(tabled)
+            assert sorted(entries) == sorted(set(every)) and set(entries) == naive_entries(task)
 
 
 # ---------------------------------------------------------------------------
@@ -940,11 +923,11 @@ def test_a_plan_at_any_limit_equals_one_built_at_the_cap(limit, gather_cost, mon
         period = min(PATTERN_PERIOD, budget // 8)
         ps = np.array([p for p in primes_up_to(DEFAULT_SIEVE_LIMIT) if q % p])
         counts = np.array([len({(t + d) % p for d in task.system.offsets}) for p in ps.tolist()])
-        _, groups, anded = search._groups(ps, counts, period)
+        groups, anded = search._groups(ps, counts, period)
         assert plan.wide == capped.wide == (anded < len(groups))
         assert plan.limit == capped.limit == DEFAULT_SIEVE_LIMIT and plan.primes.tolist() == ps.tolist()
         for _ in ("before", "after"):  # the pre-sieve
-            for name in ("primes", "rest_p", "rest_k0", "gather_p", "gather_at"):
+            for name in ("primes", "classes", "gather_p", "gather_at"):
                 got, want = getattr(plan, name), getattr(capped, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (budget, name)
             plan, capped = presieved(plan), presieved(capped)
@@ -1038,9 +1021,9 @@ def test_plans_at_budgets_below_their_tables_bytes(budget, sieved):
     # at budgets below the bytes of a plan's tables, 8 per unit of p
     # (110,960 for step 9), a plan that gathers is wide all the same: its
     # search pre-sieves at its second window, one period of its patterns,
-    # which keeps no entry for the other tiers, reads words and gathers. The
-    # -11 plan gathers nothing: it ANDs every group and strikes its other
-    # primes with strided writes. Each search keeps its witness and depth.
+    # which keeps no entry for the comb, reads words and gathers. The -11
+    # plan gathers nothing: it ANDs every group, every prime's among them,
+    # and reads words. Each search keeps its witness and depth.
     for task, want in (
         (step_9_task(budget), (None, budget)),
         (quintuplet_task(20000, budget), (DEEP_WITNESS, 20000)),
@@ -1050,16 +1033,16 @@ def test_plans_at_budgets_below_their_tables_bytes(budget, sieved):
         windows = sieved[start:]
         plan = windows[0][0]
         assert [hi - lo for _, lo, hi, *_ in windows] == [FIRST_WINDOW, budget - FIRST_WINDOW]
-        assert plan.wide and len(plan.gather_p) and not len(plan.rest_p)
+        assert plan.wide and len(plan.gather_p) and not plan.classes.size
         if want[0]:  # the quintuplet's second window keeps survivors
             assert "word-scan" in windows[1][-1] and windows[1][-1] & {"gathered", "two-stage"}
     task = ConstellationTask(MINUS_11, start=MINUS_11_WITNESS - (30720 - 1) * 210, budget=budget)
     plan = presieved(_SievePlan(task))
-    _, groups, anded = plan._grouping
-    assert not plan.wide and anded == len(groups) and not len(plan.gather_p) and len(plan.rest_p)
+    groups, anded = plan._grouping
+    assert not plan.wide and anded == len(groups) and not len(plan.gather_p) and not plan.classes.size
     lo, hi = 10**9 + 7, 10**9 + 8 + PRESIEVE_AFTER
     assert np.array_equal(plan.window(lo, hi), definition(task, lo, hi, plan.limit))
-    assert sieved[-1][-1] == {"anded", "strided"}
+    assert sieved[-1][-1] == {"anded", "word-scan"}
     assert search_with_count(task) == (MINUS_11_WITNESS, 30720)
 
 
@@ -1255,9 +1238,10 @@ class Spy:
 @pytest.fixture
 def sieved(monkeypatch):
     """(plan, lo, hi, survivors, tiers) of each window sieved from now on,
-    checked for what every window keeps. Its tiers: comb, strided, anded or
-    word-scan where that struck it and it kept survivors; gathered, or
-    two-stage, where a gather read survivors in its stage, or in both."""
+    checked for what every window keeps. Its tiers: comb, anded or
+    word-scan where that struck or scanned it and it kept survivors;
+    gathered, or two-stage, where a gather read survivors in its stage, or
+    in both."""
     seen, gathers, comb = [], [], Spy(search._COMB_ROWS)
     sift, window = search._sift, _SievePlan.window
 
@@ -1275,7 +1259,7 @@ def sieved(monkeypatch):
         search._words.fill(STALE)
         js, off, n = window(plan, lo, hi), lo % 8, hi - lo
         long = n > PRESIEVE_AFTER
-        tier = ("strided" if long else "comb") if plan.rest_k0.size else ("word-scan" if long else None)
+        tier = "word-scan" if long else "comb" if plan.classes.size else None
         tiers = {tier, "anded" if plan.patterns else None} - {None} if len(js) else set()
         for spy, first in gathers:
             stages = zip(spy.reads[::2], spy.reads[1::2]) if first else zip(spy.reads)
@@ -1283,7 +1267,7 @@ def sieved(monkeypatch):
                 tiers.add("two-stage" if first else "gathered")
         # the comb gathers every entry once per chunk, at most 1 MiB at a time
         chunks = len(range(-off, n, search._CHUNK))
-        assert sum(rows for rows, _ in comb.reads) == (plan.rest_k0.size if tier == "comb" else 0), (lo, hi)
+        assert sum(rows for rows, _ in comb.reads) == (plan.classes.size if tier == "comb" else 0), (lo, hi)
         assert all(c == chunks and rows * c * search._CHUNK <= 8 << 20 for rows, c in comb.reads), (lo, hi)
         if tier == "comb":
             # a comb window's bits start from its struck row: it leaves the buffer alone
@@ -1377,7 +1361,7 @@ def cases():
     k = 0 in a zone, near 2**63 and past 2**64."""
     # segments from k = 0, where |x + d| runs through the sieving primes (in
     # zone-*, t is any class mod q); split anywhere; above 2**63, by q = 53#
-    # or by offsets, near x + d = -p; and a long one, struck by strided writes
+    # or by offsets, near x + d = -p; and a long one, which tables every prime
     for limit in TIER_LIMITS:
         rng = random.Random(limit)
         for i in range(5):
@@ -1392,11 +1376,11 @@ def cases():
         task = ConstellationTask(TupleSystem(crt, offsets), sieve_limit=limit)
         yield segment_case(f"zone-{i}", task, (0, (limit + 40) // q + 2))
     rng = random.Random(2718)
-    for limit in (50, PRESIEVE_DENSITY * 6, 4296):
+    for limit in (50, 192, 4296):
         task = admissible_task(rng, (2, 3), {0, 2, 6, 12, 14}, limit)
         cuts = [0, *sorted(rng.sample(range(1, 3000), 7)), 3000]
         yield segment_case(f"split-{limit}", task, (0, 3000), *((a, b - a) for a, b in zip(cuts, cuts[1:])))
-    for limit in (13, PRESIEVE_DENSITY * 6, 4296):
+    for limit in (13, 192, 4296):
         rng = random.Random(limit + 1)
         task = admissible_task(rng, tuple(primes_up_to(53)), {0, 2, 6, 8}, limit)
         yield segment_case(f"big-q-{limit}", task, (rng.randrange(1 << 70), 300))
@@ -1406,18 +1390,26 @@ def cases():
     for limit in (DEFAULT_SIEVE_LIMIT, 1000):
         rng = random.Random(limit + 2)
         task = admissible_task(rng, (2, 3), {0, 2, 6}, limit)
-        yield Case(f"long-{limit}", task, "anded strided", segments=[(rng.randrange(10**6, 10**7), 1 << 15)])
+        yield Case(f"long-{limit}", task, "anded word-scan", segments=[(rng.randrange(10**6, 10**7), 1 << 15)])
+    # long segments of the quintuplet at a budget of 2**11, whose pattern
+    # period, 256, leaves each prime above it a group of its own: ANDed, and
+    # at a gather cost of 2 gathered
+    for cost, tiers in ((GATHER_COST, "anded word-scan"), (2, "anded two-stage word-scan")):
+        rng = random.Random(cost)
+        task = admissible_task(rng, (2, 3), TUPLE_5, DEFAULT_SIEVE_LIMIT)
+        segments = [(rng.randrange(10**9), 1 << 15), ((1 << 63) + rng.randrange(10**9), PRESIEVE_AFTER + 1)]
+        yield Case(f"above-period-{cost}", task, tiers, segments=segments, budget=1 << 11, cost=cost)
     # short windows inside a pattern's period and across the end of one; and
     # on both sides of the pre-sieve from k = 0, in the zones of the plan's
     # limit and the task's, and at random, with sieve_segment on them and on
     # the pre-sieving window's pieces (a system that is not admissible, whose
     # windows would keep no survivor, or a plan that would be wide is redrawn)
     rng = random.Random(1618)
-    for limit in (PRESIEVE_DENSITY * 6, 1000):
+    for limit in (192, 1000):
         task = admissible_task(rng, (2, 3), {0, 2, 6, 12, 14}, limit)
         period = longest_period(task, 1 << 16, GATHER_COST)
         windows = [(rng.randrange(3 * period), rng.choice((1, 37, 1000))) for _ in range(6)]
-        yield Case(f"long-plan-{limit}", task, "anded comb", windows + [(2 * period - 10, 10), (2 * period - 9, 10)], presieved=True)
+        yield Case(f"long-plan-{limit}", task, "anded", windows + [(2 * period - 10, 10), (2 * period - 9, 10)], presieved=True)
     for limit in (100, 1000, 10_000, 100_000):
         rng = random.Random(limit + 5)
         for i in range(3):
@@ -1429,15 +1421,13 @@ def cases():
             short = [(lo, 40) for lo in [0, min(limit, DEFAULT_SIEVE_LIMIT) // (2 * q), limit // (2 * q)] + far]
             lo, n = rng.choice(far), PRESIEVE_AFTER + 1
             pieces = [(a, min(4096, lo + n - a)) for a in range(lo, lo + n, 4096)]
-            yield Case(f"presieve-{limit}-{i}", task, "anded comb strided", short + [(lo, n)] + short, short + pieces)
+            yield Case(f"presieve-{limit}-{i}", task, "anded comb word-scan", short + [(lo, n)] + short, short + pieces)
     # every lo mod 64 and lengths up to 130, across the end of a pattern's
-    # bytes, from k = 0 and above 2**63, and a long window there: limit 31
-    # pre-sieves every prime, 1000 combs the others; a gather cost of 2
-    # gathers all groups but the densest, and a plan that gathers is wide
+    # bytes, from k = 0 and above 2**63, and a long window there, at limits
+    # 31 and 1000: a gather cost of 2 gathers all groups but the densest
     for (limit, cost, budget), tiers in zip(product((31, 1000), (GATHER_COST, 2), (1 << 16, WIDE)), (
         "anded word-scan", "anded word-scan", "anded gathered two-stage word-scan", "anded gathered two-stage word-scan",
-        "anded comb strided", "anded comb strided", "anded gathered two-stage word-scan", "anded gathered two-stage word-scan",
-    )):
+    ) * 2):
         task = ConstellationTask(TupleSystem(CrtClass(1, 0, ()), (0,)), sieve_limit=limit)
         crossing = 40 * longest_period(task, budget, cost) - 70
         windows = [(crossing + r, n) for r in range(64) for n in range(1 + r % 4, 131, 4)]
@@ -1445,15 +1435,15 @@ def cases():
         windows += [((1 << 63) + 4321, (1 << 15) - 1)]
         yield Case(f"bit-offsets-{limit}-{cost}-{budget}", task, tiers, windows, budget=budget, cost=cost, presieved=True)
     # comb windows of up to 7 chunks at every lo mod 64, the offsets of each
-    # system coinciding mod a prime of the comb (2 and 3; 11 and 13); the
-    # quintuplet's plan, not wide, combs its sparse primes past its pre-sieve
+    # system coinciding mod a prime of the comb (2 and 3; 11 and 13); and the
+    # quintuplet's plan past its pre-sieve, which leaves the comb nothing
     lengths = (FIRST_WINDOW - 1, FIRST_WINDOW, FIRST_WINDOW + 1, 2 * FIRST_WINDOW + 7)
     lengths += tuple(c * search._CHUNK - 3 for c in (3, 5, 7))
     for primes_of_q, offsets in (((5, 7), TUPLE_5), ((2, 3, 5, 7), TUPLE_12), ((2, 3, 5, 7), TUPLE_17)):
         task = admissible_task(random.Random(len(offsets)), primes_of_q, offsets, 600 if offsets == TUPLE_17 else 200)
         for presieve in (False, True) if offsets == TUPLE_5 else (False,):
             windows = [(b + r, n) for b in (0, 10**9 + 321, (1 << 63) + 4321) for r in range(0, 64, 1 + 8 * presieve) for n in lengths]
-            yield Case(f"comb-{len(offsets)}" + "-presieved" * presieve, task, "anded " * presieve + "comb", windows, budget=WIDE, presieved=presieve)
+            yield Case(f"comb-{len(offsets)}" + "-presieved" * presieve, task, "anded" if presieve else "comb", windows, budget=WIDE, presieved=presieve)
     # comb windows of more than one gather keeping survivors: 8 offsets that
     # coincide mod every prime up to 23, so 624 entries
     # (test_comb_batches_take_more_than_one_gather)
@@ -1514,7 +1504,7 @@ def test_comb_batches_take_more_than_one_gather():
     plan = _SievePlan(batches.task)
     for lo, n in batches.windows:
         per_gather = (1 << 20) // (search._CHUNK // 8 * len(range(-(lo % 8), n, search._CHUNK)))
-        assert n <= PRESIEVE_AFTER and plan.rest_k0.size > per_gather, (lo, n)
+        assert n <= PRESIEVE_AFTER and plan.classes.size > per_gather, (lo, n)
 
 
 @pytest.mark.parametrize("seed", range(48))
@@ -1532,15 +1522,17 @@ def test_random_windows_match_the_definition(seed, sieved, monkeypatch):
     check(Case(f"fuzz-{seed}", task, "", windows, [(lo, min(n, 700)) for lo, n in windows[::3]], budget, presieved=presieve), sieved)
 
 
-@pytest.mark.parametrize("name", ("step-9", "every-tier-12-700", "two-stage-1048576", "long-plan-1000"))
+NARROW = ("long-plan-1000", f"above-period-{GATHER_COST}")
+
+
+@pytest.mark.parametrize("name", ("step-9", "every-tier-12-700", "two-stage-1048576", "above-period-2") + NARROW)
 def test_the_tabled_tier_matches_its_definition(name, monkeypatch):
-    # the step-9 plan, wide, and three grid plans, all but the last wide,
-    # after _presieve: each ANDed pattern is the AND of its members' packed
+    # the step-9 plan, wide, and grid plans, wide but for NARROW, after
+    # _presieve: each ANDed pattern is the AND of its members' packed
     # 8-period tables, each tiled to its length; the ANDed and gathered
-    # primes are the tabled ones, whose entries left the other tiers, and
-    # none is both; a plan gathers exactly when it is wide, and then tables
-    # every prime; and the first stage is _first_stage of the gathered
-    # primes' kept shares
+    # primes are every sieving prime, and none is both; the comb has no
+    # entries left; a plan gathers exactly when it is wide; and the first
+    # stage is _first_stage of the gathered primes' kept shares
     case = next((case for case in GRID if case.id == name), Case(name, step_9_task(), "", budget=WIDE))
     monkeypatch.setattr(search, "GATHER_COST", case.cost)
     plan = presieved(_SievePlan(replace(case.task, budget=case.budget)))
@@ -1550,18 +1542,17 @@ def test_the_tabled_tier_matches_its_definition(name, monkeypatch):
         table = [all((t + k * q + d) % p for d in offsets) for k in range(8 * p)]
         return np.packbits(table, bitorder="little")
 
-    dense, groups, anded = plan._grouping
-    pre_sieved = plan.primes[dense].tolist()
-    members = [[pre_sieved[i] for i in group] for _, group in groups[:anded]]
+    groups, anded = plan._grouping
+    primes = plan.primes.tolist()
+    members = [[primes[i] for i in group] for _, group in groups[:anded]]
     assert len(plan.patterns) == len(members) > 0
     for pattern, ps in zip(plan.patterns, members):
         assert math.prod(ps) == len(pattern), ps
         want = np.bitwise_and.reduce([np.tile(packed(p), len(pattern) // p) for p in ps])
         assert np.array_equal(pattern, want), ps
     anded_p, gathered = [p for ps in members for p in ps], plan.gather_p[:, 0].tolist()
-    tabled = sorted(set(plan.primes.tolist()) - set(plan.rest_p.tolist()))
-    assert sorted(anded_p + gathered) == tabled and not set(anded_p) & set(gathered)
-    assert plan.wide == bool(gathered) == (name != "long-plan-1000")
-    assert tabled == plan.primes.tolist() or not plan.wide
+    assert sorted(anded_p + gathered) == primes and not set(anded_p) & set(gathered)
+    assert plan.classes.size == 0
+    assert plan.wide == bool(gathered) == (name not in NARROW)
     keep = [1 - len({(t + d) % p for d in offsets}) / p for p in gathered]
     assert plan.first_stage == search._first_stage(np.array(keep))

@@ -13,6 +13,7 @@ import argparse
 import random
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .admissible import InadmissibleSystemError, TupleSystem, is_admissible
@@ -208,12 +209,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     from .search import ConstellationTask, search_with_count
 
     system = _build_system(args.q, args.t, _int_list(args.offsets), args.q_factors and _int_list(args.q_factors))
-    task = ConstellationTask(
-        system,
-        start=args.start,
-        budget=args.budget,
-        sieve_limit=args.sieve_limit,
-    )
+    task = ConstellationTask(system, start=args.start, budget=args.budget)
     x, examined = search_with_count(task)
     if x is None:
         print(f"exhausted after {examined} candidates", file=sys.stderr)
@@ -283,41 +279,30 @@ def _add_flags(sub: argparse.ArgumentParser, command: str) -> None:
         sub.add_argument("--offsets", required=True, help="comma separated offsets")
         sub.add_argument("--q-factors", help="comma separated prime factors of q")
     if command == "search":
-        from .search import DEFAULT_SIEVE_LIMIT
-
         sub.add_argument("--start", type=int, default=0)
         sub.add_argument("--budget", type=int, default=10**8)
-        sub.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=DEFAULT_SIEVE_LIMIT,
-                         help=f"largest sieving prime; a search sieves with those up to {DEFAULT_SIEVE_LIMIT} at most")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The sdpc parser with every subcommand, or with only `command`, as
-    one invocation parses only one: a subcommand's flags, help and errors
-    are the same in both."""
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The sdpc parser, built at its first call and reused after it:
+    argparse reads the terminal width whenever it formats help or an
+    error, so a reused parser prints what a new one would."""
     parser = argparse.ArgumentParser(
         prog="sdpc",
         description="construct set pairs whose differences are distinct signed primes",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler) in _COMMANDS.items():
-        if command in (None, name):
-            sub = subs.add_parser(name, help=help_text)
-            sub.set_defaults(func=handler)
-            _add_flags(sub, name)
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(func=handler)
+        _add_flags(sub, name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = rest = None
-        if argv and argv[0] in _COMMANDS:
-            args, rest = build_parser(argv[0]).parse_known_args(argv)
-        if args is None or rest:
-            # help before the command, no command, an unknown one or a
-            # word left over: the whole parser's usage names every command
-            args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a malformed request, after printing its
         # usage message; here 2 means a negative outcome (--help exits 0)

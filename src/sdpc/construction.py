@@ -528,8 +528,9 @@ def run(
     (a by-product of an earlier witness) is recorded as a free step,
     anything else is planned, searched and applied. The state is verified
     in full before the first turn, where a failure raises ValueError, and
-    after every turn; budget exhaustion stops the loop and hands back the
-    last good state, flagged via `completed` and `diagnostic`.
+    after every turn; budget exhaustion or an inadmissible plan stops the
+    loop and hands back the last good state, flagged via `completed` and
+    `diagnostic`.
     """
     if target < 0:
         raise ValueError("target must be nonnegative")
@@ -553,7 +554,12 @@ def run(
             from .search import ConstellationTask
 
             started = perf_counter()
-            plan = plan_step(state, r)
+            try:
+                plan = plan_step(state, r)
+            except InadmissibleSystemError as exc:
+                completed = False
+                diagnostic = f"target {r} has an inadmissible plan: {exc.obstruction.describe()}"
+                break
             task = ConstellationTask(
                 TupleSystem(plan.crt, plan.offsets), start=plan.min_x, budget=cfg.budget
             )

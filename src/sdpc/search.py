@@ -72,9 +72,10 @@ its m classes, one per offset: offsets that coincide mod it strike twice,
 which is harmless. Distinct classes are counted only to weigh the
 groups.
 
-A zone holds at most 2 * limit / q + 1 candidates per offset, all at the
-bottom of the progression. The tiers strike blindly; afterwards a window
-over a zone adds its zone k to the survivors, struck or not, and
+A zone holds at most 2 * limit / q + 1 candidates per offset d, those
+with |x + d| at most the plan limit: at the bottom of the progression for
+d >= 0, around x = -d for d < 0. The tiers strike blindly; afterwards a
+window over a zone adds its zone k to the survivors, struck or not, and
 certification decides them.
 
 Past a search's first window the plan screens its survivors in one pass

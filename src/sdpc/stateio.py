@@ -206,7 +206,11 @@ def dumps_state(state: ConstructionState) -> str:
 
 
 def loads_state(text: str) -> ConstructionState:
-    return doc_to_state(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("state file is nested too deeply") from None
+    return doc_to_state(doc)
 
 
 def save_state(state: ConstructionState, path: str | Path) -> None:

@@ -97,6 +97,17 @@ def test_run_exhaustion_reports_and_saves_partial_state(tmp_path, capsys):
     assert load_state(state).n == 2
 
 
+def test_run_saves_its_finished_steps_before_an_inadmissible_plan(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    code = main(["run", "--target", "12", "--p-limit", "5", "--state", str(state)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "step 7: target 13 witness 68829667" in captured.out
+    assert "inadmissible plan: offsets form a complete residue system mod 7" in captured.err
+    assert main(["verify", "--state", str(state)]) == 0
+    assert "coverage 7," in capsys.readouterr().out
+
+
 def test_run_exhausted_step_is_not_reported_free(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(["run", "--target", "4", "--budget", "5", "--json-report", str(report_path)])
@@ -147,7 +158,7 @@ def test_verify_detects_a_doctored_state(tmp_path, capsys):
 @pytest.mark.parametrize("damage", (
     "drop pairs", "string n", "fractional element", "reversed a", "stale config field",
     "repeated pair", "repeated ledger row", "version 3", "pair above p_limit",
-    "negative reserve", "p_limit above its bound",
+    "negative reserve", "p_limit above its bound", "deep nesting",
 ))
 def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage):
     state = tmp_path / "state.json"
@@ -182,9 +193,11 @@ def test_verify_refuses_a_malformed_state_with_exit_one(tmp_path, capsys, damage
         next(e for e in doc["pairs"] if e["p"] == 5)["reserved"] = [-3]
     elif damage == "repeated ledger row":
         doc["represented"].append(dict(next(r for r in doc["represented"] if r["r"] == "5")))
+    elif damage == "deep nesting":
+        doc = "[" * 200_000  # deeper than the JSON decoder recurses
     else:
         doc["a"][1] = 11.5
-    state.write_text(json.dumps(doc))
+    state.write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
     code = main(["verify", "--state", str(state)])
     err = capsys.readouterr().err
@@ -332,11 +345,14 @@ def test_bad_requests_exit_one(tmp_path, capsys):
      "unrecognized arguments: --pp-rounds"),
     (["pair", "--p", "7", "--explicit"], "unrecognized arguments: --explicit"),
     (["run", "--target", "3", "--sieve-limit", "400"], "unrecognized arguments: --sieve-limit"),
+    (["search", "--q", "30", "--t", "25", "--offsets=-18,-8,-6", "--sieve-limit", "400"],
+     "unrecognized arguments: --sieve-limit"),
     (["run", "--target", "3", "--segment-size", "1024"], "unrecognized arguments: --segment-size"),
     (["search", "--q", "30", "--t", "25", "--offsets=-18,-8,-6", "--segment-size", "1024"],
      "unrecognized arguments: --segment-size"),
 ), ids=("unknown-flag", "bad-int", "missing-flag", "bad-choice", "run-pp-rounds", "search-pp-rounds",
-        "pair-explicit", "run-sieve-limit", "run-segment-size", "search-segment-size"))
+        "pair-explicit", "run-sieve-limit", "search-sieve-limit", "run-segment-size",
+        "search-segment-size"))
 def test_usage_errors_exit_one(capsys, argv, message):
     # 2 is kept for negative outcomes, so a malformed request is not
     # mistaken for an exhausted budget
@@ -345,18 +361,24 @@ def test_usage_errors_exit_one(capsys, argv, message):
     assert err.startswith("usage: sdpc") and message in err
 
 
+def _exit_code(argv: list[str]) -> int:
+    # main's code for argv, or the one that --help exits with
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("command", ("", "run", "verify", "pair", "admissible", "search", "export"))
 def test_help_is_the_text_of_the_parser_with_every_flag(monkeypatch, capsys, command):
-    # main builds only the named subcommand's flags; its help must not
-    # show it, so it is the text of the parser built whole
+    # main's parser is built once per process; its help is the text of a
+    # parser built anew
     monkeypatch.setenv("COLUMNS", "80")
     argv = [command, "--help"] if command else ["--help"]
     with pytest.raises(SystemExit) as whole:
-        build_parser().parse_args(argv)
+        build_parser.__wrapped__().parse_args(argv)
     expected = capsys.readouterr().out
-    with pytest.raises(SystemExit) as lazy:
-        main(argv)
-    assert lazy.value.code == whole.value.code == 0
+    assert _exit_code(argv) == whole.value.code == 0
     assert capsys.readouterr().out == expected
 
 
@@ -387,21 +409,20 @@ def test_report_and_export_are_written_as_json_dumps_writes_them(tmp_path, capsy
     ["search", "--q", "30"], ["export", "--state", "s.json", "--format", "xml"],
 ), ids=lambda argv: " ".join(argv) or "no-args")
 def test_main_parses_as_the_whole_parser(monkeypatch, capsys, argv, columns):
-    # main parses a named command with that command's parser alone; its
-    # help and usage errors must be the whole parser's, at any width
+    # main reuses one parser, here first at another width; its help and
+    # usage errors must be those of a parser built anew at this one
+    monkeypatch.setenv("COLUMNS", "41")
+    _exit_code(argv)
+    capsys.readouterr()
     monkeypatch.setenv("COLUMNS", columns)
     with pytest.raises(SystemExit) as whole:
-        build_parser().parse_args(argv)
+        build_parser.__wrapped__().parse_args(argv)
     expected = capsys.readouterr()
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == (1 if whole.value.code == 2 else whole.value.code)
+    assert _exit_code(argv) == (1 if whole.value.code == 2 else whole.value.code)
     assert capsys.readouterr() == expected
 
 
-def test_main_builds_the_whole_parser_only_for_an_error(monkeypatch, tmp_path, capsys):
+def test_main_builds_the_parser_once_per_process(monkeypatch, tmp_path, capsys):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -410,14 +431,13 @@ def test_main_builds_the_whole_parser_only_for_an_error(monkeypatch, tmp_path, c
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    build_parser.cache_clear()
     state = tmp_path / "state.json"
     assert main(["run", "--target", "3", "--p-limit", "5", "--state", str(state)]) == 0
     assert main(["verify", "--state", str(state)]) == 0
-    assert built == ["run", "verify"]
-    built.clear()
     assert main(["run", "--target", "3", "extra"]) == 1
-    assert built == ["run", "run", "verify", "pair", "admissible", "search", "export"]
     assert "unrecognized arguments: extra" in capsys.readouterr().err
+    assert built == ["run", "verify", "pair", "admissible", "search", "export"]
 
 
 NUMPY_FREE = """

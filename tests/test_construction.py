@@ -295,6 +295,18 @@ def test_run_below_coverage_is_a_no_op():
         run(st, -1)
 
 
+def test_run_stops_at_an_inadmissible_plan_with_its_finished_steps():
+    # at p_limit 5 the -13 plan's offsets cover every residue mod 7; the
+    # steps before it stand, as an exhausted search's do
+    res = run(initial_state(Config(p_limit=5)), 12)
+    assert not res.completed
+    assert [s.target for s in res.steps] == [7, -7, 11, -11, 13]
+    assert res.state.n == 7 and res.report.ok and res.report.coverage == 7
+    assert res.diagnostic == (
+        "target -13 has an inadmissible plan: offsets form a complete residue system mod 7"
+    )
+
+
 def test_run_growth_invariants():
     st = initial_state(Config(p_limit=5))
     res = run(st, 6)

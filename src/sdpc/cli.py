@@ -108,7 +108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     state_path = Path(args.state) if args.state else None
     if state_path is not None and state_path.exists():
         state = load_state(state_path)
-        state.config = _effective_config(args, state.config)
+        state = replace(state, config=_effective_config(args, state.config))
         print(f"resumed state with {state.n} targets done from {state_path}")
     else:
         state = initial_state(_effective_config(args, None))

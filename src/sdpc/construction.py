@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
@@ -157,21 +158,25 @@ class Config:
             raise ValueError("budget must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstructionState:
     """Snapshot after processing the first n targets.
 
     a and b are the sorted element tuples; pairs maps each managed prime
-    to its compatible pair; represented maps each signed prime difference
-    r to its witness pair (a, b) with a - b = r.
+    to its compatible pair.
     """
 
     n: int
     a: tuple[int, ...]
     b: tuple[int, ...]
     pairs: dict[int, PrimeCompatiblePair]
-    represented: dict[int, tuple[int, int]]
     config: Config
+
+    @cached_property
+    def represented(self) -> dict[int, tuple[int, int]]:
+        """Each difference r = a - b mapped to its witness pair (a, b),
+        derived from A and B: a frozen state's map cannot go stale."""
+        return {aa - bb: (aa, bb) for aa in self.a for bb in self.b}
 
 
 def initial_state(config: Config) -> ConstructionState:
@@ -195,7 +200,6 @@ def initial_state(config: Config) -> ConstructionState:
         a=(1, 11),
         b=(6,),
         pairs=pairs,
-        represented={5: (11, 6), -5: (1, 6)},
         config=config,
     )
 
@@ -313,13 +317,8 @@ def apply_step(state: ConstructionState, plan: StepPlan, x: int) -> Construction
     if partner in state.b:
         raise ValueError(f"x - target = {partner} is already in B")
 
-    fresh: dict[int, tuple[int, int]] = {target: (x, partner)}
-    for bb in state.b:
-        fresh[x - bb] = (x, bb)
-    for aa in state.a:
-        fresh[aa - partner] = (aa, partner)
-    expected = len(state.a) + len(state.b) + 1
-    if len(fresh) != expected:
+    fresh = [target, *(x - bb for bb in state.b), *(aa - partner for aa in state.a)]
+    if len(set(fresh)) != len(fresh):
         raise ValueError("coincidence: two new differences collide")
     for diff in fresh:
         if diff in state.represented:
@@ -331,15 +330,12 @@ def apply_step(state: ConstructionState, plan: StepPlan, x: int) -> Construction
     if plan.reserve_use is not None:
         p, sign, w = plan.reserve_use
         pairs[p] = pairs[p].with_assigned(sign, w)
-    represented = dict(state.represented)
-    represented.update(fresh)
     return replace(
         state,
         n=state.n + 1,
         a=tuple(sorted(state.a + (x,))),
         b=tuple(sorted(state.b + (partner,))),
         pairs=pairs,
-        represented=represented,
     )
 
 
@@ -401,7 +397,7 @@ def verify(state: ConstructionState) -> VerifyReport:
         )
     )
 
-    distinct = len({d for d, _, _ in diffs}) == len(diffs)
+    distinct = len(state.represented) == len(diffs)
     checks.append(
         CheckResult(
             "differences-distinct",
@@ -444,13 +440,6 @@ def verify(state: ConstructionState) -> VerifyReport:
     )
 
     ledger_bad: list[str] = []
-    actual = {d for d, _, _ in diffs}
-    if set(state.represented) != actual:
-        ledger_bad.append("ledger keys disagree with the actual difference set")
-    for r, (wa, wb) in state.represented.items():
-        if wa not in state.a or wb not in state.b or wa - wb != r:
-            ledger_bad.append(f"bad witness for {r}")
-            break
     m = coverage_prefix(state)
     if m < state.n:
         ledger_bad.append(f"coverage {m} below step counter {state.n}")

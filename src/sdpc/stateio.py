@@ -1,12 +1,13 @@
 """Persistence for construction states.
 
 The on-disk format is deliberately boring JSON: sorted keys, two-space
-indent, one trailing newline. Unbounded integers (set elements, the
-difference ledger) travel as decimal strings so non-Python consumers
-aren't tripped by bigints; residues and other machine-scale fields stay
-native. Saving the result of a load is byte-identical to the original
-file, which lets callers fingerprint states by content; the loader
-refuses a document that a save would not write back, whitespace aside.
+indent, one trailing newline. Unbounded integers (the set elements)
+travel as decimal strings so non-Python consumers aren't tripped by
+bigints; residues and other machine-scale fields stay native. The
+differences are not stored: a state derives them from A and B. Saving
+the result of a load is byte-identical to the original file, which lets
+callers fingerprint states by content; the loader refuses a document
+that a save would not write back, whitespace aside.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .modular import ResidueSet
 from .pairs import MINUS, PLUS, PrimeCompatiblePair
 
 STATE_SCHEMA = "sdpc-state"
-STATE_VERSION = 4
+STATE_VERSION = 5
 
 _SIGN_KEY = {PLUS: "+", MINUS: "-"}
 _KEY_SIGN = {"+": PLUS, "-": MINUS}
@@ -42,10 +43,6 @@ def state_to_doc(state: ConstructionState) -> dict:
                 "assigned": {_SIGN_KEY[s]: w for s, w in pair.assigned},
             }
         )
-    represented = [
-        {"r": str(r), "a": str(a), "b": str(b)}
-        for r, (a, b) in sorted(state.represented.items(), key=lambda kv: (abs(kv[0]), kv[0]))
-    ]
     return {
         "schema": STATE_SCHEMA,
         "version": STATE_VERSION,
@@ -53,7 +50,6 @@ def state_to_doc(state: ConstructionState) -> dict:
         "a": [str(v) for v in state.a],
         "b": [str(v) for v in state.b],
         "pairs": pairs,
-        "represented": represented,
         "config": asdict(state.config),
     }
 
@@ -124,13 +120,6 @@ def _pair(entry, what: str, p_limit: int) -> PrimeCompatiblePair:
     )
 
 
-def _ledger_row(row, what: str) -> tuple[int, int, int]:
-    r, a, b = (_decimal(_get(row, key, what), f"{what} {key}") for key in "rab")
-    if a - b != r:
-        raise ValueError(f"ledger row for {r} names a witness with difference {a - b}")
-    return r, a, b
-
-
 def _unique(entries, what: str) -> dict:
     """A dict of (key, value) entries that refuses a repeated key: with
     the later entry winning, a re-save would differ from the file."""
@@ -152,8 +141,8 @@ def _increasing(values: list, what: str) -> tuple:
 def doc_to_state(doc: dict) -> ConstructionState:
     """The state a document describes. Raises ValueError for a document
     with a missing key, a value of the wrong type, an element list out of
-    order, a repeated pair or ledger row, or anything else a save of the
-    state would not write as it stands: never coercing."""
+    order, a repeated pair, or anything else a save of the state would
+    not write as it stands: never coercing."""
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
     if doc.get("schema") != STATE_SCHEMA:
@@ -167,10 +156,6 @@ def doc_to_state(doc: dict) -> ConstructionState:
         a=_increasing(_items(doc, "a", "state", _decimal), "state a"),
         b=_increasing(_items(doc, "b", "state", _decimal), "state b"),
         pairs=_unique(((pair.p, pair) for pair in pairs), "the pair mod"),
-        represented=_unique(
-            ((r, (a, b)) for r, a, b in _items(doc, "represented", "state", _ledger_row)),
-            "the ledger row for",
-        ),
         config=config,
     )
     # an unknown key or another order would be lost or changed by the next

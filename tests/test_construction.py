@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -150,11 +150,18 @@ def test_verify_flags_tampering():
     report = verify(broken)
     assert not report.ok
     assert "differences-prime" in {c.name for c in report.failures()}
-    # a ledger entry whose witness rows do not exist
-    cooked = dict(st.represented)
-    cooked[23] = (29, 6)
-    report = verify(replace(st, represented=cooked))
-    assert "representation-ledger" in {c.name for c in report.failures()}
+
+
+def test_represented_is_derived_from_a_and_b_and_never_stale():
+    st = initial_state(Config())
+    # the paper's shared element 6
+    assert st.represented == {5: (11, 6), -5: (1, 6)}
+    # read once above, the map is not carried into a state with another A
+    grown = replace(st, a=(1, 11, 25))
+    assert grown.represented == {a - b: (a, b) for a in grown.a for b in grown.b}
+    assert len(grown.represented) == 3
+    with pytest.raises(FrozenInstanceError):
+        st.a = (1, 11, 25)
 
 
 # ---------------------------------------------------------------------------

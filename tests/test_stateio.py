@@ -65,8 +65,8 @@ def test_document_shape():
     # big values are decimal strings, residues stay native
     assert doc["a"] == ["1", "11", "25"]
     assert doc["b"] == ["6", "18"]
-    assert all(isinstance(row["r"], str) for row in doc["represented"])
-    assert [row["r"] for row in doc["represented"]] == ["-5", "5", "-7", "7", "-17", "19"]
+    # the differences are derived from A and B, not stored
+    assert "represented" not in doc
     assert all(isinstance(u, int) for e in doc["pairs"] for u in e["u"])
     text = dumps_state(small_state())
     assert text.endswith("\n")
@@ -124,6 +124,11 @@ def test_schema_and_version_rejection():
     old = dict(doc, version=3, config=dict(doc["config"], sieve_limit=400, segment_size=1 << 20))
     with pytest.raises(ValueError, match="unsupported state version 3"):
         doc_to_state(old)
+    # a version-4 document, which still stores the difference ledger
+    ledger = [{"r": str(r), "a": str(a), "b": str(b)} for r, (a, b) in small_state().represented.items()]
+    old = dict(doc, version=4, represented=ledger)
+    with pytest.raises(ValueError, match="unsupported state version 4"):
+        doc_to_state(old)
     with pytest.raises(ValueError):
         doc_to_state(["not", "an", "object"])
 
@@ -133,20 +138,6 @@ def test_repeated_pair_is_rejected():
     doc = state_to_doc(small_state())
     doc["pairs"].append(dict(next(e for e in doc["pairs"] if e["p"] == 5)))
     with pytest.raises(ValueError, match="pair mod 5 twice"):
-        doc_to_state(doc)
-
-
-def test_repeated_ledger_row_is_rejected():
-    doc = state_to_doc(small_state())
-    doc["represented"].append(dict(next(r for r in doc["represented"] if r["r"] == "5")))
-    with pytest.raises(ValueError, match="ledger row for 5 twice"):
-        doc_to_state(doc)
-
-
-def test_inconsistent_ledger_row_is_rejected():
-    doc = state_to_doc(small_state())
-    doc["represented"][0]["a"] = "999"
-    with pytest.raises(ValueError, match="ledger"):
         doc_to_state(doc)
 
 
@@ -219,7 +210,7 @@ def test_non_canonical_decimal_is_a_value_error(text):
     with pytest.raises(ValueError, match="decimal string"):
         doc_to_state(doc)
     doc = state_to_doc(small_state())
-    doc["represented"][0]["r"] = text
+    doc["b"][0] = text
     with pytest.raises(ValueError, match="decimal string"):
         doc_to_state(doc)
 
@@ -227,7 +218,7 @@ def test_non_canonical_decimal_is_a_value_error(text):
 def test_zero_and_negative_decimals_round_trip():
     doc = state_to_doc(small_state())
     doc["a"][0] = "0"
-    assert doc["represented"][0]["r"] == "-5"
+    doc["b"][0] = "-6"
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert dumps_state(loads_state(text)) == text
 
